@@ -2,33 +2,37 @@
 //! of Section 2) and [`MultiFsm`] (the multiple-letter-query layer of
 //! Section 3.2).
 
-use crate::{Alphabet, BoundedCount, Letter};
+use crate::{Alphabet, BoundedCount, Choices, Letter};
 
 /// The nondeterministic choice set `δ(q, ·) ⊆ Q × (Σ ∪ {ε})` from which the
 /// next `(state, emission)` pair is drawn **uniformly at random**
 /// (emission `None` is the empty symbol `ε` — no transmission).
 ///
 /// A well-formed protocol never returns an empty choice set (the node would
-/// have no successor configuration).
+/// have no successor configuration). The pairs live in a [`Choices`], which
+/// keeps up to three of them inline, so building a typical choice set
+/// allocates nothing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Transitions<S> {
     /// The candidate `(next state, emission)` pairs.
-    pub choices: Vec<(S, Option<Letter>)>,
+    pub choices: Choices<(S, Option<Letter>)>,
 }
 
 impl<S> Transitions<S> {
     /// A deterministic transition: a single choice.
     pub fn det(state: S, emission: Option<Letter>) -> Self {
         Transitions {
-            choices: vec![(state, emission)],
+            choices: [(state, emission)].into(),
         }
     }
 
-    /// A uniform choice among the given pairs.
+    /// A uniform choice among the given pairs — a `Vec`, an array of up
+    /// to three pairs, or a collected [`Choices`].
     ///
     /// # Panics
     /// Panics if `choices` is empty.
-    pub fn uniform(choices: Vec<(S, Option<Letter>)>) -> Self {
+    pub fn uniform(choices: impl Into<Choices<(S, Option<Letter>)>>) -> Self {
+        let choices = choices.into();
         assert!(!choices.is_empty(), "δ must offer at least one successor");
         Transitions { choices }
     }
@@ -56,10 +60,20 @@ impl<S> Transitions<S> {
         }
     }
 
+    /// The consuming twin of [`Transitions::sample`]: makes the same
+    /// draw and moves the chosen pair out instead of lending it, so the
+    /// caller need not clone the next state.
+    ///
+    /// # Panics
+    /// Panics if the choice set is empty.
+    pub fn draw<R: rand::Rng + ?Sized>(self, rng: &mut R) -> (S, Option<Letter>) {
+        self.choices.draw(rng)
+    }
+
     /// Maps the state type, preserving emissions and choice order.
     pub fn map_states<T, F: FnMut(S) -> T>(self, mut f: F) -> Transitions<T> {
         Transitions {
-            choices: self.choices.into_iter().map(|(s, e)| (f(s), e)).collect(),
+            choices: self.choices.map(|(s, e)| (f(s), e)),
         }
     }
 }
@@ -122,6 +136,14 @@ pub trait Fsm: Protocol {
     fn query(&self, q: &Self::State) -> Letter;
 
     /// The transition function `δ(q, f_b(#λ(q)))`.
+    ///
+    /// δ must be a **pure function** of the state and the observation:
+    /// no interior mutability, no global state, and no randomness of its
+    /// own — the only randomness in a step is the engine's uniform draw
+    /// among the returned choices. Engines rely on this: a lockstep node
+    /// whose last step was a single silent self-loop and whose port
+    /// counts have not changed since is not stepped again, because δ
+    /// would return the same choice.
     fn delta(&self, q: &Self::State, observed: BoundedCount) -> Transitions<Self::State>;
 }
 
@@ -218,6 +240,13 @@ impl ObsVec {
 /// protocols are stated in this layer.
 pub trait MultiFsm: Protocol {
     /// The transition function over the full observation vector.
+    ///
+    /// The same contract as [`Fsm::delta`]: a pure function of `q` and
+    /// `obs`, with no interior mutability, no global state, and no
+    /// randomness beyond the engine's uniform draw among the returned
+    /// choices. The lockstep engines skip a node whose last step was a
+    /// single silent self-loop while its counts stay unchanged, which is
+    /// exact only under this contract.
     fn delta(&self, q: &Self::State, obs: &ObsVec) -> Transitions<Self::State>;
 }
 

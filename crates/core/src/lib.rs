@@ -12,7 +12,8 @@
 //! This crate provides:
 //!
 //! * the model vocabulary — [`Letter`], [`Alphabet`], [`BoundedCount`]
-//!   (the set `B` together with `f_b`), [`Transitions`];
+//!   (the set `B` together with `f_b`), [`Transitions`] and its
+//!   allocation-free choice list [`Choices`];
 //! * the protocol abstractions — the representation-independent
 //!   [`Protocol`] base (states, alphabet, inputs, outputs) with its two
 //!   transition flavors [`Fsm`] (single-letter queries, the formal model
@@ -36,11 +37,13 @@ mod bounded;
 mod fsm;
 mod letter;
 
+pub mod choices;
 pub mod multiq;
 pub mod sync;
 pub mod table;
 
 pub use bounded::{fb, BoundedCount};
+pub use choices::Choices;
 pub use fsm::{AsMulti, Fsm, MultiFsm, ObsVec, Protocol, Transitions};
 pub use letter::{Alphabet, Letter};
 pub use multiq::SingleLetter;

@@ -401,23 +401,19 @@ impl<P: Fsm> Fsm for Synchronized<P> {
                         let count = BoundedCount::from_raw((phi1 + phi2).min(b), b);
                         let inner_transitions = self.inner.delta(inner, count);
                         let next_trit = (trit + 1) % 3;
-                        let choices = inner_transitions
-                            .choices
-                            .into_iter()
-                            .map(|(q_next, emission)| {
-                                let new_retained = emission.or(*retained);
-                                let message = self.encode_message(*retained, new_retained, *trit);
-                                (
-                                    SyncState::Pause {
-                                        inner: q_next,
-                                        retained: new_retained,
-                                        trit: next_trit,
-                                        check: 0,
-                                    },
-                                    Some(message),
-                                )
-                            })
-                            .collect();
+                        let choices = inner_transitions.choices.map(|(q_next, emission)| {
+                            let new_retained = emission.or(*retained);
+                            let message = self.encode_message(*retained, new_retained, *trit);
+                            (
+                                SyncState::Pause {
+                                    inner: q_next,
+                                    retained: new_retained,
+                                    trit: next_trit,
+                                    check: 0,
+                                },
+                                Some(message),
+                            )
+                        });
                         Transitions::uniform(choices)
                     }
                 }

@@ -32,7 +32,7 @@
 //! `HALT-accept`/`HALT-reject` along the path; every node outputs the
 //! machine's verdict.
 
-use stoneage_core::{Alphabet, Letter, MultiFsm, ObsVec, Transitions};
+use stoneage_core::{Alphabet, Choices, Letter, MultiFsm, ObsVec, Transitions};
 use stoneage_graph::{generators, Graph};
 use stoneage_sim::{ExecError, Simulation};
 
@@ -181,7 +181,7 @@ impl LbaOnPath {
                         Some(letter),
                     )
                 })
-                .collect(),
+                .collect::<Choices<_>>(),
         )
     }
 }

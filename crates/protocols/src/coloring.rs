@@ -48,7 +48,7 @@
 
 pub mod analysis;
 
-use stoneage_core::{Alphabet, Letter, MultiFsm, ObsVec, Transitions};
+use stoneage_core::{Alphabet, Choices, Letter, MultiFsm, ObsVec, Transitions};
 
 /// Letters of the coloring protocol, in alphabet order. Crate-visible so
 /// the [`crate::selfstab`] wrapper can match the wake/color letters.
@@ -266,10 +266,8 @@ impl ColoringProtocol {
     }
 
     /// The set `C(v)` of colors not announced by any colored neighbor.
-    fn free_colors(obs: &ObsVec) -> Vec<u8> {
-        (1u8..=3)
-            .filter(|&c| obs.get(L::col(c).letter()).is_zero())
-            .collect()
+    fn free_colors(obs: &ObsVec) -> impl Iterator<Item = u8> + '_ {
+        (1u8..=3).filter(|&c| obs.get(L::col(c).letter()).is_zero())
     }
 
     /// The `f₃(#COLc)` snapshot vector.
@@ -357,18 +355,16 @@ impl MultiFsm for ColoringProtocol {
                 if !Self::runs_rand_color(deg, obs) {
                     return Transitions::det(S::A4Idle, None);
                 }
-                let free = Self::free_colors(obs);
+                let free: Choices<_> = Self::free_colors(obs)
+                    .map(|c| (S::A4 { color: c }, Some(L::prop(c).letter())))
+                    .collect();
                 assert!(
                     !free.is_empty(),
                     "invariant |C(v)| ≥ min(dᶦ(v)+1, 3) violated: a \
                      RandColor-eligible node found no free color (is the \
                      graph a tree?)"
                 );
-                Transitions::uniform(
-                    free.into_iter()
-                        .map(|c| (S::A4 { color: c }, Some(L::prop(c).letter())))
-                        .collect(),
-                )
+                Transitions::uniform(free)
             }
             // Round 4: keep the color unless a same-color proposal landed.
             S::A4 { color } => {

@@ -120,7 +120,7 @@ impl ScopedMultiFsm for MatchingProtocol {
                         ScopedEmission::Broadcast(L_GONE),
                     );
                 }
-                ScopedTransitions::uniform(vec![
+                ScopedTransitions::uniform([
                     (
                         S::P3,
                         ScopedEmission::ToOnePortHolding {

@@ -241,7 +241,7 @@ impl MultiFsm for MisProtocol {
                 } else {
                     Self::moving(up, MisState::Win)
                 };
-                Transitions::uniform(vec![heads, tails])
+                Transitions::uniform([heads, tails])
             }
         }
     }

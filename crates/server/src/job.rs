@@ -233,6 +233,19 @@ impl Job {
 
     /// The status document served by `GET /jobs/{id}`.
     pub fn status_json(&self) -> Value {
+        self.status_json_between(|| {})
+    }
+
+    /// [`Job::status_json`], running `between` after the state is read
+    /// and before anything else is — the window a finishing runner can
+    /// land in (tests force interleavings through it).
+    fn status_json_between(&self, between: impl FnOnce()) -> Value {
+        // The state is read first. The runner publishes a seed's result
+        // and the job's error before the terminal state that follows
+        // them, so a `done` (or `failed`) read here implies every result
+        // (and the error) is already visible to the reads below.
+        let state = self.state();
+        between();
         let results: Vec<Value> = self
             .results()
             .iter()
@@ -254,7 +267,7 @@ impl Job {
             .unwrap_or(Value::Null);
         Value::Object(vec![
             ("id".into(), self.id.into()),
-            ("state".into(), self.state().as_str().into()),
+            ("state".into(), state.as_str().into()),
             ("protocol".into(), self.spec.protocol.as_str().into()),
             (
                 "seeds".into(),
@@ -362,6 +375,7 @@ impl JobStore {
 mod tests {
     use super::*;
     use crate::spec::parse_spec;
+    use std::sync::Barrier;
 
     fn spec() -> JobSpec {
         parse_spec(br#"{"graph": {"family": "tree", "n": 4}, "protocol": "mis"}"#).unwrap()
@@ -392,6 +406,50 @@ mod tests {
         assert!(store.get(a.id).is_none());
         assert!(store.get(c.id).is_some());
         assert_eq!(store.list().len(), 2);
+    }
+
+    fn result(seed: u64) -> SeedResult {
+        SeedResult {
+            seed,
+            fingerprint: seed,
+            rounds: 1,
+            messages: 1,
+        }
+    }
+
+    /// The runner's finishing order — `push_result` of the last seed,
+    /// then `set_state(Done)` — lands between the status read's first
+    /// and later reads, forced with barriers: `done` must still imply
+    /// every result is present.
+    #[test]
+    fn done_status_implies_every_result_is_present() {
+        let job = Arc::new(Job::new(1, spec()));
+        job.set_state(JobState::Running);
+        job.push_result(result(1));
+        let first_read = Arc::new(Barrier::new(2));
+        let finished = Arc::new(Barrier::new(2));
+        let runner = {
+            let (job, first_read, finished) = (job.clone(), first_read.clone(), finished.clone());
+            std::thread::spawn(move || {
+                first_read.wait();
+                job.push_result(result(2));
+                job.set_state(JobState::Done);
+                finished.wait();
+            })
+        };
+        let status = job.status_json_between(|| {
+            first_read.wait();
+            finished.wait();
+        });
+        runner.join().expect("runner thread");
+        let results = status["results"].as_array().expect("results array").len();
+        assert!(
+            status["state"].as_str() != Some("done") || results == 2,
+            "done with {results} of 2 results: {status}"
+        );
+        let status = job.status_json();
+        assert_eq!(status["state"].as_str(), Some("done"));
+        assert_eq!(status["results"].as_array().map(<[Value]>::len), Some(2));
     }
 
     #[test]

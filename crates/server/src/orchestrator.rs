@@ -12,7 +12,9 @@
 use crate::job::{JobId, JobState, JobStore};
 use crate::metrics::Metrics;
 use crate::runner;
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender};
@@ -33,7 +35,8 @@ pub(crate) enum Command {
 
 /// Reports from runner threads.
 pub(crate) enum Event {
-    /// The runner for this job returned (any terminal state).
+    /// The runner for this job ended (any terminal state, including a
+    /// panic turned into `Failed`).
     Finished(JobId),
 }
 
@@ -44,6 +47,29 @@ pub(crate) enum Msg {
     Cmd(Command),
     /// A report from a runner thread.
     Ev(Event),
+}
+
+/// Sends [`Event::Finished`] for its job when dropped — on a runner
+/// thread's normal return and while it unwinds alike.
+struct FinishedOnDrop {
+    tx: Sender<Msg>,
+    id: JobId,
+}
+
+impl Drop for FinishedOnDrop {
+    fn drop(&mut self) {
+        // The loop may already be gone on unclean teardown.
+        let _ = self.tx.send(Msg::Ev(Event::Finished(self.id)));
+    }
+}
+
+/// The text of a panic payload (`panic!` carries a `&str` or a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 pub(crate) struct Orchestrator {
@@ -163,9 +189,17 @@ impl Orchestrator {
             let jobs_dir = self.jobs_dir.clone();
             let tx = self.tx.clone();
             let handle = std::thread::spawn(move || {
-                runner::execute(&job, &metrics, jobs_dir.as_deref());
-                // The loop may already be gone on unclean teardown.
-                let _ = tx.send(Msg::Ev(Event::Finished(id)));
+                // `Finished` goes out however the runner ends — even if
+                // the failure path below panics too — so the core is
+                // returned and shutdown can join this thread.
+                let _finished = FinishedOnDrop { tx, id };
+                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    runner::execute(&job, &metrics, jobs_dir.as_deref())
+                }));
+                if let Err(payload) = run {
+                    let message = format!("job panicked: {}", panic_message(payload.as_ref()));
+                    runner::fail(&job, &metrics, message);
+                }
             });
             self.running.insert(id, (handle, need));
         }

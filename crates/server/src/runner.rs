@@ -142,22 +142,7 @@ pub(crate) fn execute(job: &Arc<Job>, metrics: &Arc<Metrics>, jobs_dir: Option<&
     let (event, state) = match result {
         Ok(true) => ("done", JobState::Done),
         Ok(false) => ("cancelled", JobState::Cancelled),
-        Err(message) => {
-            job.set_error(message.clone());
-            emit(
-                job,
-                metrics,
-                Value::Object(vec![
-                    ("type".into(), "failed".into()),
-                    ("id".into(), job.id.into()),
-                    ("error".into(), message.into()),
-                ]),
-            );
-            job.set_state(JobState::Failed);
-            job.events.close();
-            Metrics::inc(&metrics.jobs_completed);
-            return;
-        }
+        Err(message) => return fail(job, metrics, message),
     };
     emit(
         job,
@@ -168,6 +153,26 @@ pub(crate) fn execute(job: &Arc<Job>, metrics: &Arc<Metrics>, jobs_dir: Option<&
         ]),
     );
     job.set_state(state);
+    job.events.close();
+    Metrics::inc(&metrics.jobs_completed);
+}
+
+/// The terminal path of a failed job: records `message` as its error,
+/// emits the `failed` event, marks it `Failed`, closes its event log and
+/// counts it completed. Also the orchestrator's path for a job whose
+/// runner panicked.
+pub(crate) fn fail(job: &Job, metrics: &Metrics, message: String) {
+    job.set_error(message.clone());
+    emit(
+        job,
+        metrics,
+        Value::Object(vec![
+            ("type".into(), "failed".into()),
+            ("id".into(), job.id.into()),
+            ("error".into(), message.into()),
+        ]),
+    );
+    job.set_state(JobState::Failed);
     job.events.close();
     Metrics::inc(&metrics.jobs_completed);
 }

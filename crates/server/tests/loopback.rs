@@ -283,3 +283,60 @@ fn cancel_while_queued_never_runs() {
     ));
     server.shutdown();
 }
+
+#[test]
+fn panicking_job_fails_and_frees_its_core() {
+    // `selfstab_coloring` panics on coloring's |C(v)| invariant when the
+    // hub crashes before it is colored. Two such jobs take both cores
+    // (the second on two workers: a worker-thread panic under the
+    // `parallel` feature); each must end `failed` with the panic message
+    // and hand its cores back, so a later job still runs and shutdown
+    // still returns.
+    let (server, addr, _scratch) = start("panic");
+    let spec = r#"{"graph": {"family": "hub_and_spoke", "hubs": 1, "spokes": 12},
+                   "protocol": "selfstab_coloring", "seeds": [1], "budget": 2000,
+                   "churn": [{"round": 2, "event": "crash", "node": 0},
+                             {"round": 40, "event": "restart", "node": 0}]WORKERS}"#;
+    let ids: Vec<i64> = ["", r#", "workers": 2"#]
+        .iter()
+        .map(|workers| {
+            let body = spec.replace("WORKERS", workers);
+            post(&addr, "/jobs", body.as_bytes()).json()["id"]
+                .as_i64()
+                .expect("job id")
+        })
+        .collect();
+    for id in ids {
+        let status = wait_terminal(&addr, id);
+        assert_eq!(status["state"], "failed", "{status}");
+        let error = status["error"]
+            .as_str()
+            .expect("failed jobs carry an error");
+        assert!(
+            error.starts_with("job panicked: ") && error.contains("|C(v)|"),
+            "{error}"
+        );
+        // The log is closed, and its last line is the `failed` event.
+        let mut stream = EventStream::open(&addr, &format!("/jobs/{id}/events")).unwrap();
+        let mut last = None;
+        while let Some(line) = stream.next_line().unwrap() {
+            last = Some(stoneage_wire::parse(&line).expect("event line is JSON"));
+        }
+        let last = last.expect("the log has events");
+        assert_eq!(last["type"], "failed");
+        assert_eq!(last["error"].as_str(), Some(error));
+    }
+
+    let mis = br#"{"graph": {"family": "tree", "n": 16}, "protocol": "mis"}"#;
+    let mis_id = post(&addr, "/jobs", mis).json()["id"]
+        .as_i64()
+        .expect("job id");
+    assert_eq!(wait_terminal(&addr, mis_id)["state"], "done");
+    let text = String::from_utf8(get(&addr, "/metrics").body).unwrap();
+    assert!(
+        text.contains("stoneage_server_jobs_completed_total 3"),
+        "{text}"
+    );
+    assert_eq!(get(&addr, "/healthz").status, 200);
+    server.shutdown();
+}

@@ -440,16 +440,16 @@ impl<'a, P: Fsm> Exec<'a, P> {
         let transitions = self
             .protocol
             .delta(&self.states[vi], BoundedCount::from_count(count, self.b));
-        let (next, emission) = transitions.sample(&mut self.rngs[vi]);
+        let (next, emission) = transitions.draw(&mut self.rngs[vi]);
         let was_output = self.protocol.output(&self.states[vi]).is_some();
-        let is_output = self.protocol.output(next).is_some();
-        self.states[vi] = next.clone();
+        let is_output = self.protocol.output(&next).is_some();
+        self.states[vi] = next;
         match (was_output, is_output) {
             (false, true) => self.unfinished -= 1,
             (true, false) => self.unfinished += 1,
             _ => {}
         }
-        (t, *emission)
+        (t, emission)
     }
 
     /// Computes the FIFO-bumped arrival time of `v`'s step-`t` broadcast

@@ -554,6 +554,9 @@ impl<'p> ChurnCtl<'p> {
                 }
                 TopologyEvent::Restart(v) => {
                     states[v as usize] = step.restart_state(inputs[v as usize]);
+                    // A state write δ did not make: the node must step
+                    // next round even if no delivery changes its counts.
+                    ports.wake(v as usize);
                     if !step.decided(&states[v as usize]) {
                         *undecided += 1;
                     }
@@ -847,7 +850,10 @@ where
                                 })
                             })
                             .collect();
-                        handles.into_iter().map(|h| h.join().unwrap()).collect()
+                        handles
+                            .into_iter()
+                            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                            .collect()
                     })
                 };
                 absorb_steal_yields::<St>(results, &mut undecided, faults, witness, steals);
@@ -970,7 +976,10 @@ where
                                 })
                             })
                             .collect();
-                        handles.into_iter().map(|h| h.join().unwrap()).collect()
+                        handles
+                            .into_iter()
+                            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                            .collect()
                     })
                 };
                 planes.advance();
@@ -1074,7 +1083,10 @@ where
                             })
                         })
                         .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                        .collect()
                 });
                 undecided += results.iter().map(|&(d, _)| d).sum::<isize>();
                 for (_, t) in &results {
@@ -1174,7 +1186,10 @@ where
                             },
                         )
                         .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                        .collect()
                 });
                 planes.advance();
                 std::mem::swap(&mut landing, &mut filling);

@@ -41,6 +41,35 @@
 //! on state transitions) so termination detection is O(1) per round
 //! rather than an O(|V|) output scan.
 //!
+//! # Skip marks
+//!
+//! Next to the counts, the store keeps one mark byte per node for the
+//! lockstep pipeline's quiescent-node skip (see [`crate::pipeline`]):
+//!
+//! * **changed** — set by *every* count-row mutation of a quiet node:
+//!   [`FlatPorts::deliver`], [`FlatPorts::deliver_run`],
+//!   [`PortShard::deliver`] (hence [`PlaneShard::land`] and the sharded
+//!   merge), [`FlatPorts::retire_slot`] and [`FlatPorts::revive_slot`].
+//!   A write that leaves the counts as they were (the same letter again,
+//!   or a write bouncing off a tombstone) sets nothing, and neither does
+//!   a mutation of a node that is not quiet — it steps next round
+//!   regardless, so the bit would be moot.
+//! * **quiet** — set by the pipeline when the node's executed step was a
+//!   single silent self-loop, and cleared by any state write δ did not
+//!   make (`FlatPorts::wake`, called by a churn restart).
+//!
+//! Executing a step clears *changed*: the step observed the counts as
+//! they are. The marks are not part of the store's value — every
+//! constructor (fresh, restored from a snapshot, rebuilt by the churn
+//! oracle) starts them cleared, and snapshots never carry them, so a
+//! resumed run simply steps every node once before skipping again. They
+//! are atomics only so phase-1 workers sharing a frozen read plane can
+//! update their own nodes' bytes. Each byte has one writer at a time
+//! (its node's phase-1 step, or the landing of its shard), and the byte
+//! passes between those writers only across a scope join or the fused
+//! schedule's barrier, which order the accesses; the marks publish no
+//! other data, so relaxed loads and stores suffice.
+//!
 //! # Shard views
 //!
 //! The parallel phase-2 delivery of [`crate::parbuf`] needs several
@@ -92,6 +121,8 @@
 //! letter array and no cross-worker synchronization beyond the one
 //! scope join per round.
 
+use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+
 use stoneage_core::{Letter, ObsVec};
 use stoneage_graph::{Graph, NodeId};
 
@@ -130,6 +161,58 @@ enum Counts {
     Sparse(Vec<Vec<(u16, u32)>>),
 }
 
+/// Skip-mark bit: a count of the node changed since its last executed
+/// step (module docs, "Skip marks").
+const CHANGED: u8 = 1;
+/// Skip-mark bit: the node's last executed step was a single silent
+/// self-loop.
+const QUIET: u8 = 2;
+
+/// One skip-mark byte per node (module docs, "Skip marks").
+#[derive(Debug)]
+struct Marks(Vec<AtomicU8>);
+
+impl Marks {
+    fn cleared(n: usize) -> Self {
+        Marks((0..n).map(|_| AtomicU8::new(0)).collect())
+    }
+}
+
+impl Clone for Marks {
+    fn clone(&self) -> Self {
+        Marks(
+            self.0
+                .iter()
+                .map(|m| AtomicU8::new(m.load(Relaxed)))
+                .collect(),
+        )
+    }
+}
+
+/// Whether a node with skip-mark byte `mark` may skip its step.
+#[inline]
+fn quiescent(mark: &AtomicU8) -> bool {
+    mark.load(Relaxed) == QUIET
+}
+
+/// Records a count-row mutation in a node's skip-mark byte. Only a
+/// quiet node needs the *changed* bit: any other node steps next round
+/// anyway, and its step rewrites the byte. On a busy round, where few
+/// receivers are quiet, a delivery therefore costs a load here, not a
+/// store.
+#[inline]
+fn note_change(mark: &mut u8) {
+    if *mark == QUIET {
+        *mark = QUIET | CHANGED;
+    }
+}
+
+/// Records an executed step in a node's skip-mark byte.
+#[inline]
+fn note_step(mark: &AtomicU8, quiet: bool) {
+    mark.store(if quiet { QUIET } else { 0 }, Relaxed);
+}
+
 /// The flat port store plus incrementally maintained per-node letter
 /// counts. See the module docs for the layout.
 #[derive(Clone, Debug)]
@@ -141,6 +224,8 @@ pub struct FlatPorts {
     /// Per-node per-letter counts, dense or sparse. Always consistent
     /// with `letters`.
     counts: Counts,
+    /// Per-node skip marks; not part of the store's value.
+    marks: Marks,
 }
 
 impl FlatPorts {
@@ -186,6 +271,7 @@ impl FlatPorts {
             sigma,
             letters: vec![sigma0; graph.port_slot_count()],
             counts,
+            marks: Marks::cleared(n),
         }
     }
 
@@ -245,6 +331,7 @@ impl FlatPorts {
             sigma,
             letters,
             counts,
+            marks: Marks::cleared(n),
         }
     }
 
@@ -340,6 +427,7 @@ impl FlatPorts {
             }
             Counts::Sparse(maps) => sparse_swap(&mut maps[node], old, letter),
         }
+        note_change(self.marks.0[node].get_mut());
     }
 
     /// Applies several port overwrites of **one node** with a single
@@ -398,6 +486,9 @@ impl FlatPorts {
                 }
             }
         }
+        if deltas.iter().any(|&(_, d)| d != 0) {
+            note_change(self.marks.0[node].get_mut());
+        }
     }
 
     /// Broadcasts `letter` from `v` to all of its neighbors' reverse
@@ -424,6 +515,7 @@ impl FlatPorts {
             Counts::Dense(counts) => counts[node * self.sigma + old.index()] -= 1,
             Counts::Sparse(maps) => sparse_apply_delta(&mut maps[node], old.0, -1),
         }
+        note_change(self.marks.0[node].get_mut());
     }
 
     /// Revives a [`TOMBSTONE`]d port at flat `slot` (belonging to node
@@ -436,6 +528,30 @@ impl FlatPorts {
             Counts::Dense(counts) => counts[node * self.sigma + sigma0.index()] += 1,
             Counts::Sparse(maps) => sparse_apply_delta(&mut maps[node], sigma0.0, 1),
         }
+        note_change(self.marks.0[node].get_mut());
+    }
+
+    /// Whether node `v` may skip its next lockstep step: its last
+    /// executed step was a single silent self-loop, no count of its has
+    /// changed since, and nothing but δ has written its state since.
+    #[inline]
+    pub(crate) fn is_quiescent(&self, v: usize) -> bool {
+        quiescent(&self.marks.0[v])
+    }
+
+    /// Records that node `v` just executed a step against the current
+    /// counts (clearing its *changed* mark), and whether that step was a
+    /// single silent self-loop.
+    #[inline]
+    pub(crate) fn note_step(&self, v: usize, quiet: bool) {
+        note_step(&self.marks.0[v], quiet)
+    }
+
+    /// Clears node `v`'s *quiet* mark: something other than δ wrote its
+    /// state (a churn restart), so its next step must run even if none
+    /// of its counts changes.
+    pub(crate) fn wake(&mut self, v: usize) {
+        *self.marks.0[v].get_mut() &= !QUIET;
     }
 
     /// The full-rebuild reference of the churn differential oracle: a
@@ -504,6 +620,7 @@ impl FlatPorts {
             sigma: self.sigma,
             letters,
             counts,
+            marks: Marks::cleared(n),
         }
     }
 
@@ -571,6 +688,7 @@ impl FlatPorts {
             Sparse(&'a mut [Vec<(u16, u32)>]),
         }
         let mut letters_rest = &mut self.letters[..];
+        let mut marks_rest = &mut self.marks.0[..];
         let mut counts_rest = match &mut self.counts {
             Counts::Dense(c) => Rest::Dense(&mut c[..]),
             Counts::Sparse(m) => Rest::Sparse(&mut m[..]),
@@ -584,6 +702,8 @@ impl FlatPorts {
             let slot_hi = graph.csr_offset(hi as NodeId);
             let (letters, tail) = letters_rest.split_at_mut(slot_hi - slot_base);
             letters_rest = tail;
+            let (marks, tail) = marks_rest.split_at_mut(hi - node_base);
+            marks_rest = tail;
             let counts = match counts_rest {
                 Rest::Dense(c) => {
                     let (head, tail) = c.split_at_mut((hi - node_base) * sigma);
@@ -602,6 +722,7 @@ impl FlatPorts {
                 slot_base,
                 letters,
                 counts,
+                marks,
             });
             node_base = hi;
             slot_base = slot_hi;
@@ -665,6 +786,7 @@ pub struct PortShard<'a> {
     slot_base: usize,
     letters: &'a mut [Letter],
     counts: ShardCounts<'a>,
+    marks: &'a mut [AtomicU8],
 }
 
 impl PortShard<'_> {
@@ -694,6 +816,19 @@ impl PortShard<'_> {
             }
             ShardCounts::Sparse(maps) => sparse_swap(&mut maps[node - self.node_base], old, letter),
         }
+        note_change(self.marks[node - self.node_base].get_mut());
+    }
+
+    /// The shard-local twin of [`FlatPorts::is_quiescent`].
+    #[inline]
+    pub(crate) fn is_quiescent(&self, v: usize) -> bool {
+        quiescent(&self.marks[v - self.node_base])
+    }
+
+    /// The shard-local twin of [`FlatPorts::note_step`].
+    #[inline]
+    pub(crate) fn note_step(&self, v: usize, quiet: bool) {
+        note_step(&self.marks[v - self.node_base], quiet)
     }
 
     /// The exact count of `letter` over `v`'s ports — the shard-local
@@ -898,6 +1033,21 @@ impl PlaneShard<'_> {
     pub fn ports_of(&self, graph: &Graph, v: NodeId) -> &[Letter] {
         debug_assert!(self.frozen, "observations require the frozen read plane");
         self.shard.ports_of(graph, v)
+    }
+
+    /// Read-plane [`FlatPorts::is_quiescent`]: the landing that could
+    /// wake `v` must already be behind the freeze.
+    #[inline]
+    pub(crate) fn is_quiescent(&self, v: usize) -> bool {
+        debug_assert!(self.frozen, "observations require the frozen read plane");
+        self.shard.is_quiescent(v)
+    }
+
+    /// Read-plane [`FlatPorts::note_step`].
+    #[inline]
+    pub(crate) fn note_step(&self, v: usize, quiet: bool) {
+        debug_assert!(self.frozen, "observations require the frozen read plane");
+        self.shard.note_step(v, quiet)
     }
 }
 
@@ -1174,6 +1324,84 @@ mod tests {
         assert_eq!(planes.epoch(), 1);
         assert_eq!(planes.read().count(1, Letter(1)), 1);
         assert_eq!(planes.sigma(), 2);
+    }
+
+    #[test]
+    fn skip_marks_start_cleared_and_every_count_mutation_wakes() {
+        let g = generators::star(4);
+        for layout in [CountLayout::Dense, CountLayout::Sparse] {
+            let mut ports = FlatPorts::with_layout(&g, 3, Letter(0), layout);
+            let quiet_all = |p: &FlatPorts| (0..4).for_each(|v| p.note_step(v, true));
+            assert!((0..4).all(|v| !ports.is_quiescent(v)), "fresh: {layout:?}");
+            quiet_all(&ports);
+            assert!((0..4).all(|v| ports.is_quiescent(v)));
+            // A non-quiet step clears the quiet mark.
+            ports.note_step(2, false);
+            assert!(!ports.is_quiescent(2));
+            ports.note_step(2, true);
+
+            // A write that leaves the counts as they were wakes nobody.
+            let slot = g.csr_offset(1); // leaf 1's port toward the hub
+            ports.deliver(1, slot, Letter(0));
+            assert!(ports.is_quiescent(1), "{layout:?}");
+            // A count change wakes exactly the receiver.
+            ports.deliver(1, slot, Letter(2));
+            assert!(!ports.is_quiescent(1), "{layout:?}");
+            assert!((2..4).all(|v| ports.is_quiescent(v)) && ports.is_quiescent(0));
+            // Executing the step consumes the changed mark.
+            ports.note_step(1, true);
+            assert!(ports.is_quiescent(1));
+
+            // The coalesced async delivery path.
+            let hub = g.csr_offset(0) as u32;
+            let mut scratch = Vec::new();
+            ports.deliver_run(0, &[(hub, Letter(0)), (hub + 1, Letter(0))], &mut scratch);
+            assert!(ports.is_quiescent(0), "no-op run: {layout:?}");
+            ports.deliver_run(0, &[(hub, Letter(1))], &mut scratch);
+            assert!(!ports.is_quiescent(0), "{layout:?}");
+            quiet_all(&ports);
+
+            // Churn retire/revive, and a write bouncing off a tombstone.
+            ports.retire_slot(1, slot);
+            assert!(!ports.is_quiescent(1), "retire: {layout:?}");
+            ports.note_step(1, true);
+            ports.deliver(1, slot, Letter(1));
+            assert!(ports.is_quiescent(1), "tombstoned write: {layout:?}");
+            ports.revive_slot(1, slot, Letter(0));
+            assert!(!ports.is_quiescent(1), "revive: {layout:?}");
+            quiet_all(&ports);
+
+            // A state write δ did not make clears only that node's mark.
+            ports.wake(3);
+            assert!(!ports.is_quiescent(3));
+            assert!((0..3).all(|v| ports.is_quiescent(v)));
+            quiet_all(&ports);
+
+            // Shard landing marks the receiver through the shard view,
+            // and the frozen shard reads and records marks.
+            let mut planes = PortPlanes::from_parts(ports.clone(), 0);
+            {
+                let mut shards = planes.epoch_shards(&g, &[0, 2, 4]);
+                shards[1].land(3, g.csr_offset(3), Letter(2));
+                for shard in shards.iter_mut() {
+                    shard.freeze();
+                }
+                assert!(shards[0].is_quiescent(0) && shards[0].is_quiescent(1));
+                assert!(shards[1].is_quiescent(2) && !shards[1].is_quiescent(3));
+                shards[1].note_step(3, true);
+                assert!(shards[1].is_quiescent(3));
+            }
+            assert!((0..4).all(|v| planes.read().is_quiescent(v)));
+
+            // Marks are not part of the store's value: every rebuilt or
+            // restored store starts them cleared.
+            let restored = FlatPorts::from_letters(&g, 3, ports.letters().to_vec());
+            let rebuilt = ports.rebuilt_for_churn(&g, Letter(0), |_, _| true);
+            for v in 0..4 {
+                assert!(!restored.is_quiescent(v) && !rebuilt.is_quiescent(v));
+                assert!(ports.clone().is_quiescent(v), "clones copy the marks");
+            }
+        }
     }
 
     proptest! {

@@ -88,6 +88,35 @@
 //! read-lock the (frozen) shard their senders live in — a task only
 //! ever reads its own shard, so the locks never contend with writers.
 //!
+//! # Quiescent nodes are not stepped
+//!
+//! The paper's protocols end in silent sinks, and long stretches of a
+//! run leave most nodes parked in a silent self-loop (a delayed MIS
+//! node, a colored tree node). `node_round` therefore skips a node
+//! when
+//!
+//! * its last executed step drew from a **single-choice** set (no RNG
+//!   draw), emitted `ε`, and left its state unchanged — the *quiet*
+//!   mark; and
+//! * none of its port counts has changed since — the *changed* mark,
+//!   set by the engine on every count-row mutation of a quiet node
+//!   (landing, the sharded merge, fault writes, churn retire/revive;
+//!   see the [`crate::engine`] docs) — and nothing but δ has written
+//!   its state since (a churn restart clears *quiet*).
+//!
+//! The skip is exact. δ reads only `(q, f_b(counts))` and is a pure
+//! function of them (the contract on `MultiFsm::delta` and
+//! [`crate::scoped::ScopedMultiFsm::delta`]), so re-running the step
+//! would return the same single choice: no RNG draw, no emission (hence
+//! no delivery, no fault decision, no scoped witness, no message), the
+//! same state (hence no undecided-counter change). Skipping it changes
+//! no byte of the run, which is why the skip has no switch: the pinned
+//! fingerprints, the reference-engine differential tests and the
+//! serial ≡ parallel matrices all run through it. Because it lives in
+//! `node_round`, every schedule — serial, joined, fused, stealing,
+//! churn, scoped — inherits it. The marks start cleared on fresh and
+//! resumed runs alike, so the first round of any run steps every node.
+//!
 //! # Scratch reuse
 //!
 //! All per-round scratch lives for the whole run and is cleared, not
@@ -115,9 +144,9 @@ use crate::snapshot::{encode_lockstep, LockstepCapture, SnapPlumb};
 use crate::sync_exec::SyncObserver;
 
 /// Read access to a frozen plane: the observation surface phase 1 and
-/// the scoped target draws run against. Implemented by the whole-store
-/// read plane ([`FlatPorts`]) and by a worker's own frozen
-/// [`PlaneShard`].
+/// the scoped target draws run against, plus the node's own skip marks.
+/// Implemented by the whole-store read plane ([`FlatPorts`]) and by a
+/// worker's own frozen [`PlaneShard`].
 pub(crate) trait PortRead {
     /// Refills `obs` with `f_b` of node `v`'s exact per-letter counts.
     fn refill_obs(&self, v: usize, obs: &mut ObsVec, b: u8);
@@ -125,6 +154,10 @@ pub(crate) trait PortRead {
     fn count(&self, v: usize, letter: Letter) -> u32;
     /// Node `v`'s ports as a slice.
     fn ports_of(&self, graph: &Graph, v: NodeId) -> &[Letter];
+    /// Whether `v` may skip this round (module docs).
+    fn is_quiescent(&self, v: usize) -> bool;
+    /// Records `v`'s executed step and whether it was quiet.
+    fn note_step(&self, v: usize, quiet: bool);
 }
 
 impl PortRead for FlatPorts {
@@ -140,6 +173,14 @@ impl PortRead for FlatPorts {
     fn ports_of(&self, graph: &Graph, v: NodeId) -> &[Letter] {
         FlatPorts::ports_of(self, graph, v)
     }
+    #[inline]
+    fn is_quiescent(&self, v: usize) -> bool {
+        FlatPorts::is_quiescent(self, v)
+    }
+    #[inline]
+    fn note_step(&self, v: usize, quiet: bool) {
+        FlatPorts::note_step(self, v, quiet)
+    }
 }
 
 impl PortRead for PlaneShard<'_> {
@@ -154,6 +195,14 @@ impl PortRead for PlaneShard<'_> {
     #[inline]
     fn ports_of(&self, graph: &Graph, v: NodeId) -> &[Letter] {
         PlaneShard::ports_of(self, graph, v)
+    }
+    #[inline]
+    fn is_quiescent(&self, v: usize) -> bool {
+        PlaneShard::is_quiescent(self, v)
+    }
+    #[inline]
+    fn note_step(&self, v: usize, quiet: bool) {
+        PlaneShard::note_step(self, v, quiet)
     }
 }
 
@@ -242,7 +291,7 @@ impl DeliverySink for ShardedSink<'_> {
 /// scheduling, and the undecided-counter bookkeeping around it.
 pub(crate) trait RoundStep {
     /// Per-node protocol state.
-    type State: Clone;
+    type State: Clone + Eq;
     /// What phase 1 records for phase-2a resolution.
     type Emission: Copy;
     /// Run-level extra output accumulated in sender order (the scoped
@@ -259,13 +308,17 @@ pub(crate) trait RoundStep {
     fn restart_state(&self, input: usize) -> Self::State;
     /// Phase 1 of one node: transition from the frozen observation,
     /// consuming the node's RNG stream exactly as the legacy engines
-    /// did.
+    /// did. The flag is `true` iff δ offered a single choice (so no
+    /// draw was made).
     fn transition(
         &self,
         q: &Self::State,
         obs: &ObsVec,
         rng: &mut SmallRng,
-    ) -> (Self::State, Self::Emission);
+    ) -> (Self::State, Self::Emission, bool);
+    /// Whether `emission` is `ε`: it resolves to no delivery and draws
+    /// nothing.
+    fn silent(emission: &Self::Emission) -> bool;
     /// Phase 2a of one node: resolve the emission against the frozen
     /// plane into `sink` (and `witness`), consuming any target draws
     /// from the node's own RNG stream.
@@ -361,7 +414,8 @@ pub(crate) fn boundary_checkpoint<St, O>(
 
 /// Phase 1 + 2a of one node against a frozen plane; returns the
 /// undecided-counter delta. The single transcription of the per-node
-/// round semantics — every schedule (serial, joined, fused) runs this.
+/// round semantics — every schedule (serial, joined, fused, stealing,
+/// churn) runs this, and with it the quiescent-node skip (module docs).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn node_round<St: RoundStep, Pr: PortRead, Sk: DeliverySink>(
@@ -376,8 +430,12 @@ pub(crate) fn node_round<St: RoundStep, Pr: PortRead, Sk: DeliverySink>(
     sink: &mut Sk,
     witness: &mut St::Witness,
 ) -> isize {
+    if ports.is_quiescent(v) {
+        return 0;
+    }
     ports.refill_obs(v, obs, step.bound());
-    let (next, emission) = step.transition(state, obs, rng);
+    let (next, emission, single) = step.transition(state, obs, rng);
+    ports.note_step(v, single && St::silent(&emission) && next == *state);
     let delta = match (step.decided(state), step.decided(&next)) {
         (false, true) => -1,
         (true, false) => 1,
@@ -700,7 +758,10 @@ where
                                 })
                             })
                             .collect();
-                        handles.into_iter().map(|h| h.join().unwrap()).collect()
+                        handles
+                            .into_iter()
+                            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                            .collect()
                     })
                 };
                 absorb_steal_yields::<St>(results, &mut undecided, faults, witness, steals);
@@ -822,7 +883,10 @@ where
                                 })
                             })
                             .collect();
-                        handles.into_iter().map(|h| h.join().unwrap()).collect()
+                        handles
+                            .into_iter()
+                            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                            .collect()
                     })
                 };
                 planes.advance();
@@ -912,7 +976,10 @@ where
                             })
                         })
                         .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                        .collect()
                 });
                 undecided += results.iter().map(|&(d, _)| d).sum::<isize>();
                 for (_, t) in &results {
@@ -1010,7 +1077,10 @@ where
                             },
                         )
                         .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                        .collect()
                 });
                 // The single join of the round is behind us; flip the
                 // epoch and swap the buffer generations.

@@ -23,7 +23,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use stoneage_core::{Letter, ObsVec, Protocol};
+use stoneage_core::{Choices, Letter, ObsVec, Protocol};
 use stoneage_graph::{Graph, NodeId};
 
 use crate::engine::PortPlanes;
@@ -52,26 +52,30 @@ pub enum ScopedEmission {
     },
 }
 
-/// A transition choice set under the port-select extension.
+/// A transition choice set under the port-select extension, held in the
+/// same allocation-free [`Choices`] container as
+/// [`stoneage_core::Transitions`].
 #[derive(Clone, Debug)]
 pub struct ScopedTransitions<S> {
     /// Candidate `(next state, emission)` pairs, drawn uniformly.
-    pub choices: Vec<(S, ScopedEmission)>,
+    pub choices: Choices<(S, ScopedEmission)>,
 }
 
 impl<S> ScopedTransitions<S> {
     /// A deterministic transition.
     pub fn det(state: S, emission: ScopedEmission) -> Self {
         ScopedTransitions {
-            choices: vec![(state, emission)],
+            choices: [(state, emission)].into(),
         }
     }
 
-    /// A uniform choice among the given pairs.
+    /// A uniform choice among the given pairs — a `Vec`, an array of up
+    /// to three pairs, or a collected [`Choices`].
     ///
     /// # Panics
     /// Panics if `choices` is empty.
-    pub fn uniform(choices: Vec<(S, ScopedEmission)>) -> Self {
+    pub fn uniform(choices: impl Into<Choices<(S, ScopedEmission)>>) -> Self {
+        let choices = choices.into();
         assert!(!choices.is_empty());
         ScopedTransitions { choices }
     }
@@ -82,7 +86,13 @@ impl<S> ScopedTransitions<S> {
 /// [`Protocol`] base (next to
 /// [`stoneage_core::Fsm`] and [`stoneage_core::MultiFsm`]).
 pub trait ScopedMultiFsm: Protocol {
-    /// The transition function.
+    /// The transition function. The same contract as
+    /// [`stoneage_core::MultiFsm::delta`]: a pure function of `q` and
+    /// `obs` (no interior mutability, no global state), whose only
+    /// randomness is the engine's uniform draw among the returned
+    /// choices and the port draw of a
+    /// [`ScopedEmission::ToOnePortHolding`] emission. The lockstep
+    /// pipeline's quiescent-node skip is exact only under this contract.
     fn delta(&self, q: &Self::State, obs: &ObsVec) -> ScopedTransitions<Self::State>;
 }
 
@@ -177,14 +187,15 @@ impl<P: ScopedMultiFsm> RoundStep for ScopedStep<'_, P> {
         q: &P::State,
         obs: &ObsVec,
         rng: &mut SmallRng,
-    ) -> (P::State, ScopedEmission) {
-        let t = self.0.delta(q, obs);
-        let idx = if t.choices.len() == 1 {
-            0
-        } else {
-            rng.gen_range(0..t.choices.len())
-        };
-        (t.choices[idx].0.clone(), t.choices[idx].1)
+    ) -> (P::State, ScopedEmission, bool) {
+        let choices = self.0.delta(q, obs).choices;
+        let single = choices.len() == 1;
+        let (next, emission) = choices.draw(rng);
+        (next, emission, single)
+    }
+
+    fn silent(emission: &ScopedEmission) -> bool {
+        *emission == ScopedEmission::Silent
     }
 
     fn resolve<Pr: PortRead, Sk: DeliverySink>(

@@ -153,10 +153,15 @@ impl<P: MultiFsm> RoundStep for SyncStep<'_, P> {
         q: &P::State,
         obs: &ObsVec,
         rng: &mut SmallRng,
-    ) -> (P::State, Option<Letter>) {
+    ) -> (P::State, Option<Letter>, bool) {
         let transitions = self.0.delta(q, obs);
-        let (next, emission) = transitions.sample(rng);
-        (next.clone(), *emission)
+        let single = transitions.len() == 1;
+        let (next, emission) = transitions.draw(rng);
+        (next, emission, single)
+    }
+
+    fn silent(emission: &Option<Letter>) -> bool {
+        emission.is_none()
     }
 
     fn resolve<Pr: PortRead, Sk: DeliverySink>(

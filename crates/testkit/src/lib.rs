@@ -270,6 +270,34 @@ pub fn chunk_schedulers() -> [stoneage_sim::ChunkScheduler; 2] {
     ]
 }
 
+/// Every parallel cell of the lockstep differential matrices, named for
+/// failure messages: each [`adversarial_worker_counts`] entry × both
+/// merge strategies × [`round_modes`] × [`chunk_schedulers`]. (Running a
+/// cell needs `stoneage-sim`'s `parallel` feature; callers pair this
+/// with the serial run themselves.)
+pub fn lockstep_policies() -> Vec<(String, stoneage_sim::ParallelPolicy)> {
+    use stoneage_sim::{MergeStrategy, ParallelPolicy};
+    let mut cells = Vec::new();
+    for workers in adversarial_worker_counts() {
+        for merge in [
+            MergeStrategy::DestinationSharded,
+            MergeStrategy::BufferReplay,
+        ] {
+            for round in round_modes() {
+                for scheduler in chunk_schedulers() {
+                    cells.push((
+                        format!("w{workers}/{merge:?}/{round:?}/{scheduler:?}"),
+                        ParallelPolicy::forced(workers, merge)
+                            .with_round(round)
+                            .with_scheduler(scheduler),
+                    ));
+                }
+            }
+        }
+    }
+    cells
+}
+
 /// The skewed graph instances of the work-stealing differential
 /// matrices: a preferential-attachment power law (one heavy hub, long
 /// degree tail) and the hub-and-spoke stress family whose hub shard
