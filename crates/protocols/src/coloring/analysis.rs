@@ -2,14 +2,14 @@
 //! per-phase sizes of the active sets `V^i` and of the never-waited sets
 //! `Ṽ^i`, whose geometric decay (Observation 5.3) drives Theorem 5.4.
 
-use stoneage_sim::SyncObserver;
+use stoneage_sim::Observer;
 
 use super::ColoringState;
 
 /// Per-phase telemetry of a synchronous coloring run.
 ///
-/// Plug into a [`stoneage_sim::Simulation`] run via
-/// [`stoneage_sim::AdaptSync`]; phases are the
+/// Plug into a [`stoneage_sim::Simulation`] run with
+/// [`stoneage_sim::Simulation::observe`]; phases are the
 /// protocol's four-round blocks, sampled at each round `r ≡ 1 (mod 4)`
 /// (the start of a phase, after round-`r` transitions — i.e. the
 /// population that transmitted `I am ACTIVE`).
@@ -70,7 +70,7 @@ fn is_active(s: &ColoringState) -> bool {
     )
 }
 
-impl SyncObserver<ColoringState> for ColoringObserver {
+impl Observer<ColoringState> for ColoringObserver {
     fn on_round_end(&mut self, round: u64, states: &[ColoringState]) {
         for (v, s) in states.iter().enumerate() {
             if matches!(s, ColoringState::Waiting { .. }) {

@@ -4,14 +4,14 @@
 //! decay drives Theorem 4.5 via Lemma 4.3.
 
 use stoneage_graph::Graph;
-use stoneage_sim::SyncObserver;
+use stoneage_sim::Observer;
 
 use super::MisState;
 
 /// Per-node tournament telemetry collected during a synchronous MIS run.
 ///
-/// Plug into a [`stoneage_sim::Simulation`] run via
-/// [`stoneage_sim::AdaptSync`]; afterwards query
+/// Plug into a [`stoneage_sim::Simulation`] run with
+/// [`stoneage_sim::Simulation::observe`]; afterwards query
 /// [`MisObserver::tournament_turns`], [`MisObserver::edge_counts`], etc.
 #[derive(Clone, Debug)]
 pub struct MisObserver {
@@ -103,7 +103,7 @@ impl MisObserver {
     }
 }
 
-impl SyncObserver<MisState> for MisObserver {
+impl Observer<MisState> for MisObserver {
     fn on_round_end(&mut self, round: u64, states: &[MisState]) {
         self.rounds_seen = round;
         for (v, (&now, prev)) in states.iter().zip(self.prev.iter_mut()).enumerate() {

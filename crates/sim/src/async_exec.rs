@@ -62,13 +62,13 @@ use rand::SeedableRng;
 use stoneage_core::{BoundedCount, Fsm, Letter};
 use stoneage_graph::{Graph, NodeId};
 
-use crate::engine::FlatPorts;
-use crate::faults::{faulted_sends, FaultLayer, FaultSummary, FaultsArg};
+use crate::churn::{self, ChurnCtl, ChurnPlan, ChurnSummary, DEAD_OUTPUT};
+use crate::engine::{FlatPorts, TOMBSTONE};
+use crate::faults::{self, faulted_sends, FaultLayer, FaultSummary};
+use crate::parbuf::StealStats;
 use crate::schedule::CalendarQueue;
-use crate::snapshot::{
-    self, AsyncCapture, BacklogEvent, BacklogKind, SnapArgs, Snapshot, SnapshotError,
-};
-use crate::sync_exec::compile_faults;
+use crate::sim::{AsyncOptions, Cost, Detail, Observer, Outcome, Simulation};
+use crate::snapshot::{self, AsyncCapture, BacklogEvent, BacklogKind, SnapArgs, BODY_KIND};
 use crate::{splitmix64, Adversary, ExecError};
 
 /// Which event queue drives the asynchronous executor. See the module
@@ -224,40 +224,6 @@ impl Ord for Event {
     }
 }
 
-/// Hook invoked by the asynchronous executor after every applied node
-/// step, with the event time and the node's post-transition state. Used
-/// by the Lemma 3.2 / (S1) validation tests to watch phase skew between
-/// neighbors without touching the engine. Subsumed by the unified
-/// [`crate::sim::Observer`]; kept so existing observers keep compiling
-/// (adapt them with [`crate::sim::AdaptAsync`]).
-pub trait AsyncObserver<S> {
-    /// Called after node `v` applied its step `t` at time `time`.
-    fn on_step(&mut self, time: f64, v: NodeId, t: u64, state: &S);
-
-    /// Called with each checkpoint snapshot the executor captures (only
-    /// when [`crate::Simulation::checkpoint_every`] is set). The default
-    /// does nothing.
-    fn on_checkpoint(&mut self, _snapshot: &Snapshot) {}
-}
-
-impl<S, O: AsyncObserver<S> + ?Sized> AsyncObserver<S> for &mut O {
-    fn on_step(&mut self, time: f64, v: NodeId, t: u64, state: &S) {
-        (**self).on_step(time, v, t, state);
-    }
-
-    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        (**self).on_checkpoint(snapshot);
-    }
-}
-
-/// An observer that does nothing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopAsyncObserver;
-
-impl<S> AsyncObserver<S> for NoopAsyncObserver {
-    fn on_step(&mut self, _time: f64, _v: NodeId, _t: u64, _state: &S) {}
-}
-
 /// The shared execution state of both scheduler paths: everything except
 /// the event queue itself. Keeping it single ensures the wheel rewrite
 /// cannot drift from the preserved heap semantics.
@@ -346,7 +312,7 @@ impl<'a, P: Fsm> Exec<'a, P> {
     /// Serializes a step boundary into a [`Snapshot`]: the shared state
     /// plus the loop counters and the caller-collected event backlog.
     #[allow(clippy::too_many_arguments)]
-    fn checkpoint<S2>(
+    fn checkpoint<O>(
         &self,
         snap: &SnapArgs<'_, P::State>,
         events: u64,
@@ -354,9 +320,9 @@ impl<'a, P: Fsm> Exec<'a, P> {
         churn: Option<(&[u32], u64)>,
         faults: Option<FaultSummary>,
         backlog: Vec<BacklogEvent>,
-        observer: &mut S2,
+        observer: &mut O,
     ) where
-        S2: AsyncObserver<P::State> + ?Sized,
+        O: Observer<P::State> + ?Sized,
     {
         let codec = snap.codec();
         let s = snapshot::encode_async(
@@ -564,25 +530,72 @@ fn choose_bucket_width<A: Adversary + ?Sized>(
     TARGET_EVENTS_PER_TICK / rate
 }
 
-/// The asynchronous engine: runs `protocol` under `adversary`, invoking
-/// `observer` after every node step, and returns the final per-node
-/// state vector next to the legacy outcome. The single transcription of
-/// the event loop — the [`crate::Simulation`] builder and (through it)
-/// every legacy `run_async*` shim land here.
-///
-/// Inputs are validated by the builder; this function assumes
-/// `inputs.len() == graph.node_count()`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_async<P: Fsm, A: Adversary + ?Sized, O: AsyncObserver<P::State>>(
-    protocol: &P,
-    graph: &Graph,
+/// What an async engine hands back: the legacy outcome, the final
+/// states, and the churn and fault summaries of the run (each `None`
+/// when its plan is absent).
+type AsyncEnd<S> = (
+    AsyncOutcome,
+    Vec<S>,
+    Option<ChurnSummary>,
+    Option<FaultSummary>,
+);
+
+/// The asynchronous executor: runs `sim`'s protocol under `options` —
+/// on the churn heap loop under a churn plan, on the chosen scheduler
+/// otherwise — invoking `observer` after every node step, and returns
+/// the unified outcome. `inputs` are validated by the builder.
+pub(crate) fn exec<P, O>(
+    sim: &Simulation<'_, P>,
     inputs: &[usize],
-    adversary: &A,
+    options: &AsyncOptions<'_>,
+    snap: &SnapArgs<'_, P::State>,
+    observer: &mut O,
+) -> Result<Outcome<P>, ExecError>
+where
+    P: Fsm,
+    O: Observer<P::State> + ?Sized,
+{
+    let config = AsyncConfig {
+        seed: sim.seed,
+        max_events: sim.budget.unwrap_or(AsyncConfig::default().max_events),
+        scheduler: options.scheduler,
+        bucket_width: options.bucket_width,
+    };
+    let adversary = options.adversary;
+    let (out, states, churn, faults) = match sim.churn {
+        Some(plan) => exec_async_churn(sim, plan, inputs, adversary, &config, observer, snap)?,
+        None => exec_async(sim, inputs, adversary, &config, observer, snap)?,
+    };
+    Ok(Outcome {
+        outputs: out.outputs,
+        states,
+        cost: Cost::TimeUnits(out.normalized_time),
+        workers: 1,
+        steals: StealStats::default(),
+        detail: Detail::Async {
+            completion_time: out.completion_time,
+            time_unit: out.time_unit,
+            total_steps: out.total_steps,
+            messages_sent: out.messages_sent,
+            deliveries: out.deliveries,
+            lost_overwrites: out.lost_overwrites,
+            churn,
+            faults,
+        },
+    })
+}
+
+/// The churn-free asynchronous engine: the single transcription of the
+/// event loop on either scheduler.
+fn exec_async<P: Fsm, O: Observer<P::State> + ?Sized>(
+    sim: &Simulation<'_, P>,
+    inputs: &[usize],
+    adversary: &dyn Adversary,
     config: &AsyncConfig,
     observer: &mut O,
     snap: &SnapArgs<'_, P::State>,
-    faults: FaultsArg<'_>,
-) -> Result<(AsyncOutcome, Vec<P::State>), ExecError> {
+) -> Result<AsyncEnd<P::State>, ExecError> {
+    let (protocol, graph) = (sim.protocol, sim.graph);
     let n = graph.node_count();
     debug_assert_eq!(inputs.len(), n, "the builder validates input length");
 
@@ -595,14 +608,12 @@ pub(crate) fn exec_async<P: Fsm, A: Adversary + ?Sized, O: AsyncObserver<P::Stat
         graph.port_slot_count()
     );
 
-    let (fctx, fout) = compile_faults(faults, graph, protocol.alphabet().len())?;
+    let fctx = faults::compile(sim.faults, graph, protocol.alphabet().len())?;
     let (ex, seed, tally) = match snap.resume {
         Some(s) => {
             let mut res = snapshot::decode_async(s, &snap.codec(), n, graph.port_slot_count())?;
             if res.churn.is_some() || res.faults.is_some() != fctx.is_some() {
-                return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
-                    field: "snapshot body kind",
-                }));
+                return Err(BODY_KIND.into());
             }
             let seed = AsyncSeed {
                 backlog: std::mem::take(&mut res.backlog),
@@ -618,52 +629,44 @@ pub(crate) fn exec_async<P: Fsm, A: Adversary + ?Sized, O: AsyncObserver<P::Stat
             FaultSummary::default(),
         ),
     };
+    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
 
     if seed.is_none() && ex.unfinished == 0 {
-        if let Some(out) = fout {
-            *out = Some(tally);
-        }
         let outputs = ex
             .states
             .iter()
             .map(|q| protocol.output(q).expect("checked"))
             .collect();
-        return Ok((
-            AsyncOutcome {
-                outputs,
-                completion_time: 0.0,
-                time_unit: 1.0,
-                normalized_time: 0.0,
-                total_steps: 0,
-                messages_sent: 0,
-                deliveries: 0,
-                lost_overwrites: 0,
-            },
-            ex.states,
-        ));
+        let out = AsyncOutcome {
+            outputs,
+            completion_time: 0.0,
+            time_unit: 1.0,
+            normalized_time: 0.0,
+            total_steps: 0,
+            messages_sent: 0,
+            deliveries: 0,
+            lost_overwrites: 0,
+        };
+        return Ok((out, ex.states, None, layer.capture()));
     }
 
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let result = if layer.ctx.is_some() {
+    let (out, states) = if layer.ctx.is_some() {
         // Faulted runs always drive the heap: the wheel's `DeliverRun`
         // batching assumes one letter per run and pairwise-distinct
         // receiver slots, which corruption and duplication break. Sound
         // because the two schedulers are pinned bit-identical.
-        run_heap_loop(ex, adversary, config, observer, snap, seed, &mut layer)
+        run_heap_loop(ex, adversary, config, observer, snap, seed, &mut layer)?
     } else {
         match config.scheduler {
             SchedulerKind::BinaryHeap => {
-                run_heap_loop(ex, adversary, config, observer, snap, seed, &mut layer)
+                run_heap_loop(ex, adversary, config, observer, snap, seed, &mut layer)?
             }
             SchedulerKind::CalendarWheel => {
-                run_wheel_loop(ex, adversary, config, observer, snap, seed, &mut layer)
+                run_wheel_loop(ex, adversary, config, observer, snap, seed, &mut layer)?
             }
         }
     };
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
-    result
+    Ok((out, states, None, layer.capture()))
 }
 
 /// The queue-side remainder of a decoded async snapshot: the serialized
@@ -678,7 +681,7 @@ struct AsyncSeed {
 /// The preserved binary-heap event loop: one heap entry per delivery,
 /// `O(log m)` per push/pop. Kept as the oracle the wheel is differentially
 /// tested against, and as the benchmark baseline.
-fn run_heap_loop<P: Fsm, A: Adversary + ?Sized, O: AsyncObserver<P::State>>(
+fn run_heap_loop<P: Fsm, A: Adversary + ?Sized, O: Observer<P::State> + ?Sized>(
     mut ex: Exec<'_, P>,
     adversary: &A,
     config: &AsyncConfig,
@@ -839,7 +842,7 @@ fn run_heap_loop<P: Fsm, A: Adversary + ?Sized, O: AsyncObserver<P::State>>(
 /// The calendar-wheel event loop: O(1) amortized scheduling, and runs of
 /// same-arrival deliveries of one broadcast drain as a single batched
 /// flat-write pass. Bit-identical to [`run_heap_loop`] per seed.
-fn run_wheel_loop<P: Fsm, A: Adversary + ?Sized, O: AsyncObserver<P::State>>(
+fn run_wheel_loop<P: Fsm, A: Adversary + ?Sized, O: Observer<P::State> + ?Sized>(
     mut ex: Exec<'_, P>,
     adversary: &A,
     config: &AsyncConfig,
@@ -1145,29 +1148,21 @@ enum ChurnKind {
 /// edge-delete boundary bounce off the tombstoned slot; letters in
 /// flight across a delete + re-insert window do land (the channel was
 /// re-established before arrival).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_async_churn<P, A, O>(
-    protocol: &P,
-    base: &Graph,
+fn exec_async_churn<P, O>(
+    sim: &Simulation<'_, P>,
+    plan: &ChurnPlan,
     inputs: &[usize],
-    adversary: &A,
+    adversary: &dyn Adversary,
     config: &AsyncConfig,
-    plan: &crate::churn::ChurnPlan,
     observer: &mut O,
     snap: &SnapArgs<'_, P::State>,
-    faults: FaultsArg<'_>,
-) -> Result<(AsyncOutcome, Vec<P::State>, crate::churn::ChurnSummary), ExecError>
+) -> Result<AsyncEnd<P::State>, ExecError>
 where
     P: Fsm,
-    A: Adversary + ?Sized,
-    O: AsyncObserver<P::State>,
+    O: Observer<P::State> + ?Sized,
 {
-    use crate::churn::{ChurnCtl, DEAD_OUTPUT};
-    use crate::engine::TOMBSTONE;
-
-    let universe = plan.universe(base).map_err(|e| ExecError::Config {
-        reason: format!("churn plan: {e}"),
-    })?;
+    let (protocol, base) = (sim.protocol, sim.graph);
+    let universe = plan.universe(base).map_err(churn::plan_config)?;
     let n = universe.node_count();
     debug_assert_eq!(inputs.len(), n, "the builder validates input length");
     assert!(
@@ -1176,8 +1171,8 @@ where
         universe.port_slot_count()
     );
 
-    let (fctx, fout) = compile_faults(faults, &universe, protocol.alphabet().len())?;
-    let mut ctl = ChurnCtl::new(plan, base, &universe, protocol.initial_letter())?;
+    let fctx = faults::compile(sim.faults, &universe, protocol.alphabet().len())?;
+    let mut ctl = ChurnCtl::new(plan, base, &universe, inputs, protocol.initial_letter())?;
     let mut seq = 0u64;
     let mut events = 0u64;
     let mut heap: BinaryHeap<Reverse<Event2>> = BinaryHeap::new();
@@ -1186,20 +1181,16 @@ where
         Some(s) => {
             let mut res = snapshot::decode_async(s, &snap.codec(), n, universe.port_slot_count())?;
             if res.faults.is_some() != fctx.is_some() {
-                return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
-                    field: "snapshot body kind",
-                }));
+                return Err(BODY_KIND.into());
             }
             tally = res.faults.unwrap_or_default();
             let Some((incarnation, cursor)) = res.churn.take() else {
-                return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
-                    field: "snapshot body kind",
-                }));
+                return Err(BODY_KIND.into());
             };
             // The restored store already reflects the setup patches and
             // every boundary up to the cursor; only the overlay replica,
             // effectiveness counters, and cursor need rebuilding.
-            ctl.fast_forward(&universe, cursor)?;
+            ctl.fast_forward(cursor)?;
             for e in std::mem::take(&mut res.backlog) {
                 let kind = match e.kind {
                     BacklogKind::Step { node, inc } => ChurnKind::Step(node, inc),
@@ -1255,7 +1246,7 @@ where
         while ctl.peek_round().is_some_and(|r| (r as f64) <= horizon) {
             let tb = ctl.peek_round().unwrap() as f64;
             now = now.max(tb);
-            let (ev, effective) = ctl.apply_next(&universe);
+            let (ev, effective) = ctl.apply_next();
             if !effective {
                 continue;
             }
@@ -1291,7 +1282,7 @@ where
             for p in ctl.patches() {
                 ex.pending[p.slot as usize] = false;
             }
-            ctl.patch_ports(&universe, &mut ex.ports);
+            ctl.patch_ports(&mut ex.ports);
             if ex.unfinished == 0 && ctl.exhausted() {
                 completion_time = tb;
                 break 'run;
@@ -1443,9 +1434,6 @@ where
         }
     }
 
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
     let summary = ctl.finish();
     let outputs = ex
         .states
@@ -1474,7 +1462,7 @@ where
         deliveries: ex.deliveries,
         lost_overwrites: ex.lost_overwrites,
     };
-    Ok((outcome, ex.states, summary))
+    Ok((outcome, ex.states, Some(summary), layer.capture()))
 }
 
 /// The event record of the churn heap loop — [`Event`] with the

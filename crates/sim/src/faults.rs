@@ -208,11 +208,19 @@ impl std::fmt::Display for FaultPlanError {
 
 impl std::error::Error for FaultPlanError {}
 
-/// Converts a plan error into the builder's configuration error.
-pub(crate) fn fault_config(e: FaultPlanError) -> crate::ExecError {
-    crate::ExecError::Config {
-        reason: format!("fault plan: {e}"),
-    }
+/// Validates and compiles the run's optional fault plan against its
+/// graph and alphabet size — the shared prologue of every executor. An
+/// invalid plan is an [`crate::ExecError::Config`] before the run starts.
+pub(crate) fn compile(
+    plan: Option<&FaultPlan>,
+    graph: &Graph,
+    sigma: usize,
+) -> Result<Option<FaultCtx>, crate::ExecError> {
+    plan.map(|plan| FaultCtx::new(plan, graph, sigma))
+        .transpose()
+        .map_err(|e| crate::ExecError::Config {
+            reason: format!("fault plan: {e}"),
+        })
 }
 
 /// A seeded, deterministic schedule of channel faults, applied by
@@ -641,16 +649,6 @@ pub(crate) fn faulted_sends(
         }
     }
 }
-
-/// The builder-to-executor fault wiring: the plan to compile and the
-/// out-slot the run's final [`FaultSummary`] is written into.
-pub(crate) struct FaultWire<'a> {
-    pub(crate) plan: &'a FaultPlan,
-    pub(crate) out: &'a mut Option<FaultSummary>,
-}
-
-/// The optional fault argument every executor entry point takes.
-pub(crate) type FaultsArg<'a> = Option<FaultWire<'a>>;
 
 #[cfg(test)]
 mod tests {

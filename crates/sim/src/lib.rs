@@ -103,7 +103,7 @@ pub mod snapshot;
 mod sync_exec;
 
 pub use adversary::Adversary;
-pub use async_exec::{AsyncConfig, AsyncObserver, AsyncOutcome, NoopAsyncObserver, SchedulerKind};
+pub use async_exec::{AsyncConfig, AsyncOutcome, SchedulerKind};
 pub use churn::{
     ChurnOracle, ChurnPlan, ChurnSummary, PatchMode, StabilizationObserver, StabilizationRecord,
 };
@@ -118,9 +118,7 @@ pub use schedule::CalendarQueue;
 pub use scoped::{
     ScopedDelivery, ScopedEmission, ScopedMultiFsm, ScopedOutcome, ScopedTransitions,
 };
-pub use sim::{
-    AdaptAsync, AdaptSync, AsyncOptions, Backend, Cost, Detail, Observer, Outcome, Simulation,
-};
+pub use sim::{AsyncOptions, Backend, Cost, Detail, Observer, Outcome, Simulation};
 pub use snapshot::{
     read_snapshot_file, write_snapshot_file, PersistError, SnapReader, SnapState, SnapWriter,
     Snapshot, SnapshotError, SNAPSHOT_VERSION,
@@ -128,7 +126,7 @@ pub use snapshot::{
 /// Re-export of the representation-independent protocol base trait the
 /// [`Simulation`] builder is generic over.
 pub use stoneage_core::Protocol;
-pub use sync_exec::{NoopObserver, SyncConfig, SyncObserver, SyncOutcome};
+pub use sync_exec::{SyncConfig, SyncOutcome};
 
 /// Why an execution failed to reach an output configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -437,6 +437,21 @@ impl ChunkPlan {
         ChunkPlan { chunks }
     }
 
+    /// One chunk per non-empty shard of `plan`: the static schedule,
+    /// which deals each worker exactly its own shard.
+    #[cfg(feature = "parallel")]
+    pub(crate) fn per_shard(plan: &ShardPlan) -> Self {
+        let chunks = (plan.bounds().windows(2).enumerate())
+            .filter(|(_, w)| w[0] < w[1])
+            .map(|(shard, w)| ChunkDesc {
+                start: w[0],
+                end: w[1],
+                shard,
+            })
+            .collect();
+        ChunkPlan { chunks }
+    }
+
     /// The chunk descriptors, ascending by node range.
     pub fn chunks(&self) -> &[ChunkDesc] {
         &self.chunks

@@ -1,19 +1,23 @@
-//! The shared **round pipeline** of the lockstep executors.
+//! The **round pipeline** of the lockstep executors: one serial round
+//! loop, one parallel round loop, and one executor over both.
 //!
-//! Before this module, the synchronous and scoped executors each carried
-//! two hand-rolled transcriptions of the same round loop (serial and
-//! parallel — four loops total), and every scheduling improvement had to
-//! be made four times. The pipeline extracts the loop once, parameterized
-//! over the two things that actually differ:
+//! `exec` runs every lockstep configuration of the [`crate::Simulation`]
+//! builder — the Sync and Scoped backends, serial or parallel, with or
+//! without churn, message faults and checkpoints. It is parameterized
+//! over the three things that actually differ:
 //!
-//! * **the per-node step** — how a node transitions and how its emission
-//!   resolves into deliveries (a broadcast for `MultiFsm`, the
-//!   port-select draw plus witness record for
-//!   [`crate::scoped::ScopedMultiFsm`]); and
+//! * **the per-node step** (`RoundStep`) — how a node transitions and
+//!   how its emission resolves into deliveries (a broadcast for
+//!   `MultiFsm`, the port-select draw plus witness record for
+//!   [`crate::scoped::ScopedMultiFsm`]), together with the flavour's RNG
+//!   salt, witness kind, snapshot backend byte and outcome detail;
 //! * **the delivery strategy** — where resolved writes land: a serial
 //!   replay buffer, or the per-worker destination-sharded
 //!   [`crate::parbuf::DeliveryBuffer`]s merged under the policy's
-//!   [`crate::parbuf::MergeStrategy`].
+//!   [`crate::parbuf::MergeStrategy`];
+//! * **the round-boundary hook** (`BoundaryHook`) — what happens
+//!   between rounds: the churn controller on churn runs, `()` on
+//!   churn-free runs.
 //!
 //! Every path executes on the epoch-split [`PortPlanes`] store: phase 1
 //! of round *r* observes the frozen read plane, phase-2 deliveries land
@@ -21,14 +25,29 @@
 //! pure epoch flip (see the [`crate::engine`] docs for the no-copy
 //! argument).
 //!
+//! # The boundary hook
+//!
+//! After a round's deliveries have landed and its epoch has flipped, the
+//! hook gets the store: the churn controller applies the crash, restart
+//! and edge events due after the round (see [`crate::churn`]), resets
+//! restarted nodes and keeps the undecided counter. Only then does the
+//! observer see the round, and only then is a checkpoint taken. The hook
+//! also decides three things inside the loop: which nodes run a round (a
+//! crashed node does not, and draws nothing from its RNG), whether the
+//! run may end (not while events remain), and the churn cursor a
+//! checkpoint records. Its churn-free form is `()`, a zero-sized type
+//! whose every answer is a constant: every node runs, nothing is due, the
+//! run may end as soon as every node has decided. It costs nothing per
+//! node and needs no universe graph.
+//!
 //! # One join per round: the fused schedule
 //!
-//! The parallel pipeline runs in one of two modes
+//! The parallel loop runs in one of two modes
 //! ([`crate::parbuf::RoundMode`]):
 //!
-//! * **Joined** — the historical schedule: one worker scope for
-//!   phase 1 + 2a, a join, then the phase-2b merge (itself a second
-//!   scope under the destination-sharded strategy). Two joins per round.
+//! * **Joined** — one worker scope for phase 1 + 2a, a join, then the
+//!   phase-2b merge (itself a second scope under the destination-sharded
+//!   strategy). Two joins per round.
 //! * **Fused** — phase 2b of round *r* is deferred into the worker scope
 //!   of round *r + 1*: each worker takes the
 //!   [`crate::engine::PlaneShard`] for its own node range, first lands
@@ -37,12 +56,12 @@
 //!   runs phase 1 + 2a of the new round against it. **Exactly one scope
 //!   join per round.**
 //!
-//! Fused is bit-identical to Joined (and hence to the serial engines)
+//! Fused is bit-identical to Joined (and hence to the serial loop)
 //! because nothing observable moves:
 //!
 //! * a node's observation reads only its own count row and CSR slots,
-//!   both inside the worker's own shard — which that worker brought up
-//!   to date before its first read, so every phase-1 observation of
+//!   both inside the shard its chunk reads — which that shard's owner
+//!   brought up to date before any read, so every phase-1 observation of
 //!   round *r* sees exactly the end-of-round-*r − 1* store;
 //! * scoped target draws read only the sender's own ports (same shard)
 //!   and consume the sender's private RNG stream in the same
@@ -53,24 +72,32 @@
 //!   (the [`crate::parbuf`] argument);
 //! * rounds end on the same undecided-counter zero crossing, and a
 //!   terminal round's unlanded buffers are discarded in both modes
-//!   (the store is dead once outputs are collected).
+//!   (the store is dead once outputs are collected);
+//! * whenever the store itself is handed out — to the boundary hook, or
+//!   to a checkpoint — the deferred buffers are first **flushed**: landed
+//!   serially in the same shard-major worker order and cleared, so the
+//!   next scope lands nothing. Flush-before-patch is load-bearing under
+//!   churn (see [`crate::churn`]).
 //!
-//! The differential matrices in `tests/flat_engine.rs` and
-//! `tests/scoped_parallel.rs` pin `Fused ≡ Joined ≡ serial` across
-//! worker counts, merge strategies, and graph families, and the pinned
-//! fingerprint constants are unchanged from their pre-pipeline values.
+//! The differential matrices in `tests/flat_engine.rs`,
+//! `tests/scoped_parallel.rs`, `tests/churn.rs` and
+//! `tests/observer_transcripts.rs` pin `Fused ≡ Joined ≡ serial` across
+//! worker counts, merge strategies, graph families and plans, observer
+//! calls included.
 //!
 //! # Who runs a chunk: the work-stealing schedule
 //!
 //! Orthogonal to the round mode, [`crate::parbuf::ChunkScheduler`]
-//! picks how phase 1 + 2a is dealt to workers. `Static` hands each
-//! worker its own [`crate::parbuf::ShardPlan`] chunk — zero scheduling
-//! cost, but a hub-heavy chunk serializes the round. `Stealing` cuts
-//! each shard into [`crate::parbuf::ChunkPlan`] descriptors seeded onto
-//! the owning worker's deque (shard-to-worker pinning: a worker starts
-//! on exactly the senders whose phase-2b shard it lands under the fused
-//! schedule), pops its own deque front-first, and when dry steals from
-//! the back of the longest other deque.
+//! picks how phase 1 + 2a is dealt to workers. Both schedules deal
+//! chunk descriptors onto per-worker deques. `Static` deals one chunk
+//! per worker — its own [`crate::parbuf::ShardPlan`] shard — and never
+//! steals: zero scheduling cost, but a hub-heavy chunk serializes the
+//! round. `Stealing` cuts each shard into
+//! [`crate::parbuf::ChunkPlan`] descriptors seeded onto the owning
+//! worker's deque (shard-to-worker pinning: a worker starts on exactly
+//! the senders whose phase-2b shard it lands under the fused schedule),
+//! pops its own deque front-first, and when dry steals from the back of
+//! the longest other deque.
 //!
 //! Stealing is bit-identical to the static schedule because the round's
 //! data flow is schedule-free (the [`crate::parbuf`] module docs give
@@ -82,11 +109,12 @@
 //! recorded in — is repaired after the join: each chunk records into
 //! its own witness, and the chunk witnesses are absorbed in ascending
 //! chunk index (= ascending sender order, the serial transcript).
-//! Under [`RoundMode::Fused`] the per-worker plane shards live behind
+//! Under the fused schedule the per-worker plane shards live behind
 //! `RwLock`s: each worker write-locks its own shard to land + freeze
-//! it, a barrier separates landing from observation, and tasks then
-//! read-lock the (frozen) shard their senders live in — a task only
-//! ever reads its own shard, so the locks never contend with writers.
+//! it, and tasks then read-lock the (frozen) shard their senders live
+//! in. A stolen task may read another worker's shard, so under
+//! `Stealing` a barrier separates landing from observation; a static
+//! worker reads only its own shard and needs none.
 //!
 //! # Quiescent nodes are not stepped
 //!
@@ -119,29 +147,29 @@
 //!
 //! # Scratch reuse
 //!
-//! All per-round scratch lives for the whole run and is cleared, not
+//! Per-round scratch lives for the whole run and is cleared, not
 //! reallocated: the serial write buffer, the per-worker
-//! [`crate::parbuf::DeliveryBuffer`]s, the per-worker [`ObsVec`]s
-//! (previously rebuilt every round inside the worker closures), and the
-//! per-worker witness vectors (drained into the run-level witness each
-//! round).
+//! [`crate::parbuf::DeliveryBuffer`]s, the per-worker [`ObsVec`]s, and
+//! the per-worker lists of chunk witnesses (drained into the run-level
+//! witness each round).
 
 use rand::rngs::SmallRng;
-use stoneage_core::{Letter, ObsVec};
+use rand::SeedableRng;
+use stoneage_core::{Letter, ObsVec, Protocol};
 use stoneage_graph::{Graph, NodeId};
 
+use crate::churn::{self, ChurnCtl, ChurnSummary, DEAD_OUTPUT};
 use crate::engine::{FlatPorts, PlaneShard, PortPlanes};
 #[cfg(feature = "parallel")]
 use crate::faults::FaultSink;
-use crate::faults::{FaultLayer, FaultSummary};
+use crate::faults::{self, FaultCtx, FaultLayer, FaultSummary};
 #[cfg(feature = "parallel")]
-use crate::parbuf::{
-    self, ChunkPlan, ChunkScheduler, DeliveryBuffer, ParallelPolicy, RoundMode, ShardPlan,
-    StealStats,
-};
+use crate::parbuf::{self, ChunkPlan, ChunkScheduler, ParallelPolicy, RoundMode, ShardPlan};
+use crate::parbuf::{DeliveryBuffer, StealStats};
 use crate::scoped::ScopedDelivery;
-use crate::snapshot::{encode_lockstep, LockstepCapture, SnapPlumb};
-use crate::sync_exec::SyncObserver;
+use crate::sim::{Cost, Detail, Observer, Outcome, Simulation};
+use crate::snapshot::{self, encode_lockstep, LockstepCapture, SnapArgs, BODY_KIND};
+use crate::{splitmix64, ExecError};
 
 /// Read access to a frozen plane: the observation surface phase 1 and
 /// the scoped target draws run against, plus the node's own skip marks.
@@ -227,13 +255,13 @@ pub(crate) trait DeliverySink {
 /// buffer replayed onto the write plane at the end of the round
 /// ([`PortPlanes::land_serial`]). Cleared and reused across rounds.
 #[derive(Default)]
-pub(crate) struct SerialWrites {
-    pub(crate) writes: Vec<(u32, u32, Letter)>,
-    pub(crate) sent: u64,
+struct SerialWrites {
+    writes: Vec<(u32, u32, Letter)>,
+    sent: u64,
 }
 
 impl SerialWrites {
-    pub(crate) fn begin_round(&mut self) {
+    fn begin_round(&mut self) {
         self.writes.clear();
         self.sent = 0;
     }
@@ -263,9 +291,9 @@ impl DeliverySink for SerialWrites {
 /// The parallel delivery strategy: a worker-private [`DeliveryBuffer`]
 /// bucketed by destination shard.
 #[cfg(feature = "parallel")]
-pub(crate) struct ShardedSink<'a> {
-    pub(crate) buffer: &'a mut DeliveryBuffer,
-    pub(crate) plan: &'a ShardPlan,
+struct ShardedSink<'a> {
+    buffer: &'a mut DeliveryBuffer,
+    plan: &'a ShardPlan,
 }
 
 #[cfg(feature = "parallel")]
@@ -284,32 +312,40 @@ impl DeliverySink for ShardedSink<'_> {
     }
 }
 
-/// The per-protocol half of the pipeline: how one node transitions and
-/// how its emission resolves into deliveries. One implementation per
-/// lockstep transition flavor (`MultiFsm` in `sync_exec`,
-/// `ScopedMultiFsm` in `scoped`); the pipeline supplies the loop, the
-/// scheduling, and the undecided-counter bookkeeping around it.
+/// The per-flavour half of the pipeline: how one node transitions and
+/// how its emission resolves into deliveries, plus what distinguishes
+/// the flavour's runs — RNG salt, witness kind, snapshot backend byte
+/// and outcome detail. One implementation per lockstep transition
+/// flavour (`MultiFsm` in `sync_exec`, `ScopedMultiFsm` in `scoped`);
+/// the pipeline supplies the loops, the scheduling, and the
+/// undecided-counter bookkeeping around it.
 pub(crate) trait RoundStep {
     /// Per-node protocol state.
     type State: Clone + Eq;
+    /// The protocol this step runs.
+    type Proto: Protocol<State = Self::State>;
     /// What phase 1 records for phase-2a resolution.
     type Emission: Copy;
     /// Run-level extra output accumulated in sender order (the scoped
     /// delivery transcript; `()` for plain sync).
     type Witness: Default;
 
-    /// The observation bound `b` of the protocol.
-    fn bound(&self) -> u8;
+    /// Salt of the per-node RNG streams: node `v` draws from
+    /// `splitmix64(seed ^ splitmix64(v ^ SALT))`, a pure function of
+    /// `(seed, node id)` shared by every schedule.
+    const SALT: u64;
+    /// The backend byte stamped into the flavour's snapshot headers.
+    const BACKEND: u8;
+
+    /// The protocol this step runs.
+    fn protocol(&self) -> &Self::Proto;
     /// Whether `q` is an output state (drives the undecided counter).
-    fn decided(&self, q: &Self::State) -> bool;
-    /// The state a crashed node is reborn into when a churn plan
-    /// restarts it (delegates to `Protocol::restart_state`; only the
-    /// churn drivers call this).
-    fn restart_state(&self, input: usize) -> Self::State;
+    fn decided(&self, q: &Self::State) -> bool {
+        self.protocol().output(q).is_some()
+    }
     /// Phase 1 of one node: transition from the frozen observation,
-    /// consuming the node's RNG stream exactly as the legacy engines
-    /// did. The flag is `true` iff δ offered a single choice (so no
-    /// draw was made).
+    /// consuming the node's RNG stream. The flag is `true` iff δ offered
+    /// a single choice (so no draw was made).
     fn transition(
         &self,
         q: &Self::State,
@@ -334,82 +370,378 @@ pub(crate) trait RoundStep {
         sink: &mut Sk,
         witness: &mut Self::Witness,
     );
-    /// Drains `from` (one worker's per-round witness) into `into` — the
-    /// round-major, worker-order concatenation that reproduces the
-    /// serial witness order. (Only the parallel schedules split the
-    /// witness per worker; the serial pipeline writes into the run-level
-    /// witness directly.)
+    /// Drains `from` (one chunk's per-round witness) into `into` — the
+    /// round-major, chunk-order concatenation that reproduces the
+    /// serial witness order. (Only the parallel loop splits the witness
+    /// per chunk; the serial loop writes into the run-level witness
+    /// directly.)
     #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
     fn absorb(into: &mut Self::Witness, from: &mut Self::Witness);
-    /// The scoped-delivery transcript inside `witness`, if this flavor
-    /// records one — serialized into boundary snapshots and restored on
-    /// resume (`None` for plain sync, whose witness is `()`).
+    /// The scoped-delivery transcript inside `witness`, if this flavour
+    /// records one — serialized into boundary snapshots.
     fn witness_slice(witness: &Self::Witness) -> Option<&[ScopedDelivery]>;
-}
-
-/// Why a pipeline run ended.
-pub(crate) enum RoundEnd {
-    /// Every node reached an output state after `rounds` rounds.
-    Done {
-        /// Rounds until the first output configuration.
-        rounds: u64,
-        /// Total non-`ε` transmissions.
+    /// The witness a resumed run continues from a snapshot's transcript,
+    /// or `None` if the snapshot carries the other flavour's witness
+    /// kind (it belongs to another backend).
+    fn restore_witness(witness: Option<Vec<ScopedDelivery>>) -> Option<Self::Witness>;
+    /// The flavour's [`Detail`] of a finished run.
+    fn detail(
+        witness: Self::Witness,
         sent: u64,
-    },
-    /// The round budget ran out with `unfinished` nodes undecided.
-    Limit {
-        /// The configured budget.
-        limit: u64,
-        /// Nodes not yet in an output state.
-        unfinished: usize,
-    },
+        churn: Option<ChurnSummary>,
+        faults: Option<FaultSummary>,
+    ) -> Detail;
 }
 
-/// Emits a boundary checkpoint to the observer when the plumbing's
-/// cadence lands on `round`. Called by every lockstep schedule after the
-/// round has fully committed — deliveries landed, epoch flipped, witness
-/// absorbed, `on_round_end` delivered — and only when the run continues:
-/// a terminal round is never checkpointed (the run is over; there is
-/// nothing to resume).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn boundary_checkpoint<St, O>(
-    plumb: &SnapPlumb<St::State>,
-    round: u64,
-    sent: u64,
-    undecided: isize,
-    planes: &PortPlanes,
-    states: &[St::State],
-    rngs: &[SmallRng],
-    witness: &St::Witness,
-    churn_next: Option<u64>,
-    faults: Option<FaultSummary>,
-    observer: &mut O,
-) where
-    St: RoundStep,
-    O: SyncObserver<St::State>,
-{
-    if plumb.every == 0 || !round.is_multiple_of(plumb.every) {
-        return;
-    }
-    let codec = plumb
-        .codec
-        .expect("active snapshot plumbing always carries a codec");
-    let snap = encode_lockstep(
-        plumb.meta,
-        &codec,
-        &LockstepCapture {
-            round,
-            sent,
-            undecided: undecided as u64,
-            planes,
-            states,
-            rngs,
-            witness: St::witness_slice(witness),
-            churn_next,
-            faults,
-        },
+/// The round-boundary hook of the pipeline (module docs): the churn
+/// controller on churn runs, `()` on churn-free runs.
+pub(crate) trait BoundaryHook {
+    /// Whether node `v` takes part in rounds (a crashed node does not).
+    fn live(&self, v: usize) -> bool;
+    /// Whether a boundary is due after `round`.
+    fn due(&self, round: u64) -> bool;
+    /// Applies the boundary after `round` (0: before the first round)
+    /// to the store, the states and the undecided counter.
+    fn apply<St: RoundStep>(
+        &mut self,
+        round: u64,
+        step: &St,
+        states: &mut [St::State],
+        undecided: &mut isize,
+        ports: &mut FlatPorts,
     );
-    observer.on_checkpoint(&snap);
+    /// Whether every scheduled boundary has been applied: the run may
+    /// end only then.
+    fn exhausted(&self) -> bool;
+    /// Prepares a fresh store before the first round.
+    fn setup(&mut self, ports: &mut FlatPorts);
+    /// Restores the hook of a resumed run from the snapshot's cursor,
+    /// rejecting a snapshot that carries no cursor when the hook needs
+    /// one or carries one when it does not.
+    fn resume(&mut self, cursor: Option<u64>) -> Result<(), ExecError>;
+    /// The cursor a checkpoint records.
+    fn cursor(&self) -> Option<u64>;
+    /// What the hook did, for the outcome.
+    fn summary(&self) -> Option<ChurnSummary>;
+}
+
+impl BoundaryHook for () {
+    #[inline]
+    fn live(&self, _v: usize) -> bool {
+        true
+    }
+    #[inline]
+    fn due(&self, _round: u64) -> bool {
+        false
+    }
+    fn apply<St: RoundStep>(
+        &mut self,
+        _round: u64,
+        _step: &St,
+        _states: &mut [St::State],
+        _undecided: &mut isize,
+        _ports: &mut FlatPorts,
+    ) {
+    }
+    fn exhausted(&self) -> bool {
+        true
+    }
+    fn setup(&mut self, _ports: &mut FlatPorts) {}
+    fn resume(&mut self, cursor: Option<u64>) -> Result<(), ExecError> {
+        match cursor {
+            Some(_) => Err(BODY_KIND.into()),
+            None => Ok(()),
+        }
+    }
+    fn cursor(&self) -> Option<u64> {
+        None
+    }
+    fn summary(&self) -> Option<ChurnSummary> {
+        None
+    }
+}
+
+/// The lockstep executor: runs `step`'s protocol as `sim` configures it
+/// — serial, or parallel when the policy asks for it; with the churn
+/// controller as boundary hook under a churn plan (on the plan's
+/// universe graph), with `()` otherwise — and returns the unified
+/// outcome. `inputs` are validated by the builder.
+pub(crate) fn exec<St, O>(
+    step: &St,
+    sim: &Simulation<'_, St::Proto>,
+    inputs: &[usize],
+    snap: SnapArgs<'_, St::State>,
+    observer: O,
+) -> Result<Outcome<St::Proto>, ExecError>
+where
+    St: RoundStep + Sync,
+    St::State: Send + Sync,
+    St::Witness: Send,
+    O: Observer<St::State>,
+{
+    let sigma = step.protocol().alphabet().len();
+    match sim.churn {
+        None => {
+            let fctx = faults::compile(sim.faults, sim.graph, sigma)?;
+            lockstep(
+                step,
+                sim,
+                sim.graph,
+                inputs,
+                snap,
+                fctx.as_ref(),
+                (),
+                observer,
+            )
+        }
+        Some(plan) => {
+            let universe = plan.universe(sim.graph).map_err(churn::plan_config)?;
+            let fctx = faults::compile(sim.faults, &universe, sigma)?;
+            let sigma0 = step.protocol().initial_letter();
+            let ctl = ChurnCtl::new(plan, sim.graph, &universe, inputs, sigma0)?;
+            lockstep(
+                step,
+                sim,
+                &universe,
+                inputs,
+                snap,
+                fctx.as_ref(),
+                ctl,
+                observer,
+            )
+        }
+    }
+}
+
+/// [`exec`] once the run graph, fault plan and boundary hook are known:
+/// starts fresh or splices the resume snapshot in, runs the serial or
+/// parallel loop, and builds the outcome.
+#[allow(clippy::too_many_arguments)]
+fn lockstep<St, H, O>(
+    step: &St,
+    sim: &Simulation<'_, St::Proto>,
+    graph: &Graph,
+    inputs: &[usize],
+    snap: SnapArgs<'_, St::State>,
+    fctx: Option<&FaultCtx>,
+    mut hook: H,
+    observer: O,
+) -> Result<Outcome<St::Proto>, ExecError>
+where
+    St: RoundStep + Sync,
+    St::State: Send + Sync,
+    St::Witness: Send,
+    H: BoundaryHook + Sync,
+    O: Observer<St::State>,
+{
+    let protocol = step.protocol();
+    let sigma = protocol.alphabet().len();
+    let (planes, states, rngs, witness, tally, resume) = match snap.resume {
+        Some(s) => {
+            let splice = snapshot::resume_lockstep(s, &snap.codec(), graph, sigma)?;
+            let Some(witness) = St::restore_witness(splice.witness) else {
+                return Err(BODY_KIND.into());
+            };
+            if splice.faults.is_some() != fctx.is_some() {
+                return Err(BODY_KIND.into());
+            }
+            hook.resume(splice.churn_next)?;
+            let tally = splice.faults.unwrap_or_default();
+            (
+                splice.planes,
+                splice.states,
+                splice.rngs,
+                witness,
+                tally,
+                Some(splice.point),
+            )
+        }
+        None => {
+            let mut planes = PortPlanes::new(graph, sigma, protocol.initial_letter());
+            hook.setup(planes.write());
+            let states = inputs.iter().map(|&i| protocol.initial_state(i)).collect();
+            let rngs = (0..graph.node_count() as u64)
+                .map(|v| SmallRng::seed_from_u64(splitmix64(sim.seed ^ splitmix64(v ^ St::SALT))))
+                .collect();
+            (
+                planes,
+                states,
+                rngs,
+                St::Witness::default(),
+                FaultSummary::default(),
+                None,
+            )
+        }
+    };
+    let mut run = Lockstep {
+        step,
+        graph,
+        planes,
+        states,
+        rngs,
+        witness,
+        hook,
+        observer,
+        faults: FaultLayer::new(fctx, tally),
+        snap,
+        sent: 0,
+        undecided: 0,
+        max_rounds: sim
+            .budget
+            .unwrap_or(crate::SyncConfig::default().max_rounds),
+    };
+    let start = match resume {
+        Some(point) => {
+            run.sent = point.sent;
+            run.undecided = point.undecided as isize;
+            point.round
+        }
+        None => {
+            run.undecided = run.states.iter().filter(|q| !step.decided(q)).count() as isize;
+            // Round-0 events apply before the first observation. A
+            // resumed run skips this: its store already includes every
+            // boundary up to its round.
+            let ports = run.planes.write();
+            run.hook
+                .apply(0, step, &mut run.states, &mut run.undecided, ports);
+            0
+        }
+    };
+    let (done, workers, steals) = 'run: {
+        if resume.is_none() && run.undecided == 0 && run.hook.exhausted() {
+            break 'run (Some(0), 1, StealStats::default());
+        }
+        #[cfg(feature = "parallel")]
+        {
+            let n = sim.graph.node_count();
+            if let Some(policy) = sim.policy.filter(|p| !p.use_serial(n)) {
+                let mut steals = StealStats::default();
+                let done = run_parallel(&mut run, &policy, start, &mut steals);
+                // The shard plan clamps to the node count — report what
+                // actually runs, not the raw policy value.
+                break 'run (done, policy.resolve_workers().min(n.max(1)), steals);
+            }
+        }
+        (run_serial(&mut run, start), 1, StealStats::default())
+    };
+    let Some(rounds) = done else {
+        return Err(ExecError::RoundLimit {
+            limit: run.max_rounds,
+            unfinished: run.undecided as usize,
+        });
+    };
+    // Crashed nodes are exempt from termination: they report the output
+    // they had decided before crashing, or DEAD_OUTPUT.
+    let outputs = (run.states.iter().enumerate())
+        .map(|(v, q)| match protocol.output(q) {
+            Some(out) => out,
+            None if run.hook.live(v) => panic!("live nodes are decided at termination"),
+            None => DEAD_OUTPUT,
+        })
+        .collect();
+    let detail = St::detail(
+        run.witness,
+        run.sent,
+        run.hook.summary(),
+        run.faults.capture(),
+    );
+    Ok(Outcome {
+        outputs,
+        states: run.states,
+        cost: Cost::Rounds(rounds),
+        workers,
+        steals,
+        detail,
+    })
+}
+
+/// One lockstep run in progress: everything the round loops read and
+/// write besides their own scratch.
+struct Lockstep<'a, St: RoundStep, H, O> {
+    step: &'a St,
+    graph: &'a Graph,
+    planes: PortPlanes,
+    states: Vec<St::State>,
+    rngs: Vec<SmallRng>,
+    witness: St::Witness,
+    hook: H,
+    observer: O,
+    faults: FaultLayer<'a>,
+    snap: SnapArgs<'a, St::State>,
+    /// Non-`ε` transmissions so far.
+    sent: u64,
+    /// Live nodes not in an output state.
+    undecided: isize,
+    max_rounds: u64,
+}
+
+impl<St, H, O> Lockstep<'_, St, H, O>
+where
+    St: RoundStep,
+    H: BoundaryHook,
+    O: Observer<St::State>,
+{
+    /// Ends round `round` once its deliveries have landed and its epoch
+    /// has flipped — except those the fused schedule still defers in
+    /// `landing`, which are flushed before the store is handed to the
+    /// boundary hook or a checkpoint. Applies the boundary, reports the
+    /// round to the observer, and takes a due checkpoint unless the run
+    /// is over (there is nothing to resume). Returns whether it is.
+    fn end_round(&mut self, round: u64, landing: &mut [DeliveryBuffer]) -> bool {
+        if self.hook.due(round) {
+            let ports = self.planes.write();
+            flush(ports, landing);
+            self.hook.apply(
+                round,
+                self.step,
+                &mut self.states,
+                &mut self.undecided,
+                ports,
+            );
+        }
+        self.observer.on_round_end(round, &self.states);
+        if self.undecided == 0 && self.hook.exhausted() {
+            return true;
+        }
+        if self.snap.every > 0 && round.is_multiple_of(self.snap.every) {
+            flush(self.planes.write(), landing);
+            let snap = encode_lockstep(
+                self.snap.meta,
+                &self.snap.codec(),
+                &LockstepCapture {
+                    round,
+                    sent: self.sent,
+                    undecided: self.undecided as u64,
+                    planes: &self.planes,
+                    states: &self.states,
+                    rngs: &self.rngs,
+                    witness: St::witness_slice(&self.witness),
+                    churn_next: self.hook.cursor(),
+                    faults: self.faults.capture(),
+                },
+            );
+            self.observer.on_checkpoint(&snap);
+        }
+        false
+    }
+}
+
+/// Lands the fused schedule's deferred deliveries on the write plane —
+/// shard-major, in fixed worker order, the order the next scope would
+/// have used — and clears them, so that scope lands nothing. Per-round
+/// slot uniqueness + commutative counts make the store bytes identical
+/// either way.
+fn flush(ports: &mut FlatPorts, landing: &mut [DeliveryBuffer]) {
+    for shard in 0..landing.len() {
+        for prev in landing.iter() {
+            for w in prev.bucket(shard) {
+                ports.deliver(w.node as usize, w.slot as usize, w.letter);
+            }
+        }
+    }
+    for b in landing.iter_mut() {
+        b.clear();
+    }
 }
 
 /// Phase 1 + 2a of one node against a frozen plane; returns the
@@ -418,7 +750,7 @@ pub(crate) fn boundary_checkpoint<St, O>(
 /// churn) runs this, and with it the quiescent-node skip (module docs).
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn node_round<St: RoundStep, Pr: PortRead, Sk: DeliverySink>(
+fn node_round<St: RoundStep, Pr: PortRead, Sk: DeliverySink>(
     step: &St,
     graph: &Graph,
     ports: &Pr,
@@ -433,7 +765,7 @@ pub(crate) fn node_round<St: RoundStep, Pr: PortRead, Sk: DeliverySink>(
     if ports.is_quiescent(v) {
         return 0;
     }
-    ports.refill_obs(v, obs, step.bound());
+    ports.refill_obs(v, obs, step.protocol().bound());
     let (next, emission, single) = step.transition(state, obs, rng);
     ports.note_step(v, single && St::silent(&emission) && next == *state);
     let delta = match (step.decided(state), step.decided(&next)) {
@@ -455,114 +787,111 @@ pub(crate) fn node_round<St: RoundStep, Pr: PortRead, Sk: DeliverySink>(
     delta
 }
 
-/// The serial round pipeline: one pass per round over all nodes
-/// (phase 1 + 2a fused per node — bit-identical to the legacy two-pass
-/// loops because every port read hits the frozen read plane and each
-/// node's RNG stream is private), then the buffered writes land on the
-/// write plane and the epoch flips.
+/// [`node_round`] over the live nodes among `base..base + states.len()`;
+/// returns the summed undecided-counter delta.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_serial<St, O>(
+#[inline]
+fn run_nodes<St, H, Pr, Sk>(
     step: &St,
     graph: &Graph,
-    planes: &mut PortPlanes,
+    hook: &H,
+    ports: &Pr,
+    round: u64,
+    base: usize,
     states: &mut [St::State],
     rngs: &mut [SmallRng],
-    max_rounds: u64,
-    observer: &mut O,
+    obs: &mut ObsVec,
+    sink: &mut Sk,
     witness: &mut St::Witness,
-    plumb: &SnapPlumb<St::State>,
-    faults: &mut FaultLayer<'_>,
-) -> RoundEnd
+) -> isize
 where
     St: RoundStep,
-    O: SyncObserver<St::State>,
+    H: BoundaryHook,
+    Pr: PortRead,
+    Sk: DeliverySink,
 {
-    let n = states.len();
-    let (start, mut sent, mut undecided) = match &plumb.resume {
-        Some(r) => (r.round, r.sent, r.undecided as isize),
-        None => (
-            0,
-            0,
-            states.iter().filter(|q| !step.decided(q)).count() as isize,
-        ),
-    };
-    if plumb.resume.is_none() && undecided == 0 {
-        return RoundEnd::Done { rounds: 0, sent };
-    }
-    let mut obs = ObsVec::zeroed(planes.sigma());
-    let mut sink = SerialWrites::default();
-    for round in start + 1..=max_rounds {
-        sink.begin_round();
-        {
-            let ports = planes.read();
-            let mut fsink = faults.sink(&mut sink, round);
-            for v in 0..n {
-                undecided += node_round(
-                    step,
-                    graph,
-                    ports,
-                    round,
-                    v,
-                    &mut states[v],
-                    &mut rngs[v],
-                    &mut obs,
-                    &mut fsink,
-                    witness,
-                );
-            }
+    let mut delta = 0;
+    for (i, (state, rng)) in states.iter_mut().zip(rngs).enumerate() {
+        if hook.live(base + i) {
+            delta += node_round(
+                step,
+                graph,
+                ports,
+                round,
+                base + i,
+                state,
+                rng,
+                obs,
+                sink,
+                witness,
+            );
         }
-        sent += sink.sent;
-        planes.land_serial(&sink.writes);
-        observer.on_round_end(round, states);
-        if undecided == 0 {
-            return RoundEnd::Done {
-                rounds: round,
-                sent,
-            };
-        }
-        boundary_checkpoint::<St, _>(
-            plumb,
-            round,
-            sent,
-            undecided,
-            planes,
-            states,
-            rngs,
-            witness,
-            None,
-            faults.capture(),
-            observer,
-        );
     }
-    RoundEnd::Limit {
-        limit: max_rounds,
-        unfinished: undecided as usize,
-    }
+    delta
 }
 
-/// One unit of stealable phase-1+2a work: a [`ChunkPlan`] descriptor
-/// bundled with the disjoint `&mut` windows of the state and RNG arrays
-/// it owns. Built fresh each round (the borrows last one scope) and
+/// The serial round loop: one pass per round over all live nodes
+/// (phase 1 + 2a fused per node — every port read hits the frozen read
+/// plane and each node's RNG stream is private), then the buffered
+/// writes land on the write plane, the epoch flips, and the round ends
+/// ([`Lockstep::end_round`]). Returns the round the run finished in, or
+/// `None` when the budget ran out.
+fn run_serial<St, H, O>(run: &mut Lockstep<'_, St, H, O>, start: u64) -> Option<u64>
+where
+    St: RoundStep,
+    H: BoundaryHook,
+    O: Observer<St::State>,
+{
+    let mut obs = ObsVec::zeroed(run.planes.sigma());
+    let mut sink = SerialWrites::default();
+    for round in start + 1..=run.max_rounds {
+        sink.begin_round();
+        let mut fsink = run.faults.sink(&mut sink, round);
+        run.undecided += run_nodes(
+            run.step,
+            run.graph,
+            &run.hook,
+            run.planes.read(),
+            round,
+            0,
+            &mut run.states,
+            &mut run.rngs,
+            &mut obs,
+            &mut fsink,
+            &mut run.witness,
+        );
+        run.sent += sink.sent;
+        run.planes.land_serial(&sink.writes);
+        if run.end_round(round, &mut []) {
+            return Some(round);
+        }
+    }
+    None
+}
+
+/// One unit of phase-1+2a work (stealable under the stealing schedule):
+/// a [`ChunkPlan`] descriptor bundled with the disjoint `&mut` windows of
+/// the state and RNG arrays it owns. Built fresh each round (the borrows last one scope) and
 /// moved between deques; the *data* never moves.
 #[cfg(feature = "parallel")]
-pub(crate) struct StealTask<'a, S> {
+struct StealTask<'a, S> {
     /// Position in the [`ChunkPlan`] — ascending node order, the key
     /// per-chunk witnesses are re-sorted by after the join.
-    pub(crate) index: usize,
+    index: usize,
     /// First node of the chunk.
-    pub(crate) base: usize,
+    base: usize,
     /// The shard whose deque the task was seeded onto (under the fused
     /// schedule, also the plane shard its senders read).
-    pub(crate) shard: usize,
-    pub(crate) states: &'a mut [S],
-    pub(crate) rngs: &'a mut [SmallRng],
+    shard: usize,
+    states: &'a mut [S],
+    rngs: &'a mut [SmallRng],
 }
 
 /// Deals one [`StealTask`] per chunk onto the owning worker's deque, in
 /// ascending node order (so a worker drains its own shard front-to-back
 /// — the cache-friendly direction — while thieves take from the back).
 #[cfg(feature = "parallel")]
-pub(crate) fn seed_deques<'a, S>(
+fn seed_deques<'a, S>(
     chunks: &ChunkPlan,
     workers: usize,
     mut states: &'a mut [S],
@@ -587,17 +916,21 @@ pub(crate) fn seed_deques<'a, S>(
     deques.into_iter().map(std::sync::Mutex::new).collect()
 }
 
-/// Worker `w`'s next task: the front of its own deque, or — when dry —
-/// the back of the currently longest other deque (`true` marks a
-/// steal). Returns `None` once every deque is empty; a lost race with
-/// another thief just rescans.
+/// Worker `w`'s next task: the front of its own deque, or — when dry and
+/// `steal` is set — the back of the currently longest other deque
+/// (`true` marks a steal). Returns `None` once there is nothing left to
+/// take; a lost race with another thief just rescans.
 #[cfg(feature = "parallel")]
-pub(crate) fn next_task<'a, S>(
+fn next_task<'a, S>(
     w: usize,
     deques: &[std::sync::Mutex<std::collections::VecDeque<StealTask<'a, S>>>],
+    steal: bool,
 ) -> Option<(StealTask<'a, S>, bool)> {
     if let Some(t) = deques[w].lock().unwrap().pop_front() {
         return Some((t, false));
+    }
+    if !steal {
+        return None;
     }
     loop {
         let mut best: Option<(usize, usize)> = None;
@@ -617,532 +950,189 @@ pub(crate) fn next_task<'a, S>(
     }
 }
 
-/// What one stealing worker hands back at the join: its undecided
-/// delta, fault tally, per-chunk witnesses (keyed by chunk index for
-/// the post-join re-sort), and its steal/chunk counters.
+/// What one worker hands back at the join: its undecided delta, fault
+/// tally, and steal/chunk counters. (Its chunk witnesses go to its own
+/// scratch vector.)
 #[cfg(feature = "parallel")]
-pub(crate) type StealYield<W> = (isize, FaultSummary, Vec<(usize, W)>, u64, u64);
+type StealYield = (isize, FaultSummary, u64, u64);
 
-/// Folds the per-worker [`StealYield`]s into the run accumulators:
-/// undecided delta, fault summaries, steal counters, and — the one
-/// schedule-dependent artifact stealing creates — the per-chunk
-/// witnesses, re-sorted to ascending chunk index (= ascending sender
-/// order, the serial transcript) before absorption.
+/// The read plane of one parallel round: the whole store (Joined), or
+/// one lockable [`PlaneShard`] per worker (Fused).
 #[cfg(feature = "parallel")]
-pub(crate) fn absorb_steal_yields<St: RoundStep>(
-    results: Vec<StealYield<St::Witness>>,
-    undecided: &mut isize,
-    faults: &mut FaultLayer<'_>,
-    witness: &mut St::Witness,
-    steals: &mut StealStats,
-) {
-    let mut pairs = Vec::new();
-    for (delta, tally, wits, nsteals, nchunks) in results {
-        *undecided += delta;
-        faults.absorb(&tally);
-        steals.steals += nsteals;
-        steals.chunks += nchunks;
-        pairs.extend(wits);
-    }
-    pairs.sort_unstable_by_key(|&(i, _)| i);
-    for (_, mut w) in pairs {
-        St::absorb(witness, &mut w);
-    }
+enum Plane<'a> {
+    Whole(&'a FlatPorts),
+    Shards(Vec<std::sync::RwLock<PlaneShard<'a>>>),
 }
 
-/// The parallel round pipeline, scheduled per the policy's resolved
-/// [`RoundMode`]: `Joined` (phase 1 + 2a scope, join, phase-2b merge —
-/// two joins per round) or `Fused` (previous round's phase 2b landed on
-/// per-worker plane shards inside the next round's scope — one join per
-/// round) — each crossed with the resolved [`ChunkScheduler`] (static
-/// shard chunks or work-stealing deques). Bit-identical to
-/// [`run_serial`] for every seed, worker count, merge strategy, round
-/// mode, and scheduler; only the [`StealStats`] out-param is
-/// timing-dependent.
+/// The parallel round loop, scheduled per the policy's resolved
+/// [`RoundMode`] (`Joined`: phase 1 + 2a scope, join, phase-2b merge;
+/// `Fused`: the previous round's phase 2b landed on per-worker plane
+/// shards inside the next round's scope) and [`ChunkScheduler`] (one
+/// static shard chunk per worker, or work-stealing deques). The round
+/// then ends exactly as on the serial loop ([`Lockstep::end_round`]).
+/// Bit-identical to [`run_serial`] for every seed, worker count, merge
+/// strategy, round mode, and scheduler; only the [`StealStats`]
+/// out-param is timing-dependent.
 #[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_parallel<St, O>(
-    step: &St,
-    graph: &Graph,
-    planes: &mut PortPlanes,
-    states: &mut [St::State],
-    rngs: &mut [SmallRng],
+fn run_parallel<St, H, O>(
+    run: &mut Lockstep<'_, St, H, O>,
     policy: &ParallelPolicy,
-    max_rounds: u64,
-    observer: &mut O,
-    witness: &mut St::Witness,
-    plumb: &SnapPlumb<St::State>,
-    faults: &mut FaultLayer<'_>,
+    start: u64,
     steals: &mut StealStats,
-) -> RoundEnd
+) -> Option<u64>
 where
     St: RoundStep + Sync,
     St::State: Send + Sync,
     St::Witness: Send,
-    O: SyncObserver<St::State>,
+    H: BoundaryHook + Sync,
+    O: Observer<St::State>,
 {
-    let (start, mut sent, mut undecided) = match &plumb.resume {
-        Some(r) => (r.round, r.sent, r.undecided as isize),
-        None => (
-            0,
-            0,
-            states.iter().filter(|q| !step.decided(q)).count() as isize,
-        ),
-    };
-    if plumb.resume.is_none() && undecided == 0 {
-        return RoundEnd::Done { rounds: 0, sent };
-    }
-    let sigma = planes.sigma();
+    let graph = run.graph;
+    // Planned once per run. Under churn the graph is the closed
+    // universe: churn patches rewrite slots inside the fixed CSR layout,
+    // never the slot map, so the slot-balanced bounds stay valid across
+    // every boundary (`tests/stealing.rs` pins this).
     let plan = ShardPlan::new(graph, policy.resolve_workers());
     let workers = plan.workers();
-    // Per-worker scratch, hoisted out of the round loop: cleared and
-    // reused across rounds instead of reallocated.
-    let mut buffers: Vec<DeliveryBuffer> =
-        (0..workers).map(|_| DeliveryBuffer::new(workers)).collect();
-    let mut obs: Vec<ObsVec> = (0..workers).map(|_| ObsVec::zeroed(sigma)).collect();
-    let mut witnesses: Vec<St::Witness> = (0..workers).map(|_| St::Witness::default()).collect();
-
-    match (policy.resolve_round(), policy.resolve_scheduler()) {
-        (RoundMode::Joined, ChunkScheduler::Stealing) => {
-            let chunks = ChunkPlan::new(graph, &plan);
-            for round in start + 1..=max_rounds {
-                let ports = planes.read();
-                let fctx = faults.ctx;
-                let results: Vec<StealYield<St::Witness>> = {
-                    let deques = seed_deques(&chunks, workers, &mut *states, &mut *rngs);
-                    let deques = &deques;
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = buffers
-                            .iter_mut()
-                            .zip(obs.iter_mut())
-                            .enumerate()
-                            .map(|(w, (buffer, obs))| {
-                                let plan = &plan;
-                                scope.spawn(move || {
-                                    buffer.clear();
-                                    let mut sink = ShardedSink { buffer, plan };
-                                    let mut ftally = FaultSummary::default();
-                                    let mut fsink =
-                                        FaultSink::wrap(&mut sink, fctx, round, &mut ftally);
-                                    let mut delta = 0isize;
-                                    let mut wits = Vec::new();
-                                    let (mut nsteals, mut nchunks) = (0u64, 0u64);
-                                    while let Some((task, stolen)) = next_task(w, deques) {
-                                        nchunks += 1;
-                                        nsteals += stolen as u64;
-                                        let StealTask {
-                                            index,
-                                            base,
-                                            states: state_c,
-                                            rngs: rng_c,
-                                            ..
-                                        } = task;
-                                        let mut wit = St::Witness::default();
-                                        for i in 0..state_c.len() {
-                                            delta += node_round(
-                                                step,
-                                                graph,
-                                                ports,
-                                                round,
-                                                base + i,
-                                                &mut state_c[i],
-                                                &mut rng_c[i],
-                                                obs,
-                                                &mut fsink,
-                                                &mut wit,
-                                            );
-                                        }
-                                        wits.push((index, wit));
+    let fused = policy.resolve_round() == RoundMode::Fused;
+    let stealing = policy.resolve_scheduler() == ChunkScheduler::Stealing;
+    let chunks = if stealing {
+        ChunkPlan::new(graph, &plan)
+    } else {
+        ChunkPlan::per_shard(&plan)
+    };
+    // Double-buffered delivery generations: `filling` receives this
+    // round's writes; under Fused, `landing` holds the previous round's,
+    // landed by every worker during the deferred phase 2b.
+    let buffers =
+        || -> Vec<DeliveryBuffer> { (0..workers).map(|_| DeliveryBuffer::new(workers)).collect() };
+    let (mut filling, mut landing) = (buffers(), buffers());
+    let mut obs: Vec<ObsVec> = (0..workers)
+        .map(|_| ObsVec::zeroed(run.planes.sigma()))
+        .collect();
+    // Per-worker chunk witnesses keyed by chunk index, and their merge.
+    let mut wits: Vec<Vec<(usize, St::Witness)>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut sorted: Vec<(usize, St::Witness)> = Vec::new();
+    for round in start + 1..=run.max_rounds {
+        let results: Vec<StealYield> = {
+            let (step, hook, fctx) = (run.step, &run.hook, run.faults.ctx);
+            let plane = if fused {
+                let shards = run.planes.epoch_shards(graph, plan.bounds());
+                Plane::Shards(shards.into_iter().map(std::sync::RwLock::new).collect())
+            } else {
+                Plane::Whole(run.planes.read())
+            };
+            let (plane, landing_ref) = (&plane, &landing);
+            let barrier = std::sync::Barrier::new(workers);
+            let barrier = &barrier;
+            let deques = seed_deques(&chunks, workers, &mut run.states, &mut run.rngs);
+            let deques = &deques;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = filling
+                    .iter_mut()
+                    .zip(obs.iter_mut())
+                    .zip(wits.iter_mut())
+                    .enumerate()
+                    .map(|(w, ((buffer, obs), wits))| {
+                        let plan = &plan;
+                        scope.spawn(move || {
+                            if let Plane::Shards(cells) = plane {
+                                // Deferred phase 2b of the previous round:
+                                // this worker owns shard w.
+                                let mut shard = cells[w]
+                                    .write()
+                                    .expect("no worker panics holding a plane shard");
+                                for prev in landing_ref {
+                                    for wr in prev.bucket(w) {
+                                        shard.land(wr.node as usize, wr.slot as usize, wr.letter);
                                     }
-                                    (delta, ftally, wits, nsteals, nchunks)
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                            .collect()
-                    })
-                };
-                absorb_steal_yields::<St>(results, &mut undecided, faults, witness, steals);
-                sent += buffers.iter().map(|b| b.sent).sum::<u64>();
-                parbuf::merge(policy.merge, planes.write(), graph, &plan, &buffers);
-                planes.advance();
-                observer.on_round_end(round, states);
-                if undecided == 0 {
-                    return RoundEnd::Done {
-                        rounds: round,
-                        sent,
-                    };
-                }
-                boundary_checkpoint::<St, _>(
-                    plumb,
-                    round,
-                    sent,
-                    undecided,
-                    planes,
-                    states,
-                    rngs,
-                    witness,
-                    None,
-                    faults.capture(),
-                    observer,
-                );
-            }
-        }
-        (RoundMode::Fused, ChunkScheduler::Stealing) => {
-            let chunks = ChunkPlan::new(graph, &plan);
-            let mut landing = buffers;
-            let mut filling: Vec<DeliveryBuffer> =
-                (0..workers).map(|_| DeliveryBuffer::new(workers)).collect();
-            for round in start + 1..=max_rounds {
-                // The plane shards go behind RwLocks so tasks can read
-                // whichever (frozen) shard their senders live in; the
-                // barrier separates the exclusive land+freeze writes
-                // from the shared reads.
-                let shard_cells: Vec<std::sync::RwLock<PlaneShard>> = planes
-                    .epoch_shards(graph, plan.bounds())
-                    .into_iter()
-                    .map(std::sync::RwLock::new)
-                    .collect();
-                let shard_cells = &shard_cells;
-                let barrier = std::sync::Barrier::new(workers);
-                let barrier = &barrier;
-                let landing_ref = &landing;
-                let fctx = faults.ctx;
-                let results: Vec<StealYield<St::Witness>> = {
-                    let deques = seed_deques(&chunks, workers, &mut *states, &mut *rngs);
-                    let deques = &deques;
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = filling
-                            .iter_mut()
-                            .zip(obs.iter_mut())
-                            .enumerate()
-                            .map(|(w, (buffer, obs))| {
-                                let plan = &plan;
-                                scope.spawn(move || {
-                                    // Deferred phase 2b of the previous
-                                    // round, exactly as the static fused
-                                    // schedule: this worker owns shard w.
-                                    {
-                                        let mut shard = shard_cells[w].write().unwrap();
-                                        for prev in landing_ref {
-                                            for wr in prev.bucket(w) {
-                                                shard.land(
-                                                    wr.node as usize,
-                                                    wr.slot as usize,
-                                                    wr.letter,
-                                                );
-                                            }
-                                        }
-                                        shard.freeze();
-                                    }
+                                }
+                                shard.freeze();
+                                drop(shard);
+                                if stealing {
                                     barrier.wait();
-                                    buffer.clear();
-                                    let mut sink = ShardedSink { buffer, plan };
-                                    let mut ftally = FaultSummary::default();
-                                    let mut fsink =
-                                        FaultSink::wrap(&mut sink, fctx, round, &mut ftally);
-                                    let mut delta = 0isize;
-                                    let mut wits = Vec::new();
-                                    let (mut nsteals, mut nchunks) = (0u64, 0u64);
-                                    while let Some((task, stolen)) = next_task(w, deques) {
-                                        nchunks += 1;
-                                        nsteals += stolen as u64;
-                                        let StealTask {
-                                            index,
-                                            base,
-                                            shard: task_shard,
-                                            states: state_c,
-                                            rngs: rng_c,
-                                        } = task;
-                                        // A task reads only the shard its
-                                        // senders live in (observation =
-                                        // own count row + slots; scoped
-                                        // draws = own ports), all frozen
-                                        // behind the barrier.
-                                        let shard = shard_cells[task_shard].read().unwrap();
-                                        let mut wit = St::Witness::default();
-                                        for i in 0..state_c.len() {
-                                            delta += node_round(
-                                                step,
-                                                graph,
-                                                &*shard,
-                                                round,
-                                                base + i,
-                                                &mut state_c[i],
-                                                &mut rng_c[i],
-                                                obs,
-                                                &mut fsink,
-                                                &mut wit,
-                                            );
-                                        }
-                                        wits.push((index, wit));
-                                    }
-                                    (delta, ftally, wits, nsteals, nchunks)
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                            .collect()
-                    })
-                };
-                planes.advance();
-                std::mem::swap(&mut landing, &mut filling);
-                absorb_steal_yields::<St>(results, &mut undecided, faults, witness, steals);
-                sent += landing.iter().map(|b| b.sent).sum::<u64>();
-                observer.on_round_end(round, states);
-                if undecided == 0 {
-                    return RoundEnd::Done {
-                        rounds: round,
-                        sent,
-                    };
-                }
-                if plumb.every > 0 && round % plumb.every == 0 {
-                    // Same deferred-phase-2b flush as the static fused
-                    // boundary: land this round's buffers serially and
-                    // clear them so the next scope lands nothing.
-                    let ports = planes.write();
-                    for ci in 0..workers {
-                        for prev in landing.iter() {
-                            for w in prev.bucket(ci) {
-                                ports.deliver(w.node as usize, w.slot as usize, w.letter);
+                                }
                             }
-                        }
-                    }
-                    for b in landing.iter_mut() {
-                        b.clear();
-                    }
-                    boundary_checkpoint::<St, _>(
-                        plumb,
-                        round,
-                        sent,
-                        undecided,
-                        planes,
-                        states,
-                        rngs,
-                        witness,
-                        None,
-                        faults.capture(),
-                        observer,
-                    );
-                }
-            }
-        }
-        (RoundMode::Joined, ChunkScheduler::Static) => {
-            for round in start + 1..=max_rounds {
-                // Phase 1 + 2a, one scope: disjoint &mut chunks over
-                // states, RNGs, buffers, and scratch; shared reads of
-                // the frozen read plane, the graph, and the fault plan
-                // (whose decisions are pure hashes — no shared state).
-                let ports = planes.read();
-                let fctx = faults.ctx;
-                let results: Vec<(isize, FaultSummary)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = plan
-                        .chunks_mut(&mut *states)
-                        .into_iter()
-                        .zip(plan.chunks_mut(&mut *rngs))
-                        .zip(buffers.iter_mut())
-                        .zip(obs.iter_mut())
-                        .zip(witnesses.iter_mut())
-                        .enumerate()
-                        .map(|(ci, ((((state_c, rng_c), buffer), obs), wit))| {
-                            let base = plan.bounds()[ci];
-                            let plan = &plan;
-                            scope.spawn(move || {
-                                buffer.clear();
-                                let mut sink = ShardedSink { buffer, plan };
-                                let mut ftally = FaultSummary::default();
-                                let mut fsink =
-                                    FaultSink::wrap(&mut sink, fctx, round, &mut ftally);
-                                let mut delta = 0isize;
-                                for i in 0..state_c.len() {
-                                    delta += node_round(
+                            buffer.clear();
+                            let mut sink = ShardedSink { buffer, plan };
+                            let mut tally = FaultSummary::default();
+                            let mut fsink = FaultSink::wrap(&mut sink, fctx, round, &mut tally);
+                            let mut delta = 0isize;
+                            let (mut nsteals, mut nchunks) = (0u64, 0u64);
+                            while let Some((task, stolen)) = next_task(w, deques, stealing) {
+                                nchunks += stealing as u64;
+                                nsteals += stolen as u64;
+                                let mut wit = St::Witness::default();
+                                let (base, states, rngs) = (task.base, task.states, task.rngs);
+                                delta += match plane {
+                                    Plane::Whole(ports) => run_nodes(
+                                        step, graph, hook, *ports, round, base, states, rngs, obs,
+                                        &mut fsink, &mut wit,
+                                    ),
+                                    // A task reads only the shard its senders
+                                    // live in (observation = own count row +
+                                    // slots; scoped draws = own ports), frozen
+                                    // by now.
+                                    Plane::Shards(cells) => run_nodes(
                                         step,
                                         graph,
-                                        ports,
+                                        hook,
+                                        &*cells[task.shard]
+                                            .read()
+                                            .expect("no worker panics holding a plane shard"),
                                         round,
-                                        base + i,
-                                        &mut state_c[i],
-                                        &mut rng_c[i],
+                                        base,
+                                        states,
+                                        rngs,
                                         obs,
                                         &mut fsink,
-                                        wit,
-                                    );
-                                }
-                                (delta, ftally)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                        .collect()
-                });
-                undecided += results.iter().map(|&(d, _)| d).sum::<isize>();
-                for (_, t) in &results {
-                    faults.absorb(t);
-                }
-                sent += buffers.iter().map(|b| b.sent).sum::<u64>();
-                for w in witnesses.iter_mut() {
-                    St::absorb(witness, w);
-                }
-                // Phase 2b: merge the buffers into the write plane (the
-                // second join of the round under the sharded strategy).
-                parbuf::merge(policy.merge, planes.write(), graph, &plan, &buffers);
-                planes.advance();
-                observer.on_round_end(round, states);
-                if undecided == 0 {
-                    return RoundEnd::Done {
-                        rounds: round,
-                        sent,
-                    };
-                }
-                boundary_checkpoint::<St, _>(
-                    plumb,
-                    round,
-                    sent,
-                    undecided,
-                    planes,
-                    states,
-                    rngs,
-                    witness,
-                    None,
-                    faults.capture(),
-                    observer,
-                );
-            }
-        }
-        (RoundMode::Fused, ChunkScheduler::Static) => {
-            // Double-buffered delivery generations: `landing` holds the
-            // previous round's buffers (read by every worker during the
-            // deferred phase 2b), `filling` receives this round's.
-            let mut landing = buffers;
-            let mut filling: Vec<DeliveryBuffer> =
-                (0..workers).map(|_| DeliveryBuffer::new(workers)).collect();
-            for round in start + 1..=max_rounds {
-                let shards = planes.epoch_shards(graph, plan.bounds());
-                let landing_ref = &landing;
-                let fctx = faults.ctx;
-                let results: Vec<(isize, FaultSummary)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = shards
-                        .into_iter()
-                        .zip(plan.chunks_mut(&mut *states))
-                        .zip(plan.chunks_mut(&mut *rngs))
-                        .zip(filling.iter_mut())
-                        .zip(obs.iter_mut())
-                        .zip(witnesses.iter_mut())
-                        .enumerate()
-                        .map(
-                            |(ci, (((((mut shard, state_c), rng_c), buffer), obs), wit))| {
-                                let base = plan.bounds()[ci];
-                                let plan = &plan;
-                                scope.spawn(move || {
-                                    // Deferred phase 2b of the previous
-                                    // round: land every buffer's bucket for
-                                    // this worker's shard on the write
-                                    // plane, in fixed worker order.
-                                    for prev in landing_ref {
-                                        for w in prev.bucket(ci) {
-                                            shard.land(w.node as usize, w.slot as usize, w.letter);
-                                        }
-                                    }
-                                    // The shard is now this round's frozen
-                                    // read plane.
-                                    shard.freeze();
-                                    buffer.clear();
-                                    let mut sink = ShardedSink { buffer, plan };
-                                    let mut ftally = FaultSummary::default();
-                                    let mut fsink =
-                                        FaultSink::wrap(&mut sink, fctx, round, &mut ftally);
-                                    let mut delta = 0isize;
-                                    for i in 0..state_c.len() {
-                                        delta += node_round(
-                                            step,
-                                            graph,
-                                            &shard,
-                                            round,
-                                            base + i,
-                                            &mut state_c[i],
-                                            &mut rng_c[i],
-                                            obs,
-                                            &mut fsink,
-                                            wit,
-                                        );
-                                    }
-                                    (delta, ftally)
-                                })
-                            },
-                        )
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                        .collect()
-                });
-                // The single join of the round is behind us; flip the
-                // epoch and swap the buffer generations.
-                planes.advance();
-                std::mem::swap(&mut landing, &mut filling);
-                undecided += results.iter().map(|&(d, _)| d).sum::<isize>();
-                for (_, t) in &results {
-                    faults.absorb(t);
-                }
-                sent += landing.iter().map(|b| b.sent).sum::<u64>();
-                for w in witnesses.iter_mut() {
-                    St::absorb(witness, w);
-                }
-                observer.on_round_end(round, states);
-                if undecided == 0 {
-                    // The terminal round's buffers are never landed: the
-                    // store is dead once outputs are collected, so the
-                    // bytes the joined schedule's terminal merge writes
-                    // are unobservable.
-                    return RoundEnd::Done {
-                        rounds: round,
-                        sent,
-                    };
-                }
-                if plumb.every > 0 && round % plumb.every == 0 {
-                    // A fused boundary still owes the store this round's
-                    // deliveries — they normally land inside the next
-                    // round's scope. Land them now, in the same fixed
-                    // worker order per shard, and clear the buffers so
-                    // the deferred landing becomes a no-op; per-round
-                    // slot uniqueness + commutative counts make the
-                    // store bytes identical either way.
-                    let ports = planes.write();
-                    for ci in 0..workers {
-                        for prev in landing.iter() {
-                            for w in prev.bucket(ci) {
-                                ports.deliver(w.node as usize, w.slot as usize, w.letter);
+                                        &mut wit,
+                                    ),
+                                };
+                                wits.push((task.index, wit));
                             }
-                        }
-                    }
-                    for b in landing.iter_mut() {
-                        b.clear();
-                    }
-                    boundary_checkpoint::<St, _>(
-                        plumb,
-                        round,
-                        sent,
-                        undecided,
-                        planes,
-                        states,
-                        rngs,
-                        witness,
-                        None,
-                        faults.capture(),
-                        observer,
-                    );
-                }
-            }
+                            (delta, tally, nsteals, nchunks)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        for (delta, tally, nsteals, nchunks) in results {
+            run.undecided += delta;
+            run.faults.absorb(&tally);
+            steals.steals += nsteals;
+            steals.chunks += nchunks;
+        }
+        // The one schedule-dependent artifact stealing creates: the chunk
+        // witnesses, re-sorted to ascending chunk index (= ascending
+        // sender order, the serial transcript) before absorption.
+        sorted.extend(wits.iter_mut().flat_map(|w| w.drain(..)));
+        sorted.sort_unstable_by_key(|&(i, _)| i);
+        for (_, mut w) in sorted.drain(..) {
+            St::absorb(&mut run.witness, &mut w);
+        }
+        if fused {
+            // The single join of the round is behind us: flip the epoch
+            // and swap the buffer generations.
+            run.planes.advance();
+            std::mem::swap(&mut landing, &mut filling);
+            run.sent += landing.iter().map(|b| b.sent).sum::<u64>();
+        } else {
+            // Phase 2b: merge the buffers into the write plane (the
+            // second join of the round under the sharded strategy).
+            run.sent += filling.iter().map(|b| b.sent).sum::<u64>();
+            parbuf::merge(policy.merge, run.planes.write(), graph, &plan, &filling);
+            run.planes.advance();
+        }
+        if run.end_round(round, &mut landing) {
+            // A fused terminal round's buffers are never landed: the
+            // store is dead once outputs are collected.
+            return Some(round);
         }
     }
-    RoundEnd::Limit {
-        limit: max_rounds,
-        unfinished: undecided as usize,
-    }
+    None
 }

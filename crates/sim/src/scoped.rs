@@ -14,26 +14,24 @@
 //! only letters; the engine resolves the port choice with the node's own
 //! randomness.
 //!
-//! This module provides the extended protocol trait and a lockstep
-//! synchronous engine for it. The engine also reports every scoped
-//! delivery, which is how the matching runner extracts the matched pairs
-//! (a node's constant-size output cannot name its partner; the *edge* is
-//! the engine-level witness).
+//! This module provides the extended protocol trait and its per-node
+//! step for the shared lockstep [`crate::pipeline`] (the
+//! [`crate::Backend::Scoped`] backend). The step also records every
+//! scoped delivery, which is how the matching runner extracts the
+//! matched pairs (a node's constant-size output cannot name its partner;
+//! the *edge* is the engine-level witness).
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use stoneage_core::{Choices, Letter, ObsVec, Protocol};
 use stoneage_graph::{Graph, NodeId};
 
-use crate::engine::PortPlanes;
-use crate::faults::{FaultLayer, FaultSummary, FaultsArg};
-#[cfg(feature = "parallel")]
-use crate::parbuf::{ParallelPolicy, StealStats};
-use crate::pipeline::{self, DeliverySink, PortRead, RoundEnd, RoundStep};
-use crate::snapshot::{self, SnapArgs, SnapPlumb, SnapshotError};
-use crate::sync_exec::compile_faults;
-use crate::{splitmix64, ExecError};
+use crate::churn::ChurnSummary;
+use crate::faults::FaultSummary;
+use crate::pipeline::{DeliverySink, PortRead, RoundStep};
+use crate::sim::Detail;
+use crate::snapshot;
 
 /// An emission under the port-select extension.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -167,19 +165,16 @@ pub(crate) struct ScopedStep<'p, P>(pub(crate) &'p P);
 
 impl<P: ScopedMultiFsm> RoundStep for ScopedStep<'_, P> {
     type State = P::State;
+    type Proto = P;
     type Emission = ScopedEmission;
     type Witness = Vec<ScopedDelivery>;
 
-    fn bound(&self) -> u8 {
-        self.0.bound()
-    }
+    /// Distinguishes the scoped streams from the plain sync ones.
+    const SALT: u64 = 0x5C0B;
+    const BACKEND: u8 = snapshot::BACKEND_SCOPED;
 
-    fn decided(&self, q: &P::State) -> bool {
-        self.0.output(q).is_some()
-    }
-
-    fn restart_state(&self, input: usize) -> P::State {
-        self.0.restart_state(input)
+    fn protocol(&self) -> &P {
+        self.0
     }
 
     fn transition(
@@ -235,232 +230,29 @@ impl<P: ScopedMultiFsm> RoundStep for ScopedStep<'_, P> {
     fn witness_slice(witness: &Vec<ScopedDelivery>) -> Option<&[ScopedDelivery]> {
         Some(witness)
     }
-}
 
-/// The per-node RNG streams of the scoped engines: a pure function of
-/// `(seed, node id)` with a salt distinguishing them from the plain sync
-/// streams, shared by the serial and parallel schedules.
-pub(crate) fn scoped_rngs(n: usize, seed: u64) -> Vec<SmallRng> {
-    (0..n as u64)
-        .map(|v| SmallRng::seed_from_u64(splitmix64(seed ^ splitmix64(v ^ 0x5C0B))))
-        .collect()
-}
+    fn restore_witness(witness: Option<Vec<ScopedDelivery>>) -> Option<Vec<ScopedDelivery>> {
+        witness
+    }
 
-/// The engine state a scoped run starts from — fresh, or spliced from a
-/// resume snapshot (which must carry a witness transcript, no churn
-/// cursor, and a fault tally exactly when the run wires a fault plan; a
-/// mismatch means it belongs to another backend/configuration). The
-/// restored transcript already holds every scoped delivery up to the
-/// snapshot boundary, so the resumed run's witness is the full-run
-/// witness.
-type ScopedStart<S> = (
-    Vec<S>,
-    PortPlanes,
-    Vec<SmallRng>,
-    Vec<ScopedDelivery>,
-    SnapPlumb<S>,
-    FaultSummary,
-);
-
-fn scoped_start<P: ScopedMultiFsm>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    snap: &SnapArgs<'_, P::State>,
-    faulted: bool,
-) -> Result<ScopedStart<P::State>, ExecError> {
-    let sigma = protocol.alphabet().len();
-    if let Some(s) = snap.resume {
-        let splice = snapshot::resume_lockstep(s, &snap.codec(), graph, sigma)?;
-        let (Some(witness), None) = (splice.witness, splice.churn_next) else {
-            return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
-                field: "snapshot body kind",
-            }));
-        };
-        if splice.faults.is_some() != faulted {
-            return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
-                field: "snapshot body kind",
-            }));
+    fn detail(
+        witness: Vec<ScopedDelivery>,
+        _sent: u64,
+        churn: Option<ChurnSummary>,
+        faults: Option<FaultSummary>,
+    ) -> Detail {
+        Detail::Scoped {
+            scoped_deliveries: witness,
+            churn,
+            faults,
         }
-        let tally = splice.faults.unwrap_or_default();
-        let plumb = SnapPlumb::from_args(snap, Some(splice.point));
-        Ok((
-            splice.states,
-            splice.planes,
-            splice.rngs,
-            witness,
-            plumb,
-            tally,
-        ))
-    } else {
-        Ok((
-            inputs.iter().map(|&i| protocol.initial_state(i)).collect(),
-            PortPlanes::new(graph, sigma, protocol.initial_letter()),
-            scoped_rngs(graph.node_count(), seed),
-            Vec::new(),
-            SnapPlumb::from_args(snap, None),
-            FaultSummary::default(),
-        ))
     }
-}
-
-fn scoped_end<P: ScopedMultiFsm>(
-    protocol: &P,
-    states: Vec<P::State>,
-    scoped_deliveries: Vec<ScopedDelivery>,
-    end: RoundEnd,
-) -> Result<(ScopedOutcome, Vec<P::State>), ExecError> {
-    match end {
-        RoundEnd::Done { rounds, .. } => {
-            let outputs = states.iter().map(|q| protocol.output(q).unwrap()).collect();
-            Ok((
-                ScopedOutcome {
-                    outputs,
-                    rounds,
-                    scoped_deliveries,
-                },
-                states,
-            ))
-        }
-        RoundEnd::Limit { limit, unfinished } => Err(ExecError::RoundLimit { limit, unfinished }),
-    }
-}
-
-/// The scoped synchronous engine: the shared [`crate::pipeline`] round
-/// loop over an epoch-split [`PortPlanes`] store, invoking `observer`
-/// after every round, returning the final per-node state vector next to
-/// the legacy outcome. The [`crate::Simulation`] builder and (through
-/// it) the legacy `run_scoped*` shims land here.
-///
-/// Inputs are validated by the builder; the legacy shims pass all zeros,
-/// which reproduces the historical `initial_state(0)` seeding exactly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_scoped<P, O>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    max_rounds: u64,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-    faults: FaultsArg<'_>,
-) -> Result<(ScopedOutcome, Vec<P::State>), ExecError>
-where
-    P: ScopedMultiFsm,
-    O: crate::sync_exec::SyncObserver<P::State>,
-{
-    debug_assert_eq!(
-        inputs.len(),
-        graph.node_count(),
-        "the builder validates input length"
-    );
-    let (fctx, fout) = compile_faults(faults, graph, protocol.alphabet().len())?;
-    let (mut states, mut planes, mut rngs, mut scoped_deliveries, plumb, tally) =
-        scoped_start(protocol, graph, inputs, seed, snap, fctx.is_some())?;
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let end = pipeline::run_serial(
-        &ScopedStep(protocol),
-        graph,
-        &mut planes,
-        &mut states,
-        &mut rngs,
-        max_rounds,
-        observer,
-        &mut scoped_deliveries,
-        &plumb,
-        &mut layer,
-    );
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
-    scoped_end(protocol, states, scoped_deliveries, end)
-}
-
-/// The parallel twin of [`exec_scoped`], on the shared
-/// [`crate::pipeline`] parallel round loop: worker `i` owns a contiguous
-/// node chunk and, per round, applies each of its nodes' transitions and
-/// immediately resolves the node's emission — broadcasts through the
-/// reverse-port map, port-selected sends via the same early-exit
-/// count-draw the serial engine uses — into a private
-/// [`crate::parbuf::DeliveryBuffer`] plus a worker-local
-/// [`ScopedDelivery`] transcript. Phase 2b runs per the policy's
-/// [`crate::parbuf::RoundMode`]: merged between rounds (`Joined`) or
-/// deferred into the next round's worker scope over per-worker
-/// [`crate::engine::PlaneShard`]s (`Fused`, one join per round).
-///
-/// Bit-identical to [`exec_scoped`] for every seed, worker count, merge
-/// strategy, and round mode:
-///
-/// * a node's RNG draws happen in the serial order (transition draw, then
-///   target draw) because both phases of a node run back to back on its
-///   own stream, and target selection reads only the frozen read plane —
-///   which no worker mutates while any observation of the round can see
-///   it;
-/// * the scoped-delivery witness list is the round-major concatenation
-///   of the worker transcripts in worker order, i.e. ascending sender
-///   order — exactly the serial engine's push order;
-/// * the landed port store is byte-identical by the slot-uniqueness /
-///   commutative-counts argument of the [`crate::parbuf`] module docs.
-///
-/// `observer` fires after each round's states are complete — the same
-/// post-round states the serial engine reports. The
-/// [`crate::Simulation`] builder delegates to the serial engine when
-/// [`ParallelPolicy::use_serial`] says the instance is too small, so
-/// this function always runs the chunked machinery.
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_scoped_parallel<P, O>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    max_rounds: u64,
-    policy: &ParallelPolicy,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-    faults: FaultsArg<'_>,
-    steals: &mut StealStats,
-) -> Result<(ScopedOutcome, Vec<P::State>), ExecError>
-where
-    P: ScopedMultiFsm + Sync,
-    P::State: Send + Sync,
-    O: crate::sync_exec::SyncObserver<P::State>,
-{
-    debug_assert_eq!(
-        inputs.len(),
-        graph.node_count(),
-        "the builder validates input length"
-    );
-    let (fctx, fout) = compile_faults(faults, graph, protocol.alphabet().len())?;
-    // The identical per-node streams (or restored mid-run streams) of
-    // the serial engine.
-    let (mut states, mut planes, mut rngs, mut scoped_deliveries, plumb, tally) =
-        scoped_start(protocol, graph, inputs, seed, snap, fctx.is_some())?;
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let end = pipeline::run_parallel(
-        &ScopedStep(protocol),
-        graph,
-        &mut planes,
-        &mut states,
-        &mut rngs,
-        policy,
-        max_rounds,
-        observer,
-        &mut scoped_deliveries,
-        &plumb,
-        &mut layer,
-        steals,
-    );
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
-    scoped_end(protocol, states, scoped_deliveries, end)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExecError;
     use stoneage_core::Alphabet;
     use stoneage_graph::generators;
 

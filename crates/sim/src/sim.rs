@@ -1,36 +1,29 @@
-//! The unified **`Simulation` builder**: one entry point over the
-//! synchronous, scoped, and asynchronous executors.
-//!
-//! Three PRs of engine work had fragmented the crate's surface into a
-//! dozen `run_*` free functions — one per (backend × inputs × observer ×
-//! parallelism) combination — three config structs, three outcome types,
-//! and two observer traits. Every new capability multiplied the function
-//! count instead of composing. This module replaces that combinatorial
-//! layer with a single builder:
+//! The **`Simulation` builder**: one entry point over the synchronous,
+//! scoped, and asynchronous executors.
 //!
 //! * **One entry point.** [`Simulation`] owns the graph, protocol, seed,
-//!   inputs, budget, observer, parallel policy, and backend selection;
-//!   [`Simulation::run`] executes whichever [`Backend`] is selected.
+//!   inputs, budget, observer, parallel policy, churn and fault plans,
+//!   checkpoint cadence, and backend selection; [`Simulation::run`]
+//!   executes whichever [`Backend`] is selected.
+//! * **One executor per transition flavour.** Each constructor stores
+//!   the executor of its protocol's flavour: the lockstep
+//!   [`crate::pipeline`] with the sync or the scoped step, or the
+//!   asynchronous event loop. Selecting a backend the flavour cannot
+//!   drive is an [`ExecError::Config`] naming the constructor it needs.
 //! * **One outcome.** [`Outcome`] carries the per-node outputs, the final
-//!   per-node *states* (which the legacy outcome types discarded), a
-//!   normalized [`Cost`], the worker count the run actually used, and the
-//!   backend-specific extras in [`Detail`].
-//! * **One observer.** [`Observer`] subsumes the legacy
-//!   [`SyncObserver`] / [`AsyncObserver`] pair with default no-op
-//!   hooks; existing observers keep working through the [`AdaptSync`] and
-//!   [`AdaptAsync`] adapters.
+//!   per-node states, a normalized [`Cost`], the worker count the run
+//!   actually used, and the backend-specific extras in [`Detail`].
+//! * **One observer.** [`Observer`] is the only observer trait, with
+//!   default no-op hooks, so an observer implements only what it
+//!   watches. The executors are generic over it: a run without an
+//!   observer calls no hook at all.
 //!
-//! The builder is a *veneer*: it dispatches to the exact engines the
-//! retired `run_*` functions ran, so outcomes are **bit-identical per
-//! seed** to every legacy entry point it replaced (pinned by the
-//! fingerprint suite in `tests/builder_parity.rs` and by the unchanged
-//! fingerprint constants). The `run_*` shims themselves are gone — the
-//! builder is the *only* entry point; see the README migration table.
+//! Outcomes are **bit-identical per seed** across every schedule of a
+//! backend, and pinned by recorded fingerprint constants
+//! (`tests/builder_parity.rs` and the per-subsystem suites).
 //! Cross-cutting capabilities land here once and serve every backend:
 //! [`Simulation::checkpoint_every`] / [`Simulation::resume_from`] wire
-//! the [`crate::snapshot`] layer through all three executors, and future
-//! backends become new [`Backend`] variants or [`AsyncOptions`] fields
-//! instead of four more free functions each.
+//! the [`crate::snapshot`] layer through all three executors.
 //!
 //! # Example
 //!
@@ -72,18 +65,16 @@ use std::fmt;
 use stoneage_core::{Fsm, MultiFsm, Protocol};
 use stoneage_graph::{Graph, NodeId, TopologyEvent};
 
-use crate::churn::{self, ChurnPlan, ChurnSummary};
-use crate::faults::{FaultPlan, FaultScope, FaultSummary, FaultWire, FaultsArg, LinkFault};
+use crate::churn::{ChurnPlan, ChurnSummary};
+use crate::faults::{FaultPlan, FaultScope, FaultSummary, LinkFault};
 #[cfg(feature = "parallel")]
 use crate::parbuf::ParallelPolicy;
 use crate::parbuf::StealStats;
-use crate::scoped::{self, ScopedDelivery, ScopedMultiFsm, ScopedOutcome};
+use crate::pipeline::{self, RoundStep};
+use crate::scoped::{ScopedDelivery, ScopedMultiFsm, ScopedOutcome, ScopedStep};
 use crate::snapshot::{self, SnapArgs, SnapMeta, SnapState, Snapshot, SnapshotError, StateCodec};
-use crate::sync_exec::{self, NoopObserver, SyncConfig, SyncObserver, SyncOutcome};
-use crate::{
-    async_exec, Adversary, AsyncConfig, AsyncObserver, AsyncOutcome, ExecError, NoopAsyncObserver,
-    SchedulerKind,
-};
+use crate::sync_exec::{SyncOutcome, SyncStep};
+use crate::{async_exec, Adversary, AsyncOutcome, ExecError, SchedulerKind};
 
 /// The normalized run-time of a completed simulation, in the unit native
 /// to the backend that produced it.
@@ -97,9 +88,6 @@ pub enum Cost {
     /// parameter consumed — the paper's *time unit* measure
     /// `T_Π(I, A, R)` (Async backend).
     TimeUnits(f64),
-    /// Discrete engine events. Reserved for event-budgeted backends
-    /// (no current backend reports its cost this way).
-    Events(u64),
 }
 
 impl Cost {
@@ -108,7 +96,6 @@ impl Cost {
         match *self {
             Cost::Rounds(r) => r as f64,
             Cost::TimeUnits(t) => t,
-            Cost::Events(e) => e as f64,
         }
     }
 }
@@ -207,7 +194,7 @@ pub struct Outcome<P: Protocol> {
     pub workers: usize,
     /// Work-stealing counters: chunks executed and chunks stolen by a
     /// non-owner worker. All-zero unless the run used a
-    /// [`ParallelPolicy`] with [`crate::ChunkScheduler::Stealing`]
+    /// [`crate::ParallelPolicy`] with [`crate::ChunkScheduler::Stealing`]
     /// (`chunks` counts descriptors, so it is zero on the static
     /// schedule too). `chunks` is deterministic; **`steals` is
     /// timing-dependent** — report it, never fingerprint it.
@@ -319,11 +306,11 @@ impl<P: Protocol> Outcome<P> {
     }
 }
 
-/// The unified execution observer: one trait over every backend, with
-/// default no-op hooks so an observer implements only what it watches.
-///
-/// Existing [`SyncObserver`] / [`AsyncObserver`] implementations plug in
-/// unchanged through [`AdaptSync`] / [`AdaptAsync`].
+/// The execution observer: one trait over every backend, with default
+/// no-op hooks so an observer implements only what it watches. The
+/// round-based backends call [`Observer::on_round_end`], the Async
+/// backend [`Observer::on_step`], and every backend
+/// [`Observer::on_checkpoint`] when a checkpoint cadence is set.
 pub trait Observer<S> {
     /// Called by the round-based backends (Sync, Scoped) after round
     /// `round` (1-based) has been applied to all nodes.
@@ -379,60 +366,11 @@ impl<S, O: Observer<S> + ?Sized> Observer<S> for Box<O> {
     }
 }
 
-/// Adapts any legacy [`SyncObserver`] into the
-/// unified [`Observer`] (its `on_step` hook stays a no-op).
-pub struct AdaptSync<O>(pub O);
-
-impl<S, O: SyncObserver<S>> Observer<S> for AdaptSync<O> {
-    fn on_round_end(&mut self, round: u64, states: &[S]) {
-        self.0.on_round_end(round, states);
-    }
-
-    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        self.0.on_checkpoint(snapshot);
-    }
-}
-
-/// Adapts any legacy [`AsyncObserver`] into the
-/// unified [`Observer`] (its `on_round_end` hook stays a no-op).
-pub struct AdaptAsync<O>(pub O);
-
-impl<S, O: AsyncObserver<S>> Observer<S> for AdaptAsync<O> {
-    fn on_step(&mut self, time: f64, v: NodeId, t: u64, state: &S) {
-        self.0.on_step(time, v, t, state);
-    }
-
-    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        self.0.on_checkpoint(snapshot);
-    }
-}
-
-/// Bridges the unified observer back onto the engines' legacy hook
-/// traits, so the engines stay monomorphized over one observer shape.
-struct Bridge<'a, 'o, S>(&'a mut (dyn Observer<S> + 'o));
-
-impl<S> SyncObserver<S> for Bridge<'_, '_, S> {
-    fn on_round_end(&mut self, round: u64, states: &[S]) {
-        self.0.on_round_end(round, states);
-    }
-
-    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        self.0.on_checkpoint(snapshot);
-    }
-}
-
-impl<S> AsyncObserver<S> for Bridge<'_, '_, S> {
-    fn on_step(&mut self, time: f64, v: NodeId, t: u64, state: &S) {
-        self.0.on_step(time, v, t, state);
-    }
-
-    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        self.0.on_checkpoint(snapshot);
-    }
-}
+/// The observer of a run nobody observes: every hook a no-op.
+impl<S> Observer<S> for () {}
 
 /// Options of the asynchronous backend: the oblivious adversary plus the
-/// scheduler knobs of the legacy [`AsyncConfig`].
+/// scheduler knobs of the legacy [`crate::AsyncConfig`].
 #[derive(Clone, Copy)]
 pub struct AsyncOptions<'a> {
     /// The oblivious scheduling policy choosing every step length
@@ -487,9 +425,7 @@ impl fmt::Debug for AsyncOptions<'_> {
 /// this ([`Simulation::sync`] → `Sync`, [`Simulation::scoped`] →
 /// `Scoped`, [`Simulation::asynchronous`] → `Async`); selecting a
 /// backend the protocol cannot drive is reported as
-/// [`ExecError::Config`] at [`Simulation::run`] time. Future executors
-/// (adaptive-resize wheel, NUMA-sharded schedules) slot in as new
-/// variants or [`AsyncOptions`] fields.
+/// [`ExecError::Config`] at [`Simulation::run`] time.
 #[derive(Clone, Copy, Debug, Default)]
 pub enum Backend<'a> {
     /// The lockstep synchronous round executor for
@@ -505,588 +441,26 @@ pub enum Backend<'a> {
     Async(AsyncOptions<'a>),
 }
 
-impl Backend<'_> {
-    /// Diagnostic name used in [`ExecError::Config`] messages.
-    fn name(&self) -> &'static str {
-        match self {
-            Backend::Sync => "Sync",
-            Backend::Scoped => "Scoped",
-            Backend::Async(_) => "Async",
-        }
-    }
-}
-
-/// A capability row captured (monomorphized) by the constructor matching
-/// the protocol's transition flavor; `run` dispatches through whichever
-/// row the selected backend needs and reports a mismatch as
-/// [`ExecError::Config`].
-type ObsArg<'a, P> = Option<&'a mut dyn Observer<<P as Protocol>::State>>;
-
-/// The snapshot plumbing every capability row threads to its engine:
-/// cadence, resume frame, state codec, and the binding header metadata.
-type SnapRef<'a, P> = &'a SnapArgs<'a, <P as Protocol>::State>;
-
-type SyncFn<P> = fn(
-    &P,
-    &Graph,
-    &[usize],
-    &SyncConfig,
-    ObsArg<'_, P>,
-    SnapRef<'_, P>,
-    FaultsArg<'_>,
-) -> Result<(SyncOutcome, Vec<<P as Protocol>::State>), ExecError>;
-
-type AsyncFn<P> = fn(
-    &P,
-    &Graph,
-    &[usize],
-    &dyn Adversary,
-    &AsyncConfig,
-    ObsArg<'_, P>,
-    SnapRef<'_, P>,
-    FaultsArg<'_>,
-) -> Result<(AsyncOutcome, Vec<<P as Protocol>::State>), ExecError>;
-
-type ScopedFn<P> = fn(
-    &P,
-    &Graph,
-    &[usize],
-    u64,
-    u64,
-    ObsArg<'_, P>,
-    SnapRef<'_, P>,
-    FaultsArg<'_>,
-) -> Result<(ScopedOutcome, Vec<<P as Protocol>::State>), ExecError>;
-
-#[cfg(feature = "parallel")]
-type SyncParFn<P> = fn(
-    &P,
-    &Graph,
-    &[usize],
-    &SyncConfig,
-    &ParallelPolicy,
-    ObsArg<'_, P>,
-    SnapRef<'_, P>,
-    FaultsArg<'_>,
-    &mut StealStats,
-) -> Result<(SyncOutcome, Vec<<P as Protocol>::State>), ExecError>;
-
-#[cfg(feature = "parallel")]
-type ScopedParFn<P> = fn(
-    &P,
-    &Graph,
-    &[usize],
-    u64,
-    u64,
-    &ParallelPolicy,
-    ObsArg<'_, P>,
-    SnapRef<'_, P>,
-    FaultsArg<'_>,
-    &mut StealStats,
-) -> Result<(ScopedOutcome, Vec<<P as Protocol>::State>), ExecError>;
-
-type SyncChurnFn<P> =
-    fn(
-        &P,
-        &Graph,
-        &[usize],
-        &SyncConfig,
-        &ChurnPlan,
-        ObsArg<'_, P>,
-        SnapRef<'_, P>,
-        FaultsArg<'_>,
-    ) -> Result<(SyncOutcome, Vec<<P as Protocol>::State>, ChurnSummary), ExecError>;
-
-type AsyncChurnFn<P> =
-    fn(
-        &P,
-        &Graph,
-        &[usize],
-        &dyn Adversary,
-        &AsyncConfig,
-        &ChurnPlan,
-        ObsArg<'_, P>,
-        SnapRef<'_, P>,
-        FaultsArg<'_>,
-    ) -> Result<(AsyncOutcome, Vec<<P as Protocol>::State>, ChurnSummary), ExecError>;
-
-type ScopedChurnFn<P> =
-    fn(
-        &P,
-        &Graph,
-        &[usize],
-        u64,
-        u64,
-        &ChurnPlan,
-        ObsArg<'_, P>,
-        SnapRef<'_, P>,
-        FaultsArg<'_>,
-    ) -> Result<(ScopedOutcome, Vec<<P as Protocol>::State>, ChurnSummary), ExecError>;
-
-#[cfg(feature = "parallel")]
-type SyncChurnParFn<P> =
-    fn(
-        &P,
-        &Graph,
-        &[usize],
-        &SyncConfig,
-        &ChurnPlan,
-        &ParallelPolicy,
-        ObsArg<'_, P>,
-        SnapRef<'_, P>,
-        FaultsArg<'_>,
-        &mut StealStats,
-    ) -> Result<(SyncOutcome, Vec<<P as Protocol>::State>, ChurnSummary), ExecError>;
-
-#[cfg(feature = "parallel")]
-type ScopedChurnParFn<P> =
-    fn(
-        &P,
-        &Graph,
-        &[usize],
-        u64,
-        u64,
-        &ChurnPlan,
-        &ParallelPolicy,
-        ObsArg<'_, P>,
-        SnapRef<'_, P>,
-        FaultsArg<'_>,
-        &mut StealStats,
-    ) -> Result<(ScopedOutcome, Vec<<P as Protocol>::State>, ChurnSummary), ExecError>;
-
-struct Caps<P: Protocol> {
-    sync: Option<SyncFn<P>>,
-    async_run: Option<AsyncFn<P>>,
-    scoped: Option<ScopedFn<P>>,
-    sync_churn: Option<SyncChurnFn<P>>,
-    async_churn: Option<AsyncChurnFn<P>>,
-    scoped_churn: Option<ScopedChurnFn<P>>,
-    #[cfg(feature = "parallel")]
-    sync_par: Option<SyncParFn<P>>,
-    #[cfg(feature = "parallel")]
-    scoped_par: Option<ScopedParFn<P>>,
-    #[cfg(feature = "parallel")]
-    sync_churn_par: Option<SyncChurnParFn<P>>,
-    #[cfg(feature = "parallel")]
-    scoped_churn_par: Option<ScopedChurnParFn<P>>,
-}
-
-impl<P: Protocol> Caps<P> {
-    fn none() -> Self {
-        Caps {
-            sync: None,
-            async_run: None,
-            scoped: None,
-            sync_churn: None,
-            async_churn: None,
-            scoped_churn: None,
-            #[cfg(feature = "parallel")]
-            sync_par: None,
-            #[cfg(feature = "parallel")]
-            scoped_par: None,
-            #[cfg(feature = "parallel")]
-            sync_churn_par: None,
-            #[cfg(feature = "parallel")]
-            scoped_churn_par: None,
-        }
-    }
-}
-
-fn cap_sync<P: MultiFsm>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    config: &SyncConfig,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-) -> Result<(SyncOutcome, Vec<P::State>), ExecError> {
-    match observer {
-        Some(o) => sync_exec::exec_sync(
-            protocol,
-            graph,
-            inputs,
-            config,
-            &mut Bridge(o),
-            snap,
-            faults,
-        ),
-        None => sync_exec::exec_sync(
-            protocol,
-            graph,
-            inputs,
-            config,
-            &mut NoopObserver,
-            snap,
-            faults,
+/// The configuration error of a backend the builder's protocol cannot
+/// drive, naming the constructor that backend needs.
+fn mismatch(backend: Backend<'_>) -> ExecError {
+    let (name, constructor) = match backend {
+        Backend::Sync => ("Sync", "sync"),
+        Backend::Scoped => ("Scoped", "scoped"),
+        Backend::Async(_) => ("Async", "asynchronous"),
+    };
+    ExecError::Config {
+        reason: format!(
+            "the {name} backend needs a protocol with the matching transition flavor: \
+             construct the builder with Simulation::{constructor}"
         ),
     }
 }
 
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn cap_sync_par<P>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    config: &SyncConfig,
-    policy: &ParallelPolicy,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-    steals: &mut StealStats,
-) -> Result<(SyncOutcome, Vec<P::State>), ExecError>
-where
-    P: MultiFsm + Sync,
-    P::State: Send + Sync,
-{
-    match observer {
-        Some(o) => sync_exec::exec_sync_parallel(
-            protocol,
-            graph,
-            inputs,
-            config,
-            policy,
-            &mut Bridge(o),
-            snap,
-            faults,
-            steals,
-        ),
-        None => sync_exec::exec_sync_parallel(
-            protocol,
-            graph,
-            inputs,
-            config,
-            policy,
-            &mut NoopObserver,
-            snap,
-            faults,
-            steals,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cap_async<P: Fsm>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    adversary: &dyn Adversary,
-    config: &AsyncConfig,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-) -> Result<(AsyncOutcome, Vec<P::State>), ExecError> {
-    match observer {
-        Some(o) => async_exec::exec_async(
-            protocol,
-            graph,
-            inputs,
-            adversary,
-            config,
-            &mut Bridge(o),
-            snap,
-            faults,
-        ),
-        None => async_exec::exec_async(
-            protocol,
-            graph,
-            inputs,
-            adversary,
-            config,
-            &mut NoopAsyncObserver,
-            snap,
-            faults,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cap_scoped<P: ScopedMultiFsm>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    max_rounds: u64,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-) -> Result<(ScopedOutcome, Vec<P::State>), ExecError> {
-    match observer {
-        Some(o) => scoped::exec_scoped(
-            protocol,
-            graph,
-            inputs,
-            seed,
-            max_rounds,
-            &mut Bridge(o),
-            snap,
-            faults,
-        ),
-        None => scoped::exec_scoped(
-            protocol,
-            graph,
-            inputs,
-            seed,
-            max_rounds,
-            &mut NoopObserver,
-            snap,
-            faults,
-        ),
-    }
-}
-
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn cap_scoped_par<P>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    max_rounds: u64,
-    policy: &ParallelPolicy,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-    steals: &mut StealStats,
-) -> Result<(ScopedOutcome, Vec<P::State>), ExecError>
-where
-    P: ScopedMultiFsm + Sync,
-    P::State: Send + Sync,
-{
-    match observer {
-        Some(o) => scoped::exec_scoped_parallel(
-            protocol,
-            graph,
-            inputs,
-            seed,
-            max_rounds,
-            policy,
-            &mut Bridge(o),
-            snap,
-            faults,
-            steals,
-        ),
-        None => scoped::exec_scoped_parallel(
-            protocol,
-            graph,
-            inputs,
-            seed,
-            max_rounds,
-            policy,
-            &mut NoopObserver,
-            snap,
-            faults,
-            steals,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cap_sync_churn<P: MultiFsm>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    config: &SyncConfig,
-    plan: &ChurnPlan,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-) -> Result<(SyncOutcome, Vec<P::State>, ChurnSummary), ExecError> {
-    match observer {
-        Some(o) => churn::exec_sync_churn(
-            protocol,
-            base,
-            inputs,
-            config,
-            plan,
-            &mut Bridge(o),
-            snap,
-            faults,
-        ),
-        None => churn::exec_sync_churn(
-            protocol,
-            base,
-            inputs,
-            config,
-            plan,
-            &mut NoopObserver,
-            snap,
-            faults,
-        ),
-    }
-}
-
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn cap_sync_churn_par<P>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    config: &SyncConfig,
-    plan: &ChurnPlan,
-    policy: &ParallelPolicy,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-    steals: &mut StealStats,
-) -> Result<(SyncOutcome, Vec<P::State>, ChurnSummary), ExecError>
-where
-    P: MultiFsm + Sync,
-    P::State: Send + Sync,
-{
-    match observer {
-        Some(o) => churn::exec_sync_churn_parallel(
-            protocol,
-            base,
-            inputs,
-            config,
-            plan,
-            policy,
-            &mut Bridge(o),
-            snap,
-            faults,
-            steals,
-        ),
-        None => churn::exec_sync_churn_parallel(
-            protocol,
-            base,
-            inputs,
-            config,
-            plan,
-            policy,
-            &mut NoopObserver,
-            snap,
-            faults,
-            steals,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cap_async_churn<P: Fsm>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    adversary: &dyn Adversary,
-    config: &AsyncConfig,
-    plan: &ChurnPlan,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-) -> Result<(AsyncOutcome, Vec<P::State>, ChurnSummary), ExecError> {
-    match observer {
-        Some(o) => async_exec::exec_async_churn(
-            protocol,
-            base,
-            inputs,
-            adversary,
-            config,
-            plan,
-            &mut Bridge(o),
-            snap,
-            faults,
-        ),
-        None => async_exec::exec_async_churn(
-            protocol,
-            base,
-            inputs,
-            adversary,
-            config,
-            plan,
-            &mut NoopAsyncObserver,
-            snap,
-            faults,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cap_scoped_churn<P: ScopedMultiFsm>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    max_rounds: u64,
-    plan: &ChurnPlan,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-) -> Result<(ScopedOutcome, Vec<P::State>, ChurnSummary), ExecError> {
-    match observer {
-        Some(o) => churn::exec_scoped_churn(
-            protocol,
-            base,
-            inputs,
-            seed,
-            max_rounds,
-            plan,
-            &mut Bridge(o),
-            snap,
-            faults,
-        ),
-        None => churn::exec_scoped_churn(
-            protocol,
-            base,
-            inputs,
-            seed,
-            max_rounds,
-            plan,
-            &mut NoopObserver,
-            snap,
-            faults,
-        ),
-    }
-}
-
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn cap_scoped_churn_par<P>(
-    protocol: &P,
-    base: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    max_rounds: u64,
-    plan: &ChurnPlan,
-    policy: &ParallelPolicy,
-    observer: ObsArg<'_, P>,
-    snap: SnapRef<'_, P>,
-    faults: FaultsArg<'_>,
-    steals: &mut StealStats,
-) -> Result<(ScopedOutcome, Vec<P::State>, ChurnSummary), ExecError>
-where
-    P: ScopedMultiFsm + Sync,
-    P::State: Send + Sync,
-{
-    match observer {
-        Some(o) => churn::exec_scoped_churn_parallel(
-            protocol,
-            base,
-            inputs,
-            seed,
-            max_rounds,
-            plan,
-            policy,
-            &mut Bridge(o),
-            snap,
-            faults,
-            steals,
-        ),
-        None => churn::exec_scoped_churn_parallel(
-            protocol,
-            base,
-            inputs,
-            seed,
-            max_rounds,
-            plan,
-            policy,
-            &mut NoopObserver,
-            snap,
-            faults,
-            steals,
-        ),
-    }
-}
+/// The executor a constructor stores for its protocol's transition
+/// flavour: runs the simulation on the inputs [`Simulation::run`]
+/// validated.
+type Exec<'g, P> = fn(Simulation<'g, P>, &[usize]) -> Result<Outcome<P>, ExecError>;
 
 /// The unified simulation builder. See the [module docs](self) for the
 /// design and an end-to-end example.
@@ -1104,21 +478,21 @@ where
 /// protocol in the workspace qualifies (they are plain data shared by
 /// reference across all nodes, per model requirement (M2)).
 pub struct Simulation<'g, P: Protocol> {
-    protocol: &'g P,
-    graph: &'g Graph,
-    seed: u64,
+    pub(crate) protocol: &'g P,
+    pub(crate) graph: &'g Graph,
+    pub(crate) seed: u64,
     inputs: Option<&'g [usize]>,
-    budget: Option<u64>,
+    pub(crate) budget: Option<u64>,
     backend: Backend<'g>,
     observer: Option<&'g mut (dyn Observer<P::State> + 'g)>,
-    churn: Option<&'g ChurnPlan>,
-    faults: Option<&'g FaultPlan>,
+    pub(crate) churn: Option<&'g ChurnPlan>,
+    pub(crate) faults: Option<&'g FaultPlan>,
     #[cfg(feature = "parallel")]
-    policy: Option<ParallelPolicy>,
+    pub(crate) policy: Option<ParallelPolicy>,
     checkpoint: Option<u64>,
     resume: Option<&'g Snapshot>,
     codec: Option<StateCodec<P::State>>,
-    caps: Caps<P>,
+    exec: Exec<'g, P>,
 }
 
 impl<'g, P> Simulation<'g, P>
@@ -1130,15 +504,13 @@ where
     /// synchronous backend ([`Backend::Sync`] preset). Run single-letter
     /// [`Fsm`] protocols here through [`stoneage_core::AsMulti`].
     pub fn sync(protocol: &'g P, graph: &'g Graph) -> Self {
-        let mut caps = Caps::none();
-        caps.sync = Some(cap_sync::<P>);
-        caps.sync_churn = Some(cap_sync_churn::<P>);
-        #[cfg(feature = "parallel")]
-        {
-            caps.sync_par = Some(cap_sync_par::<P>);
-            caps.sync_churn_par = Some(cap_sync_churn_par::<P>);
-        }
-        Simulation::with_caps(protocol, graph, Backend::Sync, caps)
+        Simulation::new(protocol, graph, Backend::Sync, |sim, inputs| {
+            let step = SyncStep(sim.protocol);
+            match sim.backend {
+                Backend::Sync => sim.lockstep(&step, inputs),
+                other => Err(mismatch(other)),
+            }
+        })
     }
 }
 
@@ -1149,15 +521,18 @@ impl<'g, P: Fsm> Simulation<'g, P> {
     /// via [`backend`](Self::backend) to pick a scheduler or bucket
     /// width).
     pub fn asynchronous(protocol: &'g P, graph: &'g Graph, adversary: &'g dyn Adversary) -> Self {
-        let mut caps = Caps::none();
-        caps.async_run = Some(cap_async::<P>);
-        caps.async_churn = Some(cap_async_churn::<P>);
-        Simulation::with_caps(
-            protocol,
-            graph,
-            Backend::Async(AsyncOptions::new(adversary)),
-            caps,
-        )
+        let backend = Backend::Async(AsyncOptions::new(adversary));
+        Simulation::new(protocol, graph, backend, |mut sim, inputs| {
+            let Backend::Async(options) = sim.backend else {
+                return Err(mismatch(sim.backend));
+            };
+            let name = options.adversary.name();
+            let snap = sim.snap_args(snapshot::BACKEND_ASYNC, inputs, Some(name))?;
+            match sim.observer.take() {
+                Some(o) => async_exec::exec(&sim, inputs, &options, &snap, o),
+                None => async_exec::exec(&sim, inputs, &options, &snap, &mut ()),
+            }
+        })
     }
 }
 
@@ -1169,20 +544,18 @@ where
     /// A simulation of a port-select-extension protocol on the scoped
     /// lockstep backend ([`Backend::Scoped`] preset).
     pub fn scoped(protocol: &'g P, graph: &'g Graph) -> Self {
-        let mut caps = Caps::none();
-        caps.scoped = Some(cap_scoped::<P>);
-        caps.scoped_churn = Some(cap_scoped_churn::<P>);
-        #[cfg(feature = "parallel")]
-        {
-            caps.scoped_par = Some(cap_scoped_par::<P>);
-            caps.scoped_churn_par = Some(cap_scoped_churn_par::<P>);
-        }
-        Simulation::with_caps(protocol, graph, Backend::Scoped, caps)
+        Simulation::new(protocol, graph, Backend::Scoped, |sim, inputs| {
+            let step = ScopedStep(sim.protocol);
+            match sim.backend {
+                Backend::Scoped => sim.lockstep(&step, inputs),
+                other => Err(mismatch(other)),
+            }
+        })
     }
 }
 
 impl<'g, P: Protocol> Simulation<'g, P> {
-    fn with_caps(protocol: &'g P, graph: &'g Graph, backend: Backend<'g>, caps: Caps<P>) -> Self {
+    fn new(protocol: &'g P, graph: &'g Graph, backend: Backend<'g>, exec: Exec<'g, P>) -> Self {
         Simulation {
             protocol,
             graph,
@@ -1198,7 +571,7 @@ impl<'g, P: Protocol> Simulation<'g, P> {
             checkpoint: None,
             resume: None,
             codec: None,
-            caps,
+            exec,
         }
     }
 
@@ -1238,9 +611,8 @@ impl<'g, P: Protocol> Simulation<'g, P> {
         self
     }
 
-    /// Attaches the unified [`Observer`]. Round-based backends fire
-    /// `on_round_end`; the Async backend fires `on_step`. Wrap legacy
-    /// observers in [`AdaptSync`] / [`AdaptAsync`].
+    /// Attaches an [`Observer`]. Round-based backends fire
+    /// `on_round_end`; the Async backend fires `on_step`.
     pub fn observe(mut self, observer: &'g mut (dyn Observer<P::State> + 'g)) -> Self {
         self.observer = Some(observer);
         self
@@ -1387,11 +759,7 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     }
 
     /// Executes the selected backend and returns the unified outcome.
-    ///
-    /// Dispatches to the exact engine the corresponding retired `run_*`
-    /// function ran — outcomes are bit-identical per seed to every
-    /// legacy entry point this builder replaced.
-    pub fn run(mut self) -> Result<Outcome<P>, ExecError> {
+    pub fn run(self) -> Result<Outcome<P>, ExecError> {
         let n = self.graph.node_count();
         if self.budget == Some(0) {
             return Err(ExecError::Config {
@@ -1416,368 +784,35 @@ impl<'g, P: Protocol> Simulation<'g, P> {
                 });
             }
         }
-        let zeros;
-        let inputs: &[usize] = match self.inputs {
-            Some(inputs) => inputs,
-            None => {
-                zeros = vec![0usize; n];
-                &zeros
-            }
-        };
-        let observer = self.observer.take();
-        // Every engine call threads an optional FaultWire pointing at
-        // this slot; whichever engine runs writes its final tally here.
-        let fault_plan = self.faults;
-        let mut fault_summary: Option<FaultSummary> = None;
-
-        fn mismatch(backend: &Backend<'_>, constructor: &str) -> ExecError {
-            ExecError::Config {
-                reason: format!(
-                    "the {} backend needs a protocol with the matching transition flavor: \
-                     construct the builder with Simulation::{}",
-                    backend.name(),
-                    constructor
-                ),
-            }
+        #[cfg(feature = "parallel")]
+        if self.policy.is_some() && matches!(self.backend, Backend::Async(_)) {
+            return Err(ExecError::Config {
+                reason: "the Async backend has no parallel schedule: remove the \
+                         ParallelPolicy or select a lockstep backend"
+                    .into(),
+            });
         }
+        let zeros = if self.inputs.is_none() {
+            vec![0usize; n]
+        } else {
+            Vec::new()
+        };
+        let inputs = self.inputs.unwrap_or(&zeros);
+        (self.exec)(self, inputs)
+    }
 
-        match self.backend {
-            Backend::Sync => {
-                let config = SyncConfig {
-                    seed: self.seed,
-                    max_rounds: self.budget.unwrap_or(SyncConfig::default().max_rounds),
-                };
-                let snap = self.snap_args(snapshot::BACKEND_SYNC, inputs, None)?;
-                if let Some(plan) = self.churn {
-                    #[cfg(feature = "parallel")]
-                    if let Some(policy) = self.policy {
-                        let run = self
-                            .caps
-                            .sync_churn_par
-                            .ok_or_else(|| mismatch(&self.backend, "sync"))?;
-                        if !policy.use_serial(n) {
-                            let workers = policy.resolve_workers().min(n.max(1));
-                            let mut steals = StealStats::default();
-                            let (out, states, summary) = run(
-                                self.protocol,
-                                self.graph,
-                                inputs,
-                                &config,
-                                plan,
-                                &policy,
-                                observer,
-                                &snap,
-                                fault_plan.map(|p| FaultWire {
-                                    plan: p,
-                                    out: &mut fault_summary,
-                                }),
-                                &mut steals,
-                            )?;
-                            return Ok(sync_outcome(
-                                out,
-                                states,
-                                workers,
-                                Some(summary),
-                                fault_summary,
-                                steals,
-                            ));
-                        }
-                    }
-                    let run = self
-                        .caps
-                        .sync_churn
-                        .ok_or_else(|| mismatch(&self.backend, "sync"))?;
-                    let (out, states, summary) = run(
-                        self.protocol,
-                        self.graph,
-                        inputs,
-                        &config,
-                        plan,
-                        observer,
-                        &snap,
-                        fault_plan.map(|p| FaultWire {
-                            plan: p,
-                            out: &mut fault_summary,
-                        }),
-                    )?;
-                    return Ok(sync_outcome(
-                        out,
-                        states,
-                        1,
-                        Some(summary),
-                        fault_summary,
-                        StealStats::default(),
-                    ));
-                }
-                #[cfg(feature = "parallel")]
-                if let Some(policy) = self.policy {
-                    let run = self
-                        .caps
-                        .sync_par
-                        .ok_or_else(|| mismatch(&self.backend, "sync"))?;
-                    if !policy.use_serial(n) {
-                        // The shard plan clamps to the node count — report
-                        // what actually runs, not the raw policy value.
-                        let workers = policy.resolve_workers().min(n.max(1));
-                        let mut steals = StealStats::default();
-                        let (out, states) = run(
-                            self.protocol,
-                            self.graph,
-                            inputs,
-                            &config,
-                            &policy,
-                            observer,
-                            &snap,
-                            fault_plan.map(|p| FaultWire {
-                                plan: p,
-                                out: &mut fault_summary,
-                            }),
-                            &mut steals,
-                        )?;
-                        return Ok(sync_outcome(
-                            out,
-                            states,
-                            workers,
-                            None,
-                            fault_summary,
-                            steals,
-                        ));
-                    }
-                }
-                let run = self
-                    .caps
-                    .sync
-                    .ok_or_else(|| mismatch(&self.backend, "sync"))?;
-                let (out, states) = run(
-                    self.protocol,
-                    self.graph,
-                    inputs,
-                    &config,
-                    observer,
-                    &snap,
-                    fault_plan.map(|p| FaultWire {
-                        plan: p,
-                        out: &mut fault_summary,
-                    }),
-                )?;
-                Ok(sync_outcome(
-                    out,
-                    states,
-                    1,
-                    None,
-                    fault_summary,
-                    StealStats::default(),
-                ))
-            }
-            Backend::Scoped => {
-                let max_rounds = self.budget.unwrap_or(SyncConfig::default().max_rounds);
-                let snap = self.snap_args(snapshot::BACKEND_SCOPED, inputs, None)?;
-                if let Some(plan) = self.churn {
-                    #[cfg(feature = "parallel")]
-                    if let Some(policy) = self.policy {
-                        let run = self
-                            .caps
-                            .scoped_churn_par
-                            .ok_or_else(|| mismatch(&self.backend, "scoped"))?;
-                        if !policy.use_serial(n) {
-                            let workers = policy.resolve_workers().min(n.max(1));
-                            let mut steals = StealStats::default();
-                            let (out, states, summary) = run(
-                                self.protocol,
-                                self.graph,
-                                inputs,
-                                self.seed,
-                                max_rounds,
-                                plan,
-                                &policy,
-                                observer,
-                                &snap,
-                                fault_plan.map(|p| FaultWire {
-                                    plan: p,
-                                    out: &mut fault_summary,
-                                }),
-                                &mut steals,
-                            )?;
-                            return Ok(scoped_outcome(
-                                out,
-                                states,
-                                workers,
-                                Some(summary),
-                                fault_summary,
-                                steals,
-                            ));
-                        }
-                    }
-                    let run = self
-                        .caps
-                        .scoped_churn
-                        .ok_or_else(|| mismatch(&self.backend, "scoped"))?;
-                    let (out, states, summary) = run(
-                        self.protocol,
-                        self.graph,
-                        inputs,
-                        self.seed,
-                        max_rounds,
-                        plan,
-                        observer,
-                        &snap,
-                        fault_plan.map(|p| FaultWire {
-                            plan: p,
-                            out: &mut fault_summary,
-                        }),
-                    )?;
-                    return Ok(scoped_outcome(
-                        out,
-                        states,
-                        1,
-                        Some(summary),
-                        fault_summary,
-                        StealStats::default(),
-                    ));
-                }
-                #[cfg(feature = "parallel")]
-                if let Some(policy) = self.policy {
-                    let run = self
-                        .caps
-                        .scoped_par
-                        .ok_or_else(|| mismatch(&self.backend, "scoped"))?;
-                    if !policy.use_serial(n) {
-                        // The shard plan clamps to the node count — report
-                        // what actually runs, not the raw policy value.
-                        let workers = policy.resolve_workers().min(n.max(1));
-                        let mut steals = StealStats::default();
-                        let (out, states) = run(
-                            self.protocol,
-                            self.graph,
-                            inputs,
-                            self.seed,
-                            max_rounds,
-                            &policy,
-                            observer,
-                            &snap,
-                            fault_plan.map(|p| FaultWire {
-                                plan: p,
-                                out: &mut fault_summary,
-                            }),
-                            &mut steals,
-                        )?;
-                        return Ok(scoped_outcome(
-                            out,
-                            states,
-                            workers,
-                            None,
-                            fault_summary,
-                            steals,
-                        ));
-                    }
-                }
-                let run = self
-                    .caps
-                    .scoped
-                    .ok_or_else(|| mismatch(&self.backend, "scoped"))?;
-                let (out, states) = run(
-                    self.protocol,
-                    self.graph,
-                    inputs,
-                    self.seed,
-                    max_rounds,
-                    observer,
-                    &snap,
-                    fault_plan.map(|p| FaultWire {
-                        plan: p,
-                        out: &mut fault_summary,
-                    }),
-                )?;
-                Ok(scoped_outcome(
-                    out,
-                    states,
-                    1,
-                    None,
-                    fault_summary,
-                    StealStats::default(),
-                ))
-            }
-            Backend::Async(options) => {
-                #[cfg(feature = "parallel")]
-                if self.policy.is_some() {
-                    return Err(ExecError::Config {
-                        reason: "the Async backend has no parallel schedule: remove the \
-                                 ParallelPolicy or select a lockstep backend"
-                            .into(),
-                    });
-                }
-                let config = AsyncConfig {
-                    seed: self.seed,
-                    max_events: self.budget.unwrap_or(AsyncConfig::default().max_events),
-                    scheduler: options.scheduler,
-                    bucket_width: options.bucket_width,
-                };
-                let snap = self.snap_args(
-                    snapshot::BACKEND_ASYNC,
-                    inputs,
-                    Some(options.adversary.name()),
-                )?;
-                let (out, states, summary) = match self.churn {
-                    Some(plan) => {
-                        let run = self
-                            .caps
-                            .async_churn
-                            .ok_or_else(|| mismatch(&self.backend, "asynchronous"))?;
-                        let (out, states, summary) = run(
-                            self.protocol,
-                            self.graph,
-                            inputs,
-                            options.adversary,
-                            &config,
-                            plan,
-                            observer,
-                            &snap,
-                            fault_plan.map(|p| FaultWire {
-                                plan: p,
-                                out: &mut fault_summary,
-                            }),
-                        )?;
-                        (out, states, Some(summary))
-                    }
-                    None => {
-                        let run = self
-                            .caps
-                            .async_run
-                            .ok_or_else(|| mismatch(&self.backend, "asynchronous"))?;
-                        let (out, states) = run(
-                            self.protocol,
-                            self.graph,
-                            inputs,
-                            options.adversary,
-                            &config,
-                            observer,
-                            &snap,
-                            fault_plan.map(|p| FaultWire {
-                                plan: p,
-                                out: &mut fault_summary,
-                            }),
-                        )?;
-                        (out, states, None)
-                    }
-                };
-                Ok(Outcome {
-                    outputs: out.outputs,
-                    states,
-                    cost: Cost::TimeUnits(out.normalized_time),
-                    workers: 1,
-                    steals: StealStats::default(),
-                    detail: Detail::Async {
-                        completion_time: out.completion_time,
-                        time_unit: out.time_unit,
-                        total_steps: out.total_steps,
-                        messages_sent: out.messages_sent,
-                        deliveries: out.deliveries,
-                        lost_overwrites: out.lost_overwrites,
-                        churn: summary,
-                        faults: fault_summary,
-                    },
-                })
-            }
+    /// Runs a lockstep backend with `step` through the
+    /// [`crate::pipeline`] executor.
+    fn lockstep<St>(mut self, step: &St, inputs: &[usize]) -> Result<Outcome<P>, ExecError>
+    where
+        St: RoundStep<State = P::State, Proto = P> + Sync,
+        St::Witness: Send,
+        P::State: Send + Sync,
+    {
+        let snap = self.snap_args(St::BACKEND, inputs, None)?;
+        match self.observer.take() {
+            Some(o) => pipeline::exec(step, &self, inputs, snap, o),
+            None => pipeline::exec(step, &self, inputs, snap, ()),
         }
     }
 }
@@ -1861,48 +896,4 @@ fn config_digest(
         d.bytes(name.as_bytes());
     }
     d.finish()
-}
-
-fn sync_outcome<P: Protocol>(
-    out: SyncOutcome,
-    states: Vec<P::State>,
-    workers: usize,
-    churn: Option<ChurnSummary>,
-    faults: Option<FaultSummary>,
-    steals: StealStats,
-) -> Outcome<P> {
-    Outcome {
-        outputs: out.outputs,
-        states,
-        cost: Cost::Rounds(out.rounds),
-        workers,
-        steals,
-        detail: Detail::Sync {
-            messages_sent: out.messages_sent,
-            churn,
-            faults,
-        },
-    }
-}
-
-fn scoped_outcome<P: Protocol>(
-    out: ScopedOutcome,
-    states: Vec<P::State>,
-    workers: usize,
-    churn: Option<ChurnSummary>,
-    faults: Option<FaultSummary>,
-    steals: StealStats,
-) -> Outcome<P> {
-    Outcome {
-        outputs: out.outputs,
-        states,
-        cost: Cost::Rounds(out.rounds),
-        workers,
-        steals,
-        detail: Detail::Scoped {
-            scoped_deliveries: out.scoped_deliveries,
-            churn,
-            faults,
-        },
-    }
 }

@@ -176,6 +176,13 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+/// A snapshot whose body belongs to another backend or configuration:
+/// the wrong witness kind, or a churn cursor or fault tally the resuming
+/// run does not (or does) carry.
+pub(crate) const BODY_KIND: SnapshotError = SnapshotError::DigestMismatch {
+    field: "snapshot body kind",
+};
+
 /// An incremental FNV-1a 64 hasher — the digest primitive of the header
 /// fields and the frame checksum.
 pub(crate) struct Digest(u64);
@@ -743,29 +750,6 @@ pub(crate) struct ResumePoint {
     pub round: u64,
     pub sent: u64,
     pub undecided: u64,
-}
-
-/// What a lockstep round loop needs from the snapshot layer: the
-/// checkpoint cadence, the resume point (if any), the state codec, and
-/// the header digests. Built by the executor entry points from
-/// [`SnapArgs`] after the snapshot body has been decoded and spliced
-/// into the engine.
-pub(crate) struct SnapPlumb<S> {
-    pub every: u64,
-    pub resume: Option<ResumePoint>,
-    pub codec: Option<StateCodec<S>>,
-    pub meta: SnapMeta,
-}
-
-impl<S> SnapPlumb<S> {
-    pub(crate) fn from_args(args: &SnapArgs<'_, S>, resume: Option<ResumePoint>) -> Self {
-        SnapPlumb {
-            every: args.every,
-            resume,
-            codec: args.codec,
-            meta: args.meta,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #![allow(clippy::needless_range_loop)]
 
-//! The lockstep synchronous round executor, on the flat delivery engine.
+//! The lockstep synchronous backend's per-node step, on the flat
+//! delivery engine.
 //!
 //! Implements the *locally synchronous environment* of Section 3.1 in its
 //! strongest (lockstep) form, which trivially satisfies the two
@@ -9,10 +10,12 @@
 //! transmitted by `v` in round `t` (or the last message transmitted prior
 //! to round `t` — `ε` emissions do not overwrite ports).
 //!
-//! The round loop is the shared [`crate::pipeline`] over the epoch-split
-//! [`crate::engine::PortPlanes`] store and allocates nothing per round:
-//! ports live in a flat CSR-indexed store with incremental per-letter
-//! counts ([`crate::engine::FlatPorts`]), observations refill a scratch
+//! [`SyncStep`] is the [`RoundStep`] of this backend; the round loops,
+//! the parallel schedules, churn, faults and checkpoints are the shared
+//! [`crate::pipeline`], over the epoch-split
+//! [`crate::engine::PortPlanes`] store. A round allocates nothing: ports
+//! live in a flat CSR-indexed store with incremental per-letter counts
+//! ([`crate::engine::FlatPorts`]), observations refill a scratch
 //! [`ObsVec`], deliveries resolve through the graph's precomputed
 //! reverse-port map into a reused write buffer, and termination is
 //! detected by an undecided-node counter updated on state transitions.
@@ -20,31 +23,29 @@
 //! ([`crate::reference::run_sync_reference`]), which is kept as a
 //! differential-testing oracle.
 //!
-//! The executor runs [`MultiFsm`] protocols directly (multiple-letter
+//! The backend runs [`MultiFsm`] protocols directly (multiple-letter
 //! queries are free in a synchronous environment by Theorem 3.4); run
 //! single-letter [`stoneage_core::Fsm`] protocols through
 //! [`stoneage_core::AsMulti`].
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use stoneage_core::{Letter, MultiFsm, ObsVec};
 use stoneage_graph::{Graph, NodeId};
 
-use crate::engine::PortPlanes;
-use crate::faults::{fault_config, FaultCtx, FaultLayer, FaultSummary, FaultsArg};
-#[cfg(feature = "parallel")]
-use crate::parbuf::{ParallelPolicy, StealStats};
-use crate::pipeline::{self, DeliverySink, PortRead, RoundEnd, RoundStep};
-use crate::snapshot::{self, SnapArgs, SnapPlumb, Snapshot, SnapshotError};
-use crate::{splitmix64, ExecError};
+use crate::churn::ChurnSummary;
+use crate::faults::FaultSummary;
+use crate::pipeline::{DeliverySink, PortRead, RoundStep};
+use crate::scoped::ScopedDelivery;
+use crate::sim::Detail;
+use crate::snapshot;
 
 /// Configuration of a synchronous execution.
 #[derive(Clone, Copy, Debug)]
 pub struct SyncConfig {
     /// Master seed for the per-node protocol RNGs.
     pub seed: u64,
-    /// Round budget: exceeding it aborts with [`ExecError::RoundLimit`].
+    /// Round budget: exceeding it aborts with [`crate::ExecError::RoundLimit`].
     pub max_rounds: u64,
 }
 
@@ -79,53 +80,6 @@ pub struct SyncOutcome {
     pub messages_sent: u64,
 }
 
-/// Hook invoked by the synchronous executor at the end of every round,
-/// with the full post-round state vector. Used by the analysis
-/// experiments (tournament lengths, edge decay) to instrument protocols
-/// from outside. Subsumed by the unified [`crate::sim::Observer`]; kept
-/// so existing observers keep compiling (adapt them with
-/// [`crate::sim::AdaptSync`]).
-pub trait SyncObserver<S> {
-    /// Called after round `round` (1-based) has been applied to all nodes.
-    fn on_round_end(&mut self, round: u64, states: &[S]);
-
-    /// Called with every boundary checkpoint the run takes (the
-    /// [`crate::Simulation::checkpoint_every`] cadence). Default: ignore.
-    fn on_checkpoint(&mut self, _snapshot: &Snapshot) {}
-}
-
-impl<S, O: SyncObserver<S> + ?Sized> SyncObserver<S> for &mut O {
-    fn on_round_end(&mut self, round: u64, states: &[S]) {
-        (**self).on_round_end(round, states);
-    }
-    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        (**self).on_checkpoint(snapshot);
-    }
-}
-
-/// An observer that does nothing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopObserver;
-
-impl<S> SyncObserver<S> for NoopObserver {
-    fn on_round_end(&mut self, _round: u64, _states: &[S]) {}
-}
-
-/// The per-node RNG streams: a pure function of `(seed, node id)`, shared
-/// by the serial and parallel executors so their draws are identical.
-pub(crate) fn seed_rngs(n: usize, seed: u64) -> Vec<SmallRng> {
-    (0..n as u64)
-        .map(|v| SmallRng::seed_from_u64(splitmix64(seed ^ splitmix64(v))))
-        .collect()
-}
-
-fn collect_outputs<P: MultiFsm>(protocol: &P, states: &[P::State]) -> Vec<u64> {
-    states
-        .iter()
-        .map(|q| protocol.output(q).expect("output configuration"))
-        .collect()
-}
-
 /// The [`RoundStep`] of plain `MultiFsm` protocols: sample δ, then
 /// resolve any non-`ε` emission as a full broadcast (which consumes no
 /// randomness and reads no ports — the simplest pipeline step).
@@ -133,19 +87,15 @@ pub(crate) struct SyncStep<'p, P>(pub(crate) &'p P);
 
 impl<P: MultiFsm> RoundStep for SyncStep<'_, P> {
     type State = P::State;
+    type Proto = P;
     type Emission = Option<Letter>;
     type Witness = ();
 
-    fn bound(&self) -> u8 {
-        self.0.bound()
-    }
+    const SALT: u64 = 0;
+    const BACKEND: u8 = snapshot::BACKEND_SYNC;
 
-    fn decided(&self, q: &P::State) -> bool {
-        self.0.output(q).is_some()
-    }
-
-    fn restart_state(&self, input: usize) -> P::State {
-        self.0.restart_state(input)
+    fn protocol(&self) -> &P {
+        self.0
     }
 
     fn transition(
@@ -182,216 +132,33 @@ impl<P: MultiFsm> RoundStep for SyncStep<'_, P> {
 
     fn absorb(_into: &mut (), _from: &mut ()) {}
 
-    fn witness_slice(_witness: &()) -> Option<&[crate::scoped::ScopedDelivery]> {
+    fn witness_slice(_witness: &()) -> Option<&[ScopedDelivery]> {
         None
     }
-}
 
-/// The engine state a plain-sync run starts from: fresh initial states,
-/// planes, and RNG streams — or, when the snapshot args carry a resume
-/// snapshot, the spliced mid-run state plus the loop's resume point. A
-/// sync snapshot body must carry neither a witness transcript nor a
-/// churn cursor, and must carry a fault tally exactly when the run wires
-/// a fault plan; a mismatch means the snapshot belongs to another
-/// backend or configuration.
-type SyncStart<S> = (
-    Vec<S>,
-    PortPlanes,
-    Vec<SmallRng>,
-    SnapPlumb<S>,
-    FaultSummary,
-);
+    fn restore_witness(witness: Option<Vec<ScopedDelivery>>) -> Option<()> {
+        witness.is_none().then_some(())
+    }
 
-fn sync_start<P: MultiFsm>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    seed: u64,
-    snap: &SnapArgs<'_, P::State>,
-    faulted: bool,
-) -> Result<SyncStart<P::State>, ExecError> {
-    let sigma = protocol.alphabet().len();
-    if let Some(s) = snap.resume {
-        let splice = snapshot::resume_lockstep(s, &snap.codec(), graph, sigma)?;
-        if splice.witness.is_some()
-            || splice.churn_next.is_some()
-            || splice.faults.is_some() != faulted
-        {
-            return Err(ExecError::Snapshot(SnapshotError::DigestMismatch {
-                field: "snapshot body kind",
-            }));
+    fn detail(
+        _witness: (),
+        sent: u64,
+        churn: Option<ChurnSummary>,
+        faults: Option<FaultSummary>,
+    ) -> Detail {
+        Detail::Sync {
+            messages_sent: sent,
+            churn,
+            faults,
         }
-        let tally = splice.faults.unwrap_or_default();
-        let plumb = SnapPlumb::from_args(snap, Some(splice.point));
-        Ok((splice.states, splice.planes, splice.rngs, plumb, tally))
-    } else {
-        Ok((
-            inputs.iter().map(|&i| protocol.initial_state(i)).collect(),
-            PortPlanes::new(graph, sigma, protocol.initial_letter()),
-            seed_rngs(graph.node_count(), seed),
-            SnapPlumb::from_args(snap, None),
-            FaultSummary::default(),
-        ))
     }
-}
-
-/// Compiles the optional fault wiring into `(ctx, out-slot)` — the shared
-/// prologue of every executor entry point. Plan validation failures
-/// surface as [`ExecError::Config`] before the run starts.
-pub(crate) fn compile_faults<'a>(
-    faults: FaultsArg<'a>,
-    graph: &Graph,
-    sigma: usize,
-) -> Result<(Option<FaultCtx>, Option<&'a mut Option<FaultSummary>>), ExecError> {
-    match faults {
-        Some(w) => {
-            let ctx = FaultCtx::new(w.plan, graph, sigma).map_err(fault_config)?;
-            Ok((Some(ctx), Some(w.out)))
-        }
-        None => Ok((None, None)),
-    }
-}
-
-fn sync_end<P: MultiFsm>(
-    protocol: &P,
-    states: Vec<P::State>,
-    end: RoundEnd,
-) -> Result<(SyncOutcome, Vec<P::State>), ExecError> {
-    match end {
-        RoundEnd::Done { rounds, sent } => {
-            let outputs = collect_outputs(protocol, &states);
-            Ok((
-                SyncOutcome {
-                    outputs,
-                    rounds,
-                    messages_sent: sent,
-                },
-                states,
-            ))
-        }
-        RoundEnd::Limit { limit, unfinished } => Err(ExecError::RoundLimit { limit, unfinished }),
-    }
-}
-
-/// The serial synchronous engine: the shared [`crate::pipeline`] round
-/// loop over an epoch-split [`PortPlanes`] store, invoking `observer`
-/// after every round, returning the final per-node state vector next to
-/// the legacy outcome. The [`crate::Simulation`] builder and (through
-/// it) every legacy `run_sync*` shim land here.
-///
-/// Inputs are validated by the builder; this function assumes
-/// `inputs.len() == graph.node_count()`.
-pub(crate) fn exec_sync<P: MultiFsm, O: SyncObserver<P::State>>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    config: &SyncConfig,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-    faults: FaultsArg<'_>,
-) -> Result<(SyncOutcome, Vec<P::State>), ExecError> {
-    debug_assert_eq!(
-        inputs.len(),
-        graph.node_count(),
-        "the builder validates input length"
-    );
-    let (fctx, fout) = compile_faults(faults, graph, protocol.alphabet().len())?;
-    let (mut states, mut planes, mut rngs, plumb, tally) =
-        sync_start(protocol, graph, inputs, config.seed, snap, fctx.is_some())?;
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let end = pipeline::run_serial(
-        &SyncStep(protocol),
-        graph,
-        &mut planes,
-        &mut states,
-        &mut rngs,
-        config.max_rounds,
-        observer,
-        &mut (),
-        &plumb,
-        &mut layer,
-    );
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
-    sync_end(protocol, states, end)
-}
-
-/// The fully parallel synchronous executor: the shared
-/// [`crate::pipeline`] parallel round loop, scheduled per the policy's
-/// [`crate::parbuf::RoundMode`] — `Joined` (phase 1 + 2a scope, join,
-/// phase-2b merge under the policy's
-/// [`crate::parbuf::MergeStrategy`]) or `Fused` (the previous round's
-/// phase 2b landed on per-worker [`crate::engine::PlaneShard`]s inside
-/// the next round's scope; one join per round).
-///
-/// Because every node owns an independent seeded RNG, phase 1 reads only
-/// the frozen read plane, and every flat slot is written at most once
-/// per round (see the [`crate::parbuf`] and [`crate::pipeline`] module
-/// docs for the full argument), outputs, rounds, and message counts are
-/// **bit-identical** to [`exec_sync`] for every seed, policy, worker
-/// count, merge strategy, and round mode. The [`crate::Simulation`]
-/// builder delegates to the serial engine outright when
-/// [`ParallelPolicy::use_serial`] says the instance is too small, so
-/// this function always runs the chunked machinery.
-///
-/// `observer` fires after each round's states are complete — the same
-/// post-round states the serial engine reports.
-///
-/// (The `rayon` crate is not vendored in this offline build; the `rayon`
-/// cargo feature is an alias of `parallel` and selects this same
-/// `std::thread`-based implementation.)
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_sync_parallel<P, O>(
-    protocol: &P,
-    graph: &Graph,
-    inputs: &[usize],
-    config: &SyncConfig,
-    policy: &ParallelPolicy,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-    faults: FaultsArg<'_>,
-    steals: &mut StealStats,
-) -> Result<(SyncOutcome, Vec<P::State>), ExecError>
-where
-    P: MultiFsm + Sync,
-    P::State: Send + Sync,
-    O: SyncObserver<P::State>,
-{
-    debug_assert_eq!(
-        inputs.len(),
-        graph.node_count(),
-        "the builder validates input length"
-    );
-    let (fctx, fout) = compile_faults(faults, graph, protocol.alphabet().len())?;
-    let (mut states, mut planes, mut rngs, plumb, tally) =
-        sync_start(protocol, graph, inputs, config.seed, snap, fctx.is_some())?;
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let end = pipeline::run_parallel(
-        &SyncStep(protocol),
-        graph,
-        &mut planes,
-        &mut states,
-        &mut rngs,
-        policy,
-        config.max_rounds,
-        observer,
-        &mut (),
-        &plumb,
-        &mut layer,
-        steals,
-    );
-    if let Some(out) = fout {
-        *out = Some(layer.tally);
-    }
-    sync_end(protocol, states, end)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{AdaptSync, Simulation};
+    use crate::sim::{Observer, Simulation};
+    use crate::ExecError;
     use stoneage_core::{Alphabet, AsMulti, TableProtocol, TableProtocolBuilder, Transitions};
     use stoneage_graph::generators;
 
@@ -447,14 +214,13 @@ mod tests {
     where
         P: MultiFsm + Sync,
         P::State: Send + Sync,
-        O: SyncObserver<P::State>,
+        O: Observer<P::State>,
     {
-        let mut adapter = AdaptSync(observer);
         Simulation::sync(protocol, graph)
             .seed(config.seed)
             .budget(config.max_rounds)
             .inputs(inputs)
-            .observe(&mut adapter)
+            .observe(observer)
             .run()
             .map(|o| o.into_sync_outcome().expect("sync backend"))
     }
@@ -596,7 +362,7 @@ mod tests {
     #[test]
     fn observer_sees_every_round() {
         struct Counter(u64);
-        impl<S> SyncObserver<S> for Counter {
+        impl<S> Observer<S> for Counter {
             fn on_round_end(&mut self, round: u64, _states: &[S]) {
                 self.0 = round;
             }

@@ -15,10 +15,11 @@
 
 use proptest::prelude::*;
 use stoneage_core::{AsMulti, Synchronized};
-use stoneage_graph::{generators, Graph};
+use stoneage_graph::{generators, Graph, TopologyEvent};
 use stoneage_sim::adversary::{standard_panel, UniformRandom};
 use stoneage_sim::{
-    AsyncOptions, Backend, Cost, ExecError, SchedulerKind, Simulation, SyncObserver,
+    AsyncOptions, Backend, ChurnPlan, Cost, ExecError, Observer, ParallelPolicy, SchedulerKind,
+    Simulation,
 };
 use stoneage_testkit::{
     async_fingerprint, count_neighbors, count_neighbors_quiet, fnv1a, random_beeper,
@@ -83,7 +84,7 @@ fn sync_builder_reproduces_legacy_pinned_fingerprints() {
 /// A counting observer shared by the observed and unobserved runs.
 struct LastRound(u64);
 
-impl<S> SyncObserver<S> for LastRound {
+impl<S> Observer<S> for LastRound {
     fn on_round_end(&mut self, round: u64, _states: &[S]) {
         self.0 = round;
     }
@@ -103,7 +104,7 @@ fn observed_runs_agree_and_fire_identically() {
         .into_sync_outcome()
         .unwrap();
 
-    let mut built_obs = stoneage_sim::AdaptSync(LastRound(0));
+    let mut built_obs = LastRound(0);
     let built = Simulation::sync(&p, &g)
         .seed(11)
         .inputs(&inputs)
@@ -118,7 +119,7 @@ fn observed_runs_agree_and_fire_identically() {
         sync_fingerprint(&built),
         "attaching an observer must not perturb the run"
     );
-    assert_eq!(built_obs.0 .0, built.rounds, "observer saw every round");
+    assert_eq!(built_obs.0, built.rounds, "observer saw every round");
 }
 
 /// Combined fingerprint over (graph family × standard adversary panel)
@@ -300,6 +301,89 @@ fn invalid_builder_states_are_config_errors_not_panics() {
         .run()
         .unwrap_err();
     assert!(matches!(err, ExecError::Config { .. }), "{err}");
+
+    // Every constructor/backend mismatch, with and without a churn plan
+    // and (under `parallel`) a policy, names the constructor the
+    // selected backend needs. A policy on the Async backend is reported
+    // first, whichever constructor built the simulation.
+    let poke = Poke::new();
+    let plan = ChurnPlan::new().at(1, TopologyEvent::Crash(0));
+    #[allow(unused_mut)]
+    let mut policies: Vec<Option<ParallelPolicy>> = vec![None];
+    #[cfg(feature = "parallel")]
+    policies.push(Some(ParallelPolicy::forced(2, Default::default())));
+    let backends = [
+        (Backend::Sync, "sync"),
+        (Backend::Scoped, "scoped"),
+        (Backend::Async(AsyncOptions::new(&adv)), "asynchronous"),
+    ];
+    let mut cases = 0;
+    for (backend, needs) in backends {
+        for churn in [None, Some(&plan)] {
+            for policy in &policies {
+                let errors = [
+                    (
+                        "sync",
+                        mismatch(Simulation::sync(&p, &g), backend, churn, policy),
+                    ),
+                    (
+                        "scoped",
+                        mismatch(Simulation::scoped(&poke, &g), backend, churn, policy),
+                    ),
+                    (
+                        "asynchronous",
+                        mismatch(
+                            Simulation::asynchronous(&pf, &g, &adv),
+                            backend,
+                            churn,
+                            policy,
+                        ),
+                    ),
+                ];
+                for (built_by, err) in errors {
+                    if built_by == needs {
+                        continue;
+                    }
+                    cases += 1;
+                    let cell = format!(
+                        "{built_by} built, {needs} backend, churn {}, policy {}",
+                        churn.is_some(),
+                        policy.is_some()
+                    );
+                    let Some(ExecError::Config { reason }) = err else {
+                        panic!("{cell}: {err:?}");
+                    };
+                    let named = if policy.is_some() && needs == "asynchronous" {
+                        "ParallelPolicy".to_string()
+                    } else {
+                        format!("Simulation::{needs}")
+                    };
+                    assert!(reason.contains(&named), "{cell}: {reason}");
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 6 * 2 * policies.len());
+}
+
+/// The error of one constructor/backend cell, or `None` if it ran.
+fn mismatch<'a, P: stoneage_core::Protocol>(
+    sim: Simulation<'a, P>,
+    backend: Backend<'a>,
+    churn: Option<&'a ChurnPlan>,
+    policy: &Option<ParallelPolicy>,
+) -> Option<ExecError> {
+    let mut sim = sim.backend(backend);
+    if let Some(plan) = churn {
+        sim = sim.with_churn(plan);
+    }
+    #[cfg(feature = "parallel")]
+    if let Some(policy) = policy {
+        sim = sim.parallel(*policy);
+    }
+    #[cfg(not(feature = "parallel"))]
+    let _ = policy;
+    sim.run().err()
 }
 
 proptest! {

@@ -46,8 +46,8 @@ pub mod harness {
     use stoneage_core::{Fsm, MultiFsm};
     use stoneage_graph::Graph;
     use stoneage_sim::{
-        AdaptSync, Adversary, AsyncConfig, AsyncOptions, AsyncOutcome, Backend, ExecError,
-        ScopedMultiFsm, ScopedOutcome, Simulation, SyncConfig, SyncObserver, SyncOutcome,
+        Adversary, AsyncConfig, AsyncOptions, AsyncOutcome, Backend, ExecError, Observer,
+        ScopedMultiFsm, ScopedOutcome, Simulation, SyncConfig, SyncOutcome,
     };
 
     /// Builder twin of the legacy `run_sync`.
@@ -97,14 +97,13 @@ pub mod harness {
     where
         P: MultiFsm + Sync,
         P::State: Send + Sync,
-        O: SyncObserver<P::State>,
+        O: Observer<P::State>,
     {
-        let mut adapter = AdaptSync(observer);
         Simulation::sync(protocol, graph)
             .seed(config.seed)
             .budget(config.max_rounds)
             .inputs(inputs)
-            .observe(&mut adapter)
+            .observe(observer)
             .run()
             .map(|o| o.into_sync_outcome().expect("sync backend"))
     }

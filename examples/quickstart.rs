@@ -7,7 +7,7 @@
 
 use stoneage::graph::{generators, validate};
 use stoneage::protocols::{decode_mis, mis::analysis::MisObserver, MisProtocol};
-use stoneage::sim::{AdaptSync, Simulation};
+use stoneage::sim::Simulation;
 
 fn main() {
     let n = 500;
@@ -19,16 +19,14 @@ fn main() {
     );
 
     // Run the seven-state, b = 1 MIS machine of the paper's Figure 1 on
-    // the synchronous backend, with an observer recording tournaments
-    // (legacy observers plug into the unified builder via AdaptSync).
+    // the synchronous backend, with an observer recording tournaments.
     let protocol = MisProtocol::new();
-    let mut observer = AdaptSync(MisObserver::new(n));
+    let mut observer = MisObserver::new(n);
     let out = Simulation::sync(&protocol, &g)
         .seed(7)
         .observe(&mut observer)
         .run()
         .expect("the MIS protocol terminates with probability 1");
-    let observer = observer.0;
 
     let mis = decode_mis(&out.outputs);
     let size = mis.iter().filter(|&&x| x).count();

@@ -7,7 +7,7 @@ use stoneage::core::{Protocol, SingleLetter, Synchronized};
 use stoneage::graph::{generators, Graph, NodeId};
 use stoneage::protocols::MisProtocol;
 use stoneage::sim::adversary::{Exponential, SlowNodes, UniformRandom};
-use stoneage::sim::{AdaptAsync, Adversary, AsyncObserver, Simulation};
+use stoneage::sim::{Adversary, Observer, Simulation};
 
 /// Tracks, per node, the number of *completed simulation phases* (a phase
 /// completes exactly when the node's state returns to `Pause { check: 0 }`
@@ -33,7 +33,7 @@ impl<'g, S> SkewWatch<'g, S> {
     }
 }
 
-impl<S: Clone + Eq + std::fmt::Debug> AsyncObserver<SyncState<S>> for SkewWatch<'_, S> {
+impl<S: Clone + Eq + std::fmt::Debug> Observer<SyncState<S>> for SkewWatch<'_, S> {
     fn on_step(&mut self, _time: f64, v: NodeId, _t: u64, state: &SyncState<S>) {
         let vi = v as usize;
         let at_phase_start = matches!(state, SyncState::Pause { check: 0, .. });
@@ -60,7 +60,7 @@ impl<S: Clone + Eq + std::fmt::Debug> AsyncObserver<SyncState<S>> for SkewWatch<
 fn check_s1<A: Adversary>(g: &Graph, adv: &A, seed: u64) {
     let pipeline = Synchronized::new(SingleLetter::new(MisProtocol::new()));
     let inputs = vec![0usize; g.node_count()];
-    let mut watch = AdaptAsync(SkewWatch::new(g));
+    let mut watch = SkewWatch::new(g);
     Simulation::asynchronous(&pipeline, g, adv)
         .seed(seed)
         .inputs(&inputs)
@@ -68,7 +68,7 @@ fn check_s1<A: Adversary>(g: &Graph, adv: &A, seed: u64) {
         .run()
         .expect("pipeline terminates");
     // The watch must actually have seen progress.
-    assert!(watch.0.phases.iter().any(|&p| p > 2), "no phases observed");
+    assert!(watch.phases.iter().any(|&p| p > 2), "no phases observed");
 }
 
 #[test]
