@@ -3,8 +3,10 @@
 //! * **sync section** — rounds/sec of the flat delivery engine vs the
 //!   preserved naive reference executor on gnp(50k, avg deg 8);
 //! * **async sweep** — events/sec (and derived rounds/sec) of the
-//!   calendar-wheel scheduler vs the preserved binary-heap scheduler on
-//!   gnp / tree / grid instances under a uniform-random adversary;
+//!   calendar-wheel scheduler vs the binary-heap reference scheduler on
+//!   gnp / tree / grid instances under a uniform-random adversary, also
+//!   under the churn sweep's dense plan and the fault sweep's mixed plan
+//!   (wheel and heap each);
 //! * **parallel sweep** (`--features parallel` builds) — rounds/sec of
 //!   the serial flat engine vs the fully parallel engine (chunked
 //!   phase 1 + sharded-write-buffer phase 2) at several worker counts on
@@ -159,24 +161,33 @@ fn measure(rounds: u64, reps: usize, run: impl Fn() -> Result<SyncOutcome, ExecE
 }
 
 /// Best-rep events/sec of one async scheduler on a fixed event budget,
-/// plus the unfinished-node frontier at the budget (a cheap differential
-/// guard across schedulers).
+/// under an optional churn plan and an optional fault plan, plus the
+/// unfinished-node frontier at the budget (a cheap differential guard
+/// across schedulers).
 fn measure_async(
     g: &Graph,
     scheduler: SchedulerKind,
     max_events: u64,
     reps: usize,
+    churn: Option<&ChurnPlan>,
+    faults: Option<&FaultPlan>,
 ) -> (f64, usize) {
     let p = blinker();
     let adv = UniformRandom { seed: 11 };
     let run = || {
-        Simulation::asynchronous(&p, g, &adv)
+        let mut sim = Simulation::asynchronous(&p, g, &adv)
             .seed(1)
             .budget(max_events)
             .backend(Backend::Async(
                 AsyncOptions::new(&adv).with_scheduler(scheduler),
-            ))
-            .run()
+            ));
+        if let Some(plan) = churn {
+            sim = sim.with_churn(plan);
+        }
+        if let Some(plan) = faults {
+            sim = sim.with_faults(plan);
+        }
+        sim.run()
             .map(|o| o.into_async_outcome().expect("async backend"))
     };
     // Warm-up.
@@ -722,6 +733,15 @@ struct FaultEntry {
     overhead: f64,
 }
 
+/// The fault sweep's mixed plan: 5% drops, 3% single duplicates, 2%
+/// corrupts on every channel.
+fn fault_sweep_plan() -> FaultPlan {
+    FaultPlan::new(17)
+        .drop_rate(0.05)
+        .duplicate_rate(0.03, 1)
+        .corrupt_rate(0.02, Letter(0))
+}
+
 /// Measures the sync engine with an active mixed `FaultPlan` (5% drops,
 /// 3% single duplicates, 2% corrupts) against the fault-free engine on
 /// the same instances, per graph family. Fault decisions are positional
@@ -737,10 +757,7 @@ fn fault_sweep(quick: bool, rounds: u64, reps: usize) -> Vec<FaultEntry> {
         ("grid", generators::grid(side, side)),
     ];
     let p = AsMulti(blinker());
-    let plan = FaultPlan::new(17)
-        .drop_rate(0.05)
-        .duplicate_rate(0.03, 1)
-        .corrupt_rate(0.02, Letter(0));
+    let plan = fault_sweep_plan();
     let mut entries = Vec::new();
     for (family, g) in &graphs {
         let nodes = g.node_count();
@@ -1025,7 +1042,16 @@ struct AsyncEntry {
     heap_rps: f64,
     wheel_rps: f64,
     speedup: f64,
+    /// Events/sec under `churn_sweep_plan`, heap then wheel.
+    churn_eps: (f64, f64),
+    /// Events/sec under `fault_sweep_plan`, heap then wheel.
+    fault_eps: (f64, f64),
 }
+
+/// Boundaries of the async churn plan: one per unit of simulated time,
+/// past the end of every family's run (a blinker step lasts 0.5 on
+/// average).
+const ASYNC_CHURN_ROUNDS: u64 = 32;
 
 fn async_sweep(quick: bool, reps: usize) -> (Vec<AsyncEntry>, u64) {
     let n: usize = if quick { 5_000 } else { 50_000 };
@@ -1037,22 +1063,43 @@ fn async_sweep(quick: bool, reps: usize) -> (Vec<AsyncEntry>, u64) {
         ("tree", generators::random_tree(n, 13)),
         ("grid", generators::grid(side, side)),
     ];
+    let faults = fault_sweep_plan();
     let mut entries = Vec::new();
     for (family, g) in graphs {
         let nodes = g.node_count();
         let edges = g.edge_count();
         eprintln!(
             "engine_bench[async]: {family}(n = {nodes}, |E| = {edges}), \
-             {max_events} events x {reps} reps"
+             {max_events} events x {reps} reps; plain, churn, faults"
         );
-        let (heap_eps, heap_unfinished) =
-            measure_async(&g, SchedulerKind::BinaryHeap, max_events, reps);
-        let (wheel_eps, wheel_unfinished) =
-            measure_async(&g, SchedulerKind::CalendarWheel, max_events, reps);
-        assert_eq!(
-            heap_unfinished, wheel_unfinished,
-            "schedulers reached different frontiers — bit-identity is broken"
-        );
+        let churn = churn_sweep_plan(&g, ASYNC_CHURN_ROUNDS);
+        // Heap and wheel on one plan; they must reach the same frontier.
+        let pair = |churn: Option<&ChurnPlan>, faults: Option<&FaultPlan>| {
+            let (heap_eps, heap_unfinished) = measure_async(
+                &g,
+                SchedulerKind::BinaryHeap,
+                max_events,
+                reps,
+                churn,
+                faults,
+            );
+            let (wheel_eps, wheel_unfinished) = measure_async(
+                &g,
+                SchedulerKind::CalendarWheel,
+                max_events,
+                reps,
+                churn,
+                faults,
+            );
+            assert_eq!(
+                heap_unfinished, wheel_unfinished,
+                "schedulers reached different frontiers — bit-identity is broken"
+            );
+            (heap_eps, wheel_eps)
+        };
+        let (heap_eps, wheel_eps) = pair(None, None);
+        let churn_eps = pair(Some(&churn), None);
+        let fault_eps = pair(None, Some(&faults));
         // A blinker "round" is one step of every node plus its full
         // fan-out: n + 2|E| events. Deterministic given the topology, so
         // rounds/sec is comparable across schedulers and snapshots.
@@ -1066,6 +1113,8 @@ fn async_sweep(quick: bool, reps: usize) -> (Vec<AsyncEntry>, u64) {
             heap_rps: heap_eps / events_per_round,
             wheel_rps: wheel_eps / events_per_round,
             speedup: wheel_eps / heap_eps,
+            churn_eps,
+            fault_eps,
         };
         eprintln!(
             "  heap:  {:>12.0} events/sec ({:.1} rounds/sec)",
@@ -1076,6 +1125,12 @@ fn async_sweep(quick: bool, reps: usize) -> (Vec<AsyncEntry>, u64) {
             entry.wheel_eps, entry.wheel_rps
         );
         eprintln!("  speedup: {:.2}x", entry.speedup);
+        for (label, (heap, wheel)) in [("churn", churn_eps), ("faults", fault_eps)] {
+            eprintln!(
+                "  {label}: heap {heap:>12.0}, wheel {wheel:>12.0} events/sec ({:.2}x)",
+                wheel / heap
+            );
+        }
         entries.push(entry);
     }
     (entries, max_events)
@@ -1372,6 +1427,16 @@ fn main() {
                             ("heap_rounds_per_sec".to_owned(), e.heap_rps.into()),
                             ("wheel_rounds_per_sec".to_owned(), e.wheel_rps.into()),
                             ("speedup".to_owned(), e.speedup.into()),
+                            ("churn_heap_events_per_sec".to_owned(), e.churn_eps.0.into()),
+                            (
+                                "churn_wheel_events_per_sec".to_owned(),
+                                e.churn_eps.1.into(),
+                            ),
+                            ("fault_heap_events_per_sec".to_owned(), e.fault_eps.0.into()),
+                            (
+                                "fault_wheel_events_per_sec".to_owned(),
+                                e.fault_eps.1.into(),
+                            ),
                         ])
                     })
                     .collect(),

@@ -11,12 +11,13 @@
 //!
 //! Also the tool to re-derive the pinned constants after a *deliberate*
 //! semantics change (`PINNED` in `crates/sim/tests/flat_engine.rs`,
-//! `PINNED_ASYNC` in `crates/sim/tests/async_wheel.rs`).
+//! `PINNED_ASYNC` in `crates/sim/tests/async_wheel.rs`, `ASYNC_PINNED`
+//! in `crates/sim/tests/observer_transcripts.rs`).
 
 use stoneage_sim::SchedulerKind;
 use stoneage_testkit::{
-    async_fingerprint, run_async_pinned, run_sync_pinned, sync_fingerprint, ASYNC_PINNED_CASES,
-    SYNC_PINNED_CASES,
+    async_fingerprint, async_transcript, run_async_pinned, run_sync_pinned, sync_fingerprint,
+    ASYNC_PINNED_CASES, ASYNC_TRANSCRIPT_PLANS, SYNC_PINNED_CASES,
 };
 
 fn main() {
@@ -35,6 +36,18 @@ fn main() {
         ] {
             let fp = async_fingerprint(&run_async_pinned(name, seed, scheduler));
             println!("async {name:<12} {label:<9} seed={seed:<6} fp={fp:#018x}");
+        }
+    }
+
+    // Async observer transcripts under churn and fault plans (mirrors
+    // `ASYNC_PINNED` in tests/observer_transcripts.rs), on both queues.
+    for plan in ASYNC_TRANSCRIPT_PLANS {
+        for (label, scheduler) in [
+            ("heap", SchedulerKind::BinaryHeap),
+            ("wheel", SchedulerKind::CalendarWheel),
+        ] {
+            let fp = async_transcript(plan, scheduler);
+            println!("transcript {plan:<12} {label:<9} fp={fp:#018x}");
         }
     }
 }

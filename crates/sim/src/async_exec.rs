@@ -16,36 +16,58 @@
 //! The run-time is reported both as raw completion time and normalized by
 //! the largest `L`/`D` parameter consumed — the paper's **time unit**.
 //!
-//! # Scheduling
+//! # One event loop
 //!
-//! Two schedulers drive the event loop, selected by
-//! [`AsyncConfig::scheduler`]:
+//! Every asynchronous run — churn-free or under a churn plan, with or
+//! without a fault plan — executes on one event loop, monomorphised over
+//! its event queue and its churn hook. The queue is the one
+//! [`AsyncOptions::scheduler`] selects:
 //!
 //! * [`SchedulerKind::CalendarWheel`] (the default) — the hierarchical
-//!   timing wheel of [`crate::schedule`]. Pushes and pops are O(1)
-//!   amortized, and a broadcast's same-arrival-time deliveries are
-//!   **batched per edge run**: one bucket entry drains a whole run with a
-//!   single [`FlatPorts`] write pass instead of one heap pop per letter
-//!   (under quantized or lockstep-like latency schedules this collapses a
-//!   `deg(v)`-way fan-out into one event). On top of the per-edge runs,
-//!   the drain **coalesces per receiver**: consecutive same-instant
-//!   deliveries *to one node* from different senders merge their
-//!   pending-flag and count updates into a single grouped write pass
-//!   ([`FlatPorts::deliver_run`]) — safe because per-edge FIFO makes
-//!   same-instant slots distinct, so the grouped application is
-//!   bit-identical to the heap path's per-letter order.
-//! * [`SchedulerKind::BinaryHeap`] — the original single global
-//!   `BinaryHeap<Reverse<Event>>`, preserved verbatim as the differential
-//!   oracle and benchmark baseline; its push/pop costs the `O(log m)`
-//!   factor the wheel removes.
+//!   timing wheel of [`crate::schedule`], O(1) amortized per push and pop;
+//! * [`SchedulerKind::BinaryHeap`] — one global binary heap over the same
+//!   `(time, seq)` order, `O(log m)` per push and pop: the reference
+//!   queue the wheel is differentially tested against, and the
+//!   benchmark baseline.
 //!
-//! Both paths share every piece of execution state and apply events in the
-//! **exact same `(time, seq)` order**: the wheel orders candidate events
-//! of the current bucket by their exact time and tie-breaking sequence
-//! number, and batches occupy contiguous `seq` ranges, so no foreign event
-//! can interleave a batch that the heap would have split. Outcomes are
-//! bit-identical per seed — pinned by differential and fingerprint tests
-//! in `tests/async_wheel.rs`.
+//! Both pop events in the exact same `(time, seq)` order, so outcomes are
+//! bit-identical per seed on either queue — pinned by differential and
+//! fingerprint tests in `tests/async_wheel.rs`. The churn hook is `()` on
+//! a churn-free run, which builds no universe graph and pays nothing per
+//! event, and the churn controller under a churn plan.
+//!
+//! A step hands out one `seq` per letter it schedules. On a churn-free
+//! run, each maximal run of equal arrival times in a broadcast travels as
+//! one run event occupying the run's contiguous `seq` range, so it sorts
+//! exactly where its letters would one by one and nothing can interleave
+//! them. Every other letter is its own event: a churn run stamps every
+//! step and letter with its node's incarnation (one event cannot carry a
+//! stamp per receiver), and a sender the fault plan touches enqueues its
+//! faulted fan — corrupted letters, and duplicates FIFO-bumped after
+//! their original — with consecutive seqs.
+//!
+//! The loop gathers the consecutive deliveries of one instant into a
+//! batch, counting each against the event budget as it is popped, drops
+//! the stale and tombstoned ones, and applies the rest grouped per
+//! receiver ([`FlatPorts::deliver_run`]). Every arrival on a directed
+//! edge, duplicate or not, is bumped strictly past the edge's FIFO
+//! watermark, so the slots of a batch are pairwise distinct and the
+//! grouped application is bit-identical to one delivery per pop.
+//!
+//! # Churn
+//!
+//! Boundaries are expressed in **absolute time**: the event stamped with
+//! round `r` applies at time `t = r`, before any queue event with time
+//! ≥ `t` — the boundary wins a tie. The loop applies a due boundary
+//! before the event it precedes (pushing that event back with its own
+//! `(time, seq)`), and on a drained queue the next boundary outright: all
+//! live nodes may be gone while a restart is still scheduled. A crash
+//! bumps its node's incarnation, so its pending step and every letter in
+//! flight to it go stale and are dropped when popped, without purging
+//! the queue; a restart schedules the new incarnation's first step.
+//! In-flight letters crossing an edge-delete boundary bounce off the
+//! tombstoned slot; letters in flight across a delete + re-insert window
+//! do land (the channel was re-established before arrival).
 //!
 //! Delivery runs on the flat engine ([`crate::engine`]): each transmission
 //! resolves its receiver-side port slot through the graph's precomputed
@@ -53,22 +75,21 @@
 //! incrementally maintained letter count in O(1) instead of scanning the
 //! node's ports.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use stoneage_core::{BoundedCount, Fsm, Letter};
-use stoneage_graph::{Graph, NodeId};
+use stoneage_core::{BoundedCount, Fsm, Letter, Protocol};
+use stoneage_graph::{Graph, NodeId, TopologyEvent};
 
-use crate::churn::{self, ChurnCtl, ChurnPlan, ChurnSummary, DEAD_OUTPUT};
+use crate::churn::{self, ChurnCtl, DEAD_OUTPUT};
 use crate::engine::{FlatPorts, TOMBSTONE};
-use crate::faults::{self, faulted_sends, FaultLayer, FaultSummary};
+use crate::faults::{self, faulted_sends, FaultCtx, FaultLayer, FaultSummary};
 use crate::parbuf::StealStats;
-use crate::schedule::CalendarQueue;
+use crate::pipeline::BoundaryHook;
+use crate::schedule::{CalendarQueue, EventQueue, HeapQueue};
 use crate::sim::{AsyncOptions, Cost, Detail, Observer, Outcome, Simulation};
-use crate::snapshot::{self, AsyncCapture, BacklogEvent, BacklogKind, SnapArgs, BODY_KIND};
+use crate::snapshot::BacklogKind::{Deliver, Step};
+use crate::snapshot::{self, AsyncCapture, BacklogEvent, SnapArgs, BODY_KIND};
 use crate::{splitmix64, Adversary, ExecError};
 
 /// Which event queue drives the asynchronous executor. See the module
@@ -154,79 +175,69 @@ pub struct AsyncOutcome {
     pub lost_overwrites: u64,
 }
 
-/// Events of the preserved binary-heap path: one entry per delivery.
+/// What a queued event does. A step or letter carries `inc`, the
+/// incarnation of its node when it was scheduled (0 on a churn-free
+/// run): a crash bumps the node's incarnation, so the event goes stale.
 #[derive(Clone, Copy, Debug)]
-enum HeapKind {
-    /// Node applies its next transition.
-    Step(NodeId),
-    /// A letter lands in the flat port store at `slot` (a CSR slot of
-    /// `node`, precomputed from the reverse-port map at transmission
-    /// time — no lookup happens at delivery time).
-    Deliver {
-        node: NodeId,
-        slot: u32,
-        letter: Letter,
-    },
+enum Kind {
+    /// `Step(node, inc)`: the node applies its next transition.
+    Step(NodeId, u32),
+    /// `Deliver(node, slot, letter, inc)`: a letter lands in `slot` of
+    /// `node`, the receiver-side CSR slot precomputed from the
+    /// reverse-port map at transmission time.
+    Deliver(NodeId, u32, Letter, u32),
+    /// `Run(v, from, len, letter)`: deliveries to neighbors
+    /// `from..from + len` of `v` (sender-side port indices), all
+    /// arriving at the same instant. Consumes `len` consecutive `seq`
+    /// values starting at the event's own. Churn-free runs only.
+    Run(NodeId, u32, u32, Letter),
 }
 
-/// Events of the calendar-wheel path. Identical to [`HeapKind`] except
-/// that a run of same-arrival-time deliveries of one broadcast collapses
-/// into a single [`WheelKind::DeliverRun`] occupying the run's contiguous
-/// `seq` range.
-#[derive(Clone, Copy, Debug)]
-enum WheelKind {
-    /// Node applies its next transition.
-    Step(NodeId),
-    /// A single delivery (run of length 1), slot precomputed.
-    Deliver {
-        node: NodeId,
-        slot: u32,
-        letter: Letter,
-    },
-    /// Deliveries to neighbors `from..from + len` of `v` (sender-side
-    /// port indices), all arriving at the same instant: drained with one
-    /// flat write pass. Consumes `len` consecutive `seq` values starting
-    /// at the event's own.
-    DeliverRun {
-        v: NodeId,
-        from: u32,
-        len: u32,
-        letter: Letter,
-    },
+/// The receivers of `v`'s ports `from..from + len` with their
+/// receiver-side flat slots, via the precomputed reverse-port map.
+fn targets(g: &Graph, v: NodeId, from: u32, len: u32) -> impl Iterator<Item = (NodeId, u32)> + '_ {
+    let (nbrs, rev) = (g.neighbors(v), g.reverse_ports(v));
+    (from as usize..(from + len) as usize).map(move |k| {
+        let u = nbrs[k];
+        (u, (g.csr_offset(u) + rev[k] as usize) as u32)
+    })
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Event {
-    time: f64,
-    seq: u64,
-    kind: HeapKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+/// The churn hook of the event loop, on top of the lockstep pipeline's
+/// [`BoundaryHook`] (setup, resume cursor, termination, liveness,
+/// summary): the churn controller on churn runs, `()` on churn-free
+/// runs.
+pub(crate) trait AsyncHook: BoundaryHook {
+    /// Whether events carry incarnation stamps. Without them, a run of
+    /// equal arrivals can travel as one [`Kind::Run`].
+    const STAMPED: bool;
+    /// The time of the next unapplied boundary.
+    #[inline]
+    fn next_boundary(&self) -> Option<f64> {
+        None
+    }
+    /// Applies the next boundary to the liveness overlay. If the event
+    /// is effective, also patches the store (clearing the patched slots'
+    /// pending marks), reboots a restarted node into its protocol's
+    /// restart state, and returns the event.
+    fn boundary<P: Protocol>(
+        &mut self,
+        _protocol: &P,
+        _states: &mut [P::State],
+        _ports: &mut FlatPorts,
+        _pending: &mut [bool],
+    ) -> Option<TopologyEvent> {
+        None
     }
 }
 
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// A churn-free run: no stamps, no boundaries.
+impl AsyncHook for () {
+    const STAMPED: bool = false;
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// The shared execution state of both scheduler paths: everything except
-/// the event queue itself. Keeping it single ensures the wheel rewrite
-/// cannot drift from the preserved heap semantics.
+/// The engine state of an asynchronous run: everything a snapshot
+/// captures except the event queue and the loop counters.
 struct Exec<'a, P: Fsm> {
     protocol: &'a P,
     graph: &'a Graph,
@@ -309,48 +320,6 @@ impl<'a, P: Fsm> Exec<'a, P> {
         }
     }
 
-    /// Serializes a step boundary into a [`Snapshot`]: the shared state
-    /// plus the loop counters and the caller-collected event backlog.
-    #[allow(clippy::too_many_arguments)]
-    fn checkpoint<O>(
-        &self,
-        snap: &SnapArgs<'_, P::State>,
-        events: u64,
-        seq: u64,
-        churn: Option<(&[u32], u64)>,
-        faults: Option<FaultSummary>,
-        backlog: Vec<BacklogEvent>,
-        observer: &mut O,
-    ) where
-        O: Observer<P::State> + ?Sized,
-    {
-        let codec = snap.codec();
-        let s = snapshot::encode_async(
-            snap.meta,
-            &codec,
-            AsyncCapture {
-                total_steps: self.total_steps,
-                events,
-                seq,
-                messages_sent: self.messages_sent,
-                deliveries: self.deliveries,
-                lost_overwrites: self.lost_overwrites,
-                max_param: self.max_param,
-                unfinished: self.unfinished as u64,
-                states: &self.states,
-                letters: self.ports.letters(),
-                pending: &self.pending,
-                last_arrival: &self.last_arrival,
-                step_counts: &self.step_counts,
-                rngs: &self.rngs,
-                churn,
-                faults,
-                backlog,
-            },
-        );
-        observer.on_checkpoint(&s);
-    }
-
     /// One port write with overwrite-loss accounting.
     #[inline]
     fn deliver(&mut self, node: NodeId, slot: usize, letter: Letter) {
@@ -362,30 +331,36 @@ impl<'a, P: Fsm> Exec<'a, P> {
         self.deliveries += 1;
     }
 
-    /// Applies a group of same-instant deliveries **to one receiver**
-    /// (from different senders) with a single count-update pass — the
-    /// wheel loop's per-receiver coalescing. The slots are pairwise
-    /// distinct (per-edge FIFO forbids two same-instant arrivals on one
-    /// directed edge), so the pending flags, overwrite-loss accounting,
-    /// letter swaps, and net count deltas are all order-independent:
-    /// the result is bit-identical to per-letter [`Exec::deliver`] calls
-    /// in the heap path's order.
-    #[inline]
-    fn deliver_grouped(
+    /// Applies a batch of same-instant deliveries grouped by receiver:
+    /// the deliveries to one node merge their count updates into a
+    /// single pass. The slots are pairwise distinct (module docs), so
+    /// the pending flags, overwrite-loss accounting, letter swaps, and
+    /// net count deltas are all order-independent: the result is
+    /// bit-identical to one [`Exec::deliver`] per letter in pop order.
+    fn deliver_batch(
         &mut self,
-        node: NodeId,
-        writes: &[(u32, Letter)],
+        batch: &mut [(NodeId, u32, Letter)],
+        group: &mut Vec<(u32, Letter)>,
         deltas: &mut Vec<(u16, i64)>,
     ) {
-        for &(slot, _) in writes {
-            let slot = slot as usize;
-            if self.pending[slot] {
-                self.lost_overwrites += 1;
+        batch.sort_unstable_by_key(|&(node, slot, _)| (node, slot));
+        for writes in batch.chunk_by(|a, b| a.0 == b.0) {
+            let node = writes[0].0;
+            if let [(_, slot, letter)] = *writes {
+                self.deliver(node, slot as usize, letter);
+                continue;
             }
-            self.pending[slot] = true;
+            group.clear();
+            for &(_, slot, letter) in writes {
+                if self.pending[slot as usize] {
+                    self.lost_overwrites += 1;
+                }
+                self.pending[slot as usize] = true;
+                group.push((slot, letter));
+            }
+            self.ports.deliver_run(node as usize, group, deltas);
+            self.deliveries += group.len() as u64;
         }
-        self.ports.deliver_run(node as usize, writes, deltas);
-        self.deliveries += writes.len() as u64;
     }
 
     /// Applies node `v`'s pending transition: clears its pending marks,
@@ -419,9 +394,8 @@ impl<'a, P: Fsm> Exec<'a, P> {
     }
 
     /// Computes the FIFO-bumped arrival time of `v`'s step-`t` broadcast
-    /// at every neighbor, in port order, into `arrivals`. The delay draws,
-    /// `max_param` folding, and the per-edge watermark update are the
-    /// single transcription both scheduler paths share.
+    /// at every neighbor, in port order, into `arrivals`: the delay
+    /// draws, `max_param` folding, and the per-edge watermark update.
     fn compute_arrivals<A: Adversary + ?Sized>(
         &mut self,
         adversary: &A,
@@ -466,27 +440,6 @@ impl<'a, P: Fsm> Exec<'a, P> {
         self.max_param = self.max_param.max(l);
         l
     }
-
-    fn outcome(self, completion_time: f64) -> (AsyncOutcome, Vec<P::State>) {
-        let outputs = self
-            .states
-            .iter()
-            .map(|q| self.protocol.output(q).expect("output configuration"))
-            .collect();
-        (
-            AsyncOutcome {
-                outputs,
-                completion_time,
-                time_unit: self.max_param,
-                normalized_time: completion_time / self.max_param,
-                total_steps: self.total_steps,
-                messages_sent: self.messages_sent,
-                deliveries: self.deliveries,
-                lost_overwrites: self.lost_overwrites,
-            },
-            self.states,
-        )
-    }
 }
 
 /// Target mean events per calendar bucket; see [`crate::schedule`] for
@@ -530,20 +483,11 @@ fn choose_bucket_width<A: Adversary + ?Sized>(
     TARGET_EVENTS_PER_TICK / rate
 }
 
-/// What an async engine hands back: the legacy outcome, the final
-/// states, and the churn and fault summaries of the run (each `None`
-/// when its plan is absent).
-type AsyncEnd<S> = (
-    AsyncOutcome,
-    Vec<S>,
-    Option<ChurnSummary>,
-    Option<FaultSummary>,
-);
-
 /// The asynchronous executor: runs `sim`'s protocol under `options` —
-/// on the churn heap loop under a churn plan, on the chosen scheduler
-/// otherwise — invoking `observer` after every node step, and returns
-/// the unified outcome. `inputs` are validated by the builder.
+/// with the churn controller as hook under a churn plan (on the plan's
+/// universe graph), with `()` otherwise — invoking `observer` after every
+/// node step, and returns the unified outcome. `inputs` are validated by
+/// the builder.
 pub(crate) fn exec<P, O>(
     sim: &Simulation<'_, P>,
     inputs: &[usize],
@@ -555,944 +499,501 @@ where
     P: Fsm,
     O: Observer<P::State> + ?Sized,
 {
-    let config = AsyncConfig {
-        seed: sim.seed,
-        max_events: sim.budget.unwrap_or(AsyncConfig::default().max_events),
-        scheduler: options.scheduler,
-        bucket_width: options.bucket_width,
+    let sigma = sim.protocol.alphabet().len();
+    let start = Start {
+        sim,
+        inputs,
+        options,
+        snap,
     };
-    let adversary = options.adversary;
-    let (out, states, churn, faults) = match sim.churn {
-        Some(plan) => exec_async_churn(sim, plan, inputs, adversary, &config, observer, snap)?,
-        None => exec_async(sim, inputs, adversary, &config, observer, snap)?,
-    };
-    Ok(Outcome {
-        outputs: out.outputs,
-        states,
-        cost: Cost::TimeUnits(out.normalized_time),
-        workers: 1,
-        steals: StealStats::default(),
-        detail: Detail::Async {
-            completion_time: out.completion_time,
-            time_unit: out.time_unit,
-            total_steps: out.total_steps,
-            messages_sent: out.messages_sent,
-            deliveries: out.deliveries,
-            lost_overwrites: out.lost_overwrites,
-            churn,
-            faults,
-        },
-    })
+    match sim.churn {
+        None => {
+            let fctx = faults::compile(sim.faults, sim.graph, sigma)?;
+            start.on_queue(sim.graph, fctx.as_ref(), (), observer)
+        }
+        Some(plan) => {
+            let universe = plan.universe(sim.graph).map_err(churn::plan_config)?;
+            let fctx = faults::compile(sim.faults, &universe, sigma)?;
+            let sigma0 = sim.protocol.initial_letter();
+            let ctl = ChurnCtl::new(plan, sim.graph, &universe, inputs, sigma0)?;
+            start.on_queue(&universe, fctx.as_ref(), ctl, observer)
+        }
+    }
 }
 
-/// The churn-free asynchronous engine: the single transcription of the
-/// event loop on either scheduler.
-fn exec_async<P: Fsm, O: Observer<P::State> + ?Sized>(
-    sim: &Simulation<'_, P>,
-    inputs: &[usize],
-    adversary: &dyn Adversary,
-    config: &AsyncConfig,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-) -> Result<AsyncEnd<P::State>, ExecError> {
-    let (protocol, graph) = (sim.protocol, sim.graph);
-    let n = graph.node_count();
-    debug_assert_eq!(inputs.len(), n, "the builder validates input length");
+/// The builder's side of a run: what [`exec`] was handed.
+struct Start<'a, 'g, P: Protocol> {
+    sim: &'a Simulation<'g, P>,
+    inputs: &'a [usize],
+    options: &'a AsyncOptions<'a>,
+    snap: &'a SnapArgs<'a, P::State>,
+}
 
-    // Deliver events carry the receiver's flat CSR slot as u32; fail fast
-    // rather than silently wrapping on graphs beyond that addressing limit
-    // (~2.1B directed port slots).
-    assert!(
-        u32::try_from(graph.port_slot_count()).is_ok(),
-        "graph has {} directed port slots, exceeding the async engine's u32 slot addressing",
-        graph.port_slot_count()
-    );
-
-    let fctx = faults::compile(sim.faults, graph, protocol.alphabet().len())?;
-    let (ex, seed, tally) = match snap.resume {
-        Some(s) => {
-            let mut res = snapshot::decode_async(s, &snap.codec(), n, graph.port_slot_count())?;
-            if res.churn.is_some() || res.faults.is_some() != fctx.is_some() {
-                return Err(BODY_KIND.into());
-            }
-            let seed = AsyncSeed {
-                backlog: std::mem::take(&mut res.backlog),
-                events: res.events,
-                seq: res.seq,
-            };
-            let tally = res.faults.unwrap_or_default();
-            (Exec::from_resume(protocol, graph, res), Some(seed), tally)
-        }
-        None => (
-            Exec::new(protocol, graph, inputs, config.seed),
-            None,
-            FaultSummary::default(),
-        ),
-    };
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-
-    if seed.is_none() && ex.unfinished == 0 {
-        let outputs = ex
-            .states
-            .iter()
-            .map(|q| protocol.output(q).expect("checked"))
-            .collect();
-        let out = AsyncOutcome {
-            outputs,
-            completion_time: 0.0,
-            time_unit: 1.0,
-            normalized_time: 0.0,
-            total_steps: 0,
-            messages_sent: 0,
-            deliveries: 0,
-            lost_overwrites: 0,
-        };
-        return Ok((out, ex.states, None, layer.capture()));
-    }
-
-    let (out, states) = if layer.ctx.is_some() {
-        // Faulted runs always drive the heap: the wheel's `DeliverRun`
-        // batching assumes one letter per run and pairwise-distinct
-        // receiver slots, which corruption and duplication break. Sound
-        // because the two schedulers are pinned bit-identical.
-        run_heap_loop(ex, adversary, config, observer, snap, seed, &mut layer)?
-    } else {
-        match config.scheduler {
-            SchedulerKind::BinaryHeap => {
-                run_heap_loop(ex, adversary, config, observer, snap, seed, &mut layer)?
-            }
+impl<'a, P: Fsm> Start<'a, '_, P> {
+    /// Runs the loop on `graph` (the plan's universe under churn) and
+    /// the queue the options select.
+    fn on_queue<H, O>(
+        self,
+        graph: &'a Graph,
+        fctx: Option<&'a FaultCtx>,
+        hook: H,
+        observer: &'a mut O,
+    ) -> Result<Outcome<P>, ExecError>
+    where
+        H: AsyncHook,
+        O: Observer<P::State> + ?Sized,
+    {
+        let (adversary, width) = (self.options.adversary, self.options.bucket_width);
+        match self.options.scheduler {
             SchedulerKind::CalendarWheel => {
-                run_wheel_loop(ex, adversary, config, observer, snap, seed, &mut layer)?
+                let width = choose_bucket_width(adversary, graph, width);
+                self.run(CalendarQueue::new(width), graph, fctx, hook, observer)
             }
-        }
-    };
-    Ok((out, states, None, layer.capture()))
-}
-
-/// The queue-side remainder of a decoded async snapshot: the serialized
-/// event backlog and the loop-owned global counters. The loops seed their
-/// queue from the backlog *instead of* the per-node initial step events.
-struct AsyncSeed {
-    backlog: Vec<BacklogEvent>,
-    events: u64,
-    seq: u64,
-}
-
-/// The preserved binary-heap event loop: one heap entry per delivery,
-/// `O(log m)` per push/pop. Kept as the oracle the wheel is differentially
-/// tested against, and as the benchmark baseline.
-fn run_heap_loop<P: Fsm, A: Adversary + ?Sized, O: Observer<P::State> + ?Sized>(
-    mut ex: Exec<'_, P>,
-    adversary: &A,
-    config: &AsyncConfig,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-    resume: Option<AsyncSeed>,
-    faults: &mut FaultLayer<'_>,
-) -> Result<(AsyncOutcome, Vec<P::State>), ExecError> {
-    let n = ex.graph.node_count();
-    let mut seq = 0u64;
-    let mut events = 0u64;
-    let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-    let push = |heap: &mut BinaryHeap<Reverse<Event>>, seq: &mut u64, time: f64, kind| {
-        heap.push(Reverse(Event {
-            time,
-            seq: *seq,
-            kind,
-        }));
-        *seq += 1;
-    };
-
-    match resume {
-        Some(seed) => {
-            for e in seed.backlog {
-                heap.push(Reverse(Event {
-                    time: e.time,
-                    seq: e.seq,
-                    kind: match e.kind {
-                        BacklogKind::Step { node, .. } => HeapKind::Step(node),
-                        BacklogKind::Deliver {
-                            node, slot, letter, ..
-                        } => HeapKind::Deliver { node, slot, letter },
-                    },
-                }));
-            }
-            events = seed.events;
-            seq = seed.seq;
-        }
-        None => {
-            for v in 0..n as NodeId {
-                let l = ex.step_length(adversary, v, 1);
-                push(&mut heap, &mut seq, l, HeapKind::Step(v));
-            }
+            SchedulerKind::BinaryHeap => self.run(HeapQueue::new(), graph, fctx, hook, observer),
         }
     }
 
-    let mut arrivals: Vec<f64> = Vec::new();
-    let mut fan: Vec<(NodeId, u32, f64, Letter)> = Vec::new();
-    let mut completion_time = None;
-    while let Some(Reverse(event)) = heap.pop() {
-        events += 1;
-        if events > config.max_events {
-            return Err(ExecError::EventLimit {
-                limit: config.max_events,
-                unfinished: ex.unfinished,
-            });
-        }
-        match event.kind {
-            HeapKind::Deliver { node, slot, letter } => {
-                ex.deliver(node, slot as usize, letter);
-            }
-            HeapKind::Step(v) => {
-                let vi = v as usize;
-                let (t, emission) = ex.apply_step(v);
-
-                if let Some(letter) = emission {
-                    ex.messages_sent += 1;
-                    ex.compute_arrivals(adversary, v, t, event.time, &mut arrivals);
-                    match faults.ctx {
-                        Some(ctx) if ctx.affects_sender(v) => {
-                            faulted_sends(
-                                ctx,
-                                &mut faults.tally,
-                                ex.graph,
-                                &mut ex.last_arrival,
-                                v,
-                                t,
-                                &arrivals,
-                                letter,
-                                &mut fan,
-                            );
-                            for &(u, slot, arrival, l) in &fan {
-                                push(
-                                    &mut heap,
-                                    &mut seq,
-                                    arrival,
-                                    HeapKind::Deliver {
-                                        node: u,
-                                        slot,
-                                        letter: l,
-                                    },
-                                );
-                            }
-                        }
-                        _ => {
-                            let nbrs = ex.graph.neighbors(v);
-                            let rev = ex.graph.reverse_ports(v);
-                            for (k, (&u, &rp)) in nbrs.iter().zip(rev).enumerate() {
-                                // The receiver-side flat slot, via the
-                                // precomputed reverse-port map.
-                                let slot = (ex.graph.csr_offset(u) + rp as usize) as u32;
-                                push(
-                                    &mut heap,
-                                    &mut seq,
-                                    arrivals[k],
-                                    HeapKind::Deliver {
-                                        node: u,
-                                        slot,
-                                        letter,
-                                    },
-                                );
-                            }
-                        }
-                    }
+    /// Starts fresh or splices the resume snapshot in, runs the event
+    /// loop to an output configuration, and builds the outcome.
+    fn run<Q, H, O>(
+        self,
+        queue: Q,
+        graph: &'a Graph,
+        fctx: Option<&'a FaultCtx>,
+        mut hook: H,
+        observer: &'a mut O,
+    ) -> Result<Outcome<P>, ExecError>
+    where
+        Q: EventQueue<Kind>,
+        H: AsyncHook,
+        O: Observer<P::State> + ?Sized,
+    {
+        let (protocol, snap) = (self.sim.protocol, self.snap);
+        let (n, slots) = (graph.node_count(), graph.port_slot_count());
+        debug_assert_eq!(self.inputs.len(), n, "the builder validates input length");
+        // Letter events carry the receiver's flat CSR slot as u32; fail
+        // fast rather than silently wrapping on graphs beyond that
+        // addressing limit (~2.1B directed port slots).
+        assert!(
+            u32::try_from(slots).is_ok(),
+            "graph has {slots} directed port slots, exceeding the async engine's u32 slot addressing"
+        );
+        let (ex, tally, incarnation, resumed) = match snap.resume {
+            Some(s) => {
+                let mut res = snapshot::decode_async(s, &snap.codec(), n, slots)?;
+                if res.faults.is_some() != fctx.is_some() {
+                    return Err(BODY_KIND.into());
                 }
-
-                observer.on_step(event.time, v, t, &ex.states[vi]);
-
-                if ex.unfinished == 0 {
-                    completion_time = Some(event.time);
-                    break;
-                }
-
-                ex.step_counts[vi] = t + 1;
-                let l = ex.step_length(adversary, v, t + 1);
-                push(&mut heap, &mut seq, event.time + l, HeapKind::Step(v));
-
-                if snap.every > 0 && ex.total_steps.is_multiple_of(snap.every) {
-                    let backlog = heap
-                        .iter()
-                        .map(|Reverse(e)| BacklogEvent {
-                            time: e.time,
-                            seq: e.seq,
-                            kind: match e.kind {
-                                HeapKind::Step(node) => BacklogKind::Step { node, inc: 0 },
-                                HeapKind::Deliver { node, slot, letter } => BacklogKind::Deliver {
-                                    node,
-                                    slot,
-                                    letter,
-                                    inc: 0,
-                                },
-                            },
-                        })
-                        .collect();
-                    ex.checkpoint(snap, events, seq, None, faults.capture(), backlog, observer);
-                }
+                // The restored store already reflects the setup patches
+                // and every boundary up to the cursor; only the hook's
+                // overlay, counters and cursor need rebuilding.
+                let (incarnation, cursor) = res.churn.take().unzip();
+                hook.resume(cursor)?;
+                let resumed = (std::mem::take(&mut res.backlog), res.events, res.seq);
+                let tally = res.faults.unwrap_or_default();
+                let ex = Exec::from_resume(protocol, graph, res);
+                (ex, tally, incarnation, Some(resumed))
             }
-        }
-    }
-
-    let completion_time = completion_time.expect(
-        "event queue cannot drain before an output configuration: every \
-         unfinished node always has a pending step event",
-    );
-    Ok(ex.outcome(completion_time))
-}
-
-/// The calendar-wheel event loop: O(1) amortized scheduling, and runs of
-/// same-arrival deliveries of one broadcast drain as a single batched
-/// flat-write pass. Bit-identical to [`run_heap_loop`] per seed.
-fn run_wheel_loop<P: Fsm, A: Adversary + ?Sized, O: Observer<P::State> + ?Sized>(
-    mut ex: Exec<'_, P>,
-    adversary: &A,
-    config: &AsyncConfig,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-    resume: Option<AsyncSeed>,
-    faults: &mut FaultLayer<'_>,
-) -> Result<(AsyncOutcome, Vec<P::State>), ExecError> {
-    // Faulted runs are routed to the heap loop by `exec_async`.
-    debug_assert!(faults.ctx.is_none());
-    let n = ex.graph.node_count();
-    let width = choose_bucket_width(adversary, ex.graph, config.bucket_width);
-    let mut wheel: CalendarQueue<WheelKind> = CalendarQueue::new(width);
-    let mut seq = 0u64;
-    let mut events = 0u64;
-
-    match resume {
-        Some(seed) => {
-            // The snapshot backlog carries each delivery individually with
-            // its exact `(time, seq)`, so re-pushing them (no runs) drains
-            // in the same order — a run's grouped drain and its expanded
-            // per-letter events gather into the identical batch.
-            for e in seed.backlog {
-                let kind = match e.kind {
-                    BacklogKind::Step { node, .. } => WheelKind::Step(node),
-                    BacklogKind::Deliver {
-                        node, slot, letter, ..
-                    } => WheelKind::Deliver { node, slot, letter },
-                };
-                wheel.push(e.time, e.seq, kind);
+            None => {
+                let mut ex = Exec::new(protocol, graph, self.inputs, self.sim.seed);
+                hook.setup(&mut ex.ports);
+                (ex, FaultSummary::default(), None, None)
             }
-            events = seed.events;
-            seq = seed.seq;
-        }
-        None => {
-            for v in 0..n as NodeId {
-                let l = ex.step_length(adversary, v, 1);
-                wheel.push(l, seq, WheelKind::Step(v));
-                seq += 1;
-            }
-        }
-    }
-
-    let mut arrivals: Vec<f64> = Vec::new();
-    let mut completion_time = None;
-    // Per-receiver coalescing scratch: `batch` gathers the maximal run of
-    // consecutive same-instant delivery events (across senders), `held`
-    // parks the one event popped past the run's end, `deltas` is the
-    // count-merge scratch of `deliver_grouped`.
-    let mut held: Option<(f64, u64, WheelKind)> = None;
-    let mut batch: Vec<(NodeId, u32, Letter)> = Vec::new();
-    let mut group: Vec<(u32, Letter)> = Vec::new();
-    let mut deltas: Vec<(u16, i64)> = Vec::new();
-    while let Some((time, _, kind)) = held.take().or_else(|| wheel.pop()) {
-        match kind {
-            WheelKind::Deliver { .. } | WheelKind::DeliverRun { .. } => {
-                // Gather every consecutive delivery event at exactly this
-                // instant, then apply them grouped by receiver: arrivals
-                // of *different* broadcasts colliding on one node merge
-                // their pending-flag and count updates into one pass.
-                // Deliveries never change `unfinished` and the budget is
-                // counted per delivery as it is gathered, so hitting the
-                // event limit mid-batch reports exactly what the heap
-                // path's per-letter pops would have; and because same-
-                // instant deliveries always hit distinct slots (per-edge
-                // FIFO), the grouped application is bit-identical.
-                batch.clear();
-                let mut next = Some(kind);
-                while let Some(kind) = next.take() {
-                    match kind {
-                        WheelKind::Deliver { node, slot, letter } => {
-                            events += 1;
-                            if events > config.max_events {
-                                return Err(ExecError::EventLimit {
-                                    limit: config.max_events,
-                                    unfinished: ex.unfinished,
-                                });
-                            }
-                            batch.push((node, slot, letter));
-                        }
-                        WheelKind::DeliverRun {
-                            v,
-                            from,
-                            len,
+        };
+        let stamped = if H::STAMPED { n } else { 0 };
+        let mut run = Run {
+            ex,
+            adversary: self.options.adversary,
+            queue,
+            seq: 0,
+            events: 0,
+            max_events: self.sim.budget.unwrap_or(AsyncConfig::default().max_events),
+            incarnation: incarnation.unwrap_or_else(|| vec![0; stamped]),
+            hook,
+            faults: FaultLayer::new(fctx, tally),
+            observer,
+            snap,
+        };
+        let completion_time = match resumed {
+            Some((backlog, events, seq)) => {
+                for BacklogEvent { time, seq, kind } in backlog {
+                    let kind = match kind {
+                        Step { node, inc } => Kind::Step(node, inc),
+                        Deliver {
+                            node,
+                            slot,
                             letter,
-                        } => {
-                            let nbrs = ex.graph.neighbors(v);
-                            let rev = ex.graph.reverse_ports(v);
-                            for k in from as usize..(from + len) as usize {
-                                events += 1;
-                                if events > config.max_events {
-                                    return Err(ExecError::EventLimit {
-                                        limit: config.max_events,
-                                        unfinished: ex.unfinished,
-                                    });
-                                }
-                                let u = nbrs[k];
-                                let slot = (ex.graph.csr_offset(u) + rev[k] as usize) as u32;
-                                batch.push((u, slot, letter));
-                            }
-                        }
-                        WheelKind::Step(_) => unreachable!("steps never enter a delivery batch"),
-                    }
-                    if let Some((t2, s2, k2)) = wheel.pop() {
-                        if t2 == time && !matches!(k2, WheelKind::Step(_)) {
-                            next = Some(k2);
-                        } else {
-                            held = Some((t2, s2, k2));
-                        }
-                    }
+                            inc,
+                        } => Kind::Deliver(node, slot, letter, inc),
+                    };
+                    run.queue.push(time, seq, kind);
                 }
-                if let [(node, slot, letter)] = batch[..] {
-                    ex.deliver(node, slot as usize, letter);
-                } else {
-                    batch.sort_unstable_by_key(|&(node, slot, _)| (node, slot));
-                    let mut i = 0;
-                    while i < batch.len() {
-                        let node = batch[i].0;
-                        let mut j = i + 1;
-                        while j < batch.len() && batch[j].0 == node {
-                            j += 1;
-                        }
-                        if j - i == 1 {
-                            ex.deliver(node, batch[i].1 as usize, batch[i].2);
-                        } else {
-                            group.clear();
-                            group.extend(
-                                batch[i..j].iter().map(|&(_, slot, letter)| (slot, letter)),
-                            );
-                            ex.deliver_grouped(node, &group, &mut deltas);
-                        }
-                        i = j;
-                    }
-                }
+                (run.events, run.seq) = (events, seq);
+                run.drive()?
             }
-            WheelKind::Step(v) => {
-                events += 1;
-                if events > config.max_events {
-                    return Err(ExecError::EventLimit {
-                        limit: config.max_events,
-                        unfinished: ex.unfinished,
-                    });
+            // A churn-free run that starts in an output configuration is
+            // complete at time 0; a churn run checks completion only
+            // after a step or an effective boundary.
+            None if !H::STAMPED && run.ex.unfinished == 0 => 0.0,
+            None => {
+                for node in 0..n as NodeId {
+                    let l = run.ex.step_length(run.adversary, node, 1);
+                    run.push(l, Kind::Step(node, 0));
                 }
-                let vi = v as usize;
-                let (t, emission) = ex.apply_step(v);
-
-                if let Some(letter) = emission {
-                    ex.messages_sent += 1;
-                    ex.compute_arrivals(adversary, v, t, time, &mut arrivals);
-                    // Partition the broadcast into maximal runs of equal
-                    // arrival time (bitwise-equal f64s — the adversary's
-                    // latency schedule lands directly in shared buckets).
-                    // A run of length `r` occupies `r` contiguous seqs, so
-                    // its single event sorts exactly where the heap path's
-                    // `r` per-letter events would, and nothing can
-                    // interleave them.
-                    let nbrs = ex.graph.neighbors(v);
-                    let rev = ex.graph.reverse_ports(v);
-                    let deg = nbrs.len();
-                    let mut k = 0usize;
-                    while k < deg {
-                        let arrival = arrivals[k];
-                        let mut end = k + 1;
-                        while end < deg && arrivals[end] == arrival {
-                            end += 1;
-                        }
-                        let run = (end - k) as u32;
-                        if run == 1 {
-                            let slot = (ex.graph.csr_offset(nbrs[k]) + rev[k] as usize) as u32;
-                            wheel.push(
-                                arrival,
-                                seq,
-                                WheelKind::Deliver {
-                                    node: nbrs[k],
-                                    slot,
-                                    letter,
-                                },
-                            );
-                        } else {
-                            wheel.push(
-                                arrival,
-                                seq,
-                                WheelKind::DeliverRun {
-                                    v,
-                                    from: k as u32,
-                                    len: run,
-                                    letter,
-                                },
-                            );
-                        }
-                        seq += run as u64;
-                        k = end;
-                    }
-                }
-
-                observer.on_step(time, v, t, &ex.states[vi]);
-
-                if ex.unfinished == 0 {
-                    completion_time = Some(time);
-                    break;
-                }
-
-                ex.step_counts[vi] = t + 1;
-                let l = ex.step_length(adversary, v, t + 1);
-                wheel.push(time + l, seq, WheelKind::Step(v));
-                seq += 1;
-
-                if snap.every > 0 && ex.total_steps.is_multiple_of(snap.every) {
-                    // `held` is provably `None` here: it is taken at the
-                    // loop head and only re-set inside the delivery-batch
-                    // arm, so the wheel holds the complete backlog. Runs
-                    // are expanded into per-letter deliveries with their
-                    // exact consecutive seqs — the snapshot bytes are
-                    // identical to the heap scheduler's.
-                    debug_assert!(held.is_none());
-                    let mut backlog = Vec::new();
-                    for (time, seq, kind) in wheel.entries() {
-                        match *kind {
-                            WheelKind::Step(node) => backlog.push(BacklogEvent {
-                                time,
-                                seq,
-                                kind: BacklogKind::Step { node, inc: 0 },
-                            }),
-                            WheelKind::Deliver { node, slot, letter } => {
-                                backlog.push(BacklogEvent {
-                                    time,
-                                    seq,
-                                    kind: BacklogKind::Deliver {
-                                        node,
-                                        slot,
-                                        letter,
-                                        inc: 0,
-                                    },
-                                })
-                            }
-                            WheelKind::DeliverRun {
-                                v,
-                                from,
-                                len,
-                                letter,
-                            } => {
-                                let nbrs = ex.graph.neighbors(v);
-                                let rev = ex.graph.reverse_ports(v);
-                                for (i, k) in (from as usize..(from + len) as usize).enumerate() {
-                                    let u = nbrs[k];
-                                    let slot = (ex.graph.csr_offset(u) + rev[k] as usize) as u32;
-                                    backlog.push(BacklogEvent {
-                                        time,
-                                        seq: seq + i as u64,
-                                        kind: BacklogKind::Deliver {
-                                            node: u,
-                                            slot,
-                                            letter,
-                                            inc: 0,
-                                        },
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    ex.checkpoint(snap, events, seq, None, faults.capture(), backlog, observer);
-                }
+                run.drive()?
             }
-        }
+        };
+        Ok(run.outcome(completion_time))
     }
-
-    let completion_time = completion_time.expect(
-        "event queue cannot drain before an output configuration: every \
-         unfinished node always has a pending step event",
-    );
-    Ok(ex.outcome(completion_time))
 }
 
-/// Events of the churn-aware heap loop: like [`HeapKind`], plus the
-/// receiver/stepper **incarnation** the event was enqueued under. A crash
-/// bumps its node's incarnation, so every in-flight letter addressed to
-/// the pre-crash node and every pending step of it goes stale and is
-/// dropped on pop — exactly the "crash drops in-flight letters" semantics
-/// — without purging the queue.
-#[derive(Clone, Copy, Debug)]
-enum ChurnKind {
-    /// Node applies its next transition (if its incarnation still matches).
-    Step(NodeId, u32),
-    /// A letter lands at `slot` of `node` (if the incarnation matches and
-    /// the slot is alive).
-    Deliver {
-        node: NodeId,
-        slot: u32,
-        letter: Letter,
-        inc: u32,
-    },
+/// One asynchronous run in progress: the engine state plus the queue,
+/// the loop counters and the hooks.
+struct Run<'a, P: Fsm, Q, H, O: ?Sized> {
+    ex: Exec<'a, P>,
+    adversary: &'a dyn Adversary,
+    queue: Q,
+    /// The next tie-break rank to hand out.
+    seq: u64,
+    /// Events popped so far, stale ones included.
+    events: u64,
+    max_events: u64,
+    /// Per-node incarnations; empty on a churn-free run.
+    incarnation: Vec<u32>,
+    hook: H,
+    faults: FaultLayer<'a>,
+    observer: &'a mut O,
+    snap: &'a SnapArgs<'a, P::State>,
 }
 
-/// The asynchronous engine under a churn plan. Boundaries are expressed
-/// in **absolute time**: the event stamped with round `r` applies at time
-/// `t = r`, before any queue event with time ≥ `t` is processed (and
-/// between same-instant events deterministically — the boundary always
-/// wins the tie). Always drives a binary-heap loop regardless of
-/// [`AsyncConfig::scheduler`]: the calendar wheel's batched
-/// `DeliverRun` events resolve receiver slots lazily against a port map
-/// assumed static for the run, an assumption churn breaks; the heap pays
-/// `O(log m)` but needs no such invariant. In-flight letters crossing an
-/// edge-delete boundary bounce off the tombstoned slot; letters in
-/// flight across a delete + re-insert window do land (the channel was
-/// re-established before arrival).
-fn exec_async_churn<P, O>(
-    sim: &Simulation<'_, P>,
-    plan: &ChurnPlan,
-    inputs: &[usize],
-    adversary: &dyn Adversary,
-    config: &AsyncConfig,
-    observer: &mut O,
-    snap: &SnapArgs<'_, P::State>,
-) -> Result<AsyncEnd<P::State>, ExecError>
+impl<P, Q, H, O> Run<'_, P, Q, H, O>
 where
     P: Fsm,
+    Q: EventQueue<Kind>,
+    H: AsyncHook,
     O: Observer<P::State> + ?Sized,
 {
-    let (protocol, base) = (sim.protocol, sim.graph);
-    let universe = plan.universe(base).map_err(churn::plan_config)?;
-    let n = universe.node_count();
-    debug_assert_eq!(inputs.len(), n, "the builder validates input length");
-    assert!(
-        u32::try_from(universe.port_slot_count()).is_ok(),
-        "universe graph has {} directed port slots, exceeding the async engine's u32 slot addressing",
-        universe.port_slot_count()
-    );
-
-    let fctx = faults::compile(sim.faults, &universe, protocol.alphabet().len())?;
-    let mut ctl = ChurnCtl::new(plan, base, &universe, inputs, protocol.initial_letter())?;
-    let mut seq = 0u64;
-    let mut events = 0u64;
-    let mut heap: BinaryHeap<Reverse<Event2>> = BinaryHeap::new();
-    let mut tally = FaultSummary::default();
-    let (mut ex, mut incarnation) = match snap.resume {
-        Some(s) => {
-            let mut res = snapshot::decode_async(s, &snap.codec(), n, universe.port_slot_count())?;
-            if res.faults.is_some() != fctx.is_some() {
-                return Err(BODY_KIND.into());
-            }
-            tally = res.faults.unwrap_or_default();
-            let Some((incarnation, cursor)) = res.churn.take() else {
-                return Err(BODY_KIND.into());
-            };
-            // The restored store already reflects the setup patches and
-            // every boundary up to the cursor; only the overlay replica,
-            // effectiveness counters, and cursor need rebuilding.
-            ctl.fast_forward(cursor)?;
-            for e in std::mem::take(&mut res.backlog) {
-                let kind = match e.kind {
-                    BacklogKind::Step { node, inc } => ChurnKind::Step(node, inc),
-                    BacklogKind::Deliver {
-                        node,
-                        slot,
-                        letter,
-                        inc,
-                    } => ChurnKind::Deliver {
-                        node,
-                        slot,
-                        letter,
-                        inc,
-                    },
-                };
-                heap.push(Reverse(Event2 {
-                    time: e.time,
-                    seq: e.seq,
-                    kind,
-                }));
-            }
-            events = res.events;
-            seq = res.seq;
-            (Exec::from_resume(protocol, &universe, res), incarnation)
-        }
-        None => {
-            let mut ex = Exec::new(protocol, &universe, inputs, config.seed);
-            ctl.setup(&mut ex.ports);
-            for v in 0..n as NodeId {
-                let l = ex.step_length(adversary, v, 1);
-                heap.push(Reverse(Event2 {
-                    time: l,
-                    seq,
-                    kind: ChurnKind::Step(v, 0),
-                }));
-                seq += 1;
-            }
-            (ex, vec![0u32; n])
-        }
-    };
-
-    let mut layer = FaultLayer::new(fctx.as_ref(), tally);
-    let mut arrivals: Vec<f64> = Vec::new();
-    let mut fan: Vec<(NodeId, u32, f64, Letter)> = Vec::new();
-    let mut now = 0.0f64;
-    let completion_time;
-    'run: loop {
-        let head = heap.pop();
-        let horizon = head.as_ref().map_or(f64::INFINITY, |Reverse(e)| e.time);
-        // Apply every boundary due at or before the next queue event
-        // (or, with a drained queue, the next boundary outright — all
-        // live nodes may be gone while a restart is still scheduled).
-        while ctl.peek_round().is_some_and(|r| (r as f64) <= horizon) {
-            let tb = ctl.peek_round().unwrap() as f64;
-            now = now.max(tb);
-            let (ev, effective) = ctl.apply_next();
-            if !effective {
-                continue;
-            }
-            match ev {
-                stoneage_graph::TopologyEvent::Crash(v) => {
-                    let vi = v as usize;
-                    incarnation[vi] += 1;
-                    if protocol.output(&ex.states[vi]).is_none() {
-                        ex.unfinished -= 1;
-                    }
-                }
-                stoneage_graph::TopologyEvent::Restart(v) => {
-                    let vi = v as usize;
-                    incarnation[vi] += 1;
-                    ex.states[vi] = protocol.restart_state(inputs[vi]);
-                    if protocol.output(&ex.states[vi]).is_none() {
-                        ex.unfinished += 1;
-                    }
-                    let t = ex.step_counts[vi];
-                    let l = ex.step_length(adversary, v, t);
-                    heap.push(Reverse(Event2 {
-                        time: tb + l,
-                        seq,
-                        kind: ChurnKind::Step(v, incarnation[vi]),
-                    }));
-                    seq += 1;
-                }
-                _ => {}
-            }
-            // A patched slot never carries a stale pending mark: retired
-            // slots have no observable letter, revived ones hold σ₀ as a
-            // fresh registration would.
-            for p in ctl.patches() {
-                ex.pending[p.slot as usize] = false;
-            }
-            ctl.patch_ports(&mut ex.ports);
-            if ex.unfinished == 0 && ctl.exhausted() {
-                completion_time = tb;
-                break 'run;
-            }
-        }
-        let Some(Reverse(event)) = head else {
-            unreachable!(
-                "the queue cannot drain while the run is incomplete: every \
-                 live node always has a pending step event and pending \
-                 boundaries are applied on a drained queue"
-            );
+    /// Schedules `kind` at `time` under the next seq, taking one seq
+    /// per letter of a [`Kind::Run`].
+    #[inline]
+    fn push(&mut self, time: f64, kind: Kind) {
+        self.queue.push(time, self.seq, kind);
+        self.seq += match kind {
+            Kind::Run(_, _, len, _) => len as u64,
+            Kind::Step(..) | Kind::Deliver(..) => 1,
         };
-        now = event.time;
-        events += 1;
-        if events > config.max_events {
+    }
+
+    /// The incarnation stamp of an event for node `u`.
+    #[inline]
+    fn stamp(&self, u: NodeId) -> u32 {
+        if H::STAMPED {
+            self.incarnation[u as usize]
+        } else {
+            0
+        }
+    }
+
+    /// Counts one popped event against the budget.
+    #[inline]
+    fn count(&mut self) -> Result<(), ExecError> {
+        self.events += 1;
+        if self.events > self.max_events {
             return Err(ExecError::EventLimit {
-                limit: config.max_events,
-                unfinished: ex.unfinished,
+                limit: self.max_events,
+                unfinished: self.ex.unfinished,
             });
         }
-        match event.kind {
-            ChurnKind::Deliver {
-                node,
-                slot,
-                letter,
-                inc,
-            } => {
-                // Stale incarnation: the letter was in flight toward a
-                // node that crashed; tombstoned slot: the edge (or the
-                // receiver) is currently down. Either way the letter is
-                // dropped without delivery accounting.
-                if inc == incarnation[node as usize]
-                    && ex.ports.letter_at(slot as usize) != TOMBSTONE
-                {
-                    ex.deliver(node, slot as usize, letter);
-                }
-            }
-            ChurnKind::Step(v, inc) => {
-                let vi = v as usize;
-                if inc != incarnation[vi] {
-                    // A pre-crash step of a crashed (possibly since
-                    // restarted) node: dropped, not rescheduled — the
-                    // restart boundary scheduled the fresh incarnation's
-                    // first step.
+        Ok(())
+    }
+
+    /// Runs the event loop until the run completes; returns the time it
+    /// completed at.
+    fn drive(&mut self) -> Result<f64, ExecError> {
+        let mut arrivals: Vec<f64> = Vec::new();
+        let mut fan: Vec<(NodeId, u32, f64, Letter)> = Vec::new();
+        // Delivery-batch scratch: `held` parks the one event popped past
+        // a batch's end, `batch` gathers the batch, and `group` and
+        // `deltas` are the grouped write's scratch.
+        let mut held: Option<(f64, u64, Kind)> = None;
+        let mut batch: Vec<(NodeId, u32, Letter)> = Vec::new();
+        let mut group: Vec<(u32, Letter)> = Vec::new();
+        let mut deltas: Vec<(u16, i64)> = Vec::new();
+        loop {
+            let head = held.take().or_else(|| self.queue.pop());
+            if let Some(tb) = self.hook.next_boundary() {
+                if head.is_none_or(|(time, _, _)| tb <= time) {
+                    // An effective boundary that leaves the run decided
+                    // completes it, and so does any boundary on a drained
+                    // queue: no live node is left to step.
+                    let effective = self.boundary(tb);
+                    let decided = self.ex.unfinished == 0 && self.hook.exhausted();
+                    if decided && (effective || head.is_none()) {
+                        return Ok(tb);
+                    }
+                    if let Some((time, seq, kind)) = head {
+                        self.queue.push(time, seq, kind);
+                    }
                     continue;
                 }
-                let (t, emission) = ex.apply_step(v);
-
-                if let Some(letter) = emission {
-                    ex.messages_sent += 1;
-                    ex.compute_arrivals(adversary, v, t, event.time, &mut arrivals);
-                    match layer.ctx {
-                        Some(ctx) if ctx.affects_sender(v) => {
-                            faulted_sends(
-                                ctx,
-                                &mut layer.tally,
-                                ex.graph,
-                                &mut ex.last_arrival,
-                                v,
-                                t,
-                                &arrivals,
-                                letter,
-                                &mut fan,
-                            );
-                            for &(u, slot, arrival, l) in &fan {
-                                heap.push(Reverse(Event2 {
-                                    time: arrival,
-                                    seq,
-                                    kind: ChurnKind::Deliver {
-                                        node: u,
-                                        slot,
-                                        letter: l,
-                                        inc: incarnation[u as usize],
-                                    },
-                                }));
-                                seq += 1;
-                            }
-                        }
-                        _ => {
-                            let nbrs = ex.graph.neighbors(v);
-                            let rev = ex.graph.reverse_ports(v);
-                            for (k, (&u, &rp)) in nbrs.iter().zip(rev).enumerate() {
-                                let slot = (ex.graph.csr_offset(u) + rp as usize) as u32;
-                                heap.push(Reverse(Event2 {
-                                    time: arrivals[k],
-                                    seq,
-                                    kind: ChurnKind::Deliver {
-                                        node: u,
-                                        slot,
-                                        letter,
-                                        inc: incarnation[u as usize],
-                                    },
-                                }));
-                                seq += 1;
-                            }
+            }
+            let Some((time, _, kind)) = head else {
+                unreachable!(
+                    "the queue cannot drain while the run is incomplete: every \
+                     live node always has a pending step event and pending \
+                     boundaries are applied on a drained queue"
+                );
+            };
+            if let Kind::Step(node, inc) = kind {
+                self.count()?;
+                // A pre-crash step of a crashed (possibly since
+                // restarted) node is dropped, not rescheduled: the
+                // restart boundary scheduled the new incarnation's
+                // first step.
+                if self.stamp(node) == inc && self.step(node, inc, time, &mut arrivals, &mut fan) {
+                    return Ok(time);
+                }
+                continue;
+            }
+            // Gather every consecutive delivery at exactly this instant,
+            // each counted as the heap pops it, so an event limit hit
+            // mid-batch reports what one pop per letter would have
+            // (deliveries never change `unfinished`). A letter to a
+            // stale incarnation (its receiver crashed) or to a
+            // tombstoned slot (the edge or the receiver is down) is
+            // dropped without delivery accounting.
+            batch.clear();
+            let mut next = Some(kind);
+            while let Some(kind) = next.take() {
+                match kind {
+                    Kind::Deliver(node, slot, letter, inc) => {
+                        self.count()?;
+                        if !H::STAMPED
+                            || (self.stamp(node) == inc
+                                && self.ex.ports.letter_at(slot as usize) != TOMBSTONE)
+                        {
+                            batch.push((node, slot, letter));
                         }
                     }
+                    Kind::Run(v, from, len, letter) => {
+                        for (u, slot) in targets(self.ex.graph, v, from, len) {
+                            self.count()?;
+                            batch.push((u, slot, letter));
+                        }
+                    }
+                    Kind::Step(..) => unreachable!("steps never enter a delivery batch"),
                 }
-
-                observer.on_step(event.time, v, t, &ex.states[vi]);
-
-                if ex.unfinished == 0 && ctl.exhausted() {
-                    completion_time = event.time;
-                    break 'run;
+                match self.queue.pop() {
+                    Some((t, _, k)) if t == time && !matches!(k, Kind::Step(..)) => next = Some(k),
+                    other => held = other,
                 }
-
-                ex.step_counts[vi] = t + 1;
-                let l = ex.step_length(adversary, v, t + 1);
-                heap.push(Reverse(Event2 {
-                    time: event.time + l,
-                    seq,
-                    kind: ChurnKind::Step(v, inc),
-                }));
-                seq += 1;
-
-                if snap.every > 0 && ex.total_steps.is_multiple_of(snap.every) {
-                    let backlog = heap
-                        .iter()
-                        .map(|Reverse(e)| BacklogEvent {
-                            time: e.time,
-                            seq: e.seq,
-                            kind: match e.kind {
-                                ChurnKind::Step(node, inc) => BacklogKind::Step { node, inc },
-                                ChurnKind::Deliver {
-                                    node,
-                                    slot,
-                                    letter,
-                                    inc,
-                                } => BacklogKind::Deliver {
-                                    node,
-                                    slot,
-                                    letter,
-                                    inc,
-                                },
-                            },
-                        })
-                        .collect();
-                    ex.checkpoint(
-                        snap,
-                        events,
-                        seq,
-                        Some((&incarnation, ctl.cursor())),
-                        layer.capture(),
-                        backlog,
-                        observer,
-                    );
-                }
+            }
+            if let [(node, slot, letter)] = batch[..] {
+                self.ex.deliver(node, slot as usize, letter);
+            } else {
+                self.ex.deliver_batch(&mut batch, &mut group, &mut deltas);
             }
         }
     }
 
-    let summary = ctl.finish();
-    let outputs = ex
-        .states
-        .iter()
-        .zip(&summary.live_nodes)
-        .map(|(q, &live)| {
-            if live {
-                protocol.output(q).expect("live nodes are decided")
-            } else {
-                protocol.output(q).unwrap_or(DEAD_OUTPUT)
+    /// Applies node `v`'s step at `time`, schedules its broadcast and
+    /// its next step, and checkpoints on cadence. Returns whether the
+    /// run is complete.
+    #[inline]
+    fn step(
+        &mut self,
+        v: NodeId,
+        inc: u32,
+        time: f64,
+        arrivals: &mut Vec<f64>,
+        fan: &mut Vec<(NodeId, u32, f64, Letter)>,
+    ) -> bool {
+        let vi = v as usize;
+        let (t, emission) = self.ex.apply_step(v);
+        if let Some(letter) = emission {
+            self.ex.messages_sent += 1;
+            let adversary = self.adversary;
+            self.ex.compute_arrivals(adversary, v, t, time, arrivals);
+            self.broadcast(v, t, letter, arrivals, fan);
+        }
+
+        self.observer.on_step(time, v, t, &self.ex.states[vi]);
+
+        if self.ex.unfinished == 0 && self.hook.exhausted() {
+            return true;
+        }
+
+        self.ex.step_counts[vi] = t + 1;
+        let l = self.ex.step_length(self.adversary, v, t + 1);
+        self.push(time + l, Kind::Step(v, inc));
+
+        if self.snap.every > 0 && self.ex.total_steps.is_multiple_of(self.snap.every) {
+            self.checkpoint();
+        }
+        false
+    }
+
+    /// Schedules `v`'s step-`t` broadcast of `l`, arriving at `arrivals`
+    /// in port order.
+    #[inline]
+    fn broadcast(
+        &mut self,
+        v: NodeId,
+        t: u64,
+        l: Letter,
+        arrivals: &[f64],
+        fan: &mut Vec<(NodeId, u32, f64, Letter)>,
+    ) {
+        let graph = self.ex.graph;
+        if let Some(ctx) = self.faults.ctx.filter(|ctx| ctx.affects_sender(v)) {
+            let tally = &mut self.faults.tally;
+            let watermarks = &mut self.ex.last_arrival;
+            faulted_sends(ctx, tally, graph, watermarks, v, t, arrivals, l, fan);
+            for &(u, slot, arrival, l) in fan.iter() {
+                let inc = self.stamp(u);
+                self.push(arrival, Kind::Deliver(u, slot, l, inc));
             }
-        })
-        .collect();
-    let time_unit = if ex.max_param > 0.0 {
-        ex.max_param
-    } else {
-        1.0
-    };
-    let outcome = AsyncOutcome {
-        outputs,
-        completion_time,
-        time_unit,
-        normalized_time: completion_time / time_unit,
-        total_steps: ex.total_steps,
-        messages_sent: ex.messages_sent,
-        deliveries: ex.deliveries,
-        lost_overwrites: ex.lost_overwrites,
-    };
-    Ok((outcome, ex.states, Some(summary), layer.capture()))
-}
-
-/// The event record of the churn heap loop — [`Event`] with the
-/// incarnation-stamped [`ChurnKind`].
-#[derive(Clone, Copy, Debug)]
-struct Event2 {
-    time: f64,
-    seq: u64,
-    kind: ChurnKind,
-}
-
-impl PartialEq for Event2 {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+            return;
+        }
+        // Partition the broadcast into maximal runs of equal arrival time
+        // (bitwise-equal f64s — the adversary's latency schedule lands
+        // directly in shared buckets). A churn run sends every letter
+        // alone, each stamped with its receiver's incarnation.
+        let (nbrs, rev) = (graph.neighbors(v), graph.reverse_ports(v));
+        let mut k = 0;
+        while k < nbrs.len() {
+            let mut end = k + 1;
+            while !H::STAMPED && end < nbrs.len() && arrivals[end] == arrivals[k] {
+                end += 1;
+            }
+            let kind = if end - k == 1 {
+                let (u, slot) = (nbrs[k], graph.csr_offset(nbrs[k]) + rev[k] as usize);
+                Kind::Deliver(u, slot as u32, l, self.stamp(u))
+            } else {
+                Kind::Run(v, k as u32, (end - k) as u32, l)
+            };
+            self.push(arrivals[k], kind);
+            k = end;
+        }
     }
-}
 
-impl Eq for Event2 {}
-
-impl PartialOrd for Event2 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    /// Applies the boundary due at `tb` and its engine-side consequences
+    /// — a crash bumps the node's incarnation and takes it out of the
+    /// undecided counter; a restart bumps it, puts the rebooted node
+    /// back in, and schedules its first step. Returns whether the event
+    /// was effective.
+    fn boundary(&mut self, tb: f64) -> bool {
+        let ex = &mut self.ex;
+        let hook = &mut self.hook;
+        let Some(ev) = hook.boundary(ex.protocol, &mut ex.states, &mut ex.ports, &mut ex.pending)
+        else {
+            return false;
+        };
+        match ev {
+            TopologyEvent::Crash(v) => {
+                self.incarnation[v as usize] += 1;
+                if ex.protocol.output(&ex.states[v as usize]).is_none() {
+                    ex.unfinished -= 1;
+                }
+            }
+            TopologyEvent::Restart(node) => {
+                let vi = node as usize;
+                self.incarnation[vi] += 1;
+                if ex.protocol.output(&ex.states[vi]).is_none() {
+                    ex.unfinished += 1;
+                }
+                let l = ex.step_length(self.adversary, node, ex.step_counts[vi]);
+                let inc = self.incarnation[vi];
+                self.push(tb + l, Kind::Step(node, inc));
+            }
+            TopologyEvent::EdgeInsert(..) | TopologyEvent::EdgeDelete(..) => {}
+        }
+        true
     }
-}
 
-impl Ord for Event2 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.seq.cmp(&other.seq))
+    /// Hands the observer a [`crate::Snapshot`] of the step boundary just
+    /// taken: the engine state, the loop counters, the churn cursor and
+    /// incarnations, the fault tally, and the queued events — each
+    /// [`Kind::Run`] expanded into its letters with their exact
+    /// consecutive seqs, so the bytes are the same on either queue.
+    fn checkpoint(&mut self) {
+        let graph = self.ex.graph;
+        let mut backlog = Vec::new();
+        let letter = |node, slot, letter, inc| Deliver {
+            node,
+            slot,
+            letter,
+            inc,
+        };
+        for (time, seq, &kind) in self.queue.entries() {
+            let mut push = |seq, kind| backlog.push(BacklogEvent { time, seq, kind });
+            match kind {
+                Kind::Step(node, inc) => push(seq, Step { node, inc }),
+                Kind::Deliver(node, slot, l, inc) => push(seq, letter(node, slot, l, inc)),
+                Kind::Run(v, from, len, l) => {
+                    for (i, (u, slot)) in targets(graph, v, from, len).enumerate() {
+                        push(seq + i as u64, letter(u, slot, l, 0));
+                    }
+                }
+            }
+        }
+        let ex = &self.ex;
+        let capture = AsyncCapture {
+            total_steps: ex.total_steps,
+            events: self.events,
+            seq: self.seq,
+            messages_sent: ex.messages_sent,
+            deliveries: ex.deliveries,
+            lost_overwrites: ex.lost_overwrites,
+            max_param: ex.max_param,
+            unfinished: ex.unfinished as u64,
+            states: &ex.states,
+            letters: ex.ports.letters(),
+            pending: &ex.pending,
+            last_arrival: &ex.last_arrival,
+            step_counts: &ex.step_counts,
+            rngs: &ex.rngs,
+            churn: self.hook.cursor().map(|c| (&self.incarnation[..], c)),
+            faults: self.faults.capture(),
+            backlog,
+        };
+        let snapshot = snapshot::encode_async(self.snap.meta, &self.snap.codec(), capture);
+        self.observer.on_checkpoint(&snapshot);
+    }
+
+    /// The outcome of a run completed at `completion_time`. Crashed nodes
+    /// are exempt from termination: they report the output they had
+    /// decided before crashing, or [`DEAD_OUTPUT`].
+    fn outcome(self, completion_time: f64) -> Outcome<P> {
+        let ex = self.ex;
+        let outputs = (ex.states.iter().enumerate())
+            .map(|(v, q)| match ex.protocol.output(q) {
+                Some(out) => out,
+                None if self.hook.live(v) => panic!("live nodes are decided at termination"),
+                None => DEAD_OUTPUT,
+            })
+            .collect();
+        // Only a run complete at time 0, before scheduling its first
+        // step, consumed no parameter.
+        let m = ex.max_param;
+        let time_unit = if m > 0.0 { m } else { 1.0 };
+        Outcome {
+            outputs,
+            states: ex.states,
+            cost: Cost::TimeUnits(completion_time / time_unit),
+            workers: 1,
+            steals: StealStats::default(),
+            detail: Detail::Async {
+                completion_time,
+                time_unit,
+                total_steps: ex.total_steps,
+                messages_sent: ex.messages_sent,
+                deliveries: ex.deliveries,
+                lost_overwrites: ex.lost_overwrites,
+                churn: self.hook.summary(),
+                faults: self.faults.capture(),
+            },
+        }
     }
 }
 

@@ -112,6 +112,7 @@ use stoneage_graph::{
     DynamicGraph, Graph, GraphBuilder, NodeId, SlotOp, SlotPatch, TopologyError, TopologyEvent,
 };
 
+use crate::async_exec::AsyncHook;
 use crate::engine::FlatPorts;
 use crate::pipeline::{BoundaryHook, RoundStep};
 use crate::sim::Observer;
@@ -357,7 +358,7 @@ impl ChurnOracle {
 /// the (round-sorted) event schedule, patches the port store, and
 /// accumulates the [`ChurnSummary`]. One per run; the lockstep
 /// pipeline's [`BoundaryHook`] on every schedule and both lockstep step
-/// flavours, and the async churn loop's event source.
+/// flavours, and the async event loop's [`AsyncHook`] on either queue.
 pub(crate) struct ChurnCtl<'p> {
     plan: &'p ChurnPlan,
     /// The universe graph the run executes on.
@@ -623,6 +624,39 @@ impl BoundaryHook for ChurnCtl<'_> {
 
     fn summary(&self) -> Option<ChurnSummary> {
         Some(self.finish())
+    }
+}
+
+/// The churn controller as the async event loop's hook: boundaries
+/// apply at absolute time `t = r` (see the `async_exec` module docs),
+/// and every event is stamped with its node's incarnation.
+impl AsyncHook for ChurnCtl<'_> {
+    const STAMPED: bool = true;
+    fn next_boundary(&self) -> Option<f64> {
+        self.peek_round().map(|r| r as f64)
+    }
+    fn boundary<P: Protocol>(
+        &mut self,
+        protocol: &P,
+        states: &mut [P::State],
+        ports: &mut FlatPorts,
+        pending: &mut [bool],
+    ) -> Option<TopologyEvent> {
+        let (ev, effective) = self.apply_next();
+        if !effective {
+            return None;
+        }
+        if let TopologyEvent::Restart(v) = ev {
+            states[v as usize] = protocol.restart_state(self.inputs[v as usize]);
+        }
+        // A patched slot never carries a stale pending mark: retired
+        // slots have no observable letter, revived ones hold σ₀ as a
+        // fresh registration would.
+        for p in self.patches() {
+            pending[p.slot as usize] = false;
+        }
+        self.patch_ports(ports);
+        Some(ev)
     }
 }
 

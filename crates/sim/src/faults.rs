@@ -21,11 +21,11 @@
 //!   ones carry the substituted letter, duplicates are extra
 //!   incarnation-stamped events scheduled FIFO-after the original. The
 //!   decision hash uses the sender's step index as its time coordinate.
-//!   Faulted runs always execute on the binary-heap scheduler (the
-//!   calendar wheel's `DeliverRun` batching assumes one letter per run
-//!   and pairwise-distinct slots, which duplication and corruption
-//!   violate) — the same precedent churn set, and sound because the two
-//!   schedulers are pinned bit-identical.
+//!   A sender the plan touches enqueues its faulted fan as single
+//!   deliveries with consecutive sequence numbers on whichever event
+//!   queue the run uses; every copy is FIFO-bumped past its channel's
+//!   watermark, so a same-instant delivery batch still hits pairwise
+//!   distinct slots.
 //!
 //! Counting semantics: a faulted transmission still counts as *sent* (the
 //! fault is on the channel, not the sender), `Drop` removes the port

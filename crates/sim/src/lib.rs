@@ -49,11 +49,12 @@
 //! * **Undecided-node counter** — termination is detected by a counter
 //!   updated on state transitions, not an O(|V|) output scan per round.
 //!
-//! The asynchronous executor additionally schedules its events on the
-//! calendar-queue / hierarchical timing wheel of the [`schedule`] module
-//! (O(1) amortized per event instead of the global heap's `O(log m)`),
-//! batching same-arrival-time deliveries per edge; the heap path survives
-//! behind [`SchedulerKind::BinaryHeap`] as a differential oracle.
+//! The asynchronous executor is one event loop, churn and fault runs
+//! included. It schedules its events on the calendar-queue /
+//! hierarchical timing wheel of the [`schedule`] module (O(1) amortized
+//! per event instead of the global heap's `O(log m)`), batching
+//! same-arrival-time deliveries per edge; the global heap survives
+//! behind [`SchedulerKind::BinaryHeap`] as the reference queue.
 //!
 //! None of this changes semantics. The lockstep loop still applies all
 //! phase-1 transitions against the frozen previous-round ports before any

@@ -84,8 +84,10 @@ const HORIZON: u64 = 1 << (BITS * LEVELS as u32); // 64^4
 /// `(time, seq)`.
 const TICK_CLAMP: u64 = 1 << 62;
 
+/// One queued event, ordered by exact `(time, seq)`; `tick` files it in
+/// the wheel.
 #[derive(Clone, Copy, Debug)]
-struct Entry<T> {
+pub(crate) struct Entry<T> {
     time: f64,
     seq: u64,
     tick: u64,
@@ -119,9 +121,11 @@ impl<T> Ord for Entry<T> {
 /// trade-off.
 ///
 /// `seq` values must be unique across live events (the async executor
-/// hands out a fresh one per scheduled delivery); times must be finite,
-/// non-negative, and non-decreasing relative to the last popped event —
-/// the discrete-event invariant that nothing is scheduled in the past.
+/// hands out a fresh one per scheduled delivery); times must be finite
+/// and non-negative. An event pushed earlier than the last popped one
+/// joins the current tick, so it still pops in exact order: the async
+/// executor pushes a popped event back when a churn boundary precedes
+/// it, and the boundary may schedule a step before it.
 #[derive(Clone, Debug)]
 pub struct CalendarQueue<T> {
     width: f64,
@@ -346,33 +350,64 @@ impl<T> CalendarQueue<T> {
     }
 }
 
+/// An event queue popping in exact `(time, seq)` order: the async event
+/// loop is generic over it, so both implementations drive one loop.
+pub(crate) trait EventQueue<T: 'static> {
+    /// Schedules `item` at `time` with tie-break rank `seq`.
+    fn push(&mut self, time: f64, seq: u64, item: T);
+    /// Pops the earliest event by `(time, seq)`.
+    fn pop(&mut self) -> Option<(f64, u64, T)>;
+    /// Visits every queued event, in no particular order.
+    fn entries(&self) -> impl Iterator<Item = (f64, u64, &T)>;
+}
+
+impl<T: 'static> EventQueue<T> for CalendarQueue<T> {
+    #[inline]
+    fn push(&mut self, time: f64, seq: u64, item: T) {
+        CalendarQueue::push(self, time, seq, item)
+    }
+    #[inline]
+    fn pop(&mut self) -> Option<(f64, u64, T)> {
+        CalendarQueue::pop(self)
+    }
+    fn entries(&self) -> impl Iterator<Item = (f64, u64, &T)> {
+        CalendarQueue::entries(self)
+    }
+}
+
+/// The reference queue: one global binary heap over the wheel's own
+/// `(time, seq)` entry order, `O(log m)` per push and pop.
+pub(crate) type HeapQueue<T> = BinaryHeap<Reverse<Entry<T>>>;
+
+impl<T: 'static> EventQueue<T> for HeapQueue<T> {
+    #[inline]
+    fn push(&mut self, time: f64, seq: u64, item: T) {
+        let tick = 0;
+        BinaryHeap::push(
+            self,
+            Reverse(Entry {
+                time,
+                seq,
+                tick,
+                item,
+            }),
+        );
+    }
+    #[inline]
+    fn pop(&mut self) -> Option<(f64, u64, T)> {
+        BinaryHeap::pop(self).map(|Reverse(e)| (e.time, e.seq, e.item))
+    }
+    fn entries(&self) -> impl Iterator<Item = (f64, u64, &T)> {
+        self.iter().map(|Reverse(e)| (e.time, e.seq, &e.item))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Reference scheduler: the global binary heap the wheel replaces.
-    struct HeapRef {
-        heap: BinaryHeap<Reverse<Entry<u64>>>,
-    }
-
-    impl HeapRef {
-        fn new() -> Self {
-            HeapRef {
-                heap: BinaryHeap::new(),
-            }
-        }
-        fn push(&mut self, time: f64, seq: u64, item: u64) {
-            self.heap.push(Reverse(Entry {
-                time,
-                seq,
-                tick: 0,
-                item,
-            }));
-        }
-        fn pop(&mut self) -> Option<(f64, u64, u64)> {
-            self.heap.pop().map(|Reverse(e)| (e.time, e.seq, e.item))
-        }
-    }
+    type HeapRef = HeapQueue<u64>;
 
     /// Deterministic xorshift for schedule generation.
     fn rng(seed: u64) -> impl FnMut() -> u64 {
@@ -404,13 +439,13 @@ mod tests {
                 };
                 let t = clock + dt.max(1e-9);
                 wheel.push(t, seq, seq);
-                heap.push(t, seq, seq);
+                EventQueue::push(&mut heap, t, seq, seq);
                 seq += 1;
             }
             // Drain a few, keeping the queues non-empty.
             for _ in 0..pushes_per_round / 2 {
                 let w = wheel.pop();
-                let h = heap.pop();
+                let h = EventQueue::pop(&mut heap);
                 assert_eq!(w, h, "width {width} seed {seed}");
                 if let Some((t, _, _)) = w {
                     assert!(t >= clock);
@@ -421,7 +456,7 @@ mod tests {
         // Full drain must agree to the last event.
         loop {
             let w = wheel.pop();
-            let h = heap.pop();
+            let h = EventQueue::pop(&mut heap);
             assert_eq!(w, h, "drain: width {width} seed {seed}");
             if w.is_none() {
                 break;

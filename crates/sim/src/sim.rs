@@ -376,8 +376,8 @@ pub struct AsyncOptions<'a> {
     /// The oblivious scheduling policy choosing every step length
     /// `L_{v,t}` and delivery delay `D_{v,t,u}`.
     pub adversary: &'a dyn Adversary,
-    /// Event queue driving the run. Outcomes are bit-identical across
-    /// kinds; only throughput differs.
+    /// Event queue driving the run, churn and fault runs included.
+    /// Outcomes are bit-identical across kinds; only throughput differs.
     pub scheduler: SchedulerKind,
     /// Explicit calendar bucket width overriding the executor's estimate
     /// (see [`crate::schedule`]). Performance-only: cannot affect
@@ -648,11 +648,6 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     /// counts are reported through [`Outcome::faults`]. An invalid plan
     /// (bad rate, out-of-range node or letter, rule on a non-edge) is a
     /// typed [`ExecError::Config`] from [`run`](Self::run).
-    ///
-    /// On the Async backend a fault plan forces the binary-heap
-    /// scheduler: duplicate copies break the calendar wheel's
-    /// one-letter-per-run batching invariant, and outcomes must not
-    /// depend on the scheduler knob.
     pub fn with_faults(mut self, plan: &'g FaultPlan) -> Self {
         self.faults = Some(plan);
         self

@@ -991,10 +991,10 @@ pub(crate) fn resume_lockstep<S>(
 // Async body layout
 // ---------------------------------------------------------------------------
 
-/// One queued event of the async backlog, scheduler-agnostic: calendar
-/// `DeliverRun` batches are expanded into their per-letter deliveries
-/// (with their exact consecutive `seq` values) before capture, so a
-/// snapshot's backlog bytes are identical whichever scheduler wrote them.
+/// One queued event of the async backlog, scheduler-agnostic: run
+/// events of equal-arrival letters are expanded into their per-letter
+/// deliveries (with their exact consecutive `seq` values) before capture,
+/// so a snapshot's backlog bytes are identical whichever queue wrote them.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BacklogEvent {
     pub time: f64,

@@ -22,12 +22,15 @@
 
 use proptest::prelude::*;
 use stoneage_core::Synchronized;
-use stoneage_graph::{generators, Graph, NodeId};
-use stoneage_sim::{Adversary, AsyncConfig, AsyncOutcome, ExecError, SchedulerKind};
+use stoneage_graph::{generators, Graph, NodeId, TopologyEvent};
+use stoneage_sim::{
+    Adversary, AsyncConfig, AsyncOptions, AsyncOutcome, Backend, ChurnPlan, ExecError, FaultPlan,
+    LinkFault, SchedulerKind, Simulation,
+};
 use stoneage_testkit::harness::run_async;
 use stoneage_testkit::{
-    async_fingerprint, count_neighbors_quiet as count_neighbors, random_beeper, run_async_pinned,
-    ASYNC_PINNED_CASES,
+    async_fingerprint, async_run_fingerprint, count_neighbors_quiet as count_neighbors,
+    random_beeper, run_async_pinned, ASYNC_PINNED_CASES,
 };
 
 /// An adversary whose parameters are all multiples of one quantum: whole
@@ -159,40 +162,253 @@ fn wheel_matches_heap_on_randomized_protocol() {
     }
 }
 
+/// `async_fingerprint` of every colliding cell (seed 6), recorded from
+/// the binary-heap loop while it still pushed one event per letter —
+/// the reference that run-event batching and per-receiver coalescing
+/// must match — per graph, in the order Quantized 0.25, Quantized 1.0,
+/// Constant.
+const COLLIDING_PINNED: [(&str, [u64; 3]); 3] = [
+    (
+        "star",
+        [0xd6cb1ac10201ab8d, 0x3622d0858b1b984d, 0x8c4c4d12c336dfec],
+    ),
+    (
+        "grid",
+        [0x5f68da46c281ff45, 0x015dc3240a8d3905, 0xb63146d4847a1066],
+    ),
+    (
+        "gnp",
+        [0x2aef170e1e3b092e, 0x3fb4f3601baea52e, 0x523145927432a7e6],
+    ),
+];
+
 #[test]
 fn colliding_arrivals_agree_and_do_collide() {
     // Quantized and constant schedules funnel many arrivals onto shared
     // instants — shared buckets and batched runs in the wheel. Outcomes
-    // must not move by a bit.
+    // must not move by a bit, on either queue, from the one-letter-per-
+    // event reference recorded in `COLLIDING_PINNED`.
     let p = Synchronized::new(count_neighbors(3));
-    for (name, g) in [
+    let mut drift = Vec::new();
+    for ((name, g), (pinned_name, pinned)) in [
         ("star", generators::star(40)),
         ("grid", generators::grid(8, 9)),
         ("gnp", generators::gnp(80, 0.08, 5)),
-    ] {
-        for quantum in [0.25, 1.0] {
-            let adv = Quantized { seed: 31, quantum };
-            let heap = run_async(&p, &g, &adv, &heap_cfg(6)).unwrap();
-            let wheel = run_async(&p, &g, &adv, &wheel_cfg(6)).unwrap();
-            assert_same(&format!("{name}/q{quantum}"), &wheel, &heap);
-        }
-        let adv = Constant {
+    ]
+    .into_iter()
+    .zip(COLLIDING_PINNED)
+    {
+        assert_eq!(name, pinned_name);
+        let constant = Constant {
             step: 1.0,
             delay: 0.5,
         };
-        let heap = run_async(&p, &g, &adv, &heap_cfg(6)).unwrap();
-        let wheel = run_async(&p, &g, &adv, &wheel_cfg(6)).unwrap();
-        assert_same(&format!("{name}/constant"), &wheel, &heap);
-        // Sanity: the collision workload actually delivers in bulk.
-        assert!(wheel.deliveries > 0, "{name}");
+        let advs: [(String, &dyn Adversary); 3] = [
+            (
+                "q0.25".into(),
+                &Quantized {
+                    seed: 31,
+                    quantum: 0.25,
+                },
+            ),
+            (
+                "q1".into(),
+                &Quantized {
+                    seed: 31,
+                    quantum: 1.0,
+                },
+            ),
+            ("constant".into(), &constant),
+        ];
+        for ((label, adv), want) in advs.into_iter().zip(pinned) {
+            let heap = run_async(&p, &g, adv, &heap_cfg(6)).unwrap();
+            let wheel = run_async(&p, &g, adv, &wheel_cfg(6)).unwrap();
+            assert_same(&format!("{name}/{label}"), &wheel, &heap);
+            // Sanity: the collision workload actually delivers in bulk.
+            assert!(wheel.deliveries > 0, "{name}/{label}");
+            let got = async_fingerprint(&heap);
+            if got != want {
+                drift.push(format!("{name}/{label}: {got:#018x} != {want:#018x}"));
+            }
+        }
     }
+    assert!(
+        drift.is_empty(),
+        "colliding cells drifted:\n{}",
+        drift.join("\n")
+    );
 }
+
+/// The result of one event-limit cell: the run's
+/// `async_run_fingerprint`, or the unfinished count of the
+/// `EventLimit` it hit (whose limit is the cell's budget).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Budgeted {
+    Done(u64),
+    Limit(usize),
+}
+
+/// The budgets of the event-limit sweep. Those from 800 to 1350 land
+/// inside the same-instant batches around t = 19.5, where the churn
+/// plan's crash and edge delete drop letters and the duplicates pile up.
+const BUDGETS: [u64; 17] = [
+    1, 7, 40, 41, 97, 150, 400, 800, 850, 880, 1000, 1200, 1300, 1350, 2000, 4000, 20_000,
+];
+
+/// Every event-limit cell, recorded from the binary-heap loop while it
+/// still pushed one event per letter, per (graph, plan), in
+/// [`BUDGETS`] order.
+const EVENT_LIMIT_PINNED: [(&str, &str, [Budgeted; 17]); 6] = [
+    (
+        "star",
+        "none",
+        [
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Done(0x74af5deea82a3202),
+            Budgeted::Done(0x74af5deea82a3202),
+            Budgeted::Done(0x74af5deea82a3202),
+        ],
+    ),
+    (
+        "star",
+        "churn",
+        [
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(39),
+            Budgeted::Limit(39),
+            Budgeted::Limit(39),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(2),
+            Budgeted::Done(0xd478b6adf6bf96d6),
+            Budgeted::Done(0xd478b6adf6bf96d6),
+        ],
+    ),
+    (
+        "star",
+        "dup",
+        [
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Limit(40),
+            Budgeted::Done(0xa3a268d513033459),
+            Budgeted::Done(0xa3a268d513033459),
+            Budgeted::Done(0xa3a268d513033459),
+        ],
+    ),
+    (
+        "grid",
+        "none",
+        [
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Done(0x7e13da0318532503),
+            Budgeted::Done(0x7e13da0318532503),
+        ],
+    ),
+    (
+        "grid",
+        "churn",
+        [
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(55),
+            Budgeted::Limit(55),
+            Budgeted::Limit(55),
+            Budgeted::Limit(56),
+            Budgeted::Limit(1),
+            Budgeted::Done(0x9560412f6ac11371),
+        ],
+    ),
+    (
+        "grid",
+        "dup",
+        [
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Limit(56),
+            Budgeted::Done(0xc1e0ea3453e93c8c),
+            Budgeted::Done(0xc1e0ea3453e93c8c),
+        ],
+    ),
+];
 
 #[test]
 fn event_limit_is_identical_under_the_wheel() {
     // Sweep budgets so the limit lands on step events, single deliveries,
     // and mid-batch under the wheel; the reported error (budget and
-    // unfinished count) must equal the heap path's exactly.
+    // unfinished count) must equal the heap path's exactly. The churn
+    // and duplicate plans also land it on stale, tombstoned and
+    // duplicated deliveries inside a same-instant batch, which the wheel
+    // counts one by one as it gathers the batch. Both queues must
+    // reproduce the one-letter-per-event reference in
+    // `EVENT_LIMIT_PINNED`.
     let p = Synchronized::new(count_neighbors(2));
     let star = generators::star(40); // center broadcast = 40-wide batch
     let grid = generators::grid(7, 8);
@@ -200,24 +416,87 @@ fn event_limit_is_identical_under_the_wheel() {
         step: 1.0,
         delay: 0.5,
     };
-    for g in [&star, &grid] {
-        for budget in [1u64, 7, 40, 41, 97, 150, 400, 1000] {
-            let mk = |scheduler| AsyncConfig {
-                max_events: budget,
-                ..AsyncConfig::seeded(2).with_scheduler(scheduler)
-            };
-            let heap = run_async(&p, g, &adv, &mk(SchedulerKind::BinaryHeap));
-            let wheel = run_async(&p, g, &adv, &mk(SchedulerKind::CalendarWheel));
-            match (wheel, heap) {
-                (Ok(w), Ok(h)) => assert_same(&format!("budget {budget}"), &w, &h),
-                (Err(w), Err(h)) => {
-                    assert_eq!(w, h, "budget {budget}");
-                    assert!(matches!(w, ExecError::EventLimit { limit, .. } if limit == budget));
+    // Under the plans a delay longer than a step keeps letters in flight
+    // across every boundary, so the crash leaves stale letters behind.
+    let long = Constant {
+        step: 1.0,
+        delay: 1.5,
+    };
+    let mut drift = Vec::new();
+    for ((gname, g), (plan, adv)) in [("star", &star), ("grid", &grid)]
+        .into_iter()
+        .flat_map(|g| {
+            let plans: [(&str, &dyn Adversary); 3] =
+                [("none", &adv), ("churn", &long), ("dup", &long)];
+            plans.map(|plan| (g, plan))
+        })
+    {
+        let edge = (0, *g.neighbors(0).last().unwrap());
+        // The first letters of this protocol land at t = 18.5; the
+        // boundaries fall among them.
+        let churn = ChurnPlan::new()
+            .at(19, TopologyEvent::Crash(1))
+            .at(20, TopologyEvent::EdgeDelete(edge.0, edge.1))
+            .at(22, TopologyEvent::Restart(1));
+        let dup = FaultPlan::new(7).duplicate_rate(0.3, 2).on_edge(
+            edge.0,
+            edge.1,
+            LinkFault::Duplicate(1),
+            0.5,
+        );
+        let pinned = EVENT_LIMIT_PINNED
+            .iter()
+            .find(|&&(pg, pp, _)| (pg, pp) == (gname, plan))
+            .expect("every cell is pinned")
+            .2;
+        for (budget, want) in BUDGETS.into_iter().zip(pinned) {
+            let ctx = format!("{gname}/{plan}/budget {budget}");
+            let run = |scheduler| {
+                let mut sim = Simulation::asynchronous(&p, g, adv)
+                    .seed(2)
+                    .budget(budget)
+                    .backend(Backend::Async(
+                        AsyncOptions::new(adv).with_scheduler(scheduler),
+                    ));
+                match plan {
+                    "churn" => sim = sim.with_churn(&churn),
+                    "dup" => sim = sim.with_faults(&dup),
+                    _ => {}
                 }
-                (w, h) => panic!("budget {budget}: outcome kinds diverge: {w:?} vs {h:?}"),
+                sim.run().map(|o| {
+                    let summaries = (o.churn().cloned(), o.faults().copied());
+                    (o.into_async_outcome().expect("async backend"), summaries)
+                })
+            };
+            let heap = run(SchedulerKind::BinaryHeap);
+            let wheel = run(SchedulerKind::CalendarWheel);
+            let got = match (wheel, heap) {
+                (Ok((w, ws)), Ok((h, hs))) => {
+                    assert_same(&ctx, &w, &h);
+                    assert_eq!(ws, hs, "{ctx}: summaries");
+                    Budgeted::Done(async_run_fingerprint(&h, hs.0.as_ref(), hs.1.as_ref()))
+                }
+                (Err(w), Err(h)) => {
+                    assert_eq!(w, h, "{ctx}");
+                    match w {
+                        ExecError::EventLimit { limit, unfinished } if limit == budget => {
+                            Budgeted::Limit(unfinished)
+                        }
+                        other => panic!("{ctx}: unexpected error {other:?}"),
+                    }
+                }
+                (w, h) => panic!("{ctx}: outcome kinds diverge: {w:?} vs {h:?}"),
+            };
+            if got != want {
+                drift.push(format!("{ctx}: {got:?} != {want:?}"));
             }
         }
     }
+    assert!(
+        drift.is_empty(),
+        "event-limit cells drifted:\n{}",
+        drift.join("\n")
+    );
 }
 
 /// Pinned end-to-end async snapshots, recorded from the binary-heap path

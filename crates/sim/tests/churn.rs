@@ -21,9 +21,12 @@
 
 use proptest::prelude::*;
 use stoneage_core::{AsMulti, Synchronized};
-use stoneage_graph::{generators, Graph, TopologyEvent};
+use stoneage_graph::{generators, Graph, NodeId, TopologyEvent};
 use stoneage_sim::adversary::UniformRandom;
-use stoneage_sim::{ChurnPlan, ChurnSummary, PatchMode, ScopedOutcome, Simulation, SyncOutcome};
+use stoneage_sim::{
+    AsyncOptions, Backend, ChurnPlan, ChurnSummary, Observer, PatchMode, SchedulerKind,
+    ScopedOutcome, Simulation, SyncOutcome,
+};
 use stoneage_testkit::{
     async_fingerprint, churn_fingerprint, count_neighbors, count_neighbors_quiet, random_beeper,
     run_churn_pinned, scoped_fingerprint, sync_fingerprint, Poke, CHURN_PINNED_CASES,
@@ -131,7 +134,7 @@ fn scoped_incremental_patch_matches_oracle_rebuild() {
     }
 }
 
-/// Contract 1 on the asynchronous backend (heap-driven): the patched
+/// Contract 1 on the asynchronous backend (default queue): the patched
 /// event loop matches the oracle rebuild on every counter and the exact
 /// completion-time bits.
 #[test]
@@ -230,6 +233,97 @@ fn empty_plan_is_bit_identical_to_churn_free_engine() {
             "{name}: async (vs heap scheduler)"
         );
     }
+}
+
+/// Counts `on_step` calls whose time is earlier than the step before.
+#[derive(Default)]
+struct StepOrder {
+    last: f64,
+    inversions: u32,
+}
+
+impl<S> Observer<S> for StepOrder {
+    fn on_step(&mut self, time: f64, _v: NodeId, _t: u64, _state: &S) {
+        if time < self.last {
+            self.inversions += 1;
+        }
+        self.last = time;
+    }
+}
+
+/// The async loop applies a boundary before any event at or after its
+/// time, and on a drained queue the next boundary outright, on both
+/// queues. Crashing every node drains the queue long before a later
+/// restart; the run must then finish as the Sync backend does. A
+/// restarted node's first step can come before an event already due;
+/// no observer may see step times go backwards.
+#[test]
+fn async_churn_boundaries_apply_in_time_order() {
+    let queues = [SchedulerKind::CalendarWheel, SchedulerKind::BinaryHeap];
+    let p = Synchronized::new(count_neighbors_quiet(2));
+    let run = |g: &Graph, plan: &ChurnPlan, seed: u64, queue, observer: &mut StepOrder| {
+        let adv = UniformRandom { seed };
+        Simulation::asynchronous(&p, g, &adv)
+            .seed(seed)
+            .with_churn(plan)
+            .backend(Backend::Async(
+                AsyncOptions::new(&adv).with_scheduler(queue),
+            ))
+            .observe(observer)
+            .run()
+    };
+
+    let g = generators::cycle(4);
+    let crash_all = (0..4).fold(ChurnPlan::new(), |plan, v| {
+        plan.at(1, TopologyEvent::Crash(v))
+    });
+    let restart_all = (0..4).fold(crash_all.clone(), |plan, v| {
+        plan.at(50, TopologyEvent::Restart(v))
+    });
+    let restart_one = crash_all.clone().at(50, TopologyEvent::Restart(0));
+    // The queue drains after the crashes; the last boundary is a no-op.
+    let crash_again = crash_all.at(5, TopologyEvent::Crash(0));
+    for (name, plan) in [
+        ("restart-all", restart_all),
+        ("restart-0", restart_one),
+        ("crash-again", crash_again),
+    ] {
+        let (sync, sync_summary) = run_sync_churn(&AsMulti(count_neighbors_quiet(2)), &g, 7, &plan);
+        for queue in queues {
+            let mut order = StepOrder::default();
+            let async_outcome = run(&g, &plan, 7, queue, &mut order)
+                .unwrap_or_else(|e| panic!("{name}/{queue:?}: {e}"));
+            assert_eq!(async_outcome.outputs, sync.outputs, "{name}/{queue:?}");
+            assert_eq!(
+                async_outcome.churn(),
+                Some(&sync_summary),
+                "{name}/{queue:?}"
+            );
+            assert_eq!(order.inversions, 0, "{name}/{queue:?}");
+        }
+    }
+
+    let g = generators::cycle(6);
+    let plan = (1..6)
+        .fold(ChurnPlan::new(), |plan, v| {
+            plan.at(1, TopologyEvent::Crash(v))
+        })
+        .at(7, TopologyEvent::Restart(1));
+    let mut out_of_order = Vec::new();
+    for seed in 0..50 {
+        for queue in queues {
+            let mut order = StepOrder::default();
+            run(&g, &plan, seed, queue, &mut order)
+                .unwrap_or_else(|e| panic!("seed {seed}/{queue:?}: {e}"));
+            if order.inversions > 0 {
+                out_of_order.push(format!("seed {seed}/{queue:?}"));
+            }
+        }
+    }
+    assert!(
+        out_of_order.is_empty(),
+        "steps ran out of time order: {out_of_order:?}"
+    );
 }
 
 /// Crashed-undecided nodes report `DEAD_OUTPUT`; dead-but-decided nodes

@@ -130,9 +130,10 @@ fn empty_plan_is_bit_identical_to_fault_free_engine() {
             "{name}: scoped"
         );
 
-        // A wired plan forces the heap scheduler, so the fault-free
-        // reference is the explicit heap backend (heap ≡ wheel is the
-        // async suite's own contract).
+        // The empty plan runs on the default wheel and the fault-free
+        // reference on the explicit heap backend, so this also crosses
+        // the two queues (heap ≡ wheel is the async suite's own
+        // contract).
         let async_p = Synchronized::new(count_neighbors_quiet(2));
         let adv = UniformRandom { seed: 5 };
         let with = Simulation::asynchronous(&async_p, &g, &adv)

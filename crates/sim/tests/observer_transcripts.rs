@@ -1,14 +1,21 @@
-//! What an observer sees, on every lockstep schedule.
+//! What an observer sees, on every lockstep schedule and on both async
+//! queues.
 //!
 //! The round pipeline calls `Observer::on_round_end` once per round,
 //! after the round's churn boundary has been applied, and
 //! `Observer::on_checkpoint` at every checkpoint boundary, after the
-//! fused schedule has flushed its deferred deliveries. The outcome pins
+//! fused schedule has flushed its deferred deliveries. The async event
+//! loop calls `Observer::on_step` after every node step and
+//! `Observer::on_checkpoint` on its step cadence. The outcome pins
 //! elsewhere see only the end of a run; this suite pins the whole
-//! transcript an observer receives:
+//! transcript an observer receives, folded by the testkit's
+//! `Transcript`:
 //!
 //! * every `on_round_end` call: the round and the `SnapState` bytes of
 //!   every state;
+//! * every `on_step` call: the time's bits, the node, the step index and
+//!   the state's bytes (the observer also checks that step times never
+//!   decrease);
 //! * every `on_checkpoint` call: the frame's `to_bytes()`.
 //!
 //! Both lockstep flavours run with a checkpoint cadence (`SelfStabMis`
@@ -18,43 +25,20 @@
 //! loops were folded into the round pipeline, and under the `parallel`
 //! feature every cell of the testkit's lockstep matrix must reproduce
 //! the serial transcript.
+//!
+//! The async flavour runs the testkit's `async_transcript` instance
+//! under the same four plans, and each transcript also folds the
+//! outcome's fingerprint with its churn and fault summaries. Both queues
+//! must equal one constant per plan, recorded when every churn or fault
+//! run still executed on the binary heap whatever queue was asked for.
 
 use stoneage_core::Protocol;
 use stoneage_graph::{generators, Graph, TopologyEvent};
 use stoneage_protocols::SelfStabMis;
 use stoneage_sim::{
-    ChurnPlan, ExecError, FaultPlan, Observer, Outcome, ParallelPolicy, Simulation, SnapState,
-    SnapWriter, Snapshot,
+    ChurnPlan, ExecError, FaultPlan, Outcome, ParallelPolicy, SchedulerKind, Simulation,
 };
-use stoneage_testkit::{fnv1a, Poke};
-
-/// Folds every observer call into one fnv1a hash.
-#[derive(Default)]
-struct Transcript(u64);
-
-impl Transcript {
-    fn fold(&mut self, tag: u64, round: u64, bytes: &[u8]) {
-        let head = [tag, round, bytes.len() as u64];
-        self.0 = fnv1a(
-            self.0,
-            head.into_iter().chain(bytes.iter().map(|&b| b as u64)),
-        );
-    }
-}
-
-impl<S: SnapState> Observer<S> for Transcript {
-    fn on_round_end(&mut self, round: u64, states: &[S]) {
-        let mut w = SnapWriter::new();
-        for q in states {
-            q.encode(&mut w);
-        }
-        self.fold(1, round, &w.into_bytes());
-    }
-
-    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
-        self.fold(2, snapshot.boundary(), &snapshot.to_bytes());
-    }
-}
+use stoneage_testkit::{async_transcript, Poke, Transcript, ASYNC_TRANSCRIPT_PLANS};
 
 /// The four plan combinations every flavour runs under.
 const PLANS: [&str; 4] = ["none", "churn", "faults", "churn+faults"];
@@ -145,7 +129,7 @@ fn sync_transcript(plan: &str, policy: &Option<ParallelPolicy>) -> u64 {
         .observe(&mut observer)
         .run();
     check(outcome, "sync", plan);
-    observer.0
+    observer.hash
 }
 
 /// The transcript of `Poke` on the scoped backend.
@@ -162,7 +146,7 @@ fn scoped_transcript(plan: &str, policy: &Option<ParallelPolicy>) -> u64 {
         .observe(&mut observer)
         .run();
     check(outcome, "scoped", plan);
-    observer.0
+    observer.hash
 }
 
 /// Serial transcripts per plan ([`PLANS`] order), recorded before the
@@ -201,5 +185,27 @@ fn every_schedule_delivers_the_serial_transcript() {
                 "scoped/{plan}/{name}"
             );
         }
+    }
+}
+
+/// Async transcripts per plan ([`ASYNC_TRANSCRIPT_PLANS`] order),
+/// recorded from the heap before churn and fault runs could run on the
+/// calendar wheel. Re-derive with `cargo run -p stoneage-bench --bin
+/// fingerprint`.
+const ASYNC_PINNED: [u64; 4] = [
+    0xe2b8b42fdca4b523,
+    0xd9889771efca180c,
+    0x3213eacf2b3a0a0e,
+    0x77166999028e7d1d,
+];
+
+#[test]
+fn async_transcripts_match_the_recorded_constants_on_both_queues() {
+    for queue in [SchedulerKind::CalendarWheel, SchedulerKind::BinaryHeap] {
+        let got: Vec<u64> = ASYNC_TRANSCRIPT_PLANS
+            .iter()
+            .map(|plan| async_transcript(plan, queue))
+            .collect();
+        assert_eq!(got, ASYNC_PINNED, "{queue:?} transcripts");
     }
 }

@@ -23,11 +23,11 @@ use stoneage_core::{
     Alphabet, AsMulti, Letter, ObsVec, Protocol, Synchronized, TableProtocol, TableProtocolBuilder,
     Transitions,
 };
-use stoneage_graph::{generators, Graph};
+use stoneage_graph::{generators, Graph, NodeId, TopologyEvent};
 use stoneage_sim::{
     AsyncOptions, AsyncOutcome, Backend, ChurnPlan, ChurnSummary, FaultPlan, FaultSummary,
-    LinkFault, SchedulerKind, ScopedEmission, ScopedMultiFsm, ScopedTransitions, Simulation,
-    SyncOutcome,
+    LinkFault, Observer, SchedulerKind, ScopedEmission, ScopedMultiFsm, ScopedTransitions,
+    Simulation, SnapState, SnapWriter, Snapshot, SyncOutcome,
 };
 
 /// Builder-backed twins of the retired legacy `run_*` free functions,
@@ -584,6 +584,149 @@ pub fn run_async_pinned(name: &str, seed: u64, scheduler: SchedulerKind) -> Asyn
         .expect("pinned cases terminate")
         .into_async_outcome()
         .expect("async backend")
+}
+
+/// Fingerprint of an asynchronous run: the [`async_fingerprint`] words,
+/// then the churn summary (effective event counts and final live set)
+/// and the fault tallies, each when present.
+pub fn async_run_fingerprint(
+    out: &AsyncOutcome,
+    churn: Option<&ChurnSummary>,
+    faults: Option<&FaultSummary>,
+) -> u64 {
+    let present = (churn.is_some() as u64) | (faults.is_some() as u64) << 1;
+    let churn = churn.into_iter().flat_map(|c| {
+        [c.crashes, c.restarts, c.edge_inserts, c.edge_deletes]
+            .into_iter()
+            .chain(c.live_nodes.iter().map(|&l| l as u64))
+    });
+    let faults = faults
+        .into_iter()
+        .flat_map(|f| [f.evaluated, f.dropped, f.duplicated, f.corrupted]);
+    fnv1a(async_fingerprint(out) ^ present, churn.chain(faults))
+}
+
+/// An [`Observer`] folding every call it receives into one fnv1a hash:
+/// each `on_round_end` (the round and the `SnapState` bytes of every
+/// state), each `on_step` (the time's bits, the node, the step index and
+/// the state's bytes) and each `on_checkpoint` (the frame's
+/// `to_bytes()`). It also checks that `on_step` times never decrease.
+#[derive(Debug)]
+pub struct Transcript {
+    /// The hash so far.
+    pub hash: u64,
+    last_step: f64,
+}
+
+impl Default for Transcript {
+    fn default() -> Self {
+        Transcript {
+            hash: 0,
+            last_step: f64::NEG_INFINITY,
+        }
+    }
+}
+
+impl Transcript {
+    /// Folds one record: a tag, a position word and a byte string.
+    pub fn fold(&mut self, tag: u64, at: u64, bytes: &[u8]) {
+        let head = [tag, at, bytes.len() as u64];
+        self.hash = fnv1a(
+            self.hash,
+            head.into_iter().chain(bytes.iter().map(|&b| b as u64)),
+        );
+    }
+}
+
+impl<S: SnapState> Observer<S> for Transcript {
+    fn on_round_end(&mut self, round: u64, states: &[S]) {
+        let mut w = SnapWriter::new();
+        for q in states {
+            q.encode(&mut w);
+        }
+        self.fold(1, round, &w.into_bytes());
+    }
+
+    fn on_step(&mut self, time: f64, v: NodeId, t: u64, state: &S) {
+        assert!(
+            time >= self.last_step,
+            "step {t} of node {v} at time {time} follows a step at {}",
+            self.last_step
+        );
+        self.last_step = time;
+        let mut w = SnapWriter::new();
+        w.u64(v as u64);
+        w.u64(t);
+        state.encode(&mut w);
+        self.fold(3, time.to_bits(), &w.into_bytes());
+    }
+
+    fn on_checkpoint(&mut self, snapshot: &Snapshot) {
+        self.fold(2, snapshot.boundary(), &snapshot.to_bytes());
+    }
+}
+
+/// The plan combinations of the async observer-transcript panel.
+pub const ASYNC_TRANSCRIPT_PLANS: [&str; 4] = ["none", "churn", "faults", "churn+faults"];
+
+/// The async observer-transcript instance: the synchronized quiet
+/// counter on a small gnp with a checkpoint every 40 steps, under `plan`
+/// (one of [`ASYNC_TRANSCRIPT_PLANS`]) on `scheduler`. The churn plan is
+/// a seeded random plan plus a crash/restart pair of node 0 and an edge
+/// delete, so letters in flight to a crashed node and to a deleted edge
+/// are both dropped; the fault plan injects duplicates only (drops and
+/// corruption can starve the synchronizer), with one per-edge rule.
+/// Returns the [`Transcript`] hash, ending with the outcome's
+/// [`async_run_fingerprint`].
+pub fn async_transcript(plan: &str, scheduler: SchedulerKind) -> u64 {
+    let g = generators::gnp(40, 0.12, 6);
+    let p = Synchronized::new(count_neighbors_quiet(2));
+    let adv = stoneage_sim::adversary::UniformRandom { seed: 3 };
+    let (u, v) = (1, g.neighbors(1)[0]);
+    let churn = ChurnPlan::random(&g, 29, 8, 10)
+        .at(7, TopologyEvent::Crash(0))
+        .at(8, TopologyEvent::EdgeDelete(u, v))
+        .at(9, TopologyEvent::Restart(0));
+    let faults =
+        FaultPlan::new(41)
+            .duplicate_rate(0.2, 2)
+            .on_edge(u, v, LinkFault::Duplicate(1), 0.5);
+    let mut observer = Transcript::default();
+    let mut sim = Simulation::asynchronous(&p, &g, &adv)
+        .seed(8)
+        .budget(2_000_000)
+        .checkpoint_every(40)
+        .backend(Backend::Async(
+            AsyncOptions::new(&adv).with_scheduler(scheduler),
+        ));
+    if plan.starts_with("churn") {
+        sim = sim.with_churn(&churn);
+    }
+    if plan.ends_with("faults") {
+        sim = sim.with_faults(&faults);
+    }
+    let outcome = sim
+        .observe(&mut observer)
+        .run()
+        .unwrap_or_else(|e| panic!("async transcript {plan}: {e}"));
+    if plan.starts_with("churn") {
+        let c = outcome.churn().expect("churn summary");
+        assert!(
+            c.crashes > 0 && c.restarts > 0 && c.edge_deletes > 0,
+            "{plan}"
+        );
+    }
+    if plan.ends_with("faults") {
+        assert!(
+            outcome.faults().expect("fault summary").duplicated > 0,
+            "{plan}"
+        );
+    }
+    let (churn, faults) = (outcome.churn().cloned(), outcome.faults().copied());
+    let out = outcome.into_async_outcome().expect("async backend");
+    let fp = async_run_fingerprint(&out, churn.as_ref(), faults.as_ref());
+    observer.fold(4, 0, &fp.to_le_bytes());
+    observer.hash
 }
 
 /// A small id-free scoped protocol for the port-select executor tests:
