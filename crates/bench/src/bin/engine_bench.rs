@@ -11,17 +11,6 @@
 //!   the serial flat engine vs the fully parallel engine (chunked
 //!   phase 1 + sharded-write-buffer phase 2) at several worker counts on
 //!   the same gnp instance;
-//! * **round-pipeline sweep** (`--features parallel` builds) — the
-//!   two-join `RoundMode::Joined` schedule vs the one-join
-//!   `RoundMode::Fused` schedule (phase 2b deferred onto per-worker
-//!   plane shards) at worker counts {2, 4, available} on gnp / tree /
-//!   grid instances;
-//! * **steal sweep** (`--features parallel` builds) — the static
-//!   slot-balanced chunk schedule vs the work-stealing scheduler
-//!   (`ChunkScheduler::Stealing`) on skewed power-law / hub-and-spoke
-//!   instances (plus a uniform gnp control) under an RNG-heavy prober
-//!   workload, where the static schedule's slot balance mis-predicts
-//!   per-node cost;
 //! * **churn sweep** — rounds/sec of the incrementally patched engine vs
 //!   the `ChurnOracle` full-rebuild reference under a dense fault
 //!   schedule, plus per-event re-stabilization rounds of MIS / coloring
@@ -53,15 +42,6 @@
 //!                                       # 4+ workers falls below that ratio
 //!                                       # (skipped with a warning when the
 //!                                       # host has fewer than 4 CPUs)
-//! engine_bench --min-fused-speedup 1.0  # exit(1) if the fused pipeline at
-//!                                       # 4+ workers falls below that ratio
-//!                                       # of the joined pipeline (same
-//!                                       # self-skip below 4 CPUs)
-//! engine_bench --min-steal-speedup 1.3   # exit(1) if the stealing scheduler
-//!                                       # at 4+ workers falls below that
-//!                                       # ratio of the static schedule on
-//!                                       # any skewed family (same self-skip
-//!                                       # below 4 CPUs)
 //! engine_bench --min-churn-patch-speedup 1.5
 //!                                       # exit(1) if incremental churn
 //!                                       # patching falls below that ratio of
@@ -111,39 +91,6 @@ fn blinker() -> TableProtocol {
     builder.add_input_state(s0);
     builder.set_transition_all(s0, Transitions::det(s1, Some(Letter(0))));
     builder.set_transition_all(s1, Transitions::det(s0, Some(Letter(1))));
-    builder.build().unwrap()
-}
-
-/// The steal-sweep workload: a never-terminating prober whose every
-/// transition is a uniform three-way choice, so each node burns an RNG
-/// draw per round and per-*node* work dominates per-slot work. That is
-/// exactly the cost profile the slot-balanced static `ShardPlan`
-/// mis-predicts on node-count-skewed graphs — a hub shard holds a few
-/// giant-degree nodes (few RNG draws) while spoke shards hold thousands
-/// — and the work-stealing scheduler absorbs.
-#[cfg(feature = "parallel")]
-fn prober() -> TableProtocol {
-    let alphabet = Alphabet::new(["a", "b"]);
-    let mut builder = TableProtocolBuilder::new("prober", alphabet, 1, Letter(0));
-    let s0 = builder.add_state("s0", Letter(0));
-    let s1 = builder.add_state("s1", Letter(1));
-    builder.add_input_state(s0);
-    builder.set_transition_all(
-        s0,
-        Transitions::uniform(vec![
-            (s1, Some(Letter(0))),
-            (s1, Some(Letter(1))),
-            (s0, None),
-        ]),
-    );
-    builder.set_transition_all(
-        s1,
-        Transitions::uniform(vec![
-            (s0, Some(Letter(1))),
-            (s0, Some(Letter(0))),
-            (s1, None),
-        ]),
-    );
     builder.build().unwrap()
 }
 
@@ -274,212 +221,6 @@ fn parallel_sweep(
             entry.workers, entry.workers_used, entry.rounds_per_sec, entry.speedup
         );
         entries.push(entry);
-    }
-    (entries, hw)
-}
-
-/// One joined-vs-fused measurement of the parallel round pipeline.
-#[cfg(feature = "parallel")]
-struct RoundPipelineEntry {
-    family: &'static str,
-    n: usize,
-    workers: usize,
-    workers_used: usize,
-    joined_rounds_per_sec: f64,
-    fused_rounds_per_sec: f64,
-    /// fused / joined.
-    speedup: f64,
-}
-
-/// Measures the two round-pipeline schedules — `RoundMode::Joined` (two
-/// scope joins per round) vs `RoundMode::Fused` (one) — on the same
-/// instances and worker counts, per graph family. Worker counts beyond
-/// the host's CPUs are still recorded for cross-host comparability; the
-/// gate in `main` only enforces counts the hardware can genuinely run.
-#[cfg(feature = "parallel")]
-fn round_pipeline_sweep(quick: bool, rounds: u64, reps: usize) -> (Vec<RoundPipelineEntry>, usize) {
-    use stoneage_sim::{MergeStrategy, ParallelPolicy, RoundMode};
-    let n: usize = if quick { 5_000 } else { 50_000 };
-    let side = (n as f64).sqrt().ceil() as usize;
-    let graphs: [(&'static str, Graph); 3] = [
-        ("gnp", generators::gnp(n, 8.0 / n as f64, 7)),
-        ("tree", generators::random_tree(n, 13)),
-        ("grid", generators::grid(side, side)),
-    ];
-    let hw = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1);
-    let mut worker_counts = vec![2usize, 4, hw];
-    worker_counts.sort_unstable();
-    worker_counts.dedup();
-    worker_counts.retain(|&w| w >= 2);
-    let p = AsMulti(blinker());
-    let config = SyncConfig {
-        seed: 1,
-        max_rounds: rounds,
-    };
-    let mut entries = Vec::new();
-    for (family, g) in &graphs {
-        let nodes = g.node_count();
-        eprintln!(
-            "engine_bench[round_pipeline]: {family}(n = {nodes}), joined vs fused, \
-             {rounds} rounds x {reps} reps"
-        );
-        let inputs = vec![0usize; nodes];
-        for &w in &worker_counts {
-            let rps = |round: RoundMode| {
-                let policy =
-                    ParallelPolicy::forced(w, MergeStrategy::DestinationSharded).with_round(round);
-                measure(rounds, reps, || {
-                    Simulation::sync(&p, g)
-                        .seed(config.seed)
-                        .budget(config.max_rounds)
-                        .inputs(&inputs)
-                        .parallel(policy)
-                        .run()
-                        .map(|o| o.into_sync_outcome().expect("sync backend"))
-                })
-            };
-            let joined = rps(RoundMode::Joined);
-            let fused = rps(RoundMode::Fused);
-            let entry = RoundPipelineEntry {
-                family,
-                n: nodes,
-                workers: w,
-                workers_used: w.min(nodes.max(1)),
-                joined_rounds_per_sec: joined,
-                fused_rounds_per_sec: fused,
-                speedup: fused / joined,
-            };
-            eprintln!(
-                "  {family}[w={}]: joined {:>8.1} r/s, fused {:>8.1} r/s ({:.2}x)",
-                entry.workers,
-                entry.joined_rounds_per_sec,
-                entry.fused_rounds_per_sec,
-                entry.speedup
-            );
-            entries.push(entry);
-        }
-    }
-    (entries, hw)
-}
-
-/// One static-vs-stealing measurement of the chunk scheduler.
-#[cfg(feature = "parallel")]
-struct StealEntry {
-    family: &'static str,
-    /// Whether the instance is degree-skewed. The `--min-steal-speedup`
-    /// gate only enforces skewed entries; gnp rides along as the uniform
-    /// control where stealing should be ~neutral.
-    skewed: bool,
-    n: usize,
-    workers: usize,
-    workers_used: usize,
-    static_rounds_per_sec: f64,
-    stealing_rounds_per_sec: f64,
-    /// stealing / static.
-    speedup: f64,
-    /// Chunk descriptors per round under the stealing schedule — a pure
-    /// function of graph and worker count, so deterministic.
-    chunks_per_round: u64,
-    /// Chunks stolen across one completed probe run (timing-dependent;
-    /// recorded for colour, never gated).
-    steals_observed: u64,
-}
-
-/// Measures the static chunk schedule vs `ChunkScheduler::Stealing` per
-/// graph family on the RNG-heavy [`prober`] workload. The skewed
-/// families are where the slot-balanced static `ShardPlan` goes wrong:
-/// it equalizes port *slots*, so a shard owning the hub holds few nodes
-/// and the spoke shards hold thousands, and when per-node cost (an RNG
-/// draw per transition) dominates per-slot cost the spoke workers run
-/// long while the hub worker idles. Stealing splits every shard into
-/// fine chunks and lets the idle worker drain the stragglers. Worker
-/// counts beyond the host's CPUs are still recorded for cross-host
-/// comparability; the gate in `main` only enforces counts the hardware
-/// can genuinely run.
-#[cfg(feature = "parallel")]
-fn steal_sweep(quick: bool, rounds: u64, reps: usize) -> (Vec<StealEntry>, usize) {
-    use stoneage_sim::parbuf::{ChunkPlan, ShardPlan};
-    use stoneage_sim::{ChunkScheduler, MergeStrategy, ParallelPolicy};
-    let n: usize = if quick { 5_000 } else { 50_000 };
-    let graphs: [(&'static str, bool, Graph); 3] = [
-        ("power-law", true, generators::power_law(n, 2, 0.95, 7)),
-        ("hub-spoke", true, generators::hub_and_spoke(4, n / 4)),
-        ("gnp", false, generators::gnp(n, 8.0 / n as f64, 7)),
-    ];
-    let hw = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1);
-    let mut worker_counts = vec![2usize, 4, hw];
-    worker_counts.sort_unstable();
-    worker_counts.dedup();
-    worker_counts.retain(|&w| w >= 2);
-    let p = AsMulti(prober());
-    let mut entries = Vec::new();
-    for (family, skewed, g) in &graphs {
-        let nodes = g.node_count();
-        eprintln!(
-            "engine_bench[steal]: {family}(n = {nodes}), static vs stealing, \
-             {rounds} rounds x {reps} reps"
-        );
-        let inputs = vec![0usize; nodes];
-        for &w in &worker_counts {
-            let rps = |scheduler: ChunkScheduler| {
-                let policy = ParallelPolicy::forced(w, MergeStrategy::DestinationSharded)
-                    .with_scheduler(scheduler);
-                measure(rounds, reps, || {
-                    Simulation::sync(&p, g)
-                        .seed(1)
-                        .budget(rounds)
-                        .inputs(&inputs)
-                        .parallel(policy)
-                        .run()
-                        .map(|o| o.into_sync_outcome().expect("sync backend"))
-                })
-            };
-            let static_rps = rps(ChunkScheduler::Static);
-            let stealing_rps = rps(ChunkScheduler::Stealing);
-            let workers_used = w.min(nodes.max(1));
-            let chunks_per_round = ChunkPlan::new(g, &ShardPlan::new(g, workers_used)).len() as u64;
-            // The prober always ends at the round budget (an Err), so its
-            // Outcome — and steal counters — never materialize. Run one
-            // *terminating* protocol under the same stealing policy to
-            // record a real steal tally for the snapshot.
-            let steals_observed =
-                Simulation::sync(&AsMulti(stoneage_testkit::count_neighbors(3)), g)
-                    .seed(1)
-                    .parallel(
-                        ParallelPolicy::forced(w, MergeStrategy::DestinationSharded)
-                            .with_stealing(),
-                    )
-                    .run()
-                    .map(|o| o.steals.steals)
-                    .unwrap_or(0);
-            let entry = StealEntry {
-                family,
-                skewed: *skewed,
-                n: nodes,
-                workers: w,
-                workers_used,
-                static_rounds_per_sec: static_rps,
-                stealing_rounds_per_sec: stealing_rps,
-                speedup: stealing_rps / static_rps,
-                chunks_per_round,
-                steals_observed,
-            };
-            eprintln!(
-                "  {family}[w={}]: static {:>8.1} r/s, stealing {:>8.1} r/s ({:.2}x, \
-                 {} chunks/round, {} steals on probe)",
-                entry.workers,
-                entry.static_rounds_per_sec,
-                entry.stealing_rounds_per_sec,
-                entry.speedup,
-                entry.chunks_per_round,
-                entry.steals_observed
-            );
-            entries.push(entry);
-        }
     }
     (entries, hw)
 }
@@ -1232,8 +973,6 @@ fn main() {
     let mut quick = false;
     let mut min_async_speedup: Option<f64> = None;
     let mut min_parallel_speedup: Option<f64> = None;
-    let mut min_fused_speedup: Option<f64> = None;
-    let mut min_steal_speedup: Option<f64> = None;
     let mut min_churn_patch_speedup: Option<f64> = None;
     let mut max_snapshot_overhead: Option<f64> = None;
     let mut max_fault_overhead: Option<f64> = None;
@@ -1273,38 +1012,6 @@ fn main() {
                     std::process::exit(2);
                 }
                 min_parallel_speedup = Some(v);
-            }
-            "--min-fused-speedup" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .expect("--min-fused-speedup needs a ratio")
-                    .parse::<f64>()
-                    .expect("--min-fused-speedup needs a number");
-                if cfg!(not(feature = "parallel")) {
-                    eprintln!(
-                        "--min-fused-speedup requires a `--features parallel` build \
-                         of stoneage-bench"
-                    );
-                    std::process::exit(2);
-                }
-                min_fused_speedup = Some(v);
-            }
-            "--min-steal-speedup" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .expect("--min-steal-speedup needs a ratio")
-                    .parse::<f64>()
-                    .expect("--min-steal-speedup needs a number");
-                if cfg!(not(feature = "parallel")) {
-                    eprintln!(
-                        "--min-steal-speedup requires a `--features parallel` build \
-                         of stoneage-bench"
-                    );
-                    std::process::exit(2);
-                }
-                min_steal_speedup = Some(v);
             }
             "--min-churn-patch-speedup" => {
                 i += 1;
@@ -1346,7 +1053,6 @@ fn main() {
                 eprintln!(
                     "unknown flag {other}; usage: engine_bench [--quick] [--out path] \
                      [--min-async-speedup ratio] [--min-parallel-speedup ratio] \
-                     [--min-fused-speedup ratio] [--min-steal-speedup ratio] \
                      [--min-churn-patch-speedup ratio] \
                      [--max-snapshot-overhead ratio] [--max-fault-overhead ratio] \
                      [--max-server-overhead ratio]"
@@ -1389,12 +1095,6 @@ fn main() {
         eprintln!("engine_bench[parallel]: serial vs parallel flat engine, same instance");
         parallel_sweep(&g, &config, rounds, reps, flat)
     };
-
-    #[cfg(feature = "parallel")]
-    let (pipeline_entries, _) = round_pipeline_sweep(quick, rounds, if quick { 3 } else { reps });
-
-    #[cfg(feature = "parallel")]
-    let (steal_entries, steal_hw) = steal_sweep(quick, rounds, if quick { 3 } else { reps });
 
     let (async_entries, async_events) = async_sweep(quick, if quick { 3 } else { reps });
 
@@ -1485,106 +1185,6 @@ fn main() {
         ),
     ]);
 
-    #[cfg(feature = "parallel")]
-    let round_pipeline_json = Value::Object(vec![
-        (
-            "workload".to_owned(),
-            "blinker broadcast; joined = two scope joins per round, fused = phase 2b deferred \
-             onto per-worker plane shards (one join)"
-                .into(),
-        ),
-        ("merge".to_owned(), "destination_sharded".into()),
-        (
-            "workers_available".to_owned(),
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-                .into(),
-        ),
-        (
-            "entries".to_owned(),
-            Value::Array(
-                pipeline_entries
-                    .iter()
-                    .map(|e| {
-                        Value::Object(vec![
-                            ("family".to_owned(), e.family.into()),
-                            ("n".to_owned(), e.n.into()),
-                            ("workers".to_owned(), e.workers.into()),
-                            ("workers_used".to_owned(), e.workers_used.into()),
-                            (
-                                "joined_rounds_per_sec".to_owned(),
-                                e.joined_rounds_per_sec.into(),
-                            ),
-                            (
-                                "fused_rounds_per_sec".to_owned(),
-                                e.fused_rounds_per_sec.into(),
-                            ),
-                            ("speedup".to_owned(), e.speedup.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    #[cfg(not(feature = "parallel"))]
-    let round_pipeline_json = Value::Object(vec![
-        ("enabled".to_owned(), Value::Bool(false)),
-        (
-            "note".to_owned(),
-            "build stoneage-bench with --features parallel to record the sweep".into(),
-        ),
-    ]);
-
-    #[cfg(feature = "parallel")]
-    let steal_json = Value::Object(vec![
-        (
-            "workload".to_owned(),
-            "randomized prober (uniform 3-way transition per node per round), so per-node \
-             RNG cost dominates per-slot cost; static slot-balanced chunks vs work-stealing \
-             chunk deques"
-                .into(),
-        ),
-        ("merge".to_owned(), "destination_sharded".into()),
-        ("workers_available".to_owned(), steal_hw.into()),
-        (
-            "entries".to_owned(),
-            Value::Array(
-                steal_entries
-                    .iter()
-                    .map(|e| {
-                        Value::Object(vec![
-                            ("family".to_owned(), e.family.into()),
-                            ("skewed".to_owned(), Value::Bool(e.skewed)),
-                            ("n".to_owned(), e.n.into()),
-                            ("workers".to_owned(), e.workers.into()),
-                            ("workers_used".to_owned(), e.workers_used.into()),
-                            (
-                                "static_rounds_per_sec".to_owned(),
-                                e.static_rounds_per_sec.into(),
-                            ),
-                            (
-                                "stealing_rounds_per_sec".to_owned(),
-                                e.stealing_rounds_per_sec.into(),
-                            ),
-                            ("speedup".to_owned(), e.speedup.into()),
-                            ("chunks_per_round".to_owned(), e.chunks_per_round.into()),
-                            ("steals_observed".to_owned(), e.steals_observed.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    #[cfg(not(feature = "parallel"))]
-    let steal_json = Value::Object(vec![
-        ("enabled".to_owned(), Value::Bool(false)),
-        (
-            "note".to_owned(),
-            "build stoneage-bench with --features parallel to record the sweep".into(),
-        ),
-    ]);
-
     let json = Value::Object(vec![
         ("bench".to_owned(), "engine_throughput".into()),
         // Absolute throughputs are host-dependent; recording the CPU
@@ -1620,8 +1220,6 @@ fn main() {
         ("flat_rounds_per_sec".to_owned(), flat.into()),
         ("speedup".to_owned(), speedup.into()),
         ("parallel_sweep".to_owned(), parallel_json),
-        ("round_pipeline".to_owned(), round_pipeline_json),
-        ("steal_sweep".to_owned(), steal_json),
         ("async_sweep".to_owned(), async_json),
         (
             "churn_sweep".to_owned(),
@@ -1719,8 +1317,8 @@ fn main() {
                     "workload".to_owned(),
                     "blinker broadcast under a mixed FaultPlan (5% drops, 3% single \
                      duplicates, 2% corrupts) applied at the delivery boundary; one \
-                     positional hash chain per delivery, bit-identical across backends, \
-                     worker counts, and round modes"
+                     positional hash chain per delivery, bit-identical across backends \
+                     and worker counts"
                         .into(),
                 ),
                 (
@@ -1828,78 +1426,6 @@ fn main() {
             );
         }
     }
-    // The fused gate mirrors the parallel gate: fused must hold its own
-    // against joined only at worker counts with genuine hardware behind
-    // them (a time-sliced "4 workers" on a 1-CPU host measures the OS
-    // scheduler, not the dropped scope join).
-    #[cfg(feature = "parallel")]
-    if let Some(min) = min_fused_speedup {
-        let hw = std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1);
-        let gated: Vec<&RoundPipelineEntry> = pipeline_entries
-            .iter()
-            .filter(|e| e.workers >= 4 && e.workers <= hw)
-            .collect();
-        if gated.is_empty() {
-            eprintln!(
-                "fused gate skipped: host has {hw} CPUs, need >= 4 workers to enforce >= \
-                 {min:.2}x"
-            );
-        } else {
-            let mut failed = false;
-            for e in gated {
-                if e.speedup < min {
-                    eprintln!(
-                        "REGRESSION: fused pipeline at {:.2}x of joined on {} with {} workers \
-                         (required >= {min:.2}x)",
-                        e.speedup, e.family, e.workers
-                    );
-                    failed = true;
-                }
-            }
-            if failed {
-                std::process::exit(1);
-            }
-            eprintln!("fused pipeline within budget: all gated entries >= {min:.2}x of joined");
-        }
-    }
-    // The steal gate enforces the stealing scheduler's win only on the
-    // skewed families (the uniform gnp control is recorded but stealing
-    // has nothing to absorb there) and, like the parallel and fused
-    // gates, only at worker counts with genuine hardware behind them.
-    #[cfg(feature = "parallel")]
-    if let Some(min) = min_steal_speedup {
-        let gated: Vec<&StealEntry> = steal_entries
-            .iter()
-            .filter(|e| e.skewed && e.workers >= 4 && e.workers <= steal_hw)
-            .collect();
-        if gated.is_empty() {
-            eprintln!(
-                "steal gate skipped: host has {steal_hw} CPUs, need >= 4 workers to enforce \
-                 >= {min:.2}x"
-            );
-        } else {
-            let mut failed = false;
-            for e in gated {
-                if e.speedup < min {
-                    eprintln!(
-                        "REGRESSION: stealing scheduler at {:.2}x of static on {} with {} \
-                         workers (required >= {min:.2}x)",
-                        e.speedup, e.family, e.workers
-                    );
-                    failed = true;
-                }
-            }
-            if failed {
-                std::process::exit(1);
-            }
-            eprintln!(
-                "stealing scheduler within budget: all gated skewed entries >= {min:.2}x \
-                 of static"
-            );
-        }
-    }
     // The churn gate self-skips on tiny instances: below ~20k nodes the
     // whole-store rebuild is cheap enough that the ratio mostly measures
     // allocator noise, not the patch path.
@@ -1992,5 +1518,5 @@ fn main() {
         );
     }
     #[cfg(not(feature = "parallel"))]
-    let _ = (min_parallel_speedup, min_fused_speedup, min_steal_speedup);
+    let _ = min_parallel_speedup;
 }

@@ -8,8 +8,8 @@
 //! and tori (the cellular-automaton ancestry of the model), unit-disk graphs
 //! (the biological/sensor motivation), and skewed-degree families
 //! (Barabási–Albert, redirection-based [`power_law`], and the deterministic
-//! [`hub_and_spoke`] stress family) that exercise the work-stealing
-//! scheduler's load-imbalance regime.
+//! [`hub_and_spoke`] stress family) that exercise the parallel engine's
+//! load-imbalance regime.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -666,7 +666,7 @@ mod tests {
     #[test]
     fn power_law_is_heavy_tailed() {
         // With strong redirection, the max degree should dwarf the mean —
-        // the hub skew the work-stealing scheduler exists for. A uniform
+        // the hub skew that unbalances a parallel round. A uniform
         // G(n, p) of the same density has max degree within a small
         // constant of the mean; here it should be >= 10x.
         let n = 2000;
@@ -722,8 +722,8 @@ mod tests {
         h
     }
 
-    /// The exact skewed instances the work-stealing differential
-    /// matrices and pinned panels run on (`stoneage-testkit`'s
+    /// The exact skewed instances the parallel differential matrices
+    /// and pinned panels run on (`stoneage-testkit`'s
     /// `skewed_graph_family`). These hashes pin the generators'
     /// RNG draw order: a silent change here would quietly re-seed every
     /// downstream pinned fingerprint, so it must fail *here* first.

@@ -49,8 +49,8 @@ impl From<io::Error> for BadRequest {
 /// the raw stream handle stays usable for the response).
 pub fn read_request(stream: &TcpStream) -> Result<Request, BadRequest> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let mut budget = MAX_HEAD;
+    let line = read_head_line(&mut reader, &mut budget)?;
     if line.is_empty() {
         return Err(BadRequest::Malformed("empty request"));
     }
@@ -69,14 +69,8 @@ pub fn read_request(stream: &TcpStream) -> Result<Request, BadRequest> {
     }
 
     let mut content_length: usize = 0;
-    let mut head_bytes = line.len();
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD {
-            return Err(BadRequest::Malformed("request head too large"));
-        }
+        let header = read_head_line(&mut reader, &mut budget)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -96,6 +90,22 @@ pub fn read_request(stream: &TcpStream) -> Result<Request, BadRequest> {
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     Ok(Request { method, path, body })
+}
+
+/// Reads one line of the request head and charges it to the `budget`
+/// left of [`MAX_HEAD`]. It reads at most one byte past the budget, so a
+/// line sent without a newline cannot grow the buffer without bound; a
+/// line that overruns the budget is rejected before its bytes are
+/// decoded, so a cut inside a multi-byte character still gets the 400.
+fn read_head_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<String, BadRequest> {
+    let mut line = Vec::new();
+    let n = reader
+        .take(*budget as u64 + 1)
+        .read_until(b'\n', &mut line)?;
+    *budget = budget
+        .checked_sub(n)
+        .ok_or(BadRequest::Malformed("request head too large"))?;
+    String::from_utf8(line).map_err(|_| BadRequest::Malformed("request head is not UTF-8"))
 }
 
 fn reason(status: u16) -> &'static str {

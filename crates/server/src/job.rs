@@ -137,6 +137,10 @@ pub struct SeedResult {
     pub rounds: u64,
     /// Total non-ε transmissions.
     pub messages: u64,
+    /// Worker threads the run used, as the engine reports them
+    /// (`Outcome::workers`); `None` for a run that ended at its round
+    /// budget, which returns no outcome.
+    pub workers: Option<usize>,
 }
 
 /// One job: spec, state, cancel flag, event log, latest snapshot,
@@ -414,6 +418,7 @@ mod tests {
             fingerprint: seed,
             rounds: 1,
             messages: 1,
+            workers: Some(1),
         }
     }
 

@@ -26,12 +26,6 @@ pub struct Metrics {
     pub checkpoints: AtomicU64,
     /// Bytes of snapshot frames persisted to the jobs dir.
     pub snapshot_bytes: AtomicU64,
-    /// Work-stealing chunk descriptors executed (zero on static-schedule
-    /// and serial runs).
-    pub chunks: AtomicU64,
-    /// Chunks executed by a worker other than their shard's owner — the
-    /// imbalance the stealing scheduler absorbed.
-    pub chunks_stolen: AtomicU64,
     /// Jobs currently waiting for cores (maintained by the orchestrator).
     pub queue_depth: AtomicUsize,
 }
@@ -47,8 +41,6 @@ impl Default for Metrics {
             events: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             snapshot_bytes: AtomicU64::new(0),
-            chunks: AtomicU64::new(0),
-            chunks_stolen: AtomicU64::new(0),
             queue_depth: AtomicUsize::new(0),
         }
     }
@@ -109,18 +101,6 @@ impl Metrics {
             "Snapshot frame bytes persisted to the jobs dir.",
             self.snapshot_bytes.load(Ordering::Relaxed),
         );
-        let chunks = self.chunks.load(Ordering::Relaxed);
-        let stolen = self.chunks_stolen.load(Ordering::Relaxed);
-        counter(
-            "stoneage_server_chunks_total",
-            "Work-stealing chunk descriptors executed across all jobs.",
-            chunks,
-        );
-        counter(
-            "stoneage_server_chunks_stolen_total",
-            "Chunks executed by a non-owner worker (schedule imbalance absorbed).",
-            stolen,
-        );
 
         let counts = store.counts();
         out.push_str(
@@ -160,15 +140,6 @@ impl Metrics {
                 0.0
             },
         );
-        gauge(
-            "stoneage_server_steal_ratio",
-            "Lifetime fraction of chunks executed by a non-owner worker.",
-            if chunks > 0 {
-                stolen as f64 / chunks as f64
-            } else {
-                0.0
-            },
-        );
         out
     }
 }
@@ -182,16 +153,11 @@ mod tests {
         let metrics = Metrics::default();
         Metrics::inc(&metrics.http_requests);
         Metrics::add(&metrics.rounds, 42);
-        Metrics::add(&metrics.chunks, 8);
-        Metrics::add(&metrics.chunks_stolen, 2);
         let store = JobStore::new(4);
         let text = metrics.render(&store);
         assert!(text.contains("# TYPE stoneage_server_http_requests_total counter"));
         assert!(text.contains("stoneage_server_http_requests_total 1"));
         assert!(text.contains("stoneage_server_rounds_total 42"));
-        assert!(text.contains("stoneage_server_chunks_total 8"));
-        assert!(text.contains("stoneage_server_chunks_stolen_total 2"));
-        assert!(text.contains("stoneage_server_steal_ratio 0.25"));
         assert!(text.contains("stoneage_server_jobs{state=\"queued\"} 0"));
         assert!(text.contains("# TYPE stoneage_server_queue_depth gauge"));
         // Every line is either a comment or `name[{labels}] value`.

@@ -6,8 +6,8 @@
 //! from event-sourced orchestrators) keeps a single owner for all
 //! mutable scheduling state: the pending queue, the running map, and
 //! the free-core count. Jobs occupy `min(spec.workers, cores)` cores
-//! while running; submissions beyond the core budget queue in FIFO
-//! order.
+//! while running, and the runner runs them on that many workers;
+//! submissions beyond the core budget queue in FIFO order.
 
 use crate::job::{JobId, JobState, JobStore};
 use crate::metrics::Metrics;
@@ -194,7 +194,7 @@ impl Orchestrator {
                 // returned and shutdown can join this thread.
                 let _finished = FinishedOnDrop { tx, id };
                 let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    runner::execute(&job, &metrics, jobs_dir.as_deref())
+                    runner::execute(&job, &metrics, jobs_dir.as_deref(), need)
                 }));
                 if let Err(payload) = run {
                     let message = format!("job panicked: {}", panic_message(payload.as_ref()));

@@ -77,10 +77,16 @@ fn blinker() -> TableProtocol {
     builder.build().expect("blinker table is well-formed")
 }
 
-/// Runs `job` to a terminal state, pushing NDJSON events, snapshots,
-/// and per-seed results onto the shared record as it goes. Called from
-/// an orchestrator-owned worker thread.
-pub(crate) fn execute(job: &Arc<Job>, metrics: &Arc<Metrics>, jobs_dir: Option<&Path>) {
+/// Runs `job` to a terminal state on the `workers` cores the
+/// orchestrator charged it, pushing NDJSON events, snapshots, and
+/// per-seed results onto the shared record as it goes. Called from an
+/// orchestrator-owned worker thread.
+pub(crate) fn execute(
+    job: &Arc<Job>,
+    metrics: &Arc<Metrics>,
+    jobs_dir: Option<&Path>,
+    workers: usize,
+) {
     let graph = job.spec.graph.build();
     emit(
         job,
@@ -101,6 +107,7 @@ pub(crate) fn execute(job: &Arc<Job>, metrics: &Arc<Metrics>, jobs_dir: Option<&
             job,
             metrics,
             jobs_dir,
+            workers,
         ),
         ProtocolId::Coloring => run_seeds(
             &ColoringProtocol::new(),
@@ -110,6 +117,7 @@ pub(crate) fn execute(job: &Arc<Job>, metrics: &Arc<Metrics>, jobs_dir: Option<&
             job,
             metrics,
             jobs_dir,
+            workers,
         ),
         ProtocolId::SelfStabMis => run_seeds(
             &SelfStabMis::new(),
@@ -119,6 +127,7 @@ pub(crate) fn execute(job: &Arc<Job>, metrics: &Arc<Metrics>, jobs_dir: Option<&
             job,
             metrics,
             jobs_dir,
+            workers,
         ),
         ProtocolId::SelfStabColoring => run_seeds(
             &SelfStabColoring::new(),
@@ -128,6 +137,7 @@ pub(crate) fn execute(job: &Arc<Job>, metrics: &Arc<Metrics>, jobs_dir: Option<&
             job,
             metrics,
             jobs_dir,
+            workers,
         ),
         ProtocolId::Blinker => run_seeds(
             &AsMulti(blinker()),
@@ -137,6 +147,7 @@ pub(crate) fn execute(job: &Arc<Job>, metrics: &Arc<Metrics>, jobs_dir: Option<&
             job,
             metrics,
             jobs_dir,
+            workers,
         ),
     };
     let (event, state) = match result {
@@ -177,8 +188,9 @@ pub(crate) fn fail(job: &Job, metrics: &Metrics, message: String) {
     Metrics::inc(&metrics.jobs_completed);
 }
 
-/// Runs every seed in the spec's matrix. `Ok(true)` = all seeds done,
-/// `Ok(false)` = cancelled, `Err` = failed.
+/// Runs every seed in the spec's matrix on `workers` cores. `Ok(true)` =
+/// all seeds done, `Ok(false)` = cancelled, `Err` = failed.
+#[allow(clippy::too_many_arguments)] // internal plumbing fn, one call site per protocol
 fn run_seeds<P>(
     protocol: &P,
     stab_pred: Option<Pred<P::State>>,
@@ -187,6 +199,7 @@ fn run_seeds<P>(
     job: &Arc<Job>,
     metrics: &Arc<Metrics>,
     jobs_dir: Option<&Path>,
+    workers: usize,
 ) -> Result<bool, String>
 where
     P: MultiFsm + Sync,
@@ -221,22 +234,23 @@ where
             resume,
             metrics,
             jobs_dir,
+            workers,
         )? {
             Some(result) => {
-                emit(
-                    job,
-                    metrics,
-                    Value::Object(vec![
-                        ("type".into(), "seed_done".into()),
-                        ("seed".into(), seed.into()),
-                        (
-                            "fingerprint".into(),
-                            format!("{:#018x}", result.fingerprint).into(),
-                        ),
-                        ("rounds".into(), result.rounds.into()),
-                        ("messages".into(), result.messages.into()),
-                    ]),
-                );
+                let mut event = vec![
+                    ("type".into(), "seed_done".into()),
+                    ("seed".into(), seed.into()),
+                    (
+                        "fingerprint".into(),
+                        format!("{:#018x}", result.fingerprint).into(),
+                    ),
+                    ("rounds".into(), result.rounds.into()),
+                    ("messages".into(), result.messages.into()),
+                ];
+                if let Some(used) = result.workers {
+                    event.push(("workers".into(), used.into()));
+                }
+                emit(job, metrics, Value::Object(event));
                 job.push_result(result);
             }
             None => return Ok(false),
@@ -245,8 +259,9 @@ where
     Ok(true)
 }
 
-/// Runs one seed as a chain of checkpoint-bounded segments.
-/// `Ok(None)` = cancelled between segments.
+/// Runs one seed as a chain of checkpoint-bounded segments, on the
+/// parallel schedule with `workers` workers when that is more than one
+/// (`parallel` builds). `Ok(None)` = cancelled between segments.
 #[allow(clippy::too_many_arguments)] // internal plumbing fn, one call site
 fn run_one_seed<P>(
     protocol: &P,
@@ -258,6 +273,7 @@ fn run_one_seed<P>(
     resume: Option<Arc<Snapshot>>,
     metrics: &Arc<Metrics>,
     jobs_dir: Option<&Path>,
+    workers: usize,
 ) -> Result<Option<SeedResult>, String>
 where
     P: MultiFsm + Sync,
@@ -315,21 +331,18 @@ where
             sim = sim.with_faults(plan);
         }
         #[cfg(feature = "parallel")]
-        if spec.workers > 1 {
-            sim = sim.parallel(
-                stoneage_sim::ParallelPolicy::forced(
-                    spec.workers,
-                    stoneage_sim::MergeStrategy::default(),
-                )
-                .with_scheduler(spec.scheduler),
-            );
+        if workers > 1 {
+            sim = sim.parallel(stoneage_sim::ParallelPolicy::forced(
+                workers,
+                stoneage_sim::MergeStrategy::default(),
+            ));
         }
+        #[cfg(not(feature = "parallel"))]
+        let _ = workers;
         let run = sim.run();
         let captured = observer.latest.take();
         match run {
             Ok(outcome) => {
-                Metrics::add(&metrics.chunks, outcome.steals.chunks);
-                Metrics::add(&metrics.chunks_stolen, outcome.steals.steals);
                 if let Some(st) = stab.as_ref() {
                     emit_stabilization(job, metrics, seed, st);
                 }
@@ -340,6 +353,7 @@ where
                     fingerprint: outcome_fingerprint(&outcome.outputs, rounds, messages),
                     rounds,
                     messages,
+                    workers: Some(outcome.workers),
                 }));
             }
             Err(ExecError::RoundLimit { .. }) if target < total => match captured {
@@ -363,6 +377,7 @@ where
                     fingerprint: outcome_fingerprint(&[], total, 0),
                     rounds: total,
                     messages: 0,
+                    workers: None,
                 }));
             }
             Err(e) => {

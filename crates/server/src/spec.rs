@@ -12,7 +12,7 @@
 use std::time::Duration;
 use stoneage_core::Letter;
 use stoneage_graph::{generators, Graph, NodeId, TopologyEvent};
-use stoneage_sim::{ChunkScheduler, ChurnPlan, ExecError, FaultPlan};
+use stoneage_sim::{ChurnPlan, ExecError, FaultPlan};
 use stoneage_wire::{parse, JsonError, Value};
 
 /// Ceiling on `n` (or `rows * cols`) so a single request cannot ask the
@@ -104,8 +104,8 @@ pub enum GraphSpec {
         /// Column count (`>= 1`).
         cols: usize,
     },
-    /// Power-law (preferential-attachment via redirection) graph — the
-    /// skewed family the work-stealing scheduler targets.
+    /// Power-law (preferential-attachment via redirection) graph — a
+    /// hub-heavy skewed family.
     PowerLaw {
         /// Node count (`m + 1 ..= MAX_NODES`).
         n: usize,
@@ -304,12 +304,11 @@ pub struct JobSpec {
     pub checkpoint_every: u64,
     /// Emit a `round` stream event every this many rounds (`0` = none).
     pub events_every: u64,
-    /// Worker cores this job occupies in the scheduler (and, on
-    /// `parallel` builds, the `ParallelPolicy` worker count).
+    /// Worker cores this job asks for. The scheduler charges it
+    /// `min(workers, cores)` of the server's cores, and on `parallel`
+    /// builds a job charged more than one core runs its rounds on that
+    /// many workers.
     pub workers: usize,
-    /// Chunk-to-worker assignment on `parallel` builds with
-    /// `workers > 1` (`"static"` or `"stealing"`); ignored otherwise.
-    pub scheduler: ChunkScheduler,
     /// Artificial per-round delay, for demos and deterministic
     /// mid-run cancellation in tests.
     pub throttle: Duration,
@@ -387,25 +386,6 @@ pub fn parse_spec(body: &[u8]) -> Result<JobSpec, SpecError> {
         return Err(SpecError::invalid("workers", "must be in 1..=128"));
     }
 
-    let scheduler = match v.get("scheduler") {
-        None => ChunkScheduler::Static,
-        Some(s) => {
-            let s = s
-                .as_str()
-                .ok_or_else(|| SpecError::invalid("scheduler", "must be a string"))?;
-            match s {
-                "static" => ChunkScheduler::Static,
-                "stealing" => ChunkScheduler::Stealing,
-                other => {
-                    return Err(SpecError::invalid(
-                        "scheduler",
-                        format!("unknown scheduler {other:?} (expected static or stealing)"),
-                    ))
-                }
-            }
-        }
-    };
-
     let throttle_ms = u64_field(&v, "throttle_ms", "throttle_ms")?.unwrap_or(0);
     if throttle_ms > MAX_THROTTLE_MS {
         return Err(SpecError::invalid(
@@ -450,7 +430,6 @@ pub fn parse_spec(body: &[u8]) -> Result<JobSpec, SpecError> {
         checkpoint_every,
         events_every,
         workers: workers as usize,
-        scheduler,
         throttle: Duration::from_millis(throttle_ms),
         churn,
         faults,
@@ -709,7 +688,6 @@ mod tests {
         assert_eq!(s.budget, 100_000);
         assert_eq!(s.checkpoint_every, 0);
         assert_eq!(s.workers, 1);
-        assert_eq!(s.scheduler, ChunkScheduler::Static);
         assert!(s.churn.is_none() && s.faults.is_none() && s.resume_from.is_none());
     }
 
@@ -799,31 +777,16 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_field_parses_and_rejects() {
-        let stealing = r#"{"graph": {"family": "gnp", "n": 16, "p": 0.2},
-                           "protocol": "mis", "workers": 4, "scheduler": "stealing"}"#;
-        assert_eq!(spec(stealing).unwrap().scheduler, ChunkScheduler::Stealing);
-        let static_ = r#"{"graph": {"family": "gnp", "n": 16, "p": 0.2},
-                          "protocol": "mis", "scheduler": "static"}"#;
-        assert_eq!(spec(static_).unwrap().scheduler, ChunkScheduler::Static);
-        let unknown = r#"{"graph": {"family": "gnp", "n": 16, "p": 0.2},
-                          "protocol": "mis", "scheduler": "chase-lev"}"#;
-        assert!(matches!(
-            spec(unknown),
-            Err(SpecError::Invalid {
-                field: "scheduler",
-                ..
-            })
-        ));
-        let not_a_string = r#"{"graph": {"family": "gnp", "n": 16, "p": 0.2},
-                               "protocol": "mis", "scheduler": 1}"#;
-        assert!(matches!(
-            spec(not_a_string),
-            Err(SpecError::Invalid {
-                field: "scheduler",
-                ..
-            })
-        ));
+    fn retired_scheduler_field_is_ignored_like_any_unknown_key() {
+        // Outcomes never depended on the chunk schedule, so a spec that
+        // still names one parses exactly like the spec without it.
+        let without = r#"{"graph": {"family": "gnp", "n": 16, "p": 0.2},
+                          "protocol": "mis", "workers": 4}"#;
+        let want = format!("{:?}", spec(without).unwrap());
+        for scheduler in [r#""stealing""#, r#""static""#, r#""chase-lev""#, "1"] {
+            let with = without.replace("4}", &format!(r#"4, "scheduler": {scheduler}}}"#));
+            assert_eq!(format!("{:?}", spec(&with).unwrap()), want, "{scheduler}");
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! downloaded frame — the resumed run's fingerprint must equal the
 //! fingerprint of the same spec run uninterrupted through the builder.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use stoneage_protocols::MisProtocol;
@@ -337,6 +339,66 @@ fn panicking_job_fails_and_frees_its_core() {
         text.contains("stoneage_server_jobs_completed_total 3"),
         "{text}"
     );
+    assert_eq!(get(&addr, "/healthz").status, 200);
+    server.shutdown();
+}
+
+/// A job asking for more workers than the server has cores is charged
+/// `min(workers, cores)` cores — and runs on exactly that many, as the
+/// engine's worker count in its `seed_done` event shows.
+#[cfg(feature = "parallel")]
+#[test]
+fn parallel_job_runs_on_the_cores_it_is_charged() {
+    let (server, addr, _scratch) = start("charged");
+    let body = br#"{"graph": {"family": "gnp", "n": 48, "p": 0.15, "seed": 9},
+                    "protocol": "mis", "seeds": [42], "workers": 4}"#;
+    let id = post(&addr, "/jobs", body).json()["id"].as_i64().unwrap();
+    let mut stream = EventStream::open(&addr, &format!("/jobs/{id}/events")).unwrap();
+    let mut workers = None;
+    while let Some(line) = stream.next_line().unwrap() {
+        let event = stoneage_wire::parse(&line).expect("event line is JSON");
+        if event["type"] == "seed_done" {
+            workers = Some(
+                event["workers"]
+                    .as_i64()
+                    .expect("seed_done reports workers"),
+            );
+        }
+    }
+    assert_eq!(workers, Some(2), "a 2-core server ran a 4-worker job");
+    let status = wait_terminal(&addr, id);
+    assert_eq!(
+        status["results"][0]["fingerprint"].as_str().unwrap(),
+        format!("{:#018x}", direct_mis_fingerprint(body))
+    );
+    server.shutdown();
+}
+
+/// A request head sent without a newline is cut off at the 16 KiB head
+/// limit with a 400, instead of being buffered for as long as the peer
+/// keeps sending — also when the cut falls inside a multi-byte
+/// character. The client sends one byte past the limit and keeps its
+/// side open; the server reads exactly that much, so it closes with
+/// nothing left unread.
+#[test]
+fn head_without_newline_is_cut_off_at_the_limit() {
+    let (server, addr, _scratch) = start("head");
+    let ascii = vec![b'a'; 16 * 1024 + 1];
+    // The last byte opens a two-byte 'é' whose second byte never comes.
+    let mut split = vec![b'a'; 16 * 1024];
+    split.push(0xC3);
+    for head in [ascii, split] {
+        let mut conn = TcpStream::connect(&addr).expect("connects");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        conn.write_all(&head).unwrap();
+        let mut response = Vec::new();
+        conn.read_to_end(&mut response)
+            .expect("the server answers before the read timeout");
+        let response = String::from_utf8_lossy(&response);
+        assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+        assert!(response.contains("request head too large"), "{response}");
+    }
     assert_eq!(get(&addr, "/healthz").status, 200);
     server.shutdown();
 }

@@ -84,7 +84,6 @@ use stoneage_graph::{Graph, NodeId, TopologyEvent};
 use crate::churn::{self, ChurnCtl, DEAD_OUTPUT};
 use crate::engine::{FlatPorts, TOMBSTONE};
 use crate::faults::{self, faulted_sends, FaultCtx, FaultLayer, FaultSummary};
-use crate::parbuf::StealStats;
 use crate::pipeline::BoundaryHook;
 use crate::schedule::{CalendarQueue, EventQueue, HeapQueue};
 use crate::sim::{AsyncOptions, Cost, Detail, Observer, Outcome, Simulation};
@@ -982,7 +981,6 @@ where
             states: ex.states,
             cost: Cost::TimeUnits(completion_time / time_unit),
             workers: 1,
-            steals: StealStats::default(),
             detail: Detail::Async {
                 completion_time,
                 time_unit,

@@ -36,20 +36,14 @@
 //! pure epoch flip. The boundary patch itself is a deterministic pure
 //! function of the event sequence (the
 //! [`stoneage_graph::DynamicGraph`] replica and the emitted
-//! [`stoneage_graph::SlotPatch`]es are). Consequently the serial, joined,
-//! and fused schedules stay **bit-identical** under churn:
+//! [`stoneage_graph::SlotPatch`]es are). Consequently the serial and
+//! parallel schedules stay **bit-identical** under churn:
 //!
-//! * the joined schedule patches right after its phase-2b merge and
-//!   epoch flip — the same store state the serial loop patches;
-//! * the fused schedule defers phase 2b of round *r* into round
-//!   *r + 1*'s worker scope, so at a churn boundary it first **flushes**
-//!   the deferred buffers serially (landing exactly the writes the next
-//!   scope would have landed — order is immaterial by per-round slot
-//!   uniqueness, but the flush replays the fixed shard-major worker
-//!   order anyway), then patches. Flush-before-patch is load-bearing: a
-//!   write buffered for a slot that the boundary *revives* must be
-//!   dropped by the tombstone guard and then overwritten with `σ₀`, not
-//!   land on the fresh slot;
+//! * both patch after the round's deliveries have landed and its epoch
+//!   has flipped — the serial loop after replaying its write buffer, the
+//!   parallel loop after its merge — so both patch the same store state,
+//!   and no buffered write of the round is left to land on a slot the
+//!   boundary revives;
 //! * a crashed node is skipped without drawing from its RNG, so every
 //!   other node's stream — and its own stream across a restart — is
 //!   untouched on every schedule.
@@ -59,7 +53,7 @@
 //! produce byte-identical stores after **every** event (both the flat
 //! letters and the count representations are canonical), which the churn
 //! differential matrix in `tests/churn.rs` pins across graph families,
-//! backends, worker counts, and round modes. A run with an *empty* plan
+//! backends, and worker counts. A run with an *empty* plan
 //! is bit-identical to the plain engine: the universe CSR is canonical
 //! (same edge set ⇒ same bytes), no slot is ever tombstoned, and the
 //! tombstone guards compare against a letter value no alphabet contains.

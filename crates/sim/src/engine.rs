@@ -48,8 +48,8 @@
 //!
 //! * **changed** — set by *every* count-row mutation of a quiet node:
 //!   [`FlatPorts::deliver`], [`FlatPorts::deliver_run`],
-//!   [`PortShard::deliver`] (hence [`PlaneShard::land`] and the sharded
-//!   merge), [`FlatPorts::retire_slot`] and [`FlatPorts::revive_slot`].
+//!   [`PortShard::deliver`] (hence the sharded merge),
+//!   [`FlatPorts::retire_slot`] and [`FlatPorts::revive_slot`].
 //!   A write that leaves the counts as they were (the same letter again,
 //!   or a write bouncing off a tombstone) sets nothing, and neither does
 //!   a mutation of a node that is not quiet — it steps next round
@@ -65,10 +65,10 @@
 //! resumed run simply steps every node once before skipping again. They
 //! are atomics only so phase-1 workers sharing a frozen read plane can
 //! update their own nodes' bytes. Each byte has one writer at a time
-//! (its node's phase-1 step, or the landing of its shard), and the byte
-//! passes between those writers only across a scope join or the fused
-//! schedule's barrier, which order the accesses; the marks publish no
-//! other data, so relaxed loads and stores suffice.
+//! (its node's phase-1 step, or the merge landing on its shard), and the
+//! byte passes between those writers only across a scope join, which
+//! orders the accesses; the marks publish no other data, so relaxed
+//! loads and stores suffice.
 //!
 //! # Shard views
 //!
@@ -80,11 +80,7 @@
 //! hand out one safe `&mut` view per shard ([`PortShard`]) with plain
 //! `split_at_mut`, no locks and no unsafe. A shard accepts exactly the
 //! deliveries whose *receiver* falls in its node range; slots and count
-//! rows of different shards never alias. A shard also serves the *read*
-//! side of the engine — [`PortShard::refill_obs`], [`PortShard::count`],
-//! [`PortShard::ports_of`] — because a node's observation touches only
-//! its own count row and its own CSR slots, both of which live inside
-//! the shard that owns the node.
+//! rows of different shards never alias.
 //!
 //! # Port planes: the epoch-split store
 //!
@@ -110,16 +106,10 @@
 //! is copied, and the incrementally maintained counts are handed to the
 //! next epoch as-is.
 //!
-//! Concretely the split is enforced in *time*, per shard:
-//! [`PortPlanes::epoch_shards`] hands each pipeline worker a
-//! [`PlaneShard`] that starts in the **write-plane** state (only
-//! [`PlaneShard::land`] is allowed — the deferred deliveries of the
-//! previous round are merged here), then flips to the **read-plane**
-//! state via [`PlaneShard::freeze`] (only observations are allowed; a
-//! debug assertion rejects any further write). Each worker lands and
-//! reads only its own shard, so the fused pipeline needs no second
-//! letter array and no cross-worker synchronization beyond the one
-//! scope join per round.
+//! Concretely the split is enforced in *time*: every round's writes are
+//! buffered while phase 1 reads the store, and land only after the last
+//! read of the round — serially, or after the parallel round's scope
+//! join.
 
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
@@ -189,12 +179,6 @@ impl Clone for Marks {
     }
 }
 
-/// Whether a node with skip-mark byte `mark` may skip its step.
-#[inline]
-fn quiescent(mark: &AtomicU8) -> bool {
-    mark.load(Relaxed) == QUIET
-}
-
 /// Records a count-row mutation in a node's skip-mark byte. Only a
 /// quiet node needs the *changed* bit: any other node steps next round
 /// anyway, and its step rewrites the byte. On a busy round, where few
@@ -205,12 +189,6 @@ fn note_change(mark: &mut u8) {
     if *mark == QUIET {
         *mark = QUIET | CHANGED;
     }
-}
-
-/// Records an executed step in a node's skip-mark byte.
-#[inline]
-fn note_step(mark: &AtomicU8, quiet: bool) {
-    mark.store(if quiet { QUIET } else { 0 }, Relaxed);
 }
 
 /// The flat port store plus incrementally maintained per-node letter
@@ -536,7 +514,7 @@ impl FlatPorts {
     /// changed since, and nothing but δ has written its state since.
     #[inline]
     pub(crate) fn is_quiescent(&self, v: usize) -> bool {
-        quiescent(&self.marks.0[v])
+        self.marks.0[v].load(Relaxed) == QUIET
     }
 
     /// Records that node `v` just executed a step against the current
@@ -544,7 +522,7 @@ impl FlatPorts {
     /// single silent self-loop.
     #[inline]
     pub(crate) fn note_step(&self, v: usize, quiet: bool) {
-        note_step(&self.marks.0[v], quiet)
+        self.marks.0[v].store(if quiet { QUIET } else { 0 }, Relaxed);
     }
 
     /// Clears node `v`'s *quiet* mark: something other than δ wrote its
@@ -818,54 +796,6 @@ impl PortShard<'_> {
         }
         note_change(self.marks[node - self.node_base].get_mut());
     }
-
-    /// The shard-local twin of [`FlatPorts::is_quiescent`].
-    #[inline]
-    pub(crate) fn is_quiescent(&self, v: usize) -> bool {
-        quiescent(&self.marks[v - self.node_base])
-    }
-
-    /// The shard-local twin of [`FlatPorts::note_step`].
-    #[inline]
-    pub(crate) fn note_step(&self, v: usize, quiet: bool) {
-        note_step(&self.marks[v - self.node_base], quiet)
-    }
-
-    /// The exact count of `letter` over `v`'s ports — the shard-local
-    /// twin of [`FlatPorts::count`]. `v` must fall in this shard's node
-    /// range.
-    #[inline]
-    pub fn count(&self, v: usize, letter: Letter) -> u32 {
-        let local = v - self.node_base;
-        match &self.counts {
-            ShardCounts::Dense(counts) => counts[local * self.sigma + letter.index()],
-            ShardCounts::Sparse(maps) => maps[local]
-                .binary_search_by_key(&letter.0, |e| e.0)
-                .map(|i| maps[local][i].1)
-                .unwrap_or(0),
-        }
-    }
-
-    /// Refills `obs` with `f_b` of node `v`'s exact per-letter counts —
-    /// the shard-local twin of [`FlatPorts::refill_obs`].
-    #[inline]
-    pub fn refill_obs(&self, v: usize, obs: &mut ObsVec, b: u8) {
-        let local = v - self.node_base;
-        match &self.counts {
-            ShardCounts::Dense(counts) => {
-                obs.refill_from_counts(&counts[local * self.sigma..(local + 1) * self.sigma], b)
-            }
-            ShardCounts::Sparse(maps) => obs.refill_from_sparse(self.sigma, &maps[local], b),
-        }
-    }
-
-    /// Node `v`'s ports as a slice — the shard-local twin of
-    /// [`FlatPorts::ports_of`]. `v` must fall in this shard's node range.
-    #[inline]
-    pub fn ports_of(&self, graph: &Graph, v: NodeId) -> &[Letter] {
-        let base = graph.csr_offset(v) - self.slot_base;
-        &self.letters[base..base + graph.degree(v)]
-    }
 }
 
 /// The epoch-split (double-buffered) face of the port store: one backing
@@ -876,11 +806,10 @@ impl PortShard<'_> {
 /// copy).
 ///
 /// The round pipeline ([`crate::pipeline`]) is the intended driver:
-/// serial rounds observe through [`PortPlanes::read`] and commit their
-/// buffered writes with [`PortPlanes::land_serial`]; the fused parallel
-/// schedule takes per-worker [`PlaneShard`] views via
-/// [`PortPlanes::epoch_shards`]. Either way, [`PortPlanes::advance`]
-/// flips the epoch at the round boundary.
+/// rounds observe through [`PortPlanes::read`]; serial rounds commit
+/// their buffered writes with [`PortPlanes::land_serial`], parallel
+/// rounds merge theirs through [`PortPlanes::write`]. Either way,
+/// [`PortPlanes::advance`] flips the epoch at the round boundary.
 #[derive(Clone, Debug)]
 pub struct PortPlanes {
     ports: FlatPorts,
@@ -925,7 +854,7 @@ impl PortPlanes {
     }
 
     /// The raw write plane of the current epoch, for merge strategies
-    /// that need the whole store at once (the joined pipeline's
+    /// that need the whole store at once (the parallel round's
     /// [`crate::parbuf::merge`]). Callers must only land deliveries
     /// resolved against this epoch's read plane, then
     /// [`PortPlanes::advance`].
@@ -944,26 +873,6 @@ impl PortPlanes {
         self.advance();
     }
 
-    /// Splits the write plane into one [`PlaneShard`] per entry of the
-    /// contiguous node partition `node_bounds` (the fused pipeline hands
-    /// one to each worker). Every shard starts in the write-plane state;
-    /// the caller flips it to the read plane with [`PlaneShard::freeze`]
-    /// once the previous round's deferred deliveries have landed.
-    pub fn epoch_shards<'a>(
-        &'a mut self,
-        graph: &Graph,
-        node_bounds: &[usize],
-    ) -> Vec<PlaneShard<'a>> {
-        self.ports
-            .shards_mut(graph, node_bounds)
-            .into_iter()
-            .map(|shard| PlaneShard {
-                shard,
-                frozen: false,
-            })
-            .collect()
-    }
-
     /// Ends the current epoch: the write plane (now holding this round's
     /// deliveries) becomes the next round's read plane. A pointer flip in
     /// spirit — nothing is copied, the incremental counts carry over
@@ -977,77 +886,6 @@ impl PortPlanes {
     /// it against serially driven [`FlatPorts`]).
     pub fn into_ports(self) -> FlatPorts {
         self.ports
-    }
-}
-
-/// One worker's view of both planes of its shard during one epoch of the
-/// fused round pipeline: first the **write plane** (only
-/// [`PlaneShard::land`] — the previous round's deferred deliveries merge
-/// here), then, after [`PlaneShard::freeze`], the **read plane** (only
-/// observations — a debug assertion rejects any later write). Produced
-/// by [`PortPlanes::epoch_shards`].
-pub struct PlaneShard<'a> {
-    shard: PortShard<'a>,
-    frozen: bool,
-}
-
-impl PlaneShard<'_> {
-    /// Write-plane delivery: lands one deferred `(receiver, slot,
-    /// letter)` write from the previous round on this shard.
-    ///
-    /// # Panics
-    /// Debug-asserts the shard has not been frozen yet.
-    #[inline]
-    pub fn land(&mut self, node: usize, slot: usize, letter: Letter) {
-        debug_assert!(
-            !self.frozen,
-            "cannot land deliveries on a frozen read plane"
-        );
-        self.shard.deliver(node, slot, letter);
-    }
-
-    /// Flips this shard from the write plane to the frozen read plane:
-    /// all deferred deliveries have landed, observations may begin.
-    #[inline]
-    pub fn freeze(&mut self) {
-        self.frozen = true;
-    }
-
-    /// Read-plane observation: refills `obs` with `f_b` of node `v`'s
-    /// exact per-letter counts.
-    #[inline]
-    pub fn refill_obs(&self, v: usize, obs: &mut ObsVec, b: u8) {
-        debug_assert!(self.frozen, "observations require the frozen read plane");
-        self.shard.refill_obs(v, obs, b);
-    }
-
-    /// Read-plane count of `letter` over `v`'s ports.
-    #[inline]
-    pub fn count(&self, v: usize, letter: Letter) -> u32 {
-        debug_assert!(self.frozen, "observations require the frozen read plane");
-        self.shard.count(v, letter)
-    }
-
-    /// Read-plane view of node `v`'s ports.
-    #[inline]
-    pub fn ports_of(&self, graph: &Graph, v: NodeId) -> &[Letter] {
-        debug_assert!(self.frozen, "observations require the frozen read plane");
-        self.shard.ports_of(graph, v)
-    }
-
-    /// Read-plane [`FlatPorts::is_quiescent`]: the landing that could
-    /// wake `v` must already be behind the freeze.
-    #[inline]
-    pub(crate) fn is_quiescent(&self, v: usize) -> bool {
-        debug_assert!(self.frozen, "observations require the frozen read plane");
-        self.shard.is_quiescent(v)
-    }
-
-    /// Read-plane [`FlatPorts::note_step`].
-    #[inline]
-    pub(crate) fn note_step(&self, v: usize, quiet: bool) {
-        debug_assert!(self.frozen, "observations require the frozen read plane");
-        self.shard.note_step(v, quiet)
     }
 }
 
@@ -1219,104 +1057,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_reads_match_whole_store_reads() {
-        use stoneage_core::ObsVec;
-        let g = generators::gnp(40, 0.2, 11);
-        for layout in [CountLayout::Dense, CountLayout::Sparse] {
-            let mut ports = FlatPorts::with_layout(&g, 5, Letter(0), layout);
-            for v in (0..40u32).step_by(3) {
-                ports.broadcast(&g, v, Letter(1 + (v % 4) as u16));
-            }
-            let frozen = ports.clone();
-            let bounds = [0usize, 13, 27, 40];
-            let shards = ports.shards_mut(&g, &bounds);
-            let mut a = ObsVec::zeroed(5);
-            let mut b = ObsVec::zeroed(5);
-            for (s, shard) in shards.iter().enumerate() {
-                for v in bounds[s]..bounds[s + 1] {
-                    frozen.refill_obs(v, &mut a, 3);
-                    shard.refill_obs(v, &mut b, 3);
-                    assert_eq!(a, b, "{layout:?}/node {v}");
-                    for l in 0..5u16 {
-                        assert_eq!(
-                            frozen.count(v, Letter(l)),
-                            shard.count(v, Letter(l)),
-                            "{layout:?}/node {v}/letter {l}"
-                        );
-                    }
-                    assert_eq!(
-                        frozen.ports_of(&g, v as NodeId),
-                        shard.ports_of(&g, v as NodeId),
-                        "{layout:?}/node {v}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn plane_shards_land_then_read_like_the_serial_round() {
-        // One simulated fused epoch: deferred deliveries land on each
-        // worker's plane shard, the shards freeze, and every read must
-        // match a serially driven store after the same writes.
-        let g = generators::cycle(9);
-        let mut serial = FlatPorts::new(&g, 3, Letter(0));
-        let mut planes = PortPlanes::new(&g, 3, Letter(0));
-        assert_eq!(planes.epoch(), 0);
-        let writes: Vec<(usize, usize, Letter)> = (0..9usize)
-            .map(|v| {
-                (
-                    v,
-                    g.csr_offset(v as NodeId) + v % 2,
-                    Letter(1 + (v % 2) as u16),
-                )
-            })
-            .collect();
-        for &(v, slot, letter) in &writes {
-            serial.deliver(v, slot, letter);
-        }
-        let bounds = [0usize, 4, 9];
-        {
-            let mut shards = planes.epoch_shards(&g, &bounds);
-            for &(v, slot, letter) in &writes {
-                let s = bounds[1..].partition_point(|&b| b <= v);
-                shards[s].land(v, slot, letter);
-            }
-            let mut a = stoneage_core::ObsVec::zeroed(3);
-            let mut b = stoneage_core::ObsVec::zeroed(3);
-            for (s, shard) in shards.iter_mut().enumerate() {
-                shard.freeze();
-                for v in bounds[s]..bounds[s + 1] {
-                    serial.refill_obs(v, &mut a, 2);
-                    shard.refill_obs(v, &mut b, 2);
-                    assert_eq!(a, b, "node {v}");
-                    assert_eq!(
-                        serial.ports_of(&g, v as NodeId),
-                        shard.ports_of(&g, v as NodeId)
-                    );
-                }
-            }
-        }
-        planes.advance();
-        assert_eq!(planes.epoch(), 1);
-        assert_eq!(
-            planes.into_ports().dense_counts(&g),
-            serial.dense_counts(&g)
-        );
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "frozen read plane")]
-    fn landing_on_a_frozen_plane_shard_panics() {
-        let g = generators::path(3);
-        let mut planes = PortPlanes::new(&g, 2, Letter(0));
-        let mut shards = planes.epoch_shards(&g, &[0, 3]);
-        shards[0].freeze();
-        shards[0].land(1, g.csr_offset(1), Letter(1));
-    }
-
-    #[test]
     fn serial_landing_advances_the_epoch() {
         let g = generators::path(3);
         let mut planes = PortPlanes::new(&g, 2, Letter(0));
@@ -1377,21 +1117,15 @@ mod tests {
             assert!((0..3).all(|v| ports.is_quiescent(v)));
             quiet_all(&ports);
 
-            // Shard landing marks the receiver through the shard view,
-            // and the frozen shard reads and records marks.
-            let mut planes = PortPlanes::from_parts(ports.clone(), 0);
+            // The sharded merge marks the receiver through its shard
+            // view, and only the receiver.
             {
-                let mut shards = planes.epoch_shards(&g, &[0, 2, 4]);
-                shards[1].land(3, g.csr_offset(3), Letter(2));
-                for shard in shards.iter_mut() {
-                    shard.freeze();
-                }
-                assert!(shards[0].is_quiescent(0) && shards[0].is_quiescent(1));
-                assert!(shards[1].is_quiescent(2) && !shards[1].is_quiescent(3));
-                shards[1].note_step(3, true);
-                assert!(shards[1].is_quiescent(3));
+                let mut shards = ports.shards_mut(&g, &[0, 2, 4]);
+                shards[1].deliver(3, g.csr_offset(3), Letter(2));
             }
-            assert!((0..4).all(|v| planes.read().is_quiescent(v)));
+            assert!(!ports.is_quiescent(3), "shard delivery: {layout:?}");
+            assert!((0..3).all(|v| ports.is_quiescent(v)));
+            quiet_all(&ports);
 
             // Marks are not part of the store's value: every rebuilt or
             // restored store starts them cleared.

@@ -74,16 +74,12 @@
 //! With the `parallel` cargo feature (alias: `rayon`; implemented with
 //! `std::thread` because this build environment vendors no external
 //! crates), `.parallel(ParallelPolicy)` chunks **both** round phases
-//! across worker threads: phase 1 (observation + transition) over
-//! disjoint node chunks, and phase 2 (delivery) through the per-worker
-//! sharded write buffers of the [`parbuf`] module, merged
-//! destination-sharded so workers never contend on a node's CSR slots.
-//! The policy's [`RoundMode`] picks the schedule: `Joined` (the
-//! historical two-join round, kept as the differential oracle) or
-//! `Fused` (phase 2b of round *r* lands inside the worker scope of
-//! round *r + 1* on per-worker plane shards — exactly one scope join
-//! per round). Outcomes stay bit-identical to the serial engines for
-//! every seed, worker count, merge strategy, and round mode — see the
+//! across worker threads: each round, one worker per slot-balanced node
+//! shard runs phase 1 (observation + transition) into its own sharded
+//! write buffer of the [`parbuf`] module, and phase 2 (delivery) merges
+//! the buffers destination-sharded, so workers never contend on a
+//! node's CSR slots. Outcomes stay bit-identical to the serial engines
+//! for every seed, worker count, and merge strategy — see the
 //! [`parbuf`] and [`pipeline`] docs for the determinism argument.
 
 #![forbid(unsafe_code)]
@@ -110,10 +106,7 @@ pub use churn::{
 };
 pub use engine::{FlatPorts, PortPlanes};
 pub use faults::{FaultPlan, FaultPlanError, FaultRule, FaultScope, FaultSummary, LinkFault};
-pub use parbuf::{
-    ChunkScheduler, MergeStrategy, ParallelPolicy, RoundMode, StealStats, ROUND_MODE_ENV,
-    SCHEDULER_ENV,
-};
+pub use parbuf::{MergeStrategy, ParallelPolicy};
 pub use reference::{run_sync_reference, run_sync_reference_with_inputs};
 pub use schedule::CalendarQueue;
 pub use scoped::{

@@ -53,47 +53,8 @@
 //! future non-commutative extension) observes the serial sequence. The
 //! property tests in `tests/flat_engine.rs` and
 //! `tests/scoped_parallel.rs` assert outcome equality across worker
-//! counts, merge strategies, and the serial engines.
-//!
-//! # When the merge runs: [`RoundMode`]
-//!
-//! The three facts above say nothing about *when* a buffered delivery
-//! must land — only that it must land before any observation of the next
-//! round reads its slot or count row. The round pipeline
-//! (`crate::pipeline`) exploits that freedom: under the default
-//! [`RoundMode::Joined`] the merge runs as its own step between rounds
-//! (two scope joins per round, the historical schedule), while under
-//! [`RoundMode::Fused`] phase 2b of round *r* is deferred into the
-//! worker scope of round *r + 1* — each worker lands the buckets
-//! destined to its own [`crate::engine::PlaneShard`] and then observes
-//! through the same shard, dropping one scope join per round. Both
-//! modes replay buckets in fixed worker order and are bit-identical for
-//! every seed; `Joined` is kept as the differential oracle.
-//!
-//! # Who computes a chunk: [`ChunkScheduler`]
-//!
-//! The three facts also say nothing about *which thread* runs phase
-//! 1 + 2a for a given sender — only that the resolved write set is a
-//! function of the frozen read plane and the per-node RNGs. The static
-//! schedule (one contiguous chunk per worker, the [`ShardPlan`] itself)
-//! is optimal when per-node work is uniform, but the stone-age model
-//! bounds the *alphabet*, not the *degree*: on a power-law or
-//! hub-and-spoke graph one shard's hub drains its worker long after the
-//! others have joined. [`ChunkScheduler::Stealing`] splits each shard
-//! into finer [`ChunkPlan`] descriptors seeded onto per-worker deques
-//! (worker `w` starts with exactly the chunks of shard `w` — the
-//! pinning that keeps its phase-2b write shard hot in cache), and an
-//! idle worker steals from the back of the currently longest deque.
-//! Stealing reorders **who** computes a chunk and **when**, never
-//! **where** a `(receiver, slot, letter)` write lands: every delivery is
-//! still bucketed by destination shard in the *sender's* buffer, per-node
-//! RNG draws still depend only on the node, and per-chunk witnesses are
-//! absorbed in ascending chunk order after the join — so the store, the
-//! transcript, and the scoped witness are bit-identical to the static
-//! schedule (and hence to serial) by the same three facts. Only the
-//! [`StealStats`] — how many chunks moved between workers — are
-//! timing-dependent, which is why they are reported on the outcome but
-//! excluded from every fingerprint.
+//! counts, merge strategies, graph families (hub-heavy ones included),
+//! and the serial engines.
 
 use stoneage_core::Letter;
 use stoneage_graph::{Graph, NodeId};
@@ -120,83 +81,6 @@ pub enum MergeStrategy {
     BufferReplay,
 }
 
-/// How the parallel round pipeline schedules phase 2b against the next
-/// round's phase 1 (see `crate::pipeline`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RoundMode {
-    /// Two joins per round: one worker scope runs phase 1 + 2a, joins,
-    /// then the policy's [`MergeStrategy`] lands the buffers (the
-    /// destination-sharded merge spawns a second scope). The historical
-    /// schedule and the differential oracle for [`RoundMode::Fused`];
-    /// the default.
-    #[default]
-    Joined,
-    /// One join per round: phase 2b of round *r* is fused into phase 1
-    /// of round *r + 1* — each worker first lands the previous round's
-    /// deliveries on its own [`crate::engine::PlaneShard`] (the write
-    /// plane), freezes it into the read plane, and runs phase 1 + 2a of
-    /// the new round against it, all inside a single scope. Bit-identical
-    /// to `Joined` for every seed, worker count, and merge strategy
-    /// (in fused rounds the merge is destination-sharded by
-    /// construction, so the [`MergeStrategy`] knob selects the *joined*
-    /// oracle's behavior only).
-    Fused,
-}
-
-/// Environment variable overriding every [`ParallelPolicy::round`] at
-/// run time (`joined` / `fused`, case-insensitive): lets CI force the
-/// whole test suite through the fused pipeline without a second test
-/// matrix in code. Unset or unrecognized values defer to the policy.
-pub const ROUND_MODE_ENV: &str = "STONEAGE_ROUND_MODE";
-
-/// Environment variable overriding every [`ParallelPolicy::scheduler`]
-/// at run time (`static` / `stealing`, case-insensitive), the
-/// [`ROUND_MODE_ENV`] pattern applied to the chunk scheduler: CI's
-/// stealing leg forces the whole differential suite through the
-/// work-stealing path. Unset or unrecognized values defer to the policy.
-pub const SCHEDULER_ENV: &str = "STONEAGE_SCHEDULER";
-
-/// How phase 1 + 2a chunks are assigned to workers within a round's
-/// scope (see the [module docs](self) for the bit-identity argument).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ChunkScheduler {
-    /// One contiguous slot-balanced chunk per worker — the [`ShardPlan`]
-    /// partition itself. No scheduling overhead; optimal when per-node
-    /// work is uniform. The default and the differential oracle for
-    /// [`ChunkScheduler::Stealing`].
-    #[default]
-    Static,
-    /// Each shard is split into finer [`ChunkPlan`] descriptors seeded
-    /// onto its owning worker's deque; a worker drains its own deque
-    /// front-first (shard-to-worker pinning) and, when dry, steals from
-    /// the back of the longest other deque. Bit-identical to `Static`
-    /// for every seed; pays a small per-chunk locking cost to win back
-    /// the idle time skewed-degree graphs leave on the static schedule.
-    Stealing,
-}
-
-/// Chunks migrated between workers during a run, reported on
-/// `Outcome::steals`. **Timing-dependent** (a steal happens when a deque
-/// happens to run dry first), unlike everything else an outcome carries
-/// — never fold these into fingerprints or differential assertions.
-/// `chunks` (total descriptors executed) *is* deterministic: it depends
-/// only on the graph, worker count, and round count.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StealStats {
-    /// Chunks executed by a worker other than their shard's owner.
-    pub steals: u64,
-    /// Total chunk descriptors executed across all rounds.
-    pub chunks: u64,
-}
-
-impl StealStats {
-    /// Folds another run segment's counters into this one.
-    pub fn absorb(&mut self, other: StealStats) {
-        self.steals += other.steals;
-        self.chunks += other.chunks;
-    }
-}
-
 /// Tuning knobs of the parallel executors. The defaults reproduce the
 /// auto behavior: hardware worker count, destination-sharded merge, and
 /// the [`PARALLEL_MIN_NODES`] serial fallback.
@@ -213,15 +97,6 @@ pub struct ParallelPolicy {
     /// engine. `None` means [`PARALLEL_MIN_NODES`]; tests force the
     /// parallel machinery on small graphs with `Some(0)`.
     pub min_nodes: Option<usize>,
-    /// Round-pipeline schedule: the historical two-join [`RoundMode::Joined`]
-    /// (default, the differential oracle) or the one-join
-    /// [`RoundMode::Fused`]. Overridable at run time via
-    /// [`ROUND_MODE_ENV`].
-    pub round: RoundMode,
-    /// Chunk-to-worker assignment: the static [`ShardPlan`] partition
-    /// (default, the differential oracle) or the work-stealing deques.
-    /// Overridable at run time via [`SCHEDULER_ENV`].
-    pub scheduler: ChunkScheduler,
 }
 
 impl ParallelPolicy {
@@ -232,48 +107,6 @@ impl ParallelPolicy {
             workers: Some(workers.max(1)),
             merge,
             min_nodes: Some(0),
-            round: RoundMode::default(),
-            scheduler: ChunkScheduler::default(),
-        }
-    }
-
-    /// This policy with the given round-pipeline schedule.
-    pub fn with_round(mut self, round: RoundMode) -> Self {
-        self.round = round;
-        self
-    }
-
-    /// This policy with the work-stealing chunk scheduler.
-    pub fn with_stealing(mut self) -> Self {
-        self.scheduler = ChunkScheduler::Stealing;
-        self
-    }
-
-    /// This policy with the given chunk scheduler.
-    pub fn with_scheduler(mut self, scheduler: ChunkScheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Resolves the effective [`RoundMode`]: the [`ROUND_MODE_ENV`]
-    /// environment variable when set to a recognized value, the policy's
-    /// own `round` field otherwise.
-    pub fn resolve_round(&self) -> RoundMode {
-        match std::env::var(ROUND_MODE_ENV) {
-            Ok(v) if v.eq_ignore_ascii_case("fused") => RoundMode::Fused,
-            Ok(v) if v.eq_ignore_ascii_case("joined") => RoundMode::Joined,
-            _ => self.round,
-        }
-    }
-
-    /// Resolves the effective [`ChunkScheduler`]: the [`SCHEDULER_ENV`]
-    /// environment variable when set to a recognized value, the policy's
-    /// own `scheduler` field otherwise.
-    pub fn resolve_scheduler(&self) -> ChunkScheduler {
-        match std::env::var(SCHEDULER_ENV) {
-            Ok(v) if v.eq_ignore_ascii_case("stealing") => ChunkScheduler::Stealing,
-            Ok(v) if v.eq_ignore_ascii_case("static") => ChunkScheduler::Static,
-            _ => self.scheduler,
         }
     }
 
@@ -359,120 +192,6 @@ impl ShardPlan {
         let mut out = Vec::with_capacity(self.workers());
         for w in self.bounds.windows(2) {
             let (head, tail) = slice.split_at_mut(w[1] - w[0]);
-            out.push(head);
-            slice = tail;
-        }
-        out
-    }
-}
-
-/// Chunk-granularity target of the work-stealing scheduler: each shard
-/// is cut into about this many descriptors. Large enough that the
-/// per-chunk deque locking stays under ~1% of useful work on the graphs
-/// worth parallelizing, small enough that a hub-heavy shard yields
-/// stealable remainders while its owner is stuck on the hub chunk.
-pub const CHUNKS_PER_WORKER: usize = 8;
-
-/// One work-stealing chunk: a contiguous sender node range and the
-/// shard (= owning worker's deque) it was seeded onto.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkDesc {
-    /// First node of the chunk.
-    pub start: usize,
-    /// One past the last node of the chunk.
-    pub end: usize,
-    /// The shard the range belongs to — its deliveries' *senders* live
-    /// in shard `shard`, so worker `shard` owns the chunk initially.
-    pub shard: usize,
-}
-
-/// The fine-grained partition the work-stealing scheduler deals onto
-/// the per-worker deques: each [`ShardPlan`] shard cut into roughly
-/// [`CHUNKS_PER_WORKER`] contiguous descriptors. Chunks are listed in
-/// ascending node order, so "absorb per-chunk results by chunk index"
-/// is exactly "absorb in serial sender order".
-///
-/// The cut is **hybrid**: a chunk closes once it reaches either the
-/// shard's per-chunk node share or its per-chunk slot share (always
-/// taking at least one node). Node-capping bounds the constant
-/// per-node cost per chunk; slot-capping isolates hubs into chunks of
-/// their own, which is what makes the remainder of a hub-heavy shard
-/// stealable. The plan depends only on the graph and the shard plan —
-/// never on timing — so every run over the same instance executes the
-/// identical chunk list.
-#[derive(Clone, Debug)]
-pub struct ChunkPlan {
-    chunks: Vec<ChunkDesc>,
-}
-
-impl ChunkPlan {
-    /// Cuts each shard of `plan` into hybrid node/slot-capped chunks.
-    pub fn new(graph: &Graph, plan: &ShardPlan) -> Self {
-        let mut chunks = Vec::with_capacity(plan.workers() * CHUNKS_PER_WORKER);
-        for (shard, w) in plan.bounds().windows(2).enumerate() {
-            let (lo, hi) = (w[0], w[1]);
-            let nodes = hi - lo;
-            if nodes == 0 {
-                continue;
-            }
-            let slots = graph.csr_offset(hi as NodeId) - graph.csr_offset(lo as NodeId);
-            let target_nodes = nodes.div_ceil(CHUNKS_PER_WORKER).max(1);
-            let target_slots = slots.div_ceil(CHUNKS_PER_WORKER).max(1);
-            let mut start = lo;
-            let mut chunk_slots = 0usize;
-            for v in lo..hi {
-                chunk_slots += graph.degree(v as NodeId);
-                let filled = v + 1 - start >= target_nodes || chunk_slots >= target_slots;
-                if filled || v + 1 == hi {
-                    chunks.push(ChunkDesc {
-                        start,
-                        end: v + 1,
-                        shard,
-                    });
-                    start = v + 1;
-                    chunk_slots = 0;
-                }
-            }
-        }
-        ChunkPlan { chunks }
-    }
-
-    /// One chunk per non-empty shard of `plan`: the static schedule,
-    /// which deals each worker exactly its own shard.
-    #[cfg(feature = "parallel")]
-    pub(crate) fn per_shard(plan: &ShardPlan) -> Self {
-        let chunks = (plan.bounds().windows(2).enumerate())
-            .filter(|(_, w)| w[0] < w[1])
-            .map(|(shard, w)| ChunkDesc {
-                start: w[0],
-                end: w[1],
-                shard,
-            })
-            .collect();
-        ChunkPlan { chunks }
-    }
-
-    /// The chunk descriptors, ascending by node range.
-    pub fn chunks(&self) -> &[ChunkDesc] {
-        &self.chunks
-    }
-
-    /// The number of chunks.
-    pub fn len(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Whether the plan is empty (zero-node graph).
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
-    /// Splits `slice` (of length |V|) into one mutable chunk per
-    /// descriptor, in chunk order.
-    pub fn chunks_mut<'a, T>(&self, mut slice: &'a mut [T]) -> Vec<&'a mut [T]> {
-        let mut out = Vec::with_capacity(self.chunks.len());
-        for c in &self.chunks {
-            let (head, tail) = slice.split_at_mut(c.end - c.start);
             out.push(head);
             slice = tail;
         }
@@ -695,137 +414,7 @@ mod tests {
         let p = ParallelPolicy::forced(7, MergeStrategy::BufferReplay);
         assert!(!p.use_serial(1));
         assert_eq!(p.resolve_workers(), 7);
-        assert_eq!(p.round, RoundMode::Joined, "forced defaults to the oracle");
         let auto = ParallelPolicy::default();
         assert!(auto.use_serial(PARALLEL_MIN_NODES - 1));
-    }
-
-    #[test]
-    fn chunk_plan_partitions_every_shard() {
-        for g in [
-            generators::gnp(500, 0.05, 3),
-            generators::power_law(500, 2, 0.9, 3),
-            generators::hub_and_spoke(3, 200),
-            generators::path(5),
-        ] {
-            let n = g.node_count();
-            for workers in [1, 2, 7] {
-                let plan = ShardPlan::new(&g, workers);
-                let chunks = ChunkPlan::new(&g, &plan);
-                // Chunks tile 0..n in ascending order…
-                let mut next = 0;
-                for c in chunks.chunks() {
-                    assert_eq!(c.start, next, "w{workers}");
-                    assert!(c.end > c.start, "w{workers}");
-                    next = c.end;
-                    // …and each chunk stays inside its shard.
-                    assert!(plan.bounds()[c.shard] <= c.start);
-                    assert!(c.end <= plan.bounds()[c.shard + 1]);
-                }
-                assert_eq!(next, n, "w{workers}");
-                assert!(chunks.len() >= plan.workers());
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_plan_isolates_hubs() {
-        // On hub_and_spoke the slot cap must cut each hub into (nearly)
-        // its own chunk, leaving the spoke ranges stealable.
-        let g = generators::hub_and_spoke(2, 1000);
-        let plan = ShardPlan::new(&g, 2);
-        let chunks = ChunkPlan::new(&g, &plan);
-        let hub_chunk = chunks.chunks().iter().find(|c| c.start == 0).unwrap();
-        assert!(
-            hub_chunk.end - hub_chunk.start <= 2,
-            "hub 0 shares a chunk with {} spokes",
-            hub_chunk.end - hub_chunk.start - 1
-        );
-    }
-
-    #[test]
-    fn chunk_plan_splitting_matches_descriptors() {
-        let g = generators::power_law(300, 2, 0.8, 1);
-        let plan = ShardPlan::new(&g, 3);
-        let chunks = ChunkPlan::new(&g, &plan);
-        let mut data: Vec<usize> = (0..300).collect();
-        let views = chunks.chunks_mut(&mut data);
-        assert_eq!(views.len(), chunks.len());
-        for (c, view) in chunks.chunks().iter().zip(&views) {
-            assert_eq!(view.first(), Some(&c.start));
-            assert_eq!(view.last(), Some(&(c.end - 1)));
-        }
-    }
-
-    #[test]
-    fn steal_stats_absorb_sums() {
-        let mut a = StealStats {
-            steals: 2,
-            chunks: 10,
-        };
-        a.absorb(StealStats {
-            steals: 1,
-            chunks: 5,
-        });
-        assert_eq!(
-            a,
-            StealStats {
-                steals: 3,
-                chunks: 15
-            }
-        );
-    }
-
-    #[test]
-    fn scheduler_resolution_honors_policy_and_env() {
-        let statik = ParallelPolicy::default();
-        let stealing = ParallelPolicy::default().with_stealing();
-        assert_eq!(statik.scheduler, ChunkScheduler::Static, "Static default");
-        assert_eq!(stealing.scheduler, ChunkScheduler::Stealing);
-        assert_eq!(
-            ParallelPolicy::default()
-                .with_scheduler(ChunkScheduler::Stealing)
-                .scheduler,
-            ChunkScheduler::Stealing
-        );
-        // Like the round mode, the suite may already be running under a
-        // forced scheduler (the CI stealing leg); assert against the env.
-        match std::env::var(SCHEDULER_ENV) {
-            Ok(v) if v.eq_ignore_ascii_case("stealing") => {
-                assert_eq!(statik.resolve_scheduler(), ChunkScheduler::Stealing);
-                assert_eq!(stealing.resolve_scheduler(), ChunkScheduler::Stealing);
-            }
-            Ok(v) if v.eq_ignore_ascii_case("static") => {
-                assert_eq!(statik.resolve_scheduler(), ChunkScheduler::Static);
-                assert_eq!(stealing.resolve_scheduler(), ChunkScheduler::Static);
-            }
-            _ => {
-                assert_eq!(statik.resolve_scheduler(), ChunkScheduler::Static);
-                assert_eq!(stealing.resolve_scheduler(), ChunkScheduler::Stealing);
-            }
-        }
-    }
-
-    #[test]
-    fn round_mode_resolution_honors_policy_and_env() {
-        let joined = ParallelPolicy::default();
-        let fused = ParallelPolicy::default().with_round(RoundMode::Fused);
-        assert_eq!(joined.round, RoundMode::Joined, "Joined is the default");
-        // The suite may itself be running under a forced round mode (the
-        // CI fused job); assert against whatever the environment says.
-        match std::env::var(ROUND_MODE_ENV) {
-            Ok(v) if v.eq_ignore_ascii_case("fused") => {
-                assert_eq!(joined.resolve_round(), RoundMode::Fused);
-                assert_eq!(fused.resolve_round(), RoundMode::Fused);
-            }
-            Ok(v) if v.eq_ignore_ascii_case("joined") => {
-                assert_eq!(joined.resolve_round(), RoundMode::Joined);
-                assert_eq!(fused.resolve_round(), RoundMode::Joined);
-            }
-            _ => {
-                assert_eq!(joined.resolve_round(), RoundMode::Joined);
-                assert_eq!(fused.resolve_round(), RoundMode::Fused);
-            }
-        }
     }
 }

@@ -40,81 +40,32 @@
 //! run may end as soon as every node has decided. It costs nothing per
 //! node and needs no universe graph.
 //!
-//! # One join per round: the fused schedule
+//! # The parallel round
 //!
-//! The parallel loop runs in one of two modes
-//! ([`crate::parbuf::RoundMode`]):
+//! The parallel loop runs phase 1 + 2a of each round in one worker
+//! scope. Worker `w` steps the live nodes of its own
+//! [`crate::parbuf::ShardPlan`] shard — its window of the state and RNG
+//! arrays — against the frozen read plane, into its own
+//! [`crate::parbuf::DeliveryBuffer`] and its own witness. After the join
+//! the witnesses are absorbed in worker order, the policy's
+//! [`crate::parbuf::MergeStrategy`] lands the buffers on the write plane
+//! (the destination-sharded merge in a scope of its own), the epoch
+//! flips, and the round ends as on the serial loop. The round is bit-identical to the serial one because
+//! nothing observable depends on the threads:
 //!
-//! * **Joined** — one worker scope for phase 1 + 2a, a join, then the
-//!   phase-2b merge (itself a second scope under the destination-sharded
-//!   strategy). Two joins per round.
-//! * **Fused** — phase 2b of round *r* is deferred into the worker scope
-//!   of round *r + 1*: each worker takes the
-//!   [`crate::engine::PlaneShard`] for its own node range, first lands
-//!   every buffer's bucket destined to that shard (the write plane of
-//!   the previous epoch), freezes the shard into the read plane, and
-//!   runs phase 1 + 2a of the new round against it. **Exactly one scope
-//!   join per round.**
-//!
-//! Fused is bit-identical to Joined (and hence to the serial loop)
-//! because nothing observable moves:
-//!
-//! * a node's observation reads only its own count row and CSR slots,
-//!   both inside the shard its chunk reads — which that shard's owner
-//!   brought up to date before any read, so every phase-1 observation of
-//!   round *r* sees exactly the end-of-round-*r − 1* store;
-//! * scoped target draws read only the sender's own ports (same shard)
-//!   and consume the sender's private RNG stream in the same
-//!   transition-then-target order;
-//! * the deferred buckets replay in fixed worker order per shard, the
-//!   same order the joined merge uses, and per-round slot uniqueness +
-//!   commutative counts make the landed bytes order-independent anyway
+//! * a node reads only the frozen plane and its own RNG stream, and
+//!   scoped target draws read only the sender's own ports;
+//! * every write is bucketed by destination shard in its sender's
+//!   buffer, and both merges replay the buckets in fixed worker order
 //!   (the [`crate::parbuf`] argument);
-//! * rounds end on the same undecided-counter zero crossing, and a
-//!   terminal round's unlanded buffers are discarded in both modes
-//!   (the store is dead once outputs are collected);
-//! * whenever the store itself is handed out — to the boundary hook, or
-//!   to a checkpoint — the deferred buffers are first **flushed**: landed
-//!   serially in the same shard-major worker order and cleared, so the
-//!   next scope lands nothing. Flush-before-patch is load-bearing under
-//!   churn (see [`crate::churn`]).
+//! * shards are contiguous and ascending, so absorbing the per-worker
+//!   witnesses in worker order reproduces the serial sender order.
 //!
 //! The differential matrices in `tests/flat_engine.rs`,
 //! `tests/scoped_parallel.rs`, `tests/churn.rs` and
-//! `tests/observer_transcripts.rs` pin `Fused ≡ Joined ≡ serial` across
-//! worker counts, merge strategies, graph families and plans, observer
-//! calls included.
-//!
-//! # Who runs a chunk: the work-stealing schedule
-//!
-//! Orthogonal to the round mode, [`crate::parbuf::ChunkScheduler`]
-//! picks how phase 1 + 2a is dealt to workers. Both schedules deal
-//! chunk descriptors onto per-worker deques. `Static` deals one chunk
-//! per worker — its own [`crate::parbuf::ShardPlan`] shard — and never
-//! steals: zero scheduling cost, but a hub-heavy chunk serializes the
-//! round. `Stealing` cuts each shard into
-//! [`crate::parbuf::ChunkPlan`] descriptors seeded onto the owning
-//! worker's deque (shard-to-worker pinning: a worker starts on exactly
-//! the senders whose phase-2b shard it lands under the fused schedule),
-//! pops its own deque front-first, and when dry steals from the back of
-//! the longest other deque.
-//!
-//! Stealing is bit-identical to the static schedule because the round's
-//! data flow is schedule-free (the [`crate::parbuf`] module docs give
-//! the full argument): every node reads only the frozen plane and its
-//! private RNG, every write is bucketed by *destination* shard in
-//! whichever worker's buffer resolved it, and both merges replay
-//! buckets in an order independent of who filled them. The one
-//! schedule-dependent artifact — the order scoped witnesses are
-//! recorded in — is repaired after the join: each chunk records into
-//! its own witness, and the chunk witnesses are absorbed in ascending
-//! chunk index (= ascending sender order, the serial transcript).
-//! Under the fused schedule the per-worker plane shards live behind
-//! `RwLock`s: each worker write-locks its own shard to land + freeze
-//! it, and tasks then read-lock the (frozen) shard their senders live
-//! in. A stolen task may read another worker's shard, so under
-//! `Stealing` a barrier separates landing from observation; a static
-//! worker reads only its own shard and needs none.
+//! `tests/observer_transcripts.rs` pin `parallel ≡ serial` across
+//! worker counts, merge strategies, graph families (the hub-heavy
+//! skewed ones included) and plans, observer calls included.
 //!
 //! # Quiescent nodes are not stepped
 //!
@@ -141,8 +92,8 @@
 //! no byte of the run, which is why the skip has no switch: the pinned
 //! fingerprints, the reference-engine differential tests and the
 //! serial ≡ parallel matrices all run through it. Because it lives in
-//! `node_round`, every schedule — serial, joined, fused, stealing,
-//! churn, scoped — inherits it. The marks start cleared on fresh and
+//! `node_round`, every schedule — serial, parallel, churn, scoped —
+//! inherits it. The marks start cleared on fresh and
 //! resumed runs alike, so the first round of any run steps every node.
 //!
 //! # Scratch reuse
@@ -150,8 +101,8 @@
 //! Per-round scratch lives for the whole run and is cleared, not
 //! reallocated: the serial write buffer, the per-worker
 //! [`crate::parbuf::DeliveryBuffer`]s, the per-worker [`ObsVec`]s, and
-//! the per-worker lists of chunk witnesses (drained into the run-level
-//! witness each round).
+//! the per-worker witnesses (drained into the run-level witness each
+//! round).
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -159,80 +110,16 @@ use stoneage_core::{Letter, ObsVec, Protocol};
 use stoneage_graph::{Graph, NodeId};
 
 use crate::churn::{self, ChurnCtl, ChurnSummary, DEAD_OUTPUT};
-use crate::engine::{FlatPorts, PlaneShard, PortPlanes};
+use crate::engine::{FlatPorts, PortPlanes};
 #[cfg(feature = "parallel")]
 use crate::faults::FaultSink;
 use crate::faults::{self, FaultCtx, FaultLayer, FaultSummary};
 #[cfg(feature = "parallel")]
-use crate::parbuf::{self, ChunkPlan, ChunkScheduler, ParallelPolicy, RoundMode, ShardPlan};
-use crate::parbuf::{DeliveryBuffer, StealStats};
+use crate::parbuf::{self, DeliveryBuffer, ParallelPolicy, ShardPlan};
 use crate::scoped::ScopedDelivery;
 use crate::sim::{Cost, Detail, Observer, Outcome, Simulation};
 use crate::snapshot::{self, encode_lockstep, LockstepCapture, SnapArgs, BODY_KIND};
 use crate::{splitmix64, ExecError};
-
-/// Read access to a frozen plane: the observation surface phase 1 and
-/// the scoped target draws run against, plus the node's own skip marks.
-/// Implemented by the whole-store read plane ([`FlatPorts`]) and by a
-/// worker's own frozen [`PlaneShard`].
-pub(crate) trait PortRead {
-    /// Refills `obs` with `f_b` of node `v`'s exact per-letter counts.
-    fn refill_obs(&self, v: usize, obs: &mut ObsVec, b: u8);
-    /// The exact count of `letter` over `v`'s ports.
-    fn count(&self, v: usize, letter: Letter) -> u32;
-    /// Node `v`'s ports as a slice.
-    fn ports_of(&self, graph: &Graph, v: NodeId) -> &[Letter];
-    /// Whether `v` may skip this round (module docs).
-    fn is_quiescent(&self, v: usize) -> bool;
-    /// Records `v`'s executed step and whether it was quiet.
-    fn note_step(&self, v: usize, quiet: bool);
-}
-
-impl PortRead for FlatPorts {
-    #[inline]
-    fn refill_obs(&self, v: usize, obs: &mut ObsVec, b: u8) {
-        FlatPorts::refill_obs(self, v, obs, b)
-    }
-    #[inline]
-    fn count(&self, v: usize, letter: Letter) -> u32 {
-        FlatPorts::count(self, v, letter)
-    }
-    #[inline]
-    fn ports_of(&self, graph: &Graph, v: NodeId) -> &[Letter] {
-        FlatPorts::ports_of(self, graph, v)
-    }
-    #[inline]
-    fn is_quiescent(&self, v: usize) -> bool {
-        FlatPorts::is_quiescent(self, v)
-    }
-    #[inline]
-    fn note_step(&self, v: usize, quiet: bool) {
-        FlatPorts::note_step(self, v, quiet)
-    }
-}
-
-impl PortRead for PlaneShard<'_> {
-    #[inline]
-    fn refill_obs(&self, v: usize, obs: &mut ObsVec, b: u8) {
-        PlaneShard::refill_obs(self, v, obs, b)
-    }
-    #[inline]
-    fn count(&self, v: usize, letter: Letter) -> u32 {
-        PlaneShard::count(self, v, letter)
-    }
-    #[inline]
-    fn ports_of(&self, graph: &Graph, v: NodeId) -> &[Letter] {
-        PlaneShard::ports_of(self, graph, v)
-    }
-    #[inline]
-    fn is_quiescent(&self, v: usize) -> bool {
-        PlaneShard::is_quiescent(self, v)
-    }
-    #[inline]
-    fn note_step(&self, v: usize, quiet: bool) {
-        PlaneShard::note_step(self, v, quiet)
-    }
-}
 
 /// Where phase-2a resolution lands its writes. Deliveries must never
 /// touch the port store directly — they are applied (or merged) only
@@ -359,21 +246,21 @@ pub(crate) trait RoundStep {
     /// plane into `sink` (and `witness`), consuming any target draws
     /// from the node's own RNG stream.
     #[allow(clippy::too_many_arguments)]
-    fn resolve<Pr: PortRead, Sk: DeliverySink>(
+    fn resolve<Sk: DeliverySink>(
         &self,
         round: u64,
         v: NodeId,
         emission: Self::Emission,
         graph: &Graph,
-        ports: &Pr,
+        ports: &FlatPorts,
         rng: &mut SmallRng,
         sink: &mut Sk,
         witness: &mut Self::Witness,
     );
-    /// Drains `from` (one chunk's per-round witness) into `into` — the
-    /// round-major, chunk-order concatenation that reproduces the
+    /// Drains `from` (one worker's per-round witness) into `into` — the
+    /// round-major, worker-order concatenation that reproduces the
     /// serial witness order. (Only the parallel loop splits the witness
-    /// per chunk; the serial loop writes into the run-level witness
+    /// per worker; the serial loop writes into the run-level witness
     /// directly.)
     #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
     fn absorb(into: &mut Self::Witness, from: &mut Self::Witness);
@@ -607,22 +494,21 @@ where
             0
         }
     };
-    let (done, workers, steals) = 'run: {
+    let (done, workers) = 'run: {
         if resume.is_none() && run.undecided == 0 && run.hook.exhausted() {
-            break 'run (Some(0), 1, StealStats::default());
+            break 'run (Some(0), 1);
         }
         #[cfg(feature = "parallel")]
         {
             let n = sim.graph.node_count();
             if let Some(policy) = sim.policy.filter(|p| !p.use_serial(n)) {
-                let mut steals = StealStats::default();
-                let done = run_parallel(&mut run, &policy, start, &mut steals);
+                let done = run_parallel(&mut run, &policy, start);
                 // The shard plan clamps to the node count — report what
                 // actually runs, not the raw policy value.
-                break 'run (done, policy.resolve_workers().min(n.max(1)), steals);
+                break 'run (done, policy.resolve_workers().min(n.max(1)));
             }
         }
-        (run_serial(&mut run, start), 1, StealStats::default())
+        (run_serial(&mut run, start), 1)
     };
     let Some(rounds) = done else {
         return Err(ExecError::RoundLimit {
@@ -650,7 +536,6 @@ where
         states: run.states,
         cost: Cost::Rounds(rounds),
         workers,
-        steals,
         detail,
     })
 }
@@ -682,21 +567,17 @@ where
     O: Observer<St::State>,
 {
     /// Ends round `round` once its deliveries have landed and its epoch
-    /// has flipped — except those the fused schedule still defers in
-    /// `landing`, which are flushed before the store is handed to the
-    /// boundary hook or a checkpoint. Applies the boundary, reports the
-    /// round to the observer, and takes a due checkpoint unless the run
-    /// is over (there is nothing to resume). Returns whether it is.
-    fn end_round(&mut self, round: u64, landing: &mut [DeliveryBuffer]) -> bool {
+    /// has flipped: applies the boundary, reports the round to the
+    /// observer, and takes a due checkpoint unless the run is over
+    /// (there is nothing to resume). Returns whether it is.
+    fn end_round(&mut self, round: u64) -> bool {
         if self.hook.due(round) {
-            let ports = self.planes.write();
-            flush(ports, landing);
             self.hook.apply(
                 round,
                 self.step,
                 &mut self.states,
                 &mut self.undecided,
-                ports,
+                self.planes.write(),
             );
         }
         self.observer.on_round_end(round, &self.states);
@@ -704,7 +585,6 @@ where
             return true;
         }
         if self.snap.every > 0 && round.is_multiple_of(self.snap.every) {
-            flush(self.planes.write(), landing);
             let snap = encode_lockstep(
                 self.snap.meta,
                 &self.snap.codec(),
@@ -726,34 +606,16 @@ where
     }
 }
 
-/// Lands the fused schedule's deferred deliveries on the write plane —
-/// shard-major, in fixed worker order, the order the next scope would
-/// have used — and clears them, so that scope lands nothing. Per-round
-/// slot uniqueness + commutative counts make the store bytes identical
-/// either way.
-fn flush(ports: &mut FlatPorts, landing: &mut [DeliveryBuffer]) {
-    for shard in 0..landing.len() {
-        for prev in landing.iter() {
-            for w in prev.bucket(shard) {
-                ports.deliver(w.node as usize, w.slot as usize, w.letter);
-            }
-        }
-    }
-    for b in landing.iter_mut() {
-        b.clear();
-    }
-}
-
 /// Phase 1 + 2a of one node against a frozen plane; returns the
 /// undecided-counter delta. The single transcription of the per-node
-/// round semantics — every schedule (serial, joined, fused, stealing,
-/// churn) runs this, and with it the quiescent-node skip (module docs).
+/// round semantics — every schedule (serial, parallel, churn) runs
+/// this, and with it the quiescent-node skip (module docs).
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn node_round<St: RoundStep, Pr: PortRead, Sk: DeliverySink>(
+fn node_round<St: RoundStep, Sk: DeliverySink>(
     step: &St,
     graph: &Graph,
-    ports: &Pr,
+    ports: &FlatPorts,
     round: u64,
     v: usize,
     state: &mut St::State,
@@ -791,11 +653,11 @@ fn node_round<St: RoundStep, Pr: PortRead, Sk: DeliverySink>(
 /// returns the summed undecided-counter delta.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn run_nodes<St, H, Pr, Sk>(
+fn run_nodes<St, H, Sk>(
     step: &St,
     graph: &Graph,
     hook: &H,
-    ports: &Pr,
+    ports: &FlatPorts,
     round: u64,
     base: usize,
     states: &mut [St::State],
@@ -807,7 +669,6 @@ fn run_nodes<St, H, Pr, Sk>(
 where
     St: RoundStep,
     H: BoundaryHook,
-    Pr: PortRead,
     Sk: DeliverySink,
 {
     let mut delta = 0;
@@ -862,123 +723,23 @@ where
         );
         run.sent += sink.sent;
         run.planes.land_serial(&sink.writes);
-        if run.end_round(round, &mut []) {
+        if run.end_round(round) {
             return Some(round);
         }
     }
     None
 }
 
-/// One unit of phase-1+2a work (stealable under the stealing schedule):
-/// a [`ChunkPlan`] descriptor bundled with the disjoint `&mut` windows of
-/// the state and RNG arrays it owns. Built fresh each round (the borrows last one scope) and
-/// moved between deques; the *data* never moves.
-#[cfg(feature = "parallel")]
-struct StealTask<'a, S> {
-    /// Position in the [`ChunkPlan`] — ascending node order, the key
-    /// per-chunk witnesses are re-sorted by after the join.
-    index: usize,
-    /// First node of the chunk.
-    base: usize,
-    /// The shard whose deque the task was seeded onto (under the fused
-    /// schedule, also the plane shard its senders read).
-    shard: usize,
-    states: &'a mut [S],
-    rngs: &'a mut [SmallRng],
-}
-
-/// Deals one [`StealTask`] per chunk onto the owning worker's deque, in
-/// ascending node order (so a worker drains its own shard front-to-back
-/// — the cache-friendly direction — while thieves take from the back).
-#[cfg(feature = "parallel")]
-fn seed_deques<'a, S>(
-    chunks: &ChunkPlan,
-    workers: usize,
-    mut states: &'a mut [S],
-    mut rngs: &'a mut [SmallRng],
-) -> Vec<std::sync::Mutex<std::collections::VecDeque<StealTask<'a, S>>>> {
-    let mut deques: Vec<std::collections::VecDeque<StealTask<'a, S>>> = (0..workers)
-        .map(|_| std::collections::VecDeque::new())
-        .collect();
-    for (index, c) in chunks.chunks().iter().enumerate() {
-        let (state_c, state_rest) = states.split_at_mut(c.end - c.start);
-        let (rng_c, rng_rest) = rngs.split_at_mut(c.end - c.start);
-        states = state_rest;
-        rngs = rng_rest;
-        deques[c.shard].push_back(StealTask {
-            index,
-            base: c.start,
-            shard: c.shard,
-            states: state_c,
-            rngs: rng_c,
-        });
-    }
-    deques.into_iter().map(std::sync::Mutex::new).collect()
-}
-
-/// Worker `w`'s next task: the front of its own deque, or — when dry and
-/// `steal` is set — the back of the currently longest other deque
-/// (`true` marks a steal). Returns `None` once there is nothing left to
-/// take; a lost race with another thief just rescans.
-#[cfg(feature = "parallel")]
-fn next_task<'a, S>(
-    w: usize,
-    deques: &[std::sync::Mutex<std::collections::VecDeque<StealTask<'a, S>>>],
-    steal: bool,
-) -> Option<(StealTask<'a, S>, bool)> {
-    if let Some(t) = deques[w].lock().unwrap().pop_front() {
-        return Some((t, false));
-    }
-    if !steal {
-        return None;
-    }
-    loop {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, d) in deques.iter().enumerate() {
-            if i == w {
-                continue;
-            }
-            let len = d.lock().unwrap().len();
-            if len > 0 && best.is_none_or(|(blen, _)| len > blen) {
-                best = Some((len, i));
-            }
-        }
-        let (_, victim) = best?;
-        if let Some(t) = deques[victim].lock().unwrap().pop_back() {
-            return Some((t, true));
-        }
-    }
-}
-
-/// What one worker hands back at the join: its undecided delta, fault
-/// tally, and steal/chunk counters. (Its chunk witnesses go to its own
-/// scratch vector.)
-#[cfg(feature = "parallel")]
-type StealYield = (isize, FaultSummary, u64, u64);
-
-/// The read plane of one parallel round: the whole store (Joined), or
-/// one lockable [`PlaneShard`] per worker (Fused).
-#[cfg(feature = "parallel")]
-enum Plane<'a> {
-    Whole(&'a FlatPorts),
-    Shards(Vec<std::sync::RwLock<PlaneShard<'a>>>),
-}
-
-/// The parallel round loop, scheduled per the policy's resolved
-/// [`RoundMode`] (`Joined`: phase 1 + 2a scope, join, phase-2b merge;
-/// `Fused`: the previous round's phase 2b landed on per-worker plane
-/// shards inside the next round's scope) and [`ChunkScheduler`] (one
-/// static shard chunk per worker, or work-stealing deques). The round
-/// then ends exactly as on the serial loop ([`Lockstep::end_round`]).
-/// Bit-identical to [`run_serial`] for every seed, worker count, merge
-/// strategy, round mode, and scheduler; only the [`StealStats`]
-/// out-param is timing-dependent.
+/// The parallel round loop (module docs): one worker scope per round in
+/// which worker `w` runs phase 1 + 2a over its own [`ShardPlan`] shard,
+/// then the witness absorb in worker order, the policy's merge, the
+/// epoch flip and [`Lockstep::end_round`]. Bit-identical to
+/// [`run_serial`] for every seed, worker count and merge strategy.
 #[cfg(feature = "parallel")]
 fn run_parallel<St, H, O>(
     run: &mut Lockstep<'_, St, H, O>,
     policy: &ParallelPolicy,
     start: u64,
-    steals: &mut StealStats,
 ) -> Option<u64>
 where
     St: RoundStep + Sync,
@@ -991,146 +752,51 @@ where
     // Planned once per run. Under churn the graph is the closed
     // universe: churn patches rewrite slots inside the fixed CSR layout,
     // never the slot map, so the slot-balanced bounds stay valid across
-    // every boundary (`tests/stealing.rs` pins this).
+    // every boundary (`tests/churn.rs` pins this).
     let plan = ShardPlan::new(graph, policy.resolve_workers());
     let workers = plan.workers();
-    let fused = policy.resolve_round() == RoundMode::Fused;
-    let stealing = policy.resolve_scheduler() == ChunkScheduler::Stealing;
-    let chunks = if stealing {
-        ChunkPlan::new(graph, &plan)
-    } else {
-        ChunkPlan::per_shard(&plan)
-    };
-    // Double-buffered delivery generations: `filling` receives this
-    // round's writes; under Fused, `landing` holds the previous round's,
-    // landed by every worker during the deferred phase 2b.
-    let buffers =
-        || -> Vec<DeliveryBuffer> { (0..workers).map(|_| DeliveryBuffer::new(workers)).collect() };
-    let (mut filling, mut landing) = (buffers(), buffers());
+    let mut buffers: Vec<DeliveryBuffer> =
+        (0..workers).map(|_| DeliveryBuffer::new(workers)).collect();
     let mut obs: Vec<ObsVec> = (0..workers)
         .map(|_| ObsVec::zeroed(run.planes.sigma()))
         .collect();
-    // Per-worker chunk witnesses keyed by chunk index, and their merge.
-    let mut wits: Vec<Vec<(usize, St::Witness)>> = (0..workers).map(|_| Vec::new()).collect();
-    let mut sorted: Vec<(usize, St::Witness)> = Vec::new();
+    let mut wits: Vec<St::Witness> = (0..workers).map(|_| St::Witness::default()).collect();
     for round in start + 1..=run.max_rounds {
-        let results: Vec<StealYield> = {
-            let (step, hook, fctx) = (run.step, &run.hook, run.faults.ctx);
-            let plane = if fused {
-                let shards = run.planes.epoch_shards(graph, plan.bounds());
-                Plane::Shards(shards.into_iter().map(std::sync::RwLock::new).collect())
-            } else {
-                Plane::Whole(run.planes.read())
-            };
-            let (plane, landing_ref) = (&plane, &landing);
-            let barrier = std::sync::Barrier::new(workers);
-            let barrier = &barrier;
-            let deques = seed_deques(&chunks, workers, &mut run.states, &mut run.rngs);
-            let deques = &deques;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = filling
-                    .iter_mut()
-                    .zip(obs.iter_mut())
-                    .zip(wits.iter_mut())
-                    .enumerate()
-                    .map(|(w, ((buffer, obs), wits))| {
-                        let plan = &plan;
-                        scope.spawn(move || {
-                            if let Plane::Shards(cells) = plane {
-                                // Deferred phase 2b of the previous round:
-                                // this worker owns shard w.
-                                let mut shard = cells[w]
-                                    .write()
-                                    .expect("no worker panics holding a plane shard");
-                                for prev in landing_ref {
-                                    for wr in prev.bucket(w) {
-                                        shard.land(wr.node as usize, wr.slot as usize, wr.letter);
-                                    }
-                                }
-                                shard.freeze();
-                                drop(shard);
-                                if stealing {
-                                    barrier.wait();
-                                }
-                            }
-                            buffer.clear();
-                            let mut sink = ShardedSink { buffer, plan };
-                            let mut tally = FaultSummary::default();
-                            let mut fsink = FaultSink::wrap(&mut sink, fctx, round, &mut tally);
-                            let mut delta = 0isize;
-                            let (mut nsteals, mut nchunks) = (0u64, 0u64);
-                            while let Some((task, stolen)) = next_task(w, deques, stealing) {
-                                nchunks += stealing as u64;
-                                nsteals += stolen as u64;
-                                let mut wit = St::Witness::default();
-                                let (base, states, rngs) = (task.base, task.states, task.rngs);
-                                delta += match plane {
-                                    Plane::Whole(ports) => run_nodes(
-                                        step, graph, hook, *ports, round, base, states, rngs, obs,
-                                        &mut fsink, &mut wit,
-                                    ),
-                                    // A task reads only the shard its senders
-                                    // live in (observation = own count row +
-                                    // slots; scoped draws = own ports), frozen
-                                    // by now.
-                                    Plane::Shards(cells) => run_nodes(
-                                        step,
-                                        graph,
-                                        hook,
-                                        &*cells[task.shard]
-                                            .read()
-                                            .expect("no worker panics holding a plane shard"),
-                                        round,
-                                        base,
-                                        states,
-                                        rngs,
-                                        obs,
-                                        &mut fsink,
-                                        &mut wit,
-                                    ),
-                                };
-                                wits.push((task.index, wit));
-                            }
-                            (delta, tally, nsteals, nchunks)
-                        })
+        let (step, hook, fctx, ports) = (run.step, &run.hook, run.faults.ctx, run.planes.read());
+        let shards = (plan.chunks_mut(&mut run.states).into_iter())
+            .zip(plan.chunks_mut(&mut run.rngs))
+            .zip(plan.bounds());
+        let results: Vec<(isize, FaultSummary)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (buffers.iter_mut().zip(&mut obs).zip(&mut wits).zip(shards))
+                .map(|(((buffer, obs), wit), ((states, rngs), &base))| {
+                    let plan = &plan;
+                    scope.spawn(move || {
+                        buffer.clear();
+                        let mut sink = ShardedSink { buffer, plan };
+                        let mut tally = FaultSummary::default();
+                        let mut fsink = FaultSink::wrap(&mut sink, fctx, round, &mut tally);
+                        let delta = run_nodes(
+                            step, graph, hook, ports, round, base, states, rngs, obs, &mut fsink,
+                            wit,
+                        );
+                        (delta, tally)
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        };
-        for (delta, tally, nsteals, nchunks) in results {
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        for ((delta, tally), wit) in results.into_iter().zip(&mut wits) {
             run.undecided += delta;
             run.faults.absorb(&tally);
-            steals.steals += nsteals;
-            steals.chunks += nchunks;
+            St::absorb(&mut run.witness, wit);
         }
-        // The one schedule-dependent artifact stealing creates: the chunk
-        // witnesses, re-sorted to ascending chunk index (= ascending
-        // sender order, the serial transcript) before absorption.
-        sorted.extend(wits.iter_mut().flat_map(|w| w.drain(..)));
-        sorted.sort_unstable_by_key(|&(i, _)| i);
-        for (_, mut w) in sorted.drain(..) {
-            St::absorb(&mut run.witness, &mut w);
-        }
-        if fused {
-            // The single join of the round is behind us: flip the epoch
-            // and swap the buffer generations.
-            run.planes.advance();
-            std::mem::swap(&mut landing, &mut filling);
-            run.sent += landing.iter().map(|b| b.sent).sum::<u64>();
-        } else {
-            // Phase 2b: merge the buffers into the write plane (the
-            // second join of the round under the sharded strategy).
-            run.sent += filling.iter().map(|b| b.sent).sum::<u64>();
-            parbuf::merge(policy.merge, run.planes.write(), graph, &plan, &filling);
-            run.planes.advance();
-        }
-        if run.end_round(round, &mut landing) {
-            // A fused terminal round's buffers are never landed: the
-            // store is dead once outputs are collected.
+        run.sent += buffers.iter().map(|b| b.sent).sum::<u64>();
+        parbuf::merge(policy.merge, run.planes.write(), graph, &plan, &buffers);
+        run.planes.advance();
+        if run.end_round(round) {
             return Some(round);
         }
     }

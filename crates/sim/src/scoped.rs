@@ -28,8 +28,9 @@ use stoneage_core::{Choices, Letter, ObsVec, Protocol};
 use stoneage_graph::{Graph, NodeId};
 
 use crate::churn::ChurnSummary;
+use crate::engine::FlatPorts;
 use crate::faults::FaultSummary;
-use crate::pipeline::{DeliverySink, PortRead, RoundStep};
+use crate::pipeline::{DeliverySink, RoundStep};
 use crate::sim::Detail;
 use crate::snapshot;
 
@@ -132,9 +133,9 @@ pub struct ScopedOutcome {
 /// implementation made (`count` equals the candidate-list length), so
 /// per-node RNG streams and therefore outcomes are unchanged.
 #[inline]
-fn select_scoped_port<Pr: PortRead, R: Rng>(
+fn select_scoped_port<R: Rng>(
     graph: &Graph,
-    ports: &Pr,
+    ports: &FlatPorts,
     v: NodeId,
     holding: Letter,
     rng: &mut R,
@@ -193,13 +194,13 @@ impl<P: ScopedMultiFsm> RoundStep for ScopedStep<'_, P> {
         *emission == ScopedEmission::Silent
     }
 
-    fn resolve<Pr: PortRead, Sk: DeliverySink>(
+    fn resolve<Sk: DeliverySink>(
         &self,
         round: u64,
         v: NodeId,
         emission: ScopedEmission,
         graph: &Graph,
-        ports: &Pr,
+        ports: &FlatPorts,
         rng: &mut SmallRng,
         sink: &mut Sk,
         witness: &mut Vec<ScopedDelivery>,

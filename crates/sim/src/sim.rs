@@ -69,7 +69,6 @@ use crate::churn::{ChurnPlan, ChurnSummary};
 use crate::faults::{FaultPlan, FaultScope, FaultSummary, LinkFault};
 #[cfg(feature = "parallel")]
 use crate::parbuf::ParallelPolicy;
-use crate::parbuf::StealStats;
 use crate::pipeline::{self, RoundStep};
 use crate::scoped::{ScopedDelivery, ScopedMultiFsm, ScopedOutcome, ScopedStep};
 use crate::snapshot::{self, SnapArgs, SnapMeta, SnapState, Snapshot, SnapshotError, StateCodec};
@@ -192,13 +191,6 @@ pub struct Outcome<P: Protocol> {
     /// nodes). Bench snapshots should record this instead of guessing
     /// from host CPUs.
     pub workers: usize,
-    /// Work-stealing counters: chunks executed and chunks stolen by a
-    /// non-owner worker. All-zero unless the run used a
-    /// [`crate::ParallelPolicy`] with [`crate::ChunkScheduler::Stealing`]
-    /// (`chunks` counts descriptors, so it is zero on the static
-    /// schedule too). `chunks` is deterministic; **`steals` is
-    /// timing-dependent** — report it, never fingerprint it.
-    pub steals: StealStats,
     /// Backend-specific extras.
     pub detail: Detail,
 }
@@ -622,9 +614,8 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     /// schedule (see [`crate::churn`]). The plan's events — crashes,
     /// restarts, edge insertions and deletions — are applied only at
     /// round/epoch boundaries, so lockstep outcomes stay bit-identical
-    /// across the serial and parallel schedules, every worker count, and
-    /// both round modes; the empty plan is bit-identical to the churn-free
-    /// engine. The effective event counts and final live-node set are
+    /// across the serial and parallel schedules and every worker count;
+    /// the empty plan is bit-identical to the churn-free engine. The effective event counts and final live-node set are
     /// reported through [`Outcome::churn`]. Nodes dead at termination
     /// report the output they had decided before crashing, or
     /// [`crate::churn::DEAD_OUTPUT`] if they never decided.
@@ -641,8 +632,8 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     /// seed, the receiving channel slot, and the transmission's time
     /// index — never a shared sequential RNG — so faulted lockstep
     /// outcomes stay bit-identical across the serial and parallel
-    /// schedules, every worker count, and both round modes, and the
-    /// empty plan is bit-identical to the fault-free engine. Composes
+    /// schedules and every worker count, and the empty plan is
+    /// bit-identical to the fault-free engine. Composes
     /// with [`with_churn`](Self::with_churn): faults apply to whatever
     /// channels the churned topology has live. The per-class injection
     /// counts are reported through [`Outcome::faults`]. An invalid plan
@@ -654,14 +645,12 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     }
 
     /// Runs the Sync or Scoped backend on the parallel schedule under
-    /// `policy` (chunked phase 1 + sharded-write-buffer phase 2 — see
-    /// [`crate::parbuf`]). The policy's [`crate::parbuf::RoundMode`]
-    /// picks the round schedule: the two-join `Joined` oracle (default)
-    /// or the one-join `Fused` pipeline that defers phase 2b of each
-    /// round into the next round's worker scope (see
-    /// [`crate::pipeline`]). Bit-identical to the serial schedule for
-    /// every seed, worker count, merge strategy, and round mode; the
-    /// policy's small-instance threshold may still delegate to the
+    /// `policy`: each round, one worker per [`crate::parbuf::ShardPlan`]
+    /// shard runs phase 1 into its own sharded write buffer, and the
+    /// policy's merge strategy lands the buffers (see
+    /// [`crate::pipeline`] and [`crate::parbuf`]). Bit-identical to the
+    /// serial schedule for every seed, worker count, and merge strategy;
+    /// the policy's small-instance threshold may still delegate to the
     /// serial engine (reported via [`Outcome::workers`]). Only exists on
     /// `parallel` builds, so a policy can never be configured on a build
     /// that cannot honor it; combining it with [`Backend::Async`] is an
@@ -678,7 +667,7 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     /// and hands each frame to [`Observer::on_checkpoint`]. A run resumed
     /// from any such frame via [`resume_from`](Self::resume_from) replays
     /// the remainder **bit-identically** to the uninterrupted run, for
-    /// every backend, worker count, and round mode. `every == 0` is
+    /// every backend and worker count. `every == 0` is
     /// rejected as [`ExecError::Config`] by [`run`](Self::run).
     ///
     /// Requires the protocol's state type to implement [`SnapState`]
@@ -819,11 +808,10 @@ impl<'g, P: Protocol> Simulation<'g, P> {
 /// backend. Resuming under a different value of any of these would
 /// silently diverge from the uninterrupted run, so a mismatch is
 /// rejected up front. Knobs that provably cannot affect outcomes —
-/// worker count, round mode, merge strategy, chunk scheduler
-/// (static/stealing), event-scheduler kind, bucket width, patch mode,
-/// budget — are deliberately *excluded*: resuming a serial run on the
-/// parallel schedule (or heap → wheel, or static → stealing) is a
-/// supported feature, not a configuration error.
+/// worker count, merge strategy, event-scheduler kind, bucket width,
+/// patch mode, budget — are deliberately *excluded*: resuming a serial
+/// run on the parallel schedule (or across worker counts, or heap →
+/// wheel) is a supported feature, not a configuration error.
 fn config_digest(
     seed: u64,
     inputs: &[usize],

@@ -11,8 +11,8 @@
 //! accumulated cost counters. Resuming from a snapshot — including one
 //! round-tripped through [`Snapshot::to_bytes`] /
 //! [`Snapshot::from_bytes`] on disk — continues the run **bit-identically**
-//! to the uninterrupted one, for every backend, worker count, round mode,
-//! and churn plan.
+//! to the uninterrupted one, for every backend, worker count, and churn
+//! plan.
 //!
 //! # Boundary-only guarantee
 //!
@@ -51,8 +51,8 @@
 //! under; [`crate::Simulation::resume_from`] re-derives them from the
 //! builder and rejects mismatches with a typed
 //! [`crate::ExecError::Snapshot`] instead of resuming garbage.
-//! Deliberately *excluded* from the digests: worker count, round mode,
-//! merge strategy, scheduler kind, bucket width, and the budget — runs
+//! Deliberately *excluded* from the digests: worker count, merge
+//! strategy, scheduler kind, bucket width, and the budget — runs
 //! are bit-identical across all of those, so a snapshot taken under one
 //! may resume under another.
 //!

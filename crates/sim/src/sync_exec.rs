@@ -11,7 +11,7 @@
 //! to round `t` — `ε` emissions do not overwrite ports).
 //!
 //! [`SyncStep`] is the [`RoundStep`] of this backend; the round loops,
-//! the parallel schedules, churn, faults and checkpoints are the shared
+//! the parallel schedule, churn, faults and checkpoints are the shared
 //! [`crate::pipeline`], over the epoch-split
 //! [`crate::engine::PortPlanes`] store. A round allocates nothing: ports
 //! live in a flat CSR-indexed store with incremental per-letter counts
@@ -34,8 +34,9 @@ use stoneage_core::{Letter, MultiFsm, ObsVec};
 use stoneage_graph::{Graph, NodeId};
 
 use crate::churn::ChurnSummary;
+use crate::engine::FlatPorts;
 use crate::faults::FaultSummary;
-use crate::pipeline::{DeliverySink, PortRead, RoundStep};
+use crate::pipeline::{DeliverySink, RoundStep};
 use crate::scoped::ScopedDelivery;
 use crate::sim::Detail;
 use crate::snapshot;
@@ -114,13 +115,13 @@ impl<P: MultiFsm> RoundStep for SyncStep<'_, P> {
         emission.is_none()
     }
 
-    fn resolve<Pr: PortRead, Sk: DeliverySink>(
+    fn resolve<Sk: DeliverySink>(
         &self,
         _round: u64,
         v: NodeId,
         emission: Option<Letter>,
         graph: &Graph,
-        _ports: &Pr,
+        _ports: &FlatPorts,
         _rng: &mut SmallRng,
         sink: &mut Sk,
         _witness: &mut (),

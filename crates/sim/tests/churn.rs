@@ -10,9 +10,11 @@
 //!    the port store from the overlay after every boundary), across
 //!    graph families, protocols, seeds, and backends.
 //! 2. **Serial ≡ parallel.** Under the `parallel` feature the same plan
-//!    reproduces the serial outcome for every adversarial worker count
-//!    and both round modes (epoch-boundary event application keeps the
-//!    frozen-read-plane argument intact — see the `churn` module docs).
+//!    reproduces the serial outcome for every adversarial worker count,
+//!    on the skewed families too (epoch-boundary event application keeps
+//!    the frozen-read-plane argument intact — see the `churn` module
+//!    docs), and the shard plan built once over the universe stays valid
+//!    across every boundary.
 //! 3. **Empty plan ≡ churn-free engine.** `with_churn(&ChurnPlan::new())`
 //!    is bit-identical to not calling `with_churn` at all, on all three
 //!    backends — the churn drivers are pure supersets.
@@ -403,8 +405,9 @@ proptest! {
 #[cfg(feature = "parallel")]
 mod parallel {
     use super::*;
+    use stoneage_sim::parbuf::ShardPlan;
     use stoneage_sim::{MergeStrategy, ParallelPolicy};
-    use stoneage_testkit::{adversarial_worker_counts as worker_counts, round_modes};
+    use stoneage_testkit::{adversarial_worker_counts as worker_counts, skewed_graph_family};
 
     fn run_sync_churn_par(
         protocol: &AsMulti<stoneage_core::TableProtocol>,
@@ -443,43 +446,38 @@ mod parallel {
         )
     }
 
-    /// Contract 2: the full adversarial matrix — worker counts × round
-    /// modes × patch modes — reproduces the serial churn outcome bit for
-    /// bit, on both lockstep backends.
+    /// Contract 2: the full adversarial matrix — worker counts × patch
+    /// modes, over the uniform and the skewed families — reproduces the
+    /// serial churn outcome bit for bit, on both lockstep backends.
     #[test]
     fn parallel_churn_matrix_matches_serial() {
         let sync_p = AsMulti(random_beeper(5, 2));
         let poke = Poke::new();
-        for (name, g) in graph_family() {
+        for (name, g) in graph_family().into_iter().chain(skewed_graph_family()) {
             for seed in 0..2 {
                 let plan = plan_for(&g, 700 + seed);
                 let (serial_sync, serial_sync_sum) = run_sync_churn(&sync_p, &g, seed, &plan);
                 let (serial_scoped, serial_scoped_sum) = run_scoped_churn(&poke, &g, seed, &plan);
                 for workers in worker_counts() {
-                    for round in round_modes() {
-                        for mode in [PatchMode::Incremental, PatchMode::Rebuild] {
-                            let cell = plan.clone().with_mode(mode);
-                            let policy =
-                                ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded)
-                                    .with_round(round);
-                            let ctx = format!("{name}/seed{seed}/w{workers}/{round:?}/{mode:?}");
-                            let (p_out, p_sum) =
-                                run_sync_churn_par(&sync_p, &g, seed, &cell, &policy);
-                            assert_eq!(
-                                sync_fingerprint(&p_out),
-                                sync_fingerprint(&serial_sync),
-                                "{ctx}: sync"
-                            );
-                            assert_eq!(p_sum, serial_sync_sum, "{ctx}: sync summary");
-                            let (s_out, s_sum) =
-                                run_scoped_churn_par(&poke, &g, seed, &cell, &policy);
-                            assert_eq!(
-                                scoped_fingerprint(&s_out),
-                                scoped_fingerprint(&serial_scoped),
-                                "{ctx}: scoped"
-                            );
-                            assert_eq!(s_sum, serial_scoped_sum, "{ctx}: scoped summary");
-                        }
+                    for mode in [PatchMode::Incremental, PatchMode::Rebuild] {
+                        let cell = plan.clone().with_mode(mode);
+                        let policy =
+                            ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
+                        let ctx = format!("{name}/seed{seed}/w{workers}/{mode:?}");
+                        let (p_out, p_sum) = run_sync_churn_par(&sync_p, &g, seed, &cell, &policy);
+                        assert_eq!(
+                            sync_fingerprint(&p_out),
+                            sync_fingerprint(&serial_sync),
+                            "{ctx}: sync"
+                        );
+                        assert_eq!(p_sum, serial_sync_sum, "{ctx}: sync summary");
+                        let (s_out, s_sum) = run_scoped_churn_par(&poke, &g, seed, &cell, &policy);
+                        assert_eq!(
+                            scoped_fingerprint(&s_out),
+                            scoped_fingerprint(&serial_scoped),
+                            "{ctx}: scoped"
+                        );
+                        assert_eq!(s_sum, serial_scoped_sum, "{ctx}: scoped summary");
                     }
                 }
             }
@@ -487,24 +485,57 @@ mod parallel {
     }
 
     /// The parallel path reproduces the pinned churn fingerprints at
-    /// every worker count and in both round modes.
+    /// every worker count.
     #[test]
     fn parallel_reproduces_pinned_churn_fingerprints() {
         for (i, (name, seed)) in CHURN_PINNED_CASES.iter().enumerate() {
             let (g, p, plan) = stoneage_testkit::churn_pinned_case(name);
             let p = AsMulti(p);
             for workers in worker_counts() {
-                for round in round_modes() {
-                    let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded)
-                        .with_round(round);
-                    let (out, summary) = run_sync_churn_par(&p, &g, *seed, &plan, &policy);
-                    assert_eq!(
-                        churn_fingerprint(&out, &summary),
-                        PINNED_CHURN[i].2,
-                        "{name}/seed{seed}/w{workers}/{round:?}"
-                    );
-                }
+                let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
+                let (out, summary) = run_sync_churn_par(&p, &g, *seed, &plan, &policy);
+                assert_eq!(
+                    churn_fingerprint(&out, &summary),
+                    PINNED_CHURN[i].2,
+                    "{name}/seed{seed}/w{workers}"
+                );
             }
+        }
+    }
+
+    /// The documented churn contract of the planner (see
+    /// `pipeline::run_parallel`): the shard plan is built **once** over
+    /// the closed universe CSR and stays valid for the whole run — churn
+    /// patches toggle letters and tombstones inside the fixed layout,
+    /// never the slot counts the planner balances on. Pinned here as (a)
+    /// full coverage of the universe including crashed/extra-edge nodes
+    /// and (b) rebuild determinism: re-planning at any later boundary
+    /// would reproduce the identical bounds, so skipping the re-plan is
+    /// free.
+    #[test]
+    fn churn_patches_leave_shard_plan_valid() {
+        let g = generators::power_law(200, 2, 0.85, 11);
+        let plan = ChurnPlan::random(&g, 31, 10, 8)
+            .at(1, TopologyEvent::Crash(0))
+            .at(3, TopologyEvent::Restart(0));
+        let universe = plan.universe(&g).expect("universe closes");
+        for workers in [1, 2, 4, 7] {
+            let bounds = ShardPlan::new(&universe, workers);
+            assert_eq!(*bounds.bounds().first().unwrap(), 0);
+            assert_eq!(
+                *bounds.bounds().last().unwrap(),
+                universe.node_count(),
+                "w{workers}: plan must cover every universe node, live or not"
+            );
+            assert!(
+                bounds.bounds().windows(2).all(|w| w[0] <= w[1]),
+                "w{workers}: bounds must ascend"
+            );
+            assert_eq!(
+                bounds.bounds(),
+                ShardPlan::new(&universe, workers).bounds(),
+                "w{workers}: re-planning over the immutable universe CSR must be a no-op"
+            );
         }
     }
 
@@ -521,15 +552,12 @@ mod parallel {
             pseed in 0u64..200,
             seed in 0u64..200,
             widx in 0usize..4,
-            fused in 0usize..2,
         ) {
             let g = generators::gnp(n, pr, gseed);
             let plan = ChurnPlan::random(&g, pseed, 6, 5);
             let protocol = AsMulti(random_beeper(4, 2));
             let workers = worker_counts()[widx % worker_counts().len()];
-            let round = round_modes()[fused];
-            let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded)
-                .with_round(round);
+            let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
             let (a, sa) = run_sync_churn(&protocol, &g, seed, &plan);
             let (b, sb) = run_sync_churn_par(&protocol, &g, seed, &plan, &policy);
             prop_assert_eq!(churn_fingerprint(&a, &sa), churn_fingerprint(&b, &sb));

@@ -6,8 +6,9 @@
 //! 1. **Decisions are positional, not sequential.** A fault decision is
 //!    a pure hash of `(plan stream, receiver slot, time index, rule
 //!    index)`, so the same plan reproduces the same injections under any
-//!    evaluation order: serial ≡ every worker count × round mode
-//!    (`parallel` feature), and a double run is bit-identical.
+//!    evaluation order: serial ≡ every worker count (`parallel`
+//!    feature, skewed families included), and a double run is
+//!    bit-identical.
 //! 2. **Empty plan ≡ fault-free engine.** Wiring in a rule-less plan is
 //!    bit-identical to not calling `with_faults` at all on all three
 //!    backends, and reports an all-zero summary.
@@ -681,7 +682,7 @@ proptest! {
 mod parallel {
     use super::*;
     use stoneage_sim::{MergeStrategy, ParallelPolicy};
-    use stoneage_testkit::{adversarial_worker_counts as worker_counts, round_modes};
+    use stoneage_testkit::{adversarial_worker_counts as worker_counts, skewed_graph_family};
 
     fn run_sync_faulted_par(
         protocol: &AsMulti<stoneage_core::TableProtocol>,
@@ -701,13 +702,14 @@ mod parallel {
     }
 
     /// Contract 1 (strong form): the full adversarial matrix — worker
-    /// counts × round modes — reproduces the serial faulted outcome bit
-    /// for bit, on both lockstep backends, with and without churn.
+    /// counts, over the uniform and the skewed families — reproduces the
+    /// serial faulted outcome bit for bit, on both lockstep backends,
+    /// with and without churn.
     #[test]
     fn parallel_faulted_matrix_matches_serial() {
         let sync_p = AsMulti(random_beeper(5, 2));
         let poke = Poke::new();
-        for (name, g) in graph_family() {
+        for (name, g) in graph_family().into_iter().chain(skewed_graph_family()) {
             for seed in 0..2 {
                 let plan = plan_for(&g, 5000 + seed);
                 let (serial_sync, serial_sync_sum) = run_sync_faulted(&sync_p, &g, seed, &plan);
@@ -719,34 +721,29 @@ mod parallel {
                 let serial_scoped_sum = *serial_scoped.faults().unwrap();
                 let serial_scoped = serial_scoped.into_scoped_outcome().unwrap();
                 for workers in worker_counts() {
-                    for round in round_modes() {
-                        let policy =
-                            ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded)
-                                .with_round(round);
-                        let ctx = format!("{name}/seed{seed}/w{workers}/{round:?}");
-                        let (p_out, p_sum) =
-                            run_sync_faulted_par(&sync_p, &g, seed, &plan, &policy);
-                        assert_eq!(
-                            sync_fingerprint(&p_out),
-                            sync_fingerprint(&serial_sync),
-                            "{ctx}: sync"
-                        );
-                        assert_eq!(p_sum, serial_sync_sum, "{ctx}: sync summary");
-                        let s_out = Simulation::scoped(&poke, &g)
-                            .seed(seed)
-                            .with_faults(&plan)
-                            .parallel(policy)
-                            .run()
-                            .unwrap();
-                        let s_sum = *s_out.faults().unwrap();
-                        let s_out = s_out.into_scoped_outcome().unwrap();
-                        assert_eq!(
-                            scoped_fingerprint(&s_out),
-                            scoped_fingerprint(&serial_scoped),
-                            "{ctx}: scoped"
-                        );
-                        assert_eq!(s_sum, serial_scoped_sum, "{ctx}: scoped summary");
-                    }
+                    let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
+                    let ctx = format!("{name}/seed{seed}/w{workers}");
+                    let (p_out, p_sum) = run_sync_faulted_par(&sync_p, &g, seed, &plan, &policy);
+                    assert_eq!(
+                        sync_fingerprint(&p_out),
+                        sync_fingerprint(&serial_sync),
+                        "{ctx}: sync"
+                    );
+                    assert_eq!(p_sum, serial_sync_sum, "{ctx}: sync summary");
+                    let s_out = Simulation::scoped(&poke, &g)
+                        .seed(seed)
+                        .with_faults(&plan)
+                        .parallel(policy)
+                        .run()
+                        .unwrap();
+                    let s_sum = *s_out.faults().unwrap();
+                    let s_out = s_out.into_scoped_outcome().unwrap();
+                    assert_eq!(
+                        scoped_fingerprint(&s_out),
+                        scoped_fingerprint(&serial_scoped),
+                        "{ctx}: scoped"
+                    );
+                    assert_eq!(s_sum, serial_scoped_sum, "{ctx}: scoped summary");
                 }
             }
         }
@@ -757,7 +754,7 @@ mod parallel {
     #[test]
     fn parallel_faults_compose_with_churn() {
         let sync_p = AsMulti(random_beeper(4, 2));
-        for (name, g) in graph_family() {
+        for (name, g) in graph_family().into_iter().chain(skewed_graph_family()) {
             let churn = ChurnPlan::random(&g, 21, 6, 5)
                 .at(1, TopologyEvent::Crash(0))
                 .at(3, TopologyEvent::Restart(0));
@@ -777,37 +774,31 @@ mod parallel {
             };
             let (want, want_cs, want_fs) = run(None);
             for workers in worker_counts() {
-                for round in round_modes() {
-                    let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded)
-                        .with_round(round);
-                    let (got, cs, fs) = run(Some(policy));
-                    let ctx = format!("{name}/w{workers}/{round:?}");
-                    assert_eq!(sync_fingerprint(&got), sync_fingerprint(&want), "{ctx}");
-                    assert_eq!(cs, want_cs, "{ctx}: churn summary");
-                    assert_eq!(fs, want_fs, "{ctx}: fault summary");
-                }
+                let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
+                let (got, cs, fs) = run(Some(policy));
+                let ctx = format!("{name}/w{workers}");
+                assert_eq!(sync_fingerprint(&got), sync_fingerprint(&want), "{ctx}");
+                assert_eq!(cs, want_cs, "{ctx}: churn summary");
+                assert_eq!(fs, want_fs, "{ctx}: fault summary");
             }
         }
     }
 
     /// The parallel path reproduces the pinned fault fingerprints at
-    /// every worker count and in both round modes.
+    /// every worker count.
     #[test]
     fn parallel_reproduces_pinned_fault_fingerprints() {
         for (i, (name, seed)) in FAULT_PINNED_CASES.iter().enumerate() {
             let (g, p, plan) = stoneage_testkit::fault_pinned_case(name);
             let p = AsMulti(p);
             for workers in worker_counts() {
-                for round in round_modes() {
-                    let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded)
-                        .with_round(round);
-                    let (out, summary) = run_sync_faulted_par(&p, &g, *seed, &plan, &policy);
-                    assert_eq!(
-                        fault_fingerprint(&out, &summary),
-                        super::PINNED_FAULTS[i].2,
-                        "{name}/seed{seed}/w{workers}/{round:?}"
-                    );
-                }
+                let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
+                let (out, summary) = run_sync_faulted_par(&p, &g, *seed, &plan, &policy);
+                assert_eq!(
+                    fault_fingerprint(&out, &summary),
+                    super::PINNED_FAULTS[i].2,
+                    "{name}/seed{seed}/w{workers}"
+                );
             }
         }
     }
@@ -825,7 +816,6 @@ mod parallel {
             fseed in 0u64..200,
             seed in 0u64..200,
             widx in 0usize..4,
-            fused in 0usize..2,
         ) {
             let g = generators::gnp(n, pr, gseed);
             let plan = FaultPlan::new(fseed)
@@ -834,9 +824,7 @@ mod parallel {
                 .corrupt_rate(0.05, Letter(0));
             let protocol = AsMulti(random_beeper(4, 2));
             let workers = worker_counts()[widx % worker_counts().len()];
-            let round = round_modes()[fused];
-            let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded)
-                .with_round(round);
+            let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
             let (a, sa) = run_sync_faulted(&protocol, &g, seed, &plan);
             let (b, sb) = run_sync_faulted_par(&protocol, &g, seed, &plan, &policy);
             prop_assert_eq!(fault_fingerprint(&a, &sa), fault_fingerprint(&b, &sb));

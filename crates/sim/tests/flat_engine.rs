@@ -224,8 +224,8 @@ proptest! {
 mod parallel {
     use super::*;
     use stoneage_core::MultiFsm;
-    use stoneage_sim::{MergeStrategy, ParallelPolicy, RoundMode, Simulation};
-    use stoneage_testkit::{adversarial_worker_counts as worker_counts, round_modes};
+    use stoneage_sim::{MergeStrategy, ParallelPolicy, Simulation};
+    use stoneage_testkit::{adversarial_worker_counts as worker_counts, skewed_graph_family};
 
     /// Builder twin of the legacy `run_sync_parallel` (default policy).
     fn run_sync_parallel<P>(
@@ -290,17 +290,17 @@ mod parallel {
         }
     }
 
-    /// Forced worker counts × both merge strategies × both round modes,
-    /// on graphs far below the serial-fallback floor: every cell of the
-    /// matrix must reproduce the serial outcome bit for bit. This is the
-    /// tentpole's differential guard — `DestinationSharded` is pitted
-    /// against the `BufferReplay` oracle, and the one-join `Fused`
-    /// pipeline against the two-join `Joined` oracle, by sharing the
-    /// serial expectation.
+    /// Forced worker counts × both merge strategies, on graphs far below
+    /// the serial-fallback floor: every cell of the matrix must
+    /// reproduce the serial outcome bit for bit. This is the tentpole's
+    /// differential guard — `DestinationSharded` is pitted against the
+    /// `BufferReplay` oracle by sharing the serial expectation. The
+    /// skewed families (a hub-heavy power law and hub-and-spoke) make
+    /// the slot-balanced shard plan cut the node range very unevenly.
     #[test]
     fn forced_worker_matrix_matches_serial() {
         let p = AsMulti(random_beeper(5, 2));
-        for (name, g) in graph_family() {
+        for (name, g) in graph_family().into_iter().chain(skewed_graph_family()) {
             let inputs = vec![0usize; g.node_count()];
             for seed in 200..203 {
                 let config = SyncConfig::seeded(seed);
@@ -310,14 +310,12 @@ mod parallel {
                         MergeStrategy::DestinationSharded,
                         MergeStrategy::BufferReplay,
                     ] {
-                        for round in round_modes() {
-                            let policy = ParallelPolicy::forced(workers, merge).with_round(round);
-                            assert_same_outcome(
-                                &format!("matrix/{name}/seed{seed}/w{workers}/{merge:?}/{round:?}"),
-                                run_sync_parallel_with_policy(&p, &g, &inputs, &config, &policy),
-                                serial.clone(),
-                            );
-                        }
+                        let policy = ParallelPolicy::forced(workers, merge);
+                        assert_same_outcome(
+                            &format!("matrix/{name}/seed{seed}/w{workers}/{merge:?}"),
+                            run_sync_parallel_with_policy(&p, &g, &inputs, &config, &policy),
+                            serial.clone(),
+                        );
                     }
                 }
             }
@@ -325,8 +323,8 @@ mod parallel {
     }
 
     /// The parallel path also reproduces the pinned fingerprints — at
-    /// every adversarial worker count and in both round modes, through
-    /// the real buffered phase 2.
+    /// every adversarial worker count, through the real buffered
+    /// phase 2.
     #[test]
     fn parallel_reproduces_pinned_fingerprints() {
         use stoneage_graph::generators;
@@ -334,24 +332,17 @@ mod parallel {
         let p = AsMulti(count_neighbors(3));
         let inputs = vec![0usize; g.node_count()];
         for workers in worker_counts() {
-            for round in round_modes() {
-                let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded)
-                    .with_round(round);
-                let out =
-                    run_sync_parallel_with_policy(&p, &g, &inputs, &SyncConfig::seeded(1), &policy)
-                        .unwrap();
-                assert_eq!(
-                    sync_fingerprint(&out),
-                    PINNED[0].2,
-                    "workers {workers} / {round:?}"
-                );
-            }
+            let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
+            let out =
+                run_sync_parallel_with_policy(&p, &g, &inputs, &SyncConfig::seeded(1), &policy)
+                    .unwrap();
+            assert_eq!(sync_fingerprint(&out), PINNED[0].2, "workers {workers}");
         }
     }
 
     /// Above the small-graph fallback threshold (4096 nodes) the auto
     /// chunked path actually runs — and must still be bit-identical to
-    /// the serial engine, in both round modes.
+    /// the serial engine.
     #[test]
     fn parallel_chunked_path_matches_serial() {
         let g = generators::gnp(6000, 8.0 / 6000.0, 5);
@@ -363,16 +354,6 @@ mod parallel {
                 run_sync_parallel(&rnd, &g, &config),
                 run_sync(&rnd, &g, &config),
             );
-            let inputs = vec![0usize; g.node_count()];
-            let fused = ParallelPolicy {
-                round: RoundMode::Fused,
-                ..ParallelPolicy::default()
-            };
-            assert_same_outcome(
-                &format!("par-chunked-fused/seed{seed}"),
-                run_sync_parallel_with_policy(&rnd, &g, &inputs, &config, &fused),
-                run_sync(&rnd, &g, &config),
-            );
         }
     }
 
@@ -380,9 +361,9 @@ mod parallel {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// Differential property over random instances, seeds, worker
-        /// counts, merge strategies, and round modes: the forced parallel
-        /// sync engine is bit-identical to the serial engine (fingerprint
-        /// equality covers outputs, rounds, and message counts).
+        /// counts, and merge strategies: the forced parallel sync engine
+        /// is bit-identical to the serial engine (fingerprint equality
+        /// covers outputs, rounds, and message counts).
         #[test]
         fn parallel_matches_serial_on_random_instances(
             n in 2usize..60,
@@ -391,7 +372,6 @@ mod parallel {
             seed in 0u64..300,
             widx in 0usize..4,
             sharded in 0usize..2,
-            fused in 0usize..2,
         ) {
             let g = generators::gnp(n, pr, gseed);
             let protocol = AsMulti(random_beeper(4, 2));
@@ -402,8 +382,7 @@ mod parallel {
             } else {
                 MergeStrategy::BufferReplay
             };
-            let round = if fused == 1 { RoundMode::Fused } else { RoundMode::Joined };
-            let policy = ParallelPolicy::forced(workers, merge).with_round(round);
+            let policy = ParallelPolicy::forced(workers, merge);
             let inputs = vec![0usize; n];
             let par = run_sync_parallel_with_policy(&protocol, &g, &inputs, &config, &policy);
             let serial = run_sync(&protocol, &g, &config);

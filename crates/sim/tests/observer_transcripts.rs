@@ -4,7 +4,7 @@
 //! The round pipeline calls `Observer::on_round_end` once per round,
 //! after the round's churn boundary has been applied, and
 //! `Observer::on_checkpoint` at every checkpoint boundary, after the
-//! fused schedule has flushed its deferred deliveries. The async event
+//! round's deliveries have landed. The async event
 //! loop calls `Observer::on_step` after every node step and
 //! `Observer::on_checkpoint` on its step cadence. The outcome pins
 //! elsewhere see only the end of a run; this suite pins the whole

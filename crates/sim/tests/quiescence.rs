@@ -19,7 +19,7 @@
 //!
 //! Each case runs on the serial engine and, under the `parallel`
 //! feature, across the testkit's lockstep matrix: worker counts × merge
-//! strategies × round modes × chunk schedulers.
+//! strategies.
 
 use stoneage_core::{Alphabet, AsMulti, Letter, Protocol, TableProtocol, TableProtocolBuilder};
 use stoneage_core::{MultiFsm, Transitions};
@@ -112,8 +112,8 @@ where
     b
 }
 
-/// Everything an outcome carries except the worker count and the
-/// timing-dependent steal counters — or the error.
+/// Everything an outcome carries except the worker count — or the
+/// error.
 fn transcript<P: Protocol>(result: &Result<Outcome<P>, ExecError>) -> String {
     match result {
         Ok(o) => format!(

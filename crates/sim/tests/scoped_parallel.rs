@@ -1,23 +1,24 @@
 //! Differential tests for the parallel scoped (port-select) executor.
 //!
-//! The contract under test: `run_scoped_parallel` — chunked fused
-//! phase 1 + 2a over `std::thread::scope` workers, sharded-write-buffer
+//! The contract under test: `run_scoped_parallel` — phase 1 + 2a of
+//! each shard on its own `std::thread::scope` worker, sharded-write-buffer
 //! merge per `stoneage_sim::parbuf` — produces outcomes **bit-identical
 //! per seed** to the serial `run_scoped`, including the full
 //! scoped-delivery witness transcript (order and all), across graph
-//! families, adversarial worker counts, and both merge strategies.
-//! Compiled only with the `parallel` feature.
+//! families (the hub-heavy skewed ones included), adversarial worker
+//! counts, and both merge strategies. Compiled only with the `parallel`
+//! feature.
 
 #![cfg(feature = "parallel")]
 
 use proptest::prelude::*;
 use stoneage_graph::{generators, Graph};
 use stoneage_sim::{
-    ExecError, MergeStrategy, ParallelPolicy, RoundMode, ScopedMultiFsm, ScopedOutcome, Simulation,
+    ExecError, MergeStrategy, ParallelPolicy, ScopedMultiFsm, ScopedOutcome, Simulation,
 };
 use stoneage_testkit::harness::run_scoped;
 use stoneage_testkit::{
-    adversarial_worker_counts as worker_counts, round_modes, scoped_fingerprint, Poke,
+    adversarial_worker_counts as worker_counts, scoped_fingerprint, skewed_graph_family, Poke,
 };
 
 /// Builder-backed twin of the legacy `run_scoped_parallel` (default
@@ -97,6 +98,15 @@ fn graph_family() -> Vec<(&'static str, Graph)> {
     ]
 }
 
+/// [`graph_family`] plus the skewed families, on which the slot-balanced
+/// shard plan cuts the node range very unevenly: the witness order must
+/// survive shards of wildly different sizes.
+fn parallel_family() -> Vec<(&'static str, Graph)> {
+    let mut family = graph_family();
+    family.extend(skewed_graph_family());
+    family
+}
+
 /// The auto policy (hardware workers, serial fallback on small graphs)
 /// must be indistinguishable from the serial engine.
 #[test]
@@ -112,16 +122,13 @@ fn auto_parallel_matches_serial() {
     }
 }
 
-/// Forced worker counts × merge strategies × round modes on every
-/// family: each cell of the matrix runs the real chunked phases and
-/// buffered merge (no serial fallback) and must reproduce the serial
-/// outcome — outputs, rounds, and the exact scoped-delivery transcript.
-/// The one-join `Fused` pipeline (deferred phase 2b on per-worker plane
-/// shards) is pitted against the two-join `Joined` oracle by sharing
-/// the serial expectation.
+/// Forced worker counts × merge strategies on every family: each cell of
+/// the matrix runs the real chunked phases and buffered merge (no
+/// serial fallback) and must reproduce the serial outcome — outputs,
+/// rounds, and the exact scoped-delivery transcript.
 #[test]
 fn forced_worker_matrix_matches_serial() {
-    for (name, g) in graph_family() {
+    for (name, g) in parallel_family() {
         for seed in 10..13 {
             let serial = run_scoped(&Poke::new(), &g, seed, 100);
             for workers in worker_counts() {
@@ -129,14 +136,12 @@ fn forced_worker_matrix_matches_serial() {
                     MergeStrategy::DestinationSharded,
                     MergeStrategy::BufferReplay,
                 ] {
-                    for round in round_modes() {
-                        let policy = ParallelPolicy::forced(workers, merge).with_round(round);
-                        assert_same_outcome(
-                            &format!("matrix/{name}/seed{seed}/w{workers}/{merge:?}/{round:?}"),
-                            run_scoped_parallel_with_policy(&Poke::new(), &g, seed, 100, &policy),
-                            serial.clone(),
-                        );
-                    }
+                    let policy = ParallelPolicy::forced(workers, merge);
+                    assert_same_outcome(
+                        &format!("matrix/{name}/seed{seed}/w{workers}/{merge:?}"),
+                        run_scoped_parallel_with_policy(&Poke::new(), &g, seed, 100, &policy),
+                        serial.clone(),
+                    );
                 }
             }
         }
@@ -144,8 +149,7 @@ fn forced_worker_matrix_matches_serial() {
 }
 
 /// Above the small-graph fallback floor the auto path genuinely runs the
-/// chunked machinery — and must still match the serial engine, in both
-/// round modes.
+/// chunked machinery — and must still match the serial engine.
 #[test]
 fn chunked_path_matches_serial_on_large_graph() {
     let g = generators::gnp(6000, 8.0 / 6000.0, 5);
@@ -153,12 +157,6 @@ fn chunked_path_matches_serial_on_large_graph() {
         assert_same_outcome(
             &format!("large/seed{seed}"),
             run_scoped_parallel(&Poke::new(), &g, seed, 100),
-            run_scoped(&Poke::new(), &g, seed, 100),
-        );
-        let fused = ParallelPolicy::default().with_round(RoundMode::Fused);
-        assert_same_outcome(
-            &format!("large-fused/seed{seed}"),
-            run_scoped_parallel_with_policy(&Poke::new(), &g, seed, 100, &fused),
             run_scoped(&Poke::new(), &g, seed, 100),
         );
     }
@@ -171,15 +169,12 @@ fn round_limit_is_identical() {
     let g = generators::gnp(80, 0.1, 2);
     for max_rounds in [1u64, 2] {
         for workers in worker_counts() {
-            for round in round_modes() {
-                let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded)
-                    .with_round(round);
-                assert_same_outcome(
-                    &format!("limit{max_rounds}/w{workers}/{round:?}"),
-                    run_scoped_parallel_with_policy(&Poke::new(), &g, 1, max_rounds, &policy),
-                    run_scoped(&Poke::new(), &g, 1, max_rounds),
-                );
-            }
+            let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
+            assert_same_outcome(
+                &format!("limit{max_rounds}/w{workers}"),
+                run_scoped_parallel_with_policy(&Poke::new(), &g, 1, max_rounds, &policy),
+                run_scoped(&Poke::new(), &g, 1, max_rounds),
+            );
         }
     }
 }
@@ -188,10 +183,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Differential property over random instances, seeds, worker
-    /// counts, merge strategies, and round modes: the forced parallel
-    /// scoped executor is bit-identical to the serial one — fingerprint
-    /// equality covers outputs, rounds, and the whole delivery
-    /// transcript.
+    /// counts, and merge strategies: the forced parallel scoped executor
+    /// is bit-identical to the serial one — fingerprint equality covers
+    /// outputs, rounds, and the whole delivery transcript.
     #[test]
     fn parallel_matches_serial_on_random_instances(
         n in 2usize..60,
@@ -200,7 +194,6 @@ proptest! {
         seed in 0u64..300,
         widx in 0usize..4,
         sharded in 0usize..2,
-        fused in 0usize..2,
     ) {
         let g = generators::gnp(n, pr, gseed);
         let workers = worker_counts()[widx % worker_counts().len()];
@@ -209,8 +202,32 @@ proptest! {
         } else {
             MergeStrategy::BufferReplay
         };
-        let round = if fused == 1 { RoundMode::Fused } else { RoundMode::Joined };
-        let policy = ParallelPolicy::forced(workers, merge).with_round(round);
+        let policy = ParallelPolicy::forced(workers, merge);
+        let par = run_scoped_parallel_with_policy(&Poke::new(), &g, seed, 100, &policy);
+        let serial = run_scoped(&Poke::new(), &g, seed, 100);
+        match (par, serial) {
+            (Ok(p), Ok(s)) => {
+                prop_assert_eq!(scoped_fingerprint(&p), scoped_fingerprint(&s));
+                prop_assert_eq!(p.outputs, s.outputs);
+                prop_assert_eq!(p.scoped_deliveries, s.scoped_deliveries);
+            }
+            (p, s) => prop_assert!(false, "outcome kinds diverge: {:?} vs {:?}", p, s),
+        }
+    }
+
+    /// The same property on random skewed power-law instances — small
+    /// hubs, random attachment counts — under the replay merge.
+    #[test]
+    fn parallel_matches_serial_on_random_skewed_instances(
+        n in 10usize..80,
+        m in 1usize..4,
+        gseed in 0u64..300,
+        seed in 0u64..300,
+        widx in 0usize..4,
+    ) {
+        let g = generators::power_law(n, m.min(n - 1), 0.9, gseed);
+        let workers = worker_counts()[widx % worker_counts().len()];
+        let policy = ParallelPolicy::forced(workers, MergeStrategy::BufferReplay);
         let par = run_scoped_parallel_with_policy(&Poke::new(), &g, seed, 100, &policy);
         let serial = run_scoped(&Poke::new(), &g, seed, 100);
         match (par, serial) {

@@ -5,8 +5,9 @@
 //! 1. **Resume ≡ uninterrupted.** Run to boundary `k`, capture a
 //!    [`Snapshot`], resume from it — the final outcome (outputs, states,
 //!    cost, backend detail) is bit-identical to the run that never
-//!    stopped, for every backend × worker count × round mode × churn
-//!    combination, *including* when the frame round-trips through
+//!    stopped, for every backend × worker count × churn combination,
+//!    on the skewed graph families too, *including* when the frame
+//!    round-trips through
 //!    [`Snapshot::to_bytes`] / [`Snapshot::from_bytes`] first.
 //! 2. **Checkpointing is free.** Attaching a cadence must not perturb
 //!    the run it observes, and the observer hook never fires without
@@ -25,7 +26,7 @@ use stoneage_sim::{
     Snapshot, SnapshotError,
 };
 #[cfg(feature = "parallel")]
-use stoneage_sim::{MergeStrategy, ParallelPolicy, RoundMode};
+use stoneage_sim::{MergeStrategy, ParallelPolicy};
 use stoneage_testkit::{count_neighbors, count_neighbors_quiet, Poke};
 
 type SyncP = AsMulti<TableProtocol>;
@@ -67,8 +68,7 @@ fn plan_for(g: &Graph, seed: u64) -> ChurnPlan {
 }
 
 /// The execution-policy axis of the acceptance matrix: the serial path
-/// always, plus workers {1, 2, hw} × {Joined, Fused} under the
-/// `parallel` feature.
+/// always, plus workers {1, 2, hw} under the `parallel` feature.
 #[cfg(feature = "parallel")]
 fn policies() -> Vec<(String, PolicyOpt)> {
     let hw = std::thread::available_parallelism()
@@ -76,11 +76,8 @@ fn policies() -> Vec<(String, PolicyOpt)> {
         .unwrap_or(1);
     let mut out = vec![("serial".to_string(), None)];
     for workers in [1, 2, hw] {
-        for mode in [RoundMode::Joined, RoundMode::Fused] {
-            let policy =
-                ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded).with_round(mode);
-            out.push((format!("w{workers}-{mode:?}"), Some(policy)));
-        }
+        let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
+        out.push((format!("w{workers}"), Some(policy)));
     }
     out
 }
@@ -88,6 +85,17 @@ fn policies() -> Vec<(String, PolicyOpt)> {
 #[cfg(not(feature = "parallel"))]
 fn policies() -> Vec<(String, PolicyOpt)> {
     vec![("serial".to_string(), None)]
+}
+
+/// The lockstep instance graphs: gnp(60), plus under the `parallel`
+/// feature the skewed families, which the slot-balanced shard plan cuts
+/// very unevenly by node count.
+fn graphs() -> Vec<(&'static str, Graph)> {
+    #[allow(unused_mut)]
+    let mut graphs = vec![("gnp", generators::gnp(60, 0.08, 5))];
+    #[cfg(feature = "parallel")]
+    graphs.extend(stoneage_testkit::skewed_graph_family());
+    graphs
 }
 
 /// One sync-backend builder cell. A free function (not a closure) so
@@ -220,16 +228,17 @@ macro_rules! check_cell {
 #[test]
 fn sync_resume_matrix_is_bit_identical() {
     let p = AsMulti(count_neighbors(3));
-    let g = generators::gnp(60, 0.08, 5);
-    let plan = plan_for(&g, 9);
-    for churn in [None, Some(&plan)] {
-        for (pname, policy) in policies() {
-            let name = format!("sync/{pname}/churn={}", churn.is_some());
-            check_cell!(
-                &name,
-                mk_sync(&p, &g, 7, churn, &policy),
-                |full: &Outcome<SyncP>| (full.rounds().unwrap() / 3).max(1)
-            );
+    for (gname, g) in graphs() {
+        let plan = plan_for(&g, 9);
+        for churn in [None, Some(&plan)] {
+            for (pname, policy) in policies() {
+                let name = format!("sync/{gname}/{pname}/churn={}", churn.is_some());
+                check_cell!(
+                    &name,
+                    mk_sync(&p, &g, 7, churn, &policy),
+                    |full: &Outcome<SyncP>| (full.rounds().unwrap() / 3).max(1)
+                );
+            }
         }
     }
 }
@@ -237,16 +246,17 @@ fn sync_resume_matrix_is_bit_identical() {
 #[test]
 fn scoped_resume_matrix_is_bit_identical() {
     let p = Poke::new();
-    let g = generators::gnp(60, 0.08, 5);
-    let plan = plan_for(&g, 4);
-    for churn in [None, Some(&plan)] {
-        for (pname, policy) in policies() {
-            let name = format!("scoped/{pname}/churn={}", churn.is_some());
-            check_cell!(
-                &name,
-                mk_scoped(&p, &g, 7, churn, &policy),
-                |_full: &Outcome<Poke>| 1u64
-            );
+    for (gname, g) in graphs() {
+        let plan = plan_for(&g, 4);
+        for churn in [None, Some(&plan)] {
+            for (pname, policy) in policies() {
+                let name = format!("scoped/{gname}/{pname}/churn={}", churn.is_some());
+                check_cell!(
+                    &name,
+                    mk_scoped(&p, &g, 7, churn, &policy),
+                    |_full: &Outcome<Poke>| 1u64
+                );
+            }
         }
     }
 }
@@ -278,37 +288,38 @@ fn async_resume_is_bit_identical_on_both_schedulers() {
 
 /// The config digest deliberately excludes performance-only knobs, so a
 /// frame captured on one execution policy resumes under any other —
-/// serial → parallel, across worker counts, across round modes — and
-/// still lands on the same transcript.
+/// serial → parallel, parallel → serial, across worker counts — and
+/// still lands on the same transcript, on the skewed families too.
 #[cfg(feature = "parallel")]
 #[test]
-fn snapshots_resume_across_worker_counts_and_round_modes() {
+fn snapshots_resume_across_worker_counts() {
     let p = AsMulti(count_neighbors(3));
-    let g = generators::gnp(60, 0.08, 5);
-    let full = Simulation::sync(&p, &g).seed(7).run().unwrap();
-    let want = transcript(&full);
-
-    let mut obs = Collect::default();
-    Simulation::sync(&p, &g)
-        .seed(7)
-        .checkpoint_every(1)
-        .observe(&mut obs)
-        .run()
-        .unwrap();
-    let snaps = obs.snaps;
-    assert!(!snaps.is_empty(), "cadence 1 must hit a non-terminal round");
-    let snap = &snaps[snaps.len() / 2];
-
-    for (pname, policy) in policies() {
-        let resumed = mk_sync(&p, &g, 7, None, &policy)
-            .resume_from(snap)
-            .run()
-            .unwrap();
-        assert_eq!(
-            transcript(&resumed),
-            want,
-            "serial frame resumed under {pname} diverged"
-        );
+    let parallel = Some(ParallelPolicy::forced(2, MergeStrategy::DestinationSharded));
+    for (gname, g) in graphs() {
+        let want = transcript(&Simulation::sync(&p, &g).seed(7).run().unwrap());
+        for (cname, capture) in [("serial", None), ("w2", parallel)] {
+            let mut obs = Collect::default();
+            mk_sync(&p, &g, 7, None, &capture)
+                .checkpoint_every(1)
+                .observe(&mut obs)
+                .run()
+                .unwrap();
+            assert!(!obs.snaps.is_empty(), "{gname}: no frames captured");
+            for snap in &obs.snaps {
+                for (pname, policy) in policies() {
+                    let resumed = mk_sync(&p, &g, 7, None, &policy)
+                        .resume_from(snap)
+                        .run()
+                        .unwrap();
+                    assert_eq!(
+                        transcript(&resumed),
+                        want,
+                        "{gname}: {cname} frame at boundary {} resumed under {pname} diverged",
+                        snap.boundary()
+                    );
+                }
+            }
+        }
     }
 }
 

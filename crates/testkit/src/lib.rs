@@ -236,9 +236,9 @@ pub fn random_beeper(phases: usize, b: u8) -> TableProtocol {
 }
 
 /// The adversarial worker counts of the parallel differential matrices:
-/// serial-fallback territory (1), the smallest real split (2), a count
-/// that never divides the test graphs evenly (7), and whatever this
-/// machine actually has — sorted and deduplicated.
+/// one worker (the parallel loop with a single shard), the smallest real
+/// split (2), a count that never divides the test graphs evenly (7), and
+/// whatever this machine actually has — sorted and deduplicated.
 pub fn adversarial_worker_counts() -> Vec<usize> {
     let hw = std::thread::available_parallelism()
         .map(|t| t.get())
@@ -249,31 +249,10 @@ pub fn adversarial_worker_counts() -> Vec<usize> {
     ws
 }
 
-/// Both round-pipeline schedules, for the `Fused ≡ Joined ≡ serial`
-/// differential matrices: the historical two-join round (the oracle) and
-/// the one-join fused round.
-pub fn round_modes() -> [stoneage_sim::RoundMode; 2] {
-    [
-        stoneage_sim::RoundMode::Joined,
-        stoneage_sim::RoundMode::Fused,
-    ]
-}
-
-/// Both chunk schedulers, for the `stealing ≡ static ≡ serial`
-/// differential matrices: the shard-owned static schedule (the oracle)
-/// and the work-stealing deque schedule.
-pub fn chunk_schedulers() -> [stoneage_sim::ChunkScheduler; 2] {
-    [
-        stoneage_sim::ChunkScheduler::Static,
-        stoneage_sim::ChunkScheduler::Stealing,
-    ]
-}
-
 /// Every parallel cell of the lockstep differential matrices, named for
 /// failure messages: each [`adversarial_worker_counts`] entry × both
-/// merge strategies × [`round_modes`] × [`chunk_schedulers`]. (Running a
-/// cell needs `stoneage-sim`'s `parallel` feature; callers pair this
-/// with the serial run themselves.)
+/// merge strategies. (Running a cell needs `stoneage-sim`'s `parallel`
+/// feature; callers pair this with the serial run themselves.)
 pub fn lockstep_policies() -> Vec<(String, stoneage_sim::ParallelPolicy)> {
     use stoneage_sim::{MergeStrategy, ParallelPolicy};
     let mut cells = Vec::new();
@@ -282,26 +261,21 @@ pub fn lockstep_policies() -> Vec<(String, stoneage_sim::ParallelPolicy)> {
             MergeStrategy::DestinationSharded,
             MergeStrategy::BufferReplay,
         ] {
-            for round in round_modes() {
-                for scheduler in chunk_schedulers() {
-                    cells.push((
-                        format!("w{workers}/{merge:?}/{round:?}/{scheduler:?}"),
-                        ParallelPolicy::forced(workers, merge)
-                            .with_round(round)
-                            .with_scheduler(scheduler),
-                    ));
-                }
-            }
+            cells.push((
+                format!("w{workers}/{merge:?}"),
+                ParallelPolicy::forced(workers, merge),
+            ));
         }
     }
     cells
 }
 
-/// The skewed graph instances of the work-stealing differential
-/// matrices: a preferential-attachment power law (one heavy hub, long
-/// degree tail) and the hub-and-spoke stress family whose hub shard
-/// carries almost all port slots. Fixed seeds — every caller sees the
-/// same instances, so pinned hashes built on them never move.
+/// The skewed graph instances of the parallel differential matrices: a
+/// preferential-attachment power law (one heavy hub, long degree tail)
+/// and the hub-and-spoke stress family whose hub shard carries almost
+/// all port slots, so the slot-balanced shard plan cuts them very
+/// unevenly by node count. Fixed seeds — every caller sees the same
+/// instances, so pinned hashes built on them never move.
 pub fn skewed_graph_family() -> Vec<(&'static str, Graph)> {
     vec![
         ("power-law", generators::power_law(300, 2, 0.85, 42)),
