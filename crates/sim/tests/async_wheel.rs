@@ -9,7 +9,9 @@
 //! adversary policies (including latency schedules that collide many
 //! arrivals into one bucket), protocols, event budgets, and bucket
 //! widths. Pinned fingerprints on gnp/tree/grid additionally guard both
-//! paths against silent drift.
+//! paths against silent drift, and so do pinned runs of the compiled MIS
+//! pipeline `Synchronized<SingleLetter<MisProtocol>>` that the `async-mis`
+//! benchmark workload runs.
 //!
 //! The protocol builders, fnv1a hash, and pinned case instances live in
 //! `stoneage-testkit` (shared with `tests/flat_engine.rs` and the
@@ -21,8 +23,9 @@
 //! path.
 
 use proptest::prelude::*;
-use stoneage_core::Synchronized;
-use stoneage_graph::{generators, Graph, NodeId, TopologyEvent};
+use stoneage_core::{SingleLetter, Synchronized};
+use stoneage_graph::{generators, validate, Graph, NodeId, TopologyEvent};
+use stoneage_protocols::{decode_mis, MisProtocol};
 use stoneage_sim::{
     Adversary, AsyncConfig, AsyncOptions, AsyncOutcome, Backend, ChurnPlan, ExecError, FaultPlan,
     LinkFault, SchedulerKind, Simulation,
@@ -535,6 +538,55 @@ fn pinned_async_fingerprints_on_both_schedulers() {
     assert!(
         drift.is_empty(),
         "pinned async fingerprints changed:\n{}",
+        drift.join("\n")
+    );
+}
+
+/// Pinned runs of the compiled MIS pipeline
+/// `Synchronized<SingleLetter<MisProtocol>>` — the `async-mis` benchmark
+/// workload in small: `(seed, async_run_fingerprint)` of the run on
+/// gnp(30, 0.15) drawn with `seed`, under `UniformRandom { seed }` and
+/// protocol seed `seed`. Recorded before `SingleLetter`'s gather state
+/// became a packed fixed-size value and before the wheel kept its bucket
+/// storage; both queues must reproduce them.
+const PINNED_COMPILED_MIS: [(u64, u64); 3] = [
+    (1, 0x504b6854a7e8f7dc),
+    (2, 0xa59d6619d5103d5f),
+    (3, 0x08ad99f060b4ffeb),
+];
+
+#[test]
+fn pinned_compiled_mis_fingerprints_on_both_schedulers() {
+    let p = Synchronized::new(SingleLetter::new(MisProtocol::new()));
+    let mut drift = Vec::new();
+    for (seed, want) in PINNED_COMPILED_MIS {
+        let g = generators::gnp(30, 0.15, seed);
+        let adv = stoneage_sim::adversary::UniformRandom { seed };
+        for scheduler in [SchedulerKind::BinaryHeap, SchedulerKind::CalendarWheel] {
+            let out = Simulation::asynchronous(&p, &g, &adv)
+                .seed(seed)
+                .backend(Backend::Async(
+                    AsyncOptions::new(&adv).with_scheduler(scheduler),
+                ))
+                .run()
+                .expect("the compiled MIS terminates")
+                .into_async_outcome()
+                .expect("async backend");
+            assert!(
+                validate::is_maximal_independent_set(&g, &decode_mis(&out.outputs)),
+                "seed {seed} [{scheduler:?}]: not a maximal independent set"
+            );
+            let got = async_run_fingerprint(&out, None, None);
+            if got != want {
+                drift.push(format!(
+                    "({seed}, {got:#018x}) != {want:#018x} [{scheduler:?}]"
+                ));
+            }
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "pinned compiled-MIS fingerprints changed:\n{}",
         drift.join("\n")
     );
 }
