@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stoneage_core::{Alphabet, AsMulti, Letter, TableProtocol, TableProtocolBuilder, Transitions};
 use stoneage_graph::generators;
-use stoneage_sim::{run_sync_reference, ExecError, Simulation, SyncConfig};
+use stoneage_sim::{run_sync_reference, ExecError, Simulation};
 
 const ROUNDS: u64 = 20;
 
@@ -33,15 +33,12 @@ fn bench_engine_throughput(c: &mut Criterion) {
     for &n in &[10_000usize, 50_000] {
         let g = generators::gnp(n, 8.0 / n as f64, 7);
         let p = AsMulti(blinker());
-        let config = SyncConfig {
-            seed: 1,
-            max_rounds: ROUNDS,
-        };
+        let inputs = vec![0usize; n];
         group.bench_with_input(BenchmarkId::new("flat", n), &g, |b, g| {
             b.iter(|| {
                 let err = Simulation::sync(&p, g)
-                    .seed(config.seed)
-                    .budget(config.max_rounds)
+                    .seed(1)
+                    .budget(ROUNDS)
                     .run()
                     .unwrap_err();
                 assert!(matches!(err, ExecError::RoundLimit { .. }));
@@ -49,7 +46,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("reference", n), &g, |b, g| {
             b.iter(|| {
-                let err = run_sync_reference(&p, g, &config).unwrap_err();
+                let err = run_sync_reference(&p, g, &inputs, 1, ROUNDS).unwrap_err();
                 assert!(matches!(err, ExecError::RoundLimit { .. }));
             });
         });

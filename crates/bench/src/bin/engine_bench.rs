@@ -79,8 +79,8 @@ use stoneage_core::{Alphabet, AsMulti, Letter, TableProtocol, TableProtocolBuild
 use stoneage_graph::{generators, Graph, TopologyEvent};
 use stoneage_sim::adversary::UniformRandom;
 use stoneage_sim::{
-    run_sync_reference, AsyncOptions, Backend, ChurnPlan, ExecError, FaultPlan, PatchMode,
-    SchedulerKind, Simulation, StabilizationObserver, SyncConfig, SyncOutcome,
+    run_sync_reference, ChurnPlan, ExecError, FaultPlan, Outcome, PatchMode, Protocol,
+    SchedulerKind, Simulation, StabilizationObserver,
 };
 
 fn blinker() -> TableProtocol {
@@ -94,13 +94,17 @@ fn blinker() -> TableProtocol {
     builder.build().unwrap()
 }
 
-fn measure(rounds: u64, reps: usize, run: impl Fn() -> Result<SyncOutcome, ExecError>) -> f64 {
+fn measure<P: Protocol>(
+    rounds: u64,
+    reps: usize,
+    run: impl Fn() -> Result<Outcome<P>, ExecError>,
+) -> f64 {
     // Warm-up.
     let _ = run();
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let start = Instant::now();
-        let err = run().expect_err("workload never terminates");
+        let err = run().err().expect("workload never terminates");
         assert!(matches!(err, ExecError::RoundLimit { .. }));
         best = best.min(start.elapsed().as_secs_f64());
     }
@@ -125,9 +129,7 @@ fn measure_async(
         let mut sim = Simulation::asynchronous(&p, g, &adv)
             .seed(1)
             .budget(max_events)
-            .backend(Backend::Async(
-                AsyncOptions::new(&adv).with_scheduler(scheduler),
-            ));
+            .scheduler(scheduler);
         if let Some(plan) = churn {
             sim = sim.with_churn(plan);
         }
@@ -135,7 +137,6 @@ fn measure_async(
             sim = sim.with_faults(plan);
         }
         sim.run()
-            .map(|o| o.into_async_outcome().expect("async backend"))
     };
     // Warm-up.
     let warm = run().expect_err("blinker never terminates");
@@ -172,13 +173,7 @@ struct ParEntry {
 /// recorded sweep is comparable across hosts, but the gate in `main`
 /// only enforces counts the hardware can actually run.
 #[cfg(feature = "parallel")]
-fn parallel_sweep(
-    g: &Graph,
-    config: &stoneage_sim::SyncConfig,
-    rounds: u64,
-    reps: usize,
-    serial_rps: f64,
-) -> (Vec<ParEntry>, usize) {
+fn parallel_sweep(g: &Graph, rounds: u64, reps: usize, serial_rps: f64) -> (Vec<ParEntry>, usize) {
     use stoneage_sim::{MergeStrategy, ParallelPolicy};
     let hw = std::thread::available_parallelism()
         .map(|t| t.get())
@@ -188,7 +183,6 @@ fn parallel_sweep(
     worker_counts.dedup();
     worker_counts.retain(|&w| w >= 2);
     let p = AsMulti(blinker());
-    let inputs = vec![0usize; g.node_count()];
     let mut entries = Vec::new();
     for w in worker_counts {
         let policy = ParallelPolicy::forced(w, MergeStrategy::DestinationSharded);
@@ -203,12 +197,10 @@ fn parallel_sweep(
         };
         let rps = measure(rounds, reps, || {
             Simulation::sync(&p, g)
-                .seed(config.seed)
-                .budget(config.max_rounds)
-                .inputs(&inputs)
+                .seed(1)
+                .budget(rounds)
                 .parallel(policy)
                 .run()
-                .map(|o| o.into_sync_outcome().expect("sync backend"))
         });
         let entry = ParEntry {
             workers: w,
@@ -296,7 +288,6 @@ fn churn_sweep(quick: bool, rounds: u64, reps: usize) -> Vec<ChurnEntry> {
                     .budget(rounds)
                     .with_churn(&moded)
                     .run()
-                    .map(|o| o.into_sync_outcome().expect("sync backend"))
             })
         };
         let incremental = rps(PatchMode::Incremental);
@@ -375,11 +366,7 @@ fn snapshot_sweep(quick: bool, rounds: u64, reps: usize) -> Vec<SnapshotEntry> {
              {rounds} rounds x {reps} reps"
         );
         let plain = measure(rounds, reps, || {
-            Simulation::sync(&p, g)
-                .seed(1)
-                .budget(rounds)
-                .run()
-                .map(|o| o.into_sync_outcome().expect("sync backend"))
+            Simulation::sync(&p, g).seed(1).budget(rounds).run()
         });
         let checkpointed = measure(rounds, reps, || {
             let mut obs = KeepFrames::default();
@@ -389,7 +376,6 @@ fn snapshot_sweep(quick: bool, rounds: u64, reps: usize) -> Vec<SnapshotEntry> {
                 .checkpoint_every(1)
                 .observe(&mut obs)
                 .run()
-                .map(|o| o.into_sync_outcome().expect("sync backend"))
         });
 
         // One capture pass to get real frames for the byte-level and
@@ -432,7 +418,6 @@ fn snapshot_sweep(quick: bool, rounds: u64, reps: usize) -> Vec<SnapshotEntry> {
                 .budget(rounds)
                 .resume_from(snap)
                 .run()
-                .map(|o| o.into_sync_outcome().expect("sync backend"))
         });
 
         let entry = SnapshotEntry {
@@ -507,11 +492,7 @@ fn fault_sweep(quick: bool, rounds: u64, reps: usize) -> Vec<FaultEntry> {
              {rounds} rounds x {reps} reps, faulted vs clean"
         );
         let clean = measure(rounds, reps, || {
-            Simulation::sync(&p, g)
-                .seed(1)
-                .budget(rounds)
-                .run()
-                .map(|o| o.into_sync_outcome().expect("sync backend"))
+            Simulation::sync(&p, g).seed(1).budget(rounds).run()
         });
         let faulted = measure(rounds, reps, || {
             Simulation::sync(&p, g)
@@ -519,7 +500,6 @@ fn fault_sweep(quick: bool, rounds: u64, reps: usize) -> Vec<FaultEntry> {
                 .budget(rounds)
                 .with_faults(&plan)
                 .run()
-                .map(|o| o.into_sync_outcome().expect("sync backend"))
         });
         let entry = FaultEntry {
             family,
@@ -1068,23 +1048,18 @@ fn main() {
     let reps = 5usize;
     let g = generators::gnp(n, avg_deg / n as f64, 7);
     let p = AsMulti(blinker());
-    let config = SyncConfig {
-        seed: 1,
-        max_rounds: rounds,
-    };
+    let inputs = vec![0usize; g.node_count()];
 
     eprintln!(
         "engine_bench: gnp(n = {n}, avg deg {avg_deg}), |E| = {}, {rounds} rounds x {reps} reps",
         g.edge_count()
     );
-    let reference = measure(rounds, reps, || run_sync_reference(&p, &g, &config));
+    let reference = measure(rounds, reps, || {
+        run_sync_reference(&p, &g, &inputs, 1, rounds)
+    });
     eprintln!("  reference: {reference:.1} rounds/sec");
     let flat = measure(rounds, reps, || {
-        Simulation::sync(&p, &g)
-            .seed(config.seed)
-            .budget(config.max_rounds)
-            .run()
-            .map(|o| o.into_sync_outcome().expect("sync backend"))
+        Simulation::sync(&p, &g).seed(1).budget(rounds).run()
     });
     eprintln!("  flat:      {flat:.1} rounds/sec");
     let speedup = flat / reference;
@@ -1093,7 +1068,7 @@ fn main() {
     #[cfg(feature = "parallel")]
     let (par_entries, workers_available) = {
         eprintln!("engine_bench[parallel]: serial vs parallel flat engine, same instance");
-        parallel_sweep(&g, &config, rounds, reps, flat)
+        parallel_sweep(&g, rounds, reps, flat)
     };
 
     let (async_entries, async_events) = async_sweep(quick, if quick { 3 } else { reps });

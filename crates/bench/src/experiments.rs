@@ -17,10 +17,7 @@ use stoneage_protocols::{
     ColoringProtocol, MisProtocol,
 };
 use stoneage_sim::adversary::standard_panel;
-use stoneage_sim::{AsyncConfig, SyncConfig};
-use stoneage_testkit::harness::{
-    run_async, run_async_with_inputs, run_sync, run_sync_observed, run_sync_with_inputs,
-};
+use stoneage_sim::{Detail, Outcome, Protocol, Simulation};
 
 use crate::report::Table;
 use crate::stats::{correlation, mean, quantile};
@@ -59,6 +56,24 @@ impl Scale {
 
 fn log2(n: usize) -> f64 {
     (n as f64).log2()
+}
+
+/// Rounds a lockstep run took.
+fn lockstep_rounds<P: Protocol>(out: &Outcome<P>) -> u64 {
+    out.rounds().expect("a lockstep run")
+}
+
+/// Messages sent, and messages lost to overwrites, in an asynchronous
+/// run.
+fn async_losses<P: Protocol>(out: &Outcome<P>) -> (u64, u64) {
+    match out.detail {
+        Detail::Async {
+            messages_sent,
+            lost_overwrites,
+            ..
+        } => (messages_sent, lost_overwrites),
+        _ => unreachable!("an asynchronous run"),
+    }
 }
 
 /// The graph families of the MIS sweeps.
@@ -205,12 +220,14 @@ pub fn e02_mis_scaling(scale: Scale) -> Table {
             let mut valid = 0usize;
             for seed in 0..scale.reps() {
                 let g = mis_family(family, n, seed);
-                let out = run_sync(&MisProtocol::new(), &g, &SyncConfig::seeded(seed * 97 + 1))
+                let out = Simulation::sync(&MisProtocol::new(), &g)
+                    .seed(seed * 97 + 1)
+                    .run()
                     .expect("MIS terminates");
                 if validate::is_maximal_independent_set(&g, &decode_mis(&out.outputs)) {
                     valid += 1;
                 }
-                rounds.push(out.rounds as f64);
+                rounds.push(lockstep_rounds(&out) as f64);
             }
             let ratio = mean(&rounds) / (log2(n) * log2(n));
             worst_ratio = worst_ratio.max(ratio);
@@ -252,15 +269,11 @@ pub fn e03_edge_decay(scale: Scale) -> Table {
             good_fracs.push(validate::edges_on_good_mis_nodes(&g) as f64 / g.edge_count() as f64);
         }
         let mut obs = MisObserver::new(g.node_count());
-        let inputs = vec![0usize; g.node_count()];
-        run_sync_observed(
-            &MisProtocol::new(),
-            &g,
-            &inputs,
-            &SyncConfig::seeded(seed + 5),
-            &mut obs,
-        )
-        .expect("MIS terminates");
+        Simulation::sync(&MisProtocol::new(), &g)
+            .seed(seed + 5)
+            .observe(&mut obs)
+            .run()
+            .expect("MIS terminates");
         let counts = obs.edge_counts(&g);
         for (i, w) in counts.windows(2).enumerate() {
             if w[0] == 0 {
@@ -307,15 +320,11 @@ pub fn e04_tournaments(scale: Scale) -> Table {
     for seed in 0..scale.reps() {
         let g = generators::gnp(n, 8.0 / n as f64, seed + 31);
         let mut obs = MisObserver::new(g.node_count());
-        let inputs = vec![0usize; g.node_count()];
-        run_sync_observed(
-            &MisProtocol::new(),
-            &g,
-            &inputs,
-            &SyncConfig::seeded(seed),
-            &mut obs,
-        )
-        .expect("MIS terminates");
+        Simulation::sync(&MisProtocol::new(), &g)
+            .seed(seed)
+            .observe(&mut obs)
+            .run()
+            .expect("MIS terminates");
         for v in 0..g.node_count() {
             lengths.extend(obs.tournament_lengths(v).iter().map(|&x| x as f64));
         }
@@ -354,19 +363,15 @@ pub fn e05_tree_coloring(scale: Scale) -> Table {
             let mut valid = 0usize;
             for seed in 0..scale.reps() {
                 let g = gen(n, seed);
-                let out = run_sync(
-                    &ColoringProtocol::new(),
-                    &g,
-                    &SyncConfig {
-                        seed: seed * 13 + 3,
-                        max_rounds: 10_000_000,
-                    },
-                )
-                .expect("coloring terminates");
+                let out = Simulation::sync(&ColoringProtocol::new(), &g)
+                    .seed(seed * 13 + 3)
+                    .budget(10_000_000)
+                    .run()
+                    .expect("coloring terminates");
                 if validate::is_proper_k_coloring(&g, &decode_coloring(&out.outputs), 3) {
                     valid += 1;
                 }
-                rounds.push(out.rounds as f64);
+                rounds.push(lockstep_rounds(&out) as f64);
             }
             let ratio = mean(&rounds) / log2(n);
             worst = worst.max(ratio);
@@ -424,18 +429,11 @@ pub fn e06_good_nodes(scale: Scale) -> Table {
         let n = 400;
         let g = generators::random_tree(n, seed + 41);
         let mut obs = stoneage_protocols::coloring::analysis::ColoringObserver::new(n);
-        let inputs = vec![0usize; n];
-        run_sync_observed(
-            &ColoringProtocol::new(),
-            &g,
-            &inputs,
-            &SyncConfig {
-                seed,
-                max_rounds: 1_000_000,
-            },
-            &mut obs,
-        )
-        .expect("coloring terminates");
+        Simulation::sync(&ColoringProtocol::new(), &g)
+            .seed(seed)
+            .observe(&mut obs)
+            .run()
+            .expect("coloring terminates");
         ratios.extend(obs.decay_ratios());
     }
     t.finding(format!(
@@ -473,20 +471,26 @@ pub fn e07_synchronizer(scale: Scale) -> Table {
         ("grid", generators::grid(6, n / 6), 0),
     ] {
         let inputs = wave_inputs(g.node_count(), &[src]);
-        let sync_out =
-            run_sync_with_inputs(&AsMulti(wave.clone()), &g, &inputs, &SyncConfig::seeded(0))
-                .expect("wave terminates");
+        let sync_rounds = lockstep_rounds(
+            &Simulation::sync(&AsMulti(wave.clone()), &g)
+                .inputs(&inputs)
+                .run()
+                .expect("wave terminates"),
+        );
         for adv in standard_panel(11) {
-            let out = run_async_with_inputs(&sync_wave, &g, &inputs, &adv, &AsyncConfig::seeded(5))
+            let out = Simulation::asynchronous(&sync_wave, &g, &adv)
+                .seed(5)
+                .inputs(&inputs)
+                .run()
                 .expect("synchronized wave terminates");
             assert!(out.outputs.iter().all(|&o| o == 1), "wave must cover");
-            let per_round = out.normalized_time / sync_out.rounds as f64;
+            let per_round = out.cost.value() / sync_rounds as f64;
             ratios.push(per_round);
             t.row(vec![
                 format!("wave/{gname}").into(),
                 adv.name().into(),
-                sync_out.rounds.into(),
-                out.normalized_time.into(),
+                sync_rounds.into(),
+                out.cost.value().into(),
                 per_round.into(),
             ]);
         }
@@ -494,9 +498,13 @@ pub fn e07_synchronizer(scale: Scale) -> Table {
     // Full pipeline: MIS → single-letter → synchronizer → async.
     let g = generators::gnp(20, 0.2, 9);
     let pipeline = Synchronized::new(SingleLetter::new(MisProtocol::new()));
-    let sync_out = run_sync(&MisProtocol::new(), &g, &SyncConfig::seeded(2)).unwrap();
+    let sync_out = Simulation::sync(&MisProtocol::new(), &g).seed(2).run();
+    let sync_rounds = lockstep_rounds(&sync_out.expect("MIS terminates"));
     for adv in standard_panel(13).into_iter().take(3) {
-        let out = run_async(&pipeline, &g, &adv, &AsyncConfig::seeded(2)).unwrap();
+        let out = Simulation::asynchronous(&pipeline, &g, &adv)
+            .seed(2)
+            .run()
+            .unwrap();
         assert!(
             validate::is_maximal_independent_set(&g, &decode_mis(&out.outputs)),
             "async pipeline must yield an MIS under {}",
@@ -505,9 +513,9 @@ pub fn e07_synchronizer(scale: Scale) -> Table {
         t.row(vec![
             "mis-pipeline/gnp20".into(),
             adv.name().into(),
-            sync_out.rounds.into(),
-            out.normalized_time.into(),
-            (out.normalized_time / sync_out.rounds as f64).into(),
+            sync_rounds.into(),
+            out.cost.value().into(),
+            (out.cost.value() / sync_rounds as f64).into(),
         ]);
     }
     let sigma = stoneage_core::Protocol::alphabet(&wave).len();
@@ -541,23 +549,24 @@ pub fn e08_multiq(scale: Scale) -> Table {
         ("tree40", generators::random_tree(40, 2)),
     ] {
         for seed in 0..reps {
-            let direct = run_sync(&MisProtocol::new(), &g, &SyncConfig::seeded(seed)).unwrap();
-            let compiled = run_sync(
-                &AsMulti(SingleLetter::new(MisProtocol::new())),
-                &g,
-                &SyncConfig::seeded(seed),
-            )
-            .unwrap();
-            let ratio = compiled.rounds as f64 / direct.rounds as f64;
+            let direct = Simulation::sync(&MisProtocol::new(), &g)
+                .seed(seed)
+                .run()
+                .unwrap();
+            let compiled = AsMulti(SingleLetter::new(MisProtocol::new()));
+            let compiled = Simulation::sync(&compiled, &g).seed(seed).run().unwrap();
+            let (direct_rounds, compiled_rounds) =
+                (lockstep_rounds(&direct), lockstep_rounds(&compiled));
+            let ratio = compiled_rounds as f64 / direct_rounds as f64;
             t.row(vec![
                 name.into(),
-                direct.rounds.into(),
-                compiled.rounds.into(),
+                direct_rounds.into(),
+                compiled_rounds.into(),
                 ratio.into(),
                 (compiled.outputs == direct.outputs).to_string().into(),
             ]);
             assert_eq!(compiled.outputs, direct.outputs);
-            assert_eq!(compiled.rounds, direct.rounds * 7);
+            assert_eq!(compiled_rounds, direct_rounds * 7);
         }
     }
     t.finding("compiled protocol consumes the same coin flips: outputs are bit-identical, rounds exactly 7× (|Σ| = 7)");
@@ -584,7 +593,10 @@ pub fn e09_lba_sweep(scale: Scale) -> Table {
         ("tree20", generators::random_tree(20, 7)),
     ] {
         for seed in 0..reps {
-            let native = run_sync(&MisProtocol::new(), &g, &SyncConfig::seeded(seed)).unwrap();
+            let native = Simulation::sync(&MisProtocol::new(), &g)
+                .seed(seed)
+                .run()
+                .unwrap();
             let sweep = sweep::simulate_on_tape(
                 &MisProtocol::new(),
                 &g,
@@ -684,11 +696,8 @@ pub fn e11_baseline_mis(scale: Scale) -> Table {
         let (mut a, mut b, mut c, mut d) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         for seed in 0..scale.reps() {
             let g = generators::gnp(n, (8.0 / n as f64).min(1.0), seed + 17);
-            a.push(
-                run_sync(&MisProtocol::new(), &g, &SyncConfig::seeded(seed))
-                    .unwrap()
-                    .rounds as f64,
-            );
+            let out = Simulation::sync(&MisProtocol::new(), &g).seed(seed).run();
+            a.push(lockstep_rounds(&out.unwrap()) as f64);
             b.push(luby::luby_mis(&g, seed).rounds as f64);
             c.push(metivier::metivier_mis(&g, seed).bit_rounds as f64);
             d.push(beeping::beeping_mis(&g, seed).slots as f64);
@@ -736,18 +745,11 @@ pub fn e12_baseline_coloring(scale: Scale) -> Table {
             let mut cv = Vec::new();
             for seed in 0..scale.reps().min(5) {
                 let g = gen(n, seed);
-                nfsm.push(
-                    run_sync(
-                        &ColoringProtocol::new(),
-                        &g,
-                        &SyncConfig {
-                            seed,
-                            max_rounds: 10_000_000,
-                        },
-                    )
-                    .unwrap()
-                    .rounds as f64,
-                );
+                let out = Simulation::sync(&ColoringProtocol::new(), &g)
+                    .seed(seed)
+                    .budget(10_000_000)
+                    .run();
+                nfsm.push(lockstep_rounds(&out.unwrap()) as f64);
                 let run = cole_vishkin::cole_vishkin_3color(&g, 0);
                 assert!(validate::is_proper_k_coloring(&g, &run.colors, 3));
                 cv.push(run.rounds as f64);
@@ -791,29 +793,34 @@ pub fn e13_adversary(scale: Scale) -> Table {
     let gw = generators::path(n);
     let inputs = wave_inputs(n, &[0]);
     for adv in standard_panel(3) {
-        let out = run_async_with_inputs(&wave, &gw, &inputs, &adv, &AsyncConfig::seeded(1))
+        let out = Simulation::asynchronous(&wave, &gw, &adv)
+            .seed(1)
+            .inputs(&inputs)
+            .run()
             .expect("wave terminates");
+        let (messages, lost) = async_losses(&out);
         t.row(vec![
             "wave/path".into(),
             adv.name().into(),
-            out.normalized_time.into(),
-            out.messages_sent.into(),
-            out.lost_overwrites.into(),
+            out.cost.value().into(),
+            messages.into(),
+            lost.into(),
             "true".into(),
         ]);
     }
     let pipeline = Synchronized::new(SingleLetter::new(MisProtocol::new()));
     for adv in standard_panel(7) {
-        let out =
-            run_async(&pipeline, &g, &adv, &AsyncConfig::seeded(4)).expect("pipeline terminates");
+        let sim = Simulation::asynchronous(&pipeline, &g, &adv).seed(4);
+        let out = sim.run().expect("pipeline terminates");
         let valid = validate::is_maximal_independent_set(&g, &decode_mis(&out.outputs));
         assert!(valid, "adversary {} broke the pipeline", adv.name());
+        let (messages, lost) = async_losses(&out);
         t.row(vec![
             "mis/gnp".into(),
             adv.name().into(),
-            out.normalized_time.into(),
-            out.messages_sent.into(),
-            out.lost_overwrites.into(),
+            out.cost.value().into(),
+            messages.into(),
+            lost.into(),
             valid.to_string().into(),
         ]);
     }

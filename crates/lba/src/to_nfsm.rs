@@ -289,12 +289,10 @@ pub fn run_on_path(
         .seed(seed)
         .budget(max_rounds)
         .inputs(&inputs)
-        .run()?
-        .into_sync_outcome()
-        .expect("sync backend");
+        .run()?;
     // All nodes flood to the same verdict.
     debug_assert!(out.outputs.windows(2).all(|w| w[0] == w[1]));
-    Ok((out.outputs[0] == 1, out.rounds))
+    Ok((out.outputs[0] == 1, out.rounds().expect("a lockstep run")))
 }
 
 /// The path graph and input vector encoding `⊢ input ⊣` with the head on

@@ -444,9 +444,14 @@ impl MultiFsm for ColoringProtocol {
 mod tests {
     use super::*;
     use stoneage_core::Protocol as _;
-    use stoneage_graph::{generators, validate};
-    use stoneage_sim::{ExecError, SyncConfig};
-    use stoneage_testkit::harness::run_sync;
+    use stoneage_graph::{generators, validate, Graph};
+    use stoneage_sim::{ExecError, Outcome, Simulation};
+
+    /// The coloring protocol on `g` from `seed`.
+    fn run(g: &Graph, seed: u64) -> Outcome<ColoringProtocol> {
+        let p = ColoringProtocol::new();
+        Simulation::sync(&p, g).seed(seed).run().unwrap()
+    }
 
     #[test]
     fn snap_state_round_trips_and_rejects_bad_tags() {
@@ -742,8 +747,8 @@ mod tests {
     #[test]
     fn single_node_colors_immediately() {
         let g = stoneage_graph::Graph::empty(1);
-        let out = run_sync(&ColoringProtocol::new(), &g, &SyncConfig::seeded(0)).unwrap();
-        assert_eq!(out.rounds, 4); // one phase
+        let out = run(&g, 0);
+        assert_eq!(out.rounds(), Some(4)); // one phase
         assert!((1..=3).contains(&out.outputs[0]));
     }
 
@@ -761,14 +766,16 @@ mod tests {
         ];
         for (name, g) in &trees {
             for seed in 0..4 {
-                let out = run_sync(&ColoringProtocol::new(), g, &SyncConfig::seeded(seed))
-                    .unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
+                let out = Simulation::sync(&ColoringProtocol::new(), g)
+                    .seed(seed)
+                    .run();
+                let out = out.unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
                 let colors = crate::decode_coloring(&out.outputs);
                 assert!(
                     validate::is_proper_k_coloring(g, &colors, 3),
                     "{name} seed {seed}: {colors:?}"
                 );
-                assert_eq!(out.rounds % 4, 0, "{name}: phases are 4 rounds");
+                assert_eq!(out.rounds().unwrap() % 4, 0, "{name}: phases are 4 rounds");
             }
         }
     }
@@ -781,7 +788,7 @@ mod tests {
             b.add_edge(u, v);
         }
         let g = b.build();
-        let out = run_sync(&ColoringProtocol::new(), &g, &SyncConfig::seeded(9)).unwrap();
+        let out = run(&g, 9);
         let colors = crate::decode_coloring(&out.outputs);
         assert!(validate::is_proper_k_coloring(&g, &colors, 3));
     }
@@ -791,10 +798,11 @@ mod tests {
         // Leaves wait on the center; center colors once isolated; leaves
         // rejoin and color. Total: a constant number of phases.
         let g = generators::star(20);
-        let out = run_sync(&ColoringProtocol::new(), &g, &SyncConfig::seeded(2)).unwrap();
+        let out = run(&g, 2);
         let colors = crate::decode_coloring(&out.outputs);
         assert!(validate::is_proper_k_coloring(&g, &colors, 3));
-        assert!(out.rounds <= 6 * 4, "rounds = {}", out.rounds);
+        let rounds = out.rounds().unwrap();
+        assert!(rounds <= 6 * 4, "rounds = {rounds}");
     }
 
     #[test]
@@ -807,14 +815,8 @@ mod tests {
         // output. (The paper restricts the protocol to trees.)
         let g = generators::cycle(7);
         let result = std::panic::catch_unwind(|| {
-            run_sync(
-                &ColoringProtocol::new(),
-                &g,
-                &SyncConfig {
-                    seed: 3,
-                    max_rounds: 4_000,
-                },
-            )
+            let p = ColoringProtocol::new();
+            Simulation::sync(&p, &g).seed(3).budget(4_000).run()
         });
         match result {
             Ok(Ok(out)) => {
@@ -831,13 +833,10 @@ mod tests {
     fn path_run_time_is_logarithmic_not_linear() {
         // Θ(log n) phases: even a 4096-node path finishes fast.
         let g = generators::path(4096);
-        let out = run_sync(&ColoringProtocol::new(), &g, &SyncConfig::seeded(5)).unwrap();
+        let out = run(&g, 5);
         let colors = crate::decode_coloring(&out.outputs);
         assert!(validate::is_proper_k_coloring(&g, &colors, 3));
-        assert!(
-            out.rounds < 400,
-            "expected O(log n) rounds, got {}",
-            out.rounds
-        );
+        let rounds = out.rounds().unwrap();
+        assert!(rounds < 400, "expected O(log n) rounds, got {rounds}");
     }
 }

@@ -102,24 +102,14 @@ mod tests {
     use super::*;
     use crate::ColoringProtocol;
     use stoneage_graph::generators;
-    use stoneage_sim::SyncConfig;
-    use stoneage_testkit::harness::run_sync_observed;
+    use stoneage_sim::Simulation;
 
     fn observe(n: usize, gseed: u64, seed: u64) -> ColoringObserver {
         let g = generators::random_tree(n, gseed);
         let mut obs = ColoringObserver::new(n);
-        let inputs = vec![0usize; n];
-        run_sync_observed(
-            &ColoringProtocol::new(),
-            &g,
-            &inputs,
-            &SyncConfig {
-                seed,
-                max_rounds: 1_000_000,
-            },
-            &mut obs,
-        )
-        .expect("coloring terminates");
+        let p = ColoringProtocol::new();
+        let sim = Simulation::sync(&p, &g).seed(seed).observe(&mut obs);
+        sim.run().expect("coloring terminates");
         obs
     }
 

@@ -180,19 +180,15 @@ pub fn run_matching(
     let out = Simulation::scoped(&MatchingProtocol::new(), graph)
         .seed(seed)
         .budget(max_rounds)
-        .run()?
-        .into_scoped_outcome()
-        .expect("scoped backend");
-    let matched = out
-        .scoped_deliveries
-        .iter()
+        .run()?;
+    let matched = (out.scoped_deliveries().expect("a scoped run").iter())
         .filter(|d| d.letter == L_ACCEPT)
         .map(|d| (d.to, d.from)) // (proposer, listener)
         .collect();
     Ok(MatchingOutcome {
         matched,
+        rounds: out.rounds().expect("a lockstep run"),
         outputs: out.outputs,
-        rounds: out.rounds,
     })
 }
 

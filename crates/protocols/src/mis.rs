@@ -252,8 +252,14 @@ mod tests {
     use super::*;
     use stoneage_core::Protocol as _;
     use stoneage_core::{fb, BoundedCount};
-    use stoneage_graph::{generators, validate};
-    use stoneage_sim::SyncConfig;
+    use stoneage_graph::{generators, validate, Graph};
+    use stoneage_sim::{Outcome, Simulation};
+
+    /// The paper's MIS protocol on `g` from `seed`.
+    fn run(g: &Graph, seed: u64) -> Outcome<MisProtocol> {
+        let p = MisProtocol::new();
+        Simulation::sync(&p, g).seed(seed).run().unwrap()
+    }
 
     #[test]
     fn snap_state_round_trips_and_rejects_bad_tags() {
@@ -275,8 +281,6 @@ mod tests {
             })
         );
     }
-    use stoneage_testkit::harness::run_sync;
-
     fn obs(counts: [usize; 7]) -> ObsVec {
         ObsVec::from_counts(&counts, 1)
     }
@@ -430,7 +434,7 @@ mod tests {
     #[test]
     fn single_node_wins_quickly() {
         let g = stoneage_graph::Graph::empty(1);
-        let out = run_sync(&MisProtocol::new(), &g, &SyncConfig::seeded(3)).unwrap();
+        let out = run(&g, 3);
         assert_eq!(out.outputs, vec![1]);
     }
 
@@ -438,7 +442,7 @@ mod tests {
     fn two_cliques_bridge_produces_valid_mis() {
         let g = generators::ring_of_cliques(3, 4);
         for seed in 0..10 {
-            let out = run_sync(&MisProtocol::new(), &g, &SyncConfig::seeded(seed)).unwrap();
+            let out = run(&g, seed);
             let mis = crate::decode_mis(&out.outputs);
             assert!(
                 validate::is_maximal_independent_set(&g, &mis),
@@ -463,8 +467,8 @@ mod tests {
         ];
         for (name, g) in &graphs {
             for seed in 0..3 {
-                let out = run_sync(&MisProtocol::new(), g, &SyncConfig::seeded(seed))
-                    .unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
+                let out = Simulation::sync(&MisProtocol::new(), g).seed(seed).run();
+                let out = out.unwrap_or_else(|e| panic!("{name} seed {seed}: {e}"));
                 let mis = crate::decode_mis(&out.outputs);
                 assert!(
                     validate::is_maximal_independent_set(g, &mis),
@@ -477,7 +481,7 @@ mod tests {
     #[test]
     fn empty_graph_everyone_wins() {
         let g = stoneage_graph::Graph::empty(5);
-        let out = run_sync(&MisProtocol::new(), &g, &SyncConfig::seeded(0)).unwrap();
+        let out = run(&g, 0);
         assert_eq!(out.outputs, vec![1; 5]);
     }
 
@@ -485,7 +489,7 @@ mod tests {
     fn complete_graph_exactly_one_winner() {
         let g = generators::complete(9);
         for seed in 0..5 {
-            let out = run_sync(&MisProtocol::new(), &g, &SyncConfig::seeded(seed)).unwrap();
+            let out = run(&g, seed);
             let winners = out.outputs.iter().filter(|&&o| o == 1).count();
             assert_eq!(winners, 1, "seed {seed}");
         }

@@ -138,14 +138,13 @@ mod tests {
     use super::*;
     use crate::MisProtocol;
     use stoneage_graph::{generators, validate};
-    use stoneage_sim::SyncConfig;
-    use stoneage_testkit::harness::run_sync_observed;
+    use stoneage_sim::Simulation;
 
     fn run_observed(g: &Graph, seed: u64) -> (MisObserver, Vec<bool>) {
         let p = MisProtocol::new();
         let mut obs = MisObserver::new(g.node_count());
-        let inputs = vec![0usize; g.node_count()];
-        let out = run_sync_observed(&p, g, &inputs, &SyncConfig::seeded(seed), &mut obs).unwrap();
+        let sim = Simulation::sync(&p, g).seed(seed).observe(&mut obs);
+        let out = sim.run().unwrap();
         (obs, crate::decode_mis(&out.outputs))
     }
 

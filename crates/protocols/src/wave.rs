@@ -50,9 +50,20 @@ pub fn wave_inputs(n: usize, sources: &[u32]) -> Vec<usize> {
 mod tests {
     use super::*;
     use stoneage_core::AsMulti;
-    use stoneage_graph::{generators, traversal};
-    use stoneage_sim::SyncConfig;
-    use stoneage_testkit::harness::run_sync_with_inputs;
+    use stoneage_graph::{generators, traversal, Graph};
+    use stoneage_sim::{ExecError, Simulation};
+
+    /// Rounds until the wave from `inputs`' sources covers `g`, within
+    /// `budget` rounds.
+    fn wave_rounds(g: &Graph, inputs: &[usize], budget: u64) -> Result<u64, ExecError> {
+        let p = AsMulti(wave_protocol());
+        let out = Simulation::sync(&p, g)
+            .inputs(inputs)
+            .budget(budget)
+            .run()?;
+        assert!(out.outputs.iter().all(|&o| o == 1));
+        Ok(out.rounds().unwrap())
+    }
 
     #[test]
     fn wave_rounds_equal_eccentricity_plus_one() {
@@ -64,16 +75,8 @@ mod tests {
             (generators::grid(5, 8), 0),
         ] {
             let inputs = wave_inputs(g.node_count(), &[src]);
-            let out = run_sync_with_inputs(
-                &AsMulti(wave_protocol()),
-                &g,
-                &inputs,
-                &SyncConfig::seeded(0),
-            )
-            .unwrap();
             let ecc = traversal::eccentricity(&g, src) as u64;
-            assert_eq!(out.rounds, ecc + 1, "graph {g:?}");
-            assert!(out.outputs.iter().all(|&o| o == 1));
+            assert_eq!(wave_rounds(&g, &inputs, 1_000), Ok(ecc + 1), "graph {g:?}");
         }
     }
 
@@ -81,39 +84,20 @@ mod tests {
     fn multiple_sources_use_min_distance() {
         let g = generators::path(30);
         let inputs = wave_inputs(30, &[0, 29]);
-        let out = run_sync_with_inputs(
-            &AsMulti(wave_protocol()),
-            &g,
-            &inputs,
-            &SyncConfig::seeded(0),
-        )
-        .unwrap();
         // Farthest node from {0, 29} on P_30 is at distance 14.
-        assert_eq!(out.rounds, 15);
+        assert_eq!(wave_rounds(&g, &inputs, 1_000), Ok(15));
     }
 
     #[test]
     fn waveless_graph_never_terminates() {
         let g = generators::path(4);
         let inputs = wave_inputs(4, &[]);
-        let err = run_sync_with_inputs(
-            &AsMulti(wave_protocol()),
-            &g,
-            &inputs,
-            &SyncConfig {
-                seed: 0,
-                max_rounds: 100,
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, stoneage_sim::ExecError::RoundLimit { .. }));
+        let err = wave_rounds(&g, &inputs, 100).unwrap_err();
+        assert!(matches!(err, ExecError::RoundLimit { .. }));
     }
 
     #[test]
     fn source_only_graph_finishes_in_one_round() {
-        let g = stoneage_graph::Graph::empty(1);
-        let out = run_sync_with_inputs(&AsMulti(wave_protocol()), &g, &[1], &SyncConfig::seeded(0))
-            .unwrap();
-        assert_eq!(out.rounds, 1);
+        assert_eq!(wave_rounds(&Graph::empty(1), &[1], 1_000), Ok(1));
     }
 }

@@ -18,19 +18,12 @@
 use stoneage_graph::io::from_edge_list;
 use stoneage_graph::{generators, validate};
 use stoneage_protocols::{decode_coloring, ColoringProtocol};
-use stoneage_sim::SyncConfig;
-use stoneage_testkit::harness::run_sync;
+use stoneage_sim::Simulation;
 
 fn assert_colors(g: &stoneage_graph::Graph, seed: u64, label: &str) {
-    let out = run_sync(
-        &ColoringProtocol::new(),
-        g,
-        &SyncConfig {
-            seed,
-            max_rounds: 100_000,
-        },
-    )
-    .unwrap_or_else(|e| panic!("{label} seed {seed}: {e}"));
+    let p = ColoringProtocol::new();
+    let out = Simulation::sync(&p, g).seed(seed).budget(100_000).run();
+    let out = out.unwrap_or_else(|e| panic!("{label} seed {seed}: {e}"));
     let colors = decode_coloring(&out.outputs);
     assert!(
         validate::is_proper_k_coloring(g, &colors, 3),

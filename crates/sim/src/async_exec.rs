@@ -21,7 +21,7 @@
 //! Every asynchronous run — churn-free or under a churn plan, with or
 //! without a fault plan — executes on one event loop, monomorphised over
 //! its event queue and its churn hook. The queue is the one
-//! [`AsyncOptions::scheduler`] selects:
+//! [`crate::Simulation::scheduler`] selects:
 //!
 //! * [`SchedulerKind::CalendarWheel`] (the default) — the hierarchical
 //!   timing wheel of [`crate::schedule`], O(1) amortized per push and pop;
@@ -86,7 +86,7 @@ use crate::engine::{FlatPorts, TOMBSTONE};
 use crate::faults::{self, faulted_sends, FaultCtx, FaultLayer, FaultSummary};
 use crate::pipeline::BoundaryHook;
 use crate::schedule::{CalendarQueue, EventQueue, HeapQueue};
-use crate::sim::{AsyncOptions, Cost, Detail, Observer, Outcome, Simulation};
+use crate::sim::{Cost, Detail, Observer, Outcome, Simulation};
 use crate::snapshot::BacklogKind::{Deliver, Step};
 use crate::snapshot::{self, AsyncCapture, BacklogEvent, SnapArgs, BODY_KIND};
 use crate::{splitmix64, Adversary, ExecError};
@@ -104,75 +104,8 @@ pub enum SchedulerKind {
     BinaryHeap,
 }
 
-/// Configuration of an asynchronous execution.
-#[derive(Clone, Copy, Debug)]
-pub struct AsyncConfig {
-    /// Master seed for the per-node protocol RNGs (the adversary carries
-    /// its own seed — obliviousness demands the streams be independent).
-    pub seed: u64,
-    /// Event budget: exceeding it aborts with [`ExecError::EventLimit`].
-    pub max_events: u64,
-    /// Event queue driving the run. Outcomes are bit-identical across
-    /// kinds; only throughput differs.
-    pub scheduler: SchedulerKind,
-    /// Explicit calendar bucket width in simulated time units, overriding
-    /// the executor's estimate (see [`crate::schedule`] for the
-    /// trade-off). Ignored by the heap scheduler. Performance-only: it
-    /// cannot affect outcomes.
-    pub bucket_width: Option<f64>,
-}
-
-impl Default for AsyncConfig {
-    fn default() -> Self {
-        AsyncConfig {
-            seed: 0,
-            max_events: 200_000_000,
-            scheduler: SchedulerKind::CalendarWheel,
-            bucket_width: None,
-        }
-    }
-}
-
-impl AsyncConfig {
-    /// A config with the given seed and the default event budget.
-    pub fn seeded(seed: u64) -> Self {
-        AsyncConfig {
-            seed,
-            ..Default::default()
-        }
-    }
-
-    /// This config with the given scheduler kind.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-}
-
-/// Result of an asynchronous execution that reached an output
-/// configuration.
-#[derive(Clone, Debug)]
-pub struct AsyncOutcome {
-    /// Per-node outputs, decoded from the output states.
-    pub outputs: Vec<u64>,
-    /// Raw time at which the first output configuration was reached.
-    pub completion_time: f64,
-    /// The paper's **time unit**: the largest step-length or delay
-    /// parameter consumed before completion.
-    pub time_unit: f64,
-    /// `completion_time / time_unit` — the paper's run-time measure
-    /// `T_Π(I, A, R)`.
-    pub normalized_time: f64,
-    /// Total node steps executed.
-    pub total_steps: u64,
-    /// Total non-`ε` transmissions (each fans out to all neighbors).
-    pub messages_sent: u64,
-    /// Total port writes.
-    pub deliveries: u64,
-    /// Deliveries that overwrote a letter the receiving node had not yet
-    /// had a step to observe — messages *lost* to the no-buffer semantics.
-    pub lost_overwrites: u64,
-}
+/// The event budget of a run that sets none.
+const MAX_EVENTS: u64 = 200_000_000;
 
 /// What a queued event does. A step or letter carries `inc`, the
 /// incarnation of its node when it was scheduled (0 on a churn-free
@@ -451,16 +384,7 @@ const TARGET_EVENTS_PER_TICK: f64 = 4.0;
 /// of simulated time. The step scale comes from the policy's
 /// [`Adversary::time_scale_hint`] or a small deterministic sample.
 /// Performance-only: any positive width yields identical outcomes.
-fn choose_bucket_width<A: Adversary + ?Sized>(
-    adversary: &A,
-    graph: &Graph,
-    override_width: Option<f64>,
-) -> f64 {
-    if let Some(w) = override_width {
-        if w.is_finite() && w > 0.0 {
-            return w;
-        }
-    }
+fn choose_bucket_width<A: Adversary + ?Sized>(adversary: &A, graph: &Graph) -> f64 {
     let n = graph.node_count().max(1);
     let scale = adversary.time_scale_hint().unwrap_or_else(|| {
         // Deterministic probe of the oblivious parameter sequences: a
@@ -482,15 +406,15 @@ fn choose_bucket_width<A: Adversary + ?Sized>(
     TARGET_EVENTS_PER_TICK / rate
 }
 
-/// The asynchronous executor: runs `sim`'s protocol under `options` —
-/// with the churn controller as hook under a churn plan (on the plan's
-/// universe graph), with `()` otherwise — invoking `observer` after every
-/// node step, and returns the unified outcome. `inputs` are validated by
-/// the builder.
+/// The asynchronous executor: runs `sim`'s protocol under `adversary`
+/// on the queue `sim` selects — with the churn controller as hook under
+/// a churn plan (on the plan's universe graph), with `()` otherwise —
+/// invoking `observer` after every node step, and returns the unified
+/// outcome. `inputs` are validated by the builder.
 pub(crate) fn exec<P, O>(
     sim: &Simulation<'_, P>,
     inputs: &[usize],
-    options: &AsyncOptions<'_>,
+    adversary: &dyn Adversary,
     snap: &SnapArgs<'_, P::State>,
     observer: &mut O,
 ) -> Result<Outcome<P>, ExecError>
@@ -502,7 +426,7 @@ where
     let start = Start {
         sim,
         inputs,
-        options,
+        adversary,
         snap,
     };
     match sim.churn {
@@ -524,13 +448,13 @@ where
 struct Start<'a, 'g, P: Protocol> {
     sim: &'a Simulation<'g, P>,
     inputs: &'a [usize],
-    options: &'a AsyncOptions<'a>,
+    adversary: &'a dyn Adversary,
     snap: &'a SnapArgs<'a, P::State>,
 }
 
 impl<'a, P: Fsm> Start<'a, '_, P> {
     /// Runs the loop on `graph` (the plan's universe under churn) and
-    /// the queue the options select.
+    /// the queue the builder selects.
     fn on_queue<H, O>(
         self,
         graph: &'a Graph,
@@ -542,10 +466,9 @@ impl<'a, P: Fsm> Start<'a, '_, P> {
         H: AsyncHook,
         O: Observer<P::State> + ?Sized,
     {
-        let (adversary, width) = (self.options.adversary, self.options.bucket_width);
-        match self.options.scheduler {
+        match self.sim.scheduler {
             SchedulerKind::CalendarWheel => {
-                let width = choose_bucket_width(adversary, graph, width);
+                let width = choose_bucket_width(self.adversary, graph);
                 self.run(CalendarQueue::new(width), graph, fctx, hook, observer)
             }
             SchedulerKind::BinaryHeap => self.run(HeapQueue::new(), graph, fctx, hook, observer),
@@ -602,11 +525,11 @@ impl<'a, P: Fsm> Start<'a, '_, P> {
         let stamped = if H::STAMPED { n } else { 0 };
         let mut run = Run {
             ex,
-            adversary: self.options.adversary,
+            adversary: self.adversary,
             queue,
             seq: 0,
             events: 0,
-            max_events: self.sim.budget.unwrap_or(AsyncConfig::default().max_events),
+            max_events: self.sim.budget.unwrap_or(MAX_EVENTS),
             incarnation: incarnation.unwrap_or_else(|| vec![0; stamped]),
             hook,
             faults: FaultLayer::new(fctx, tally),
@@ -999,66 +922,10 @@ where
 mod tests {
     use super::*;
     use crate::adversary::{Exponential, Lockstep, SlowEdges, SlowNodes, UniformRandom};
-    use crate::sim::Simulation;
-    use crate::SyncConfig;
-    use stoneage_core::MultiFsm;
     use stoneage_core::{
         Alphabet, AsMulti, Synchronized, TableProtocol, TableProtocolBuilder, Transitions,
     };
     use stoneage_graph::generators;
-
-    // In-crate builder twins (testkit's harness links the other build of
-    // this crate; see the note in `sync_exec`'s tests).
-
-    /// Builder twin of the legacy `run_async`.
-    fn run_async<P: Fsm, A: Adversary + ?Sized>(
-        protocol: &P,
-        graph: &Graph,
-        adversary: &A,
-        config: &AsyncConfig,
-    ) -> Result<AsyncOutcome, ExecError> {
-        let mut options = crate::AsyncOptions::new(&adversary).with_scheduler(config.scheduler);
-        options.bucket_width = config.bucket_width;
-        Simulation::asynchronous(protocol, graph, &adversary)
-            .seed(config.seed)
-            .budget(config.max_events)
-            .backend(crate::Backend::Async(options))
-            .run()
-            .map(|o| o.into_async_outcome().expect("async backend"))
-    }
-
-    /// Builder twin of the legacy `run_async_with_inputs`.
-    fn run_async_with_inputs<P: Fsm, A: Adversary + ?Sized>(
-        protocol: &P,
-        graph: &Graph,
-        inputs: &[usize],
-        adversary: &A,
-        config: &AsyncConfig,
-    ) -> Result<AsyncOutcome, ExecError> {
-        Simulation::asynchronous(protocol, graph, &adversary)
-            .seed(config.seed)
-            .budget(config.max_events)
-            .inputs(inputs)
-            .run()
-            .map(|o| o.into_async_outcome().expect("async backend"))
-    }
-
-    /// Builder twin of the legacy `run_sync`.
-    fn run_sync<P>(
-        protocol: &P,
-        graph: &Graph,
-        config: &SyncConfig,
-    ) -> Result<crate::SyncOutcome, ExecError>
-    where
-        P: MultiFsm + Sync,
-        P::State: Send + Sync,
-    {
-        Simulation::sync(protocol, graph)
-            .seed(config.seed)
-            .budget(config.max_rounds)
-            .run()
-            .map(|o| o.into_sync_outcome().expect("sync backend"))
-    }
 
     /// Deterministic protocol: beep at step 1, then output 1 + f_b(#beeps).
     /// σ₀ is a distinct "quiet" letter, so the count genuinely reflects
@@ -1078,13 +945,27 @@ mod tests {
         builder.build().unwrap()
     }
 
+    /// The synchronized counter on `g` under `adv`, on the default queue.
+    fn run(
+        b: u8,
+        g: &Graph,
+        adv: &dyn Adversary,
+        seed: u64,
+    ) -> Outcome<Synchronized<TableProtocol>> {
+        let p = Synchronized::new(count_neighbors(b));
+        Simulation::asynchronous(&p, g, adv)
+            .seed(seed)
+            .run()
+            .unwrap()
+    }
+
     #[test]
     fn lockstep_async_matches_sync_for_unsynchronized_protocol() {
         let g = generators::star(6);
         let p = count_neighbors(3);
-        let sync_out = run_sync(&AsMulti(p.clone()), &g, &SyncConfig::seeded(1)).unwrap();
-        let async_out = run_async(&p, &g, &Lockstep, &AsyncConfig::seeded(1)).unwrap();
-        assert_eq!(async_out.outputs, sync_out.outputs);
+        let sync_out = Simulation::sync(&AsMulti(p.clone()), &g).seed(1).run();
+        let async_out = Simulation::asynchronous(&p, &g, &Lockstep).seed(1).run();
+        assert_eq!(async_out.unwrap().outputs, sync_out.unwrap().outputs);
     }
 
     #[test]
@@ -1095,18 +976,12 @@ mod tests {
         // observes 0 neighbors.
         let g = generators::star(8);
         let p = count_neighbors(3);
-        let reference = run_async(&p, &g, &Lockstep, &AsyncConfig::seeded(0))
-            .unwrap()
-            .outputs;
-        let mut any_diff = false;
-        for seed in 0..20 {
+        let reference = Simulation::asynchronous(&p, &g, &Lockstep).run().unwrap();
+        let any_diff = (0..20).any(|seed| {
             let adv = Exponential { seed, mean: 0.5 };
-            let out = run_async(&p, &g, &adv, &AsyncConfig::seeded(seed)).unwrap();
-            if out.outputs != reference {
-                any_diff = true;
-                break;
-            }
-        }
+            let out = Simulation::asynchronous(&p, &g, &adv).seed(seed).run();
+            out.unwrap().outputs != reference.outputs
+        });
         assert!(
             any_diff,
             "expected at least one adversarial schedule to break the \
@@ -1119,61 +994,42 @@ mod tests {
         // The synchronizer makes the deterministic counting protocol yield
         // its unique correct outputs under arbitrary schedules.
         let g = generators::star(5);
-        let p = Synchronized::new(count_neighbors(3));
         let mut expected = vec![1 + 3u64]; // center, degree 4 truncated to ≥3
         expected.extend(std::iter::repeat_n(1 + 1, 4));
         for (i, adv) in crate::adversary::standard_panel(7).iter().enumerate() {
-            let out = run_async(&p, &g, adv, &AsyncConfig::seeded(100 + i as u64)).unwrap();
+            let out = run(3, &g, adv, 100 + i as u64);
             assert_eq!(out.outputs, expected, "adversary {}", adv.name());
-            assert!(out.normalized_time > 0.0);
-            assert!(out.time_unit > 0.0);
+            assert!(out.cost.value() > 0.0);
+            assert!(matches!(out.detail, Detail::Async { time_unit, .. } if time_unit > 0.0));
         }
     }
 
     #[test]
     fn async_execution_is_deterministic_per_seeds() {
         let g = generators::gnp(20, 0.2, 3);
-        let p = Synchronized::new(count_neighbors(2));
         let adv = UniformRandom { seed: 5 };
-        let a = run_async(&p, &g, &adv, &AsyncConfig::seeded(9)).unwrap();
-        let b = run_async(&p, &g, &adv, &AsyncConfig::seeded(9)).unwrap();
+        let (a, b) = (run(2, &g, &adv, 9), run(2, &g, &adv, 9));
         assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.completion_time, b.completion_time);
-        assert_eq!(a.total_steps, b.total_steps);
+        assert_eq!(a.states, b.states);
+        assert_eq!(a.detail, b.detail);
     }
 
     #[test]
     fn schedulers_agree_regardless_of_bucket_width() {
-        // Pathological explicit widths (one giant bucket; every event past
-        // the wheel horizon) must not change a single outcome field.
+        // The reference heap and the calendar wheel at the width it
+        // chooses must agree on every outcome field. Pathological widths
+        // are covered at the queue, by `schedule::tests`.
         let g = generators::gnp(18, 0.25, 2);
         let p = Synchronized::new(count_neighbors(2));
         let adv = UniformRandom { seed: 8 };
-        let heap = run_async(
-            &p,
-            &g,
-            &adv,
-            &AsyncConfig::seeded(3).with_scheduler(SchedulerKind::BinaryHeap),
-        )
-        .unwrap();
-        for width in [None, Some(1e9), Some(1e-9), Some(0.37)] {
-            let cfg = AsyncConfig {
-                bucket_width: width,
-                ..AsyncConfig::seeded(3)
-            };
-            let wheel = run_async(&p, &g, &adv, &cfg).unwrap();
-            assert_eq!(wheel.outputs, heap.outputs, "width {width:?}");
-            assert_eq!(
-                wheel.completion_time, heap.completion_time,
-                "width {width:?}"
-            );
-            assert_eq!(wheel.total_steps, heap.total_steps, "width {width:?}");
-            assert_eq!(wheel.deliveries, heap.deliveries, "width {width:?}");
-            assert_eq!(
-                wheel.lost_overwrites, heap.lost_overwrites,
-                "width {width:?}"
-            );
-        }
+        let [heap, wheel] = [SchedulerKind::BinaryHeap, SchedulerKind::CalendarWheel].map(|k| {
+            let sim = Simulation::asynchronous(&p, &g, &adv).seed(3);
+            sim.scheduler(k).run().unwrap()
+        });
+        assert_eq!(wheel.outputs, heap.outputs);
+        assert_eq!(wheel.states, heap.states);
+        assert_eq!(wheel.cost, heap.cost);
+        assert_eq!(wheel.detail, heap.detail);
     }
 
     #[test]
@@ -1182,16 +1038,8 @@ mod tests {
         let p = Synchronized::new(count_neighbors(1));
         let adv = UniformRandom { seed: 1 };
         for scheduler in [SchedulerKind::CalendarWheel, SchedulerKind::BinaryHeap] {
-            let err = run_async(
-                &p,
-                &g,
-                &adv,
-                &AsyncConfig {
-                    max_events: 50,
-                    ..AsyncConfig::seeded(0).with_scheduler(scheduler)
-                },
-            )
-            .unwrap_err();
+            let sim = Simulation::asynchronous(&p, &g, &adv).budget(50);
+            let err = sim.scheduler(scheduler).run().unwrap_err();
             assert!(
                 matches!(err, ExecError::EventLimit { limit: 50, .. }),
                 "{scheduler:?}"
@@ -1216,51 +1064,50 @@ mod tests {
                 "scaled"
             }
         }
+        let completion = |out: &Outcome<_>| match out.detail {
+            Detail::Async {
+                completion_time, ..
+            } => completion_time,
+            _ => unreachable!("an asynchronous run"),
+        };
         let g = generators::cycle(6);
-        let p = Synchronized::new(count_neighbors(1));
         let base = UniformRandom { seed: 2 };
-        let a = run_async(&p, &g, &base, &AsyncConfig::seeded(4)).unwrap();
-        let b = run_async(&p, &g, &Scaled(base, 100.0), &AsyncConfig::seeded(4)).unwrap();
-        assert!((a.normalized_time - b.normalized_time).abs() < 1e-6);
-        assert!((b.completion_time / a.completion_time - 100.0).abs() < 1e-3);
+        let a = run(1, &g, &base, 4);
+        let b = run(1, &g, &Scaled(base, 100.0), 4);
+        assert!((a.cost.value() - b.cost.value()).abs() < 1e-6);
+        assert!((completion(&b) / completion(&a) - 100.0).abs() < 1e-3);
     }
 
     #[test]
     fn lost_overwrites_occur_on_slow_receivers() {
         // A very slow receiver cannot observe every message of a fast
         // sender; the no-buffer semantics must register losses.
-        let g = generators::path(2);
-        let p = Synchronized::new(count_neighbors(1));
         let adv = SlowNodes {
             seed: 3,
             fraction: 0.5,
             factor: 50.0,
         };
-        let out = run_async(&p, &g, &adv, &AsyncConfig::seeded(8)).unwrap();
+        let out = run(1, &generators::path(2), &adv, 8);
         // Not asserting a specific count — just exercising the path; with
         // factor 50 some loss is overwhelmingly likely but not certain.
-        assert!(out.deliveries > 0);
+        assert!(matches!(out.detail, Detail::Async { deliveries, .. } if deliveries > 0));
     }
 
     #[test]
     fn isolated_nodes_complete_alone() {
         let g = stoneage_graph::Graph::empty(4);
-        let p = Synchronized::new(count_neighbors(2));
-        let adv = Exponential { seed: 1, mean: 0.3 };
-        let out = run_async(&p, &g, &adv, &AsyncConfig::seeded(0)).unwrap();
+        let out = run(2, &g, &Exponential { seed: 1, mean: 0.3 }, 0);
         assert_eq!(out.outputs, vec![1, 1, 1, 1]);
     }
 
     #[test]
     fn slow_edges_still_converge() {
-        let g = generators::complete(5);
-        let p = Synchronized::new(count_neighbors(3));
         let adv = SlowEdges {
             seed: 6,
             fraction: 0.3,
             factor: 20.0,
         };
-        let out = run_async(&p, &g, &adv, &AsyncConfig::seeded(2)).unwrap();
+        let out = run(3, &generators::complete(5), &adv, 2);
         assert_eq!(out.outputs, vec![4, 4, 4, 4, 4]);
     }
 
@@ -1268,9 +1115,13 @@ mod tests {
     fn input_mismatch_is_reported() {
         let g = generators::path(3);
         let p = count_neighbors(1);
-        let err =
-            run_async_with_inputs(&p, &g, &[0], &Lockstep, &AsyncConfig::default()).unwrap_err();
-        assert!(matches!(err, ExecError::InputLengthMismatch { .. }));
+        let err = Simulation::asynchronous(&p, &g, &Lockstep)
+            .inputs(&[0])
+            .run();
+        assert!(matches!(
+            err.unwrap_err(),
+            ExecError::InputLengthMismatch { .. }
+        ));
     }
 
     /// An adversary that violates the model contract with a NaN delay.
@@ -1310,12 +1161,8 @@ mod tests {
     fn misbehaving_adversary_delay_is_caught_on_heap() {
         let g = generators::path(2);
         let p = Synchronized::new(count_neighbors(1));
-        let _ = run_async(
-            &p,
-            &g,
-            &NanDelay,
-            &AsyncConfig::seeded(0).with_scheduler(SchedulerKind::BinaryHeap),
-        );
+        let sim = Simulation::asynchronous(&p, &g, &NanDelay);
+        let _ = sim.scheduler(SchedulerKind::BinaryHeap).run();
     }
 
     #[cfg(debug_assertions)]
@@ -1324,21 +1171,15 @@ mod tests {
     fn misbehaving_adversary_delay_is_caught_on_wheel() {
         let g = generators::path(2);
         let p = Synchronized::new(count_neighbors(1));
-        let _ = run_async(
-            &p,
-            &g,
-            &NanDelay,
-            &AsyncConfig::seeded(0).with_scheduler(SchedulerKind::CalendarWheel),
-        );
+        let sim = Simulation::asynchronous(&p, &g, &NanDelay);
+        let _ = sim.scheduler(SchedulerKind::CalendarWheel).run();
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "finite and positive")]
     fn misbehaving_adversary_step_length_is_caught() {
-        let g = generators::path(2);
-        let p = Synchronized::new(count_neighbors(1));
-        let _ = run_async(&p, &g, &ZeroStep, &AsyncConfig::seeded(0));
+        let _ = run(1, &generators::path(2), &ZeroStep, 0);
     }
 
     #[test]
@@ -1346,13 +1187,11 @@ mod tests {
         let small = generators::gnp(20, 0.2, 1);
         let large = generators::gnp(2000, 4.0 / 2000.0, 1);
         let adv = UniformRandom { seed: 4 };
-        let ws = choose_bucket_width(&adv, &small, None);
-        let wl = choose_bucket_width(&adv, &large, None);
+        let ws = choose_bucket_width(&adv, &small);
+        let wl = choose_bucket_width(&adv, &large);
         assert!(ws > 0.0 && ws.is_finite());
         assert!(wl > 0.0 && wl.is_finite());
         // More nodes and edges → denser event stream → narrower buckets.
         assert!(wl < ws);
-        // Explicit override wins.
-        assert_eq!(choose_bucket_width(&adv, &small, Some(0.125)), 0.125);
     }
 }

@@ -23,27 +23,25 @@
 //! * **EdgeInsert / EdgeDelete** — toggle one universe edge; the two
 //!   directed slots are revived to `σ₀` / retired together.
 //!
-//! # Epoch-boundary bit-identity
+//! # Round-boundary bit-identity
 //!
 //! A churn run is the ordinary lockstep [`crate::pipeline`] on the
 //! plan's universe graph, with the churn controller as the pipeline's
 //! round-boundary hook. Events are applied **only at round boundaries**
-//! — after a round's phase-2b deliveries have landed and the epoch has
-//! flipped, before the observer sees the round and before the next
-//! round's phase-1 observations. Inside any round the engine is
-//! therefore exactly the churn-free pipeline: all observations read a
-//! frozen plane, all RNG streams are per-node, and the plane swap is a
-//! pure epoch flip. The boundary patch itself is a deterministic pure
-//! function of the event sequence (the
+//! — after a round's phase-2b deliveries have landed, before the
+//! observer sees the round and before the next round's phase-1
+//! observations. Inside any round the engine is therefore exactly the
+//! churn-free pipeline: all observations read the frozen store and all
+//! RNG streams are per-node. The boundary patch itself is a
+//! deterministic pure function of the event sequence (the
 //! [`stoneage_graph::DynamicGraph`] replica and the emitted
 //! [`stoneage_graph::SlotPatch`]es are). Consequently the serial and
 //! parallel schedules stay **bit-identical** under churn:
 //!
-//! * both patch after the round's deliveries have landed and its epoch
-//!   has flipped — the serial loop after replaying its write buffer, the
-//!   parallel loop after its merge — so both patch the same store state,
-//!   and no buffered write of the round is left to land on a slot the
-//!   boundary revives;
+//! * both patch after the round's deliveries have landed — the serial
+//!   loop after replaying its write buffer, the parallel loop after its
+//!   merge — so both patch the same store state, and no buffered write
+//!   of the round is left to land on a slot the boundary revives;
 //! * a crashed node is skipped without drawing from its RNG, so every
 //!   other node's stream — and its own stream across a restart — is
 //!   untouched on every schedule.

@@ -63,7 +63,7 @@
 //! constructor (fresh, restored from a snapshot, rebuilt by the churn
 //! oracle) starts them cleared, and snapshots never carry them, so a
 //! resumed run simply steps every node once before skipping again. They
-//! are atomics only so phase-1 workers sharing a frozen read plane can
+//! are atomics only so phase-1 workers sharing the frozen store can
 //! update their own nodes' bytes. Each byte has one writer at a time
 //! (its node's phase-1 step, or the merge landing on its shard), and the
 //! byte passes between those writers only across a scope join, which
@@ -82,34 +82,21 @@
 //! deliveries whose *receiver* falls in its node range; slots and count
 //! rows of different shards never alias.
 //!
-//! # Port planes: the epoch-split store
+//! # One store, split in time
 //!
-//! [`PortPlanes`] is the double-buffered face of the store that the
-//! round pipeline ([`crate::pipeline`]) executes on. Logically there are
-//! two planes per round *r*:
-//!
-//! * the **read plane** — the port state at the end of round *r − 1*,
-//!   frozen for the whole of round *r*; every phase-1 observation and
-//!   every scoped target draw of round *r* reads it;
-//! * the **write plane** — where the phase-2 deliveries of round *r*
-//!   land; at the round boundary it *becomes* round *r + 1*'s read
-//!   plane.
-//!
-//! The two planes share one backing [`FlatPorts`]: because every flat
-//! slot is written **at most once per round** (a sender emits at most
-//! once, and slot `csr_offset(u) + ψ_u(v)` is private to the edge
-//! `v → u`), and because the per-letter count updates are commutative
-//! integer sums over a canonical representation, the write plane of
-//! round *r* differs from the read plane only in slots no round-*r*
-//! reader observes *after* their delivery lands. The plane swap
-//! ([`PortPlanes::advance`]) is therefore a pure epoch flip — no letter
-//! is copied, and the incrementally maintained counts are handed to the
-//! next epoch as-is.
-//!
-//! Concretely the split is enforced in *time*: every round's writes are
-//! buffered while phase 1 reads the store, and land only after the last
-//! read of the round — serially, or after the parallel round's scope
-//! join.
+//! The lockstep round pipeline ([`crate::pipeline`]) runs each round on
+//! one store. Phase 1 of round *r* reads the port state at the end of
+//! round *r − 1*, frozen for the whole of phase 1: every observation and
+//! every scoped target draw. Phase 2 lands round *r*'s deliveries, and
+//! the landed store is round *r + 1*'s frozen state. No second copy is
+//! needed, because every round's writes are buffered while phase 1 reads
+//! the store and land only after its last read: serially, or after the
+//! parallel round's scope join. Every flat slot is written at most once
+//! per round (a sender emits at most once, and slot
+//! `csr_offset(u) + ψ_u(v)` belongs to the edge `v → u` alone), and the
+//! per-letter count updates are commutative integer sums over a
+//! canonical representation, so the landing order cannot change the
+//! result.
 
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
@@ -798,97 +785,6 @@ impl PortShard<'_> {
     }
 }
 
-/// The epoch-split (double-buffered) face of the port store: one backing
-/// [`FlatPorts`] multiplexed into a frozen *read plane* and a *write
-/// plane* per round. See the module docs for why a single backing array
-/// suffices (per-round slot uniqueness + commutative counts make the
-/// plane swap a pure epoch flip with an incremental count handoff — no
-/// copy).
-///
-/// The round pipeline ([`crate::pipeline`]) is the intended driver:
-/// rounds observe through [`PortPlanes::read`]; serial rounds commit
-/// their buffered writes with [`PortPlanes::land_serial`], parallel
-/// rounds merge theirs through [`PortPlanes::write`]. Either way,
-/// [`PortPlanes::advance`] flips the epoch at the round boundary.
-#[derive(Clone, Debug)]
-pub struct PortPlanes {
-    ports: FlatPorts,
-    epoch: u64,
-}
-
-impl PortPlanes {
-    /// A fresh store at epoch 0, all ports holding `σ₀` — see
-    /// [`FlatPorts::new`] for the count-layout gate.
-    pub fn new(graph: &Graph, sigma: usize, sigma0: Letter) -> Self {
-        PortPlanes {
-            ports: FlatPorts::new(graph, sigma, sigma0),
-            epoch: 0,
-        }
-    }
-
-    /// Reassembles planes from a restored backing store and epoch — the
-    /// restore half of the snapshot layer ([`PortPlanes::read`] and
-    /// [`PortPlanes::epoch`] capture). Only meaningful at a round
-    /// boundary, where all planes coincide in the single backing array.
-    pub fn from_parts(ports: FlatPorts, epoch: u64) -> Self {
-        PortPlanes { ports, epoch }
-    }
-
-    /// The alphabet size this store was built for.
-    pub fn sigma(&self) -> usize {
-        self.ports.sigma()
-    }
-
-    /// Rounds committed so far: the number of [`PortPlanes::advance`]
-    /// calls (each phase-2 commit ends one epoch).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The frozen read plane of the current epoch — the port state at
-    /// the end of the last committed round. Phase-1 observations and
-    /// scoped target draws read here.
-    #[inline]
-    pub fn read(&self) -> &FlatPorts {
-        &self.ports
-    }
-
-    /// The raw write plane of the current epoch, for merge strategies
-    /// that need the whole store at once (the parallel round's
-    /// [`crate::parbuf::merge`]). Callers must only land deliveries
-    /// resolved against this epoch's read plane, then
-    /// [`PortPlanes::advance`].
-    #[inline]
-    pub fn write(&mut self) -> &mut FlatPorts {
-        &mut self.ports
-    }
-
-    /// Serial phase-2b: lands one round's buffered `(receiver, slot,
-    /// letter)` writes on the write plane and flips it into the next
-    /// epoch's read plane.
-    pub fn land_serial(&mut self, writes: &[(u32, u32, Letter)]) {
-        for &(node, slot, letter) in writes {
-            self.ports.deliver(node as usize, slot as usize, letter);
-        }
-        self.advance();
-    }
-
-    /// Ends the current epoch: the write plane (now holding this round's
-    /// deliveries) becomes the next round's read plane. A pointer flip in
-    /// spirit — nothing is copied, the incremental counts carry over
-    /// as-is.
-    #[inline]
-    pub fn advance(&mut self) {
-        self.epoch += 1;
-    }
-
-    /// Consumes the planes, returning the backing store (tests compare
-    /// it against serially driven [`FlatPorts`]).
-    pub fn into_ports(self) -> FlatPorts {
-        self.ports
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1054,16 +950,6 @@ mod tests {
         let g = generators::path(4);
         let mut ports = FlatPorts::new(&g, 2, Letter(0));
         let _ = ports.shards_mut(&g, &[0, 2]);
-    }
-
-    #[test]
-    fn serial_landing_advances_the_epoch() {
-        let g = generators::path(3);
-        let mut planes = PortPlanes::new(&g, 2, Letter(0));
-        planes.land_serial(&[(1u32, g.csr_offset(1) as u32, Letter(1))]);
-        assert_eq!(planes.epoch(), 1);
-        assert_eq!(planes.read().count(1, Letter(1)), 1);
-        assert_eq!(planes.sigma(), 2);
     }
 
     #[test]

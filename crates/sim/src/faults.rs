@@ -12,7 +12,7 @@
 //! * **sync / scoped** — the [`crate::pipeline`] delivery sinks. Phase-2a
 //!   writes pass through a fault wrapper before they reach the serial
 //!   replay buffer or a worker's sharded [`crate::parbuf::DeliveryBuffer`],
-//!   so the frozen-read-plane bit-identity argument (serial ≡ parallel,
+//!   so the frozen-store bit-identity argument (serial ≡ parallel,
 //!   any worker count) is preserved *by construction*: the fault
 //!   decision for a delivery is a pure hash of `(plan seed, receiver
 //!   slot, round, rule index)` and consumes no sequential RNG stream.

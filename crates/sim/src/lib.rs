@@ -2,28 +2,29 @@
 //! Computing*.
 //!
 //! The crate's entry point is the unified [`Simulation`] builder of the
-//! [`sim`] module — one configurable front over every executor, selected
-//! by [`Backend`]. (The legacy `run_*` free functions are retired; see
-//! the README migration table for the builder equivalent of each.) The
-//! [`snapshot`] module adds bit-identical checkpoint/resume on top:
+//! [`sim`] module: one configurable front over every executor, whose
+//! constructor fixes the backend from the protocol's transition flavour.
+//! [`Outcome`] is the one result type. The [`snapshot`] module adds
+//! bit-identical checkpoint/resume on top:
 //! [`Simulation::checkpoint_every`] captures versioned binary
 //! [`Snapshot`] frames at committed boundaries and
 //! [`Simulation::resume_from`] replays the remainder exactly.
 //!
 //! Two engines implement the paper's two environments:
 //!
-//! * [`Backend::Sync`] — a **lockstep synchronous** round executor for
+//! * [`Simulation::sync`] — a **lockstep synchronous** round executor for
 //!   [`stoneage_core::MultiFsm`] protocols. It satisfies the paper's
 //!   synchronization properties (S1) and (S2) exactly, and is the
 //!   environment the paper's protocol *descriptions* (Sections 4 and 5)
-//!   assume by virtue of Theorems 3.1 and 3.4. ([`Backend::Scoped`] is
-//!   its twin for the port-select extension of the [`scoped`] module.)
-//! * [`Backend::Async`] — a fully **asynchronous** event-driven executor
-//!   for [`stoneage_core::Fsm`] protocols, implementing the adversarial
-//!   semantics of Section 2: per-step lengths `L_{v,t}` and per-message
-//!   FIFO delivery delays `D_{v,t,u}` are chosen by an oblivious
-//!   [`Adversary`]; ports hold only the last delivered letter, so messages
-//!   can be overwritten and lost.
+//!   assume by virtue of Theorems 3.1 and 3.4. ([`Simulation::scoped`]
+//!   is its twin for the port-select extension of the [`scoped`]
+//!   module.)
+//! * [`Simulation::asynchronous`] — a fully **asynchronous** event-driven
+//!   executor for [`stoneage_core::Fsm`] protocols, implementing the
+//!   adversarial semantics of Section 2: per-step lengths `L_{v,t}` and
+//!   per-message FIFO delivery delays `D_{v,t,u}` are chosen by an
+//!   oblivious [`Adversary`]; ports hold only the last delivered letter,
+//!   so messages can be overwritten and lost.
 //!
 //! Run-times are reported in the paper's units: rounds for the synchronous
 //! engine; for the asynchronous engine, the completion time normalized by
@@ -66,10 +67,9 @@
 //! for differential testing and benchmarking.
 //!
 //! Both lockstep backends execute on the shared round pipeline of the
-//! [`pipeline`] module, over the epoch-split [`engine::PortPlanes`]
-//! store: phase 1 of round *r* observes a frozen read plane, phase-2
-//! deliveries land on the write plane, and the plane swap at the round
-//! boundary is a pure epoch flip (no copy).
+//! [`pipeline`] module over one [`FlatPorts`] store: every phase-2
+//! delivery of round *r* is buffered while phase 1 reads the store, and
+//! lands only after the round's last read (see the [`engine`] docs).
 //!
 //! With the `parallel` cargo feature (alias: `rayon`; implemented with
 //! `std::thread` because this build environment vendors no external
@@ -100,19 +100,17 @@ pub mod snapshot;
 mod sync_exec;
 
 pub use adversary::Adversary;
-pub use async_exec::{AsyncConfig, AsyncOutcome, SchedulerKind};
+pub use async_exec::SchedulerKind;
 pub use churn::{
     ChurnOracle, ChurnPlan, ChurnSummary, PatchMode, StabilizationObserver, StabilizationRecord,
 };
-pub use engine::{FlatPorts, PortPlanes};
+pub use engine::FlatPorts;
 pub use faults::{FaultPlan, FaultPlanError, FaultRule, FaultScope, FaultSummary, LinkFault};
 pub use parbuf::{MergeStrategy, ParallelPolicy};
-pub use reference::{run_sync_reference, run_sync_reference_with_inputs};
+pub use reference::run_sync_reference;
 pub use schedule::CalendarQueue;
-pub use scoped::{
-    ScopedDelivery, ScopedEmission, ScopedMultiFsm, ScopedOutcome, ScopedTransitions,
-};
-pub use sim::{AsyncOptions, Backend, Cost, Detail, Observer, Outcome, Simulation};
+pub use scoped::{ScopedDelivery, ScopedEmission, ScopedMultiFsm, ScopedTransitions};
+pub use sim::{Cost, Detail, Observer, Outcome, Simulation};
 pub use snapshot::{
     read_snapshot_file, write_snapshot_file, PersistError, SnapReader, SnapState, SnapWriter,
     Snapshot, SnapshotError, SNAPSHOT_VERSION,
@@ -120,7 +118,6 @@ pub use snapshot::{
 /// Re-export of the representation-independent protocol base trait the
 /// [`Simulation`] builder is generic over.
 pub use stoneage_core::Protocol;
-pub use sync_exec::{SyncConfig, SyncOutcome};
 
 /// Why an execution failed to reach an output configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,9 +144,9 @@ pub enum ExecError {
         inputs: usize,
     },
     /// The [`Simulation`] builder was configured into an invalid state
-    /// (e.g. a backend the protocol's transition flavor cannot drive, a
-    /// parallel policy on the Async backend, or a zero budget) — reported
-    /// as an error instead of a panic.
+    /// (e.g. a parallel policy on an asynchronous simulation, a zero
+    /// budget or checkpoint cadence, or an invalid churn or fault plan) —
+    /// reported as an error instead of a panic.
     Config {
         /// Human-readable description of the invalid configuration.
         reason: String,

@@ -19,23 +19,21 @@
 //!   between rounds: the churn controller on churn runs, `()` on
 //!   churn-free runs.
 //!
-//! Every path executes on the epoch-split [`PortPlanes`] store: phase 1
-//! of round *r* observes the frozen read plane, phase-2 deliveries land
-//! on the write plane, and the plane swap at the round boundary is a
-//! pure epoch flip (see the [`crate::engine`] docs for the no-copy
-//! argument).
+//! Every path executes on one [`FlatPorts`] store, split in time: phase 1
+//! of round *r* reads it frozen, and round *r*'s deliveries land only
+//! after the round's last read (see the [`crate::engine`] docs for why
+//! one copy suffices).
 //!
 //! # The boundary hook
 //!
-//! After a round's deliveries have landed and its epoch has flipped, the
-//! hook gets the store: the churn controller applies the crash, restart
-//! and edge events due after the round (see [`crate::churn`]), resets
-//! restarted nodes and keeps the undecided counter. Only then does the
-//! observer see the round, and only then is a checkpoint taken. The hook
-//! also decides three things inside the loop: which nodes run a round (a
-//! crashed node does not, and draws nothing from its RNG), whether the
-//! run may end (not while events remain), and the churn cursor a
-//! checkpoint records. Its churn-free form is `()`, a zero-sized type
+//! After a round's deliveries have landed, the hook gets the store: the
+//! churn controller applies the crash, restart and edge events due after
+//! the round (see [`crate::churn`]), resets restarted nodes and keeps
+//! the undecided counter. Only then does the observer see the round, and
+//! only then is a checkpoint taken. The hook also decides three things
+//! inside the loop: which nodes run a round (a crashed node does not,
+//! and draws nothing from its RNG), whether the run may end (not while
+//! events remain), and the churn cursor a checkpoint records. Its churn-free form is `()`, a zero-sized type
 //! whose every answer is a constant: every node runs, nothing is due, the
 //! run may end as soon as every node has decided. It costs nothing per
 //! node and needs no universe graph.
@@ -45,15 +43,15 @@
 //! The parallel loop runs phase 1 + 2a of each round in one worker
 //! scope. Worker `w` steps the live nodes of its own
 //! [`crate::parbuf::ShardPlan`] shard — its window of the state and RNG
-//! arrays — against the frozen read plane, into its own
+//! arrays — against the frozen store, into its own
 //! [`crate::parbuf::DeliveryBuffer`] and its own witness. After the join
 //! the witnesses are absorbed in worker order, the policy's
-//! [`crate::parbuf::MergeStrategy`] lands the buffers on the write plane
-//! (the destination-sharded merge in a scope of its own), the epoch
-//! flips, and the round ends as on the serial loop. The round is bit-identical to the serial one because
-//! nothing observable depends on the threads:
+//! [`crate::parbuf::MergeStrategy`] lands the buffers on the store (the
+//! destination-sharded merge in a scope of its own), and the round ends
+//! as on the serial loop. The round is bit-identical to the serial one
+//! because nothing observable depends on the threads:
 //!
-//! * a node reads only the frozen plane and its own RNG stream, and
+//! * a node reads only the frozen store and its own RNG stream, and
 //!   scoped target draws read only the sender's own ports;
 //! * every write is bucketed by destination shard in its sender's
 //!   buffer, and both merges replay the buckets in fixed worker order
@@ -110,7 +108,7 @@ use stoneage_core::{Letter, ObsVec, Protocol};
 use stoneage_graph::{Graph, NodeId};
 
 use crate::churn::{self, ChurnCtl, ChurnSummary, DEAD_OUTPUT};
-use crate::engine::{FlatPorts, PortPlanes};
+use crate::engine::FlatPorts;
 #[cfg(feature = "parallel")]
 use crate::faults::FaultSink;
 use crate::faults::{self, FaultCtx, FaultLayer, FaultSummary};
@@ -121,10 +119,13 @@ use crate::sim::{Cost, Detail, Observer, Outcome, Simulation};
 use crate::snapshot::{self, encode_lockstep, LockstepCapture, SnapArgs, BODY_KIND};
 use crate::{splitmix64, ExecError};
 
+/// The round budget of a run that sets none.
+const MAX_ROUNDS: u64 = 1_000_000;
+
 /// Where phase-2a resolution lands its writes. Deliveries must never
 /// touch the port store directly — they are applied (or merged) only
 /// after every node of the round has observed and resolved against the
-/// frozen read plane.
+/// frozen store.
 pub(crate) trait DeliverySink {
     /// Buffers the full broadcast of `letter` from `v` through the
     /// reverse-port map, counting one non-`ε` transmission.
@@ -139,8 +140,8 @@ pub(crate) trait DeliverySink {
 }
 
 /// The serial delivery strategy: one flat `(receiver, slot, letter)`
-/// buffer replayed onto the write plane at the end of the round
-/// ([`PortPlanes::land_serial`]). Cleared and reused across rounds.
+/// buffer that [`run_serial`] lands on the store at the end of the
+/// round. Cleared and reused across rounds.
 #[derive(Default)]
 struct SerialWrites {
     writes: Vec<(u32, u32, Letter)>,
@@ -243,7 +244,7 @@ pub(crate) trait RoundStep {
     /// nothing.
     fn silent(emission: &Self::Emission) -> bool;
     /// Phase 2a of one node: resolve the emission against the frozen
-    /// plane into `sink` (and `witness`), consuming any target draws
+    /// store into `sink` (and `witness`), consuming any target draws
     /// from the node's own RNG stream.
     #[allow(clippy::too_many_arguments)]
     fn resolve<Sk: DeliverySink>(
@@ -423,7 +424,7 @@ where
 {
     let protocol = step.protocol();
     let sigma = protocol.alphabet().len();
-    let (planes, states, rngs, witness, tally, resume) = match snap.resume {
+    let (ports, states, rngs, witness, tally, resume) = match snap.resume {
         Some(s) => {
             let splice = snapshot::resume_lockstep(s, &snap.codec(), graph, sigma)?;
             let Some(witness) = St::restore_witness(splice.witness) else {
@@ -435,7 +436,7 @@ where
             hook.resume(splice.churn_next)?;
             let tally = splice.faults.unwrap_or_default();
             (
-                splice.planes,
+                splice.ports,
                 splice.states,
                 splice.rngs,
                 witness,
@@ -444,14 +445,14 @@ where
             )
         }
         None => {
-            let mut planes = PortPlanes::new(graph, sigma, protocol.initial_letter());
-            hook.setup(planes.write());
+            let mut ports = FlatPorts::new(graph, sigma, protocol.initial_letter());
+            hook.setup(&mut ports);
             let states = inputs.iter().map(|&i| protocol.initial_state(i)).collect();
             let rngs = (0..graph.node_count() as u64)
                 .map(|v| SmallRng::seed_from_u64(splitmix64(sim.seed ^ splitmix64(v ^ St::SALT))))
                 .collect();
             (
-                planes,
+                ports,
                 states,
                 rngs,
                 St::Witness::default(),
@@ -463,7 +464,7 @@ where
     let mut run = Lockstep {
         step,
         graph,
-        planes,
+        ports,
         states,
         rngs,
         witness,
@@ -473,9 +474,7 @@ where
         snap,
         sent: 0,
         undecided: 0,
-        max_rounds: sim
-            .budget
-            .unwrap_or(crate::SyncConfig::default().max_rounds),
+        max_rounds: sim.budget.unwrap_or(MAX_ROUNDS),
     };
     let start = match resume {
         Some(point) => {
@@ -488,9 +487,8 @@ where
             // Round-0 events apply before the first observation. A
             // resumed run skips this: its store already includes every
             // boundary up to its round.
-            let ports = run.planes.write();
             run.hook
-                .apply(0, step, &mut run.states, &mut run.undecided, ports);
+                .apply(0, step, &mut run.states, &mut run.undecided, &mut run.ports);
             0
         }
     };
@@ -545,7 +543,7 @@ where
 struct Lockstep<'a, St: RoundStep, H, O> {
     step: &'a St,
     graph: &'a Graph,
-    planes: PortPlanes,
+    ports: FlatPorts,
     states: Vec<St::State>,
     rngs: Vec<SmallRng>,
     witness: St::Witness,
@@ -566,10 +564,10 @@ where
     H: BoundaryHook,
     O: Observer<St::State>,
 {
-    /// Ends round `round` once its deliveries have landed and its epoch
-    /// has flipped: applies the boundary, reports the round to the
-    /// observer, and takes a due checkpoint unless the run is over
-    /// (there is nothing to resume). Returns whether it is.
+    /// Ends round `round` once its deliveries have landed: applies the
+    /// boundary, reports the round to the observer, and takes a due
+    /// checkpoint unless the run is over (there is nothing to resume).
+    /// Returns whether it is.
     fn end_round(&mut self, round: u64) -> bool {
         if self.hook.due(round) {
             self.hook.apply(
@@ -577,7 +575,7 @@ where
                 self.step,
                 &mut self.states,
                 &mut self.undecided,
-                self.planes.write(),
+                &mut self.ports,
             );
         }
         self.observer.on_round_end(round, &self.states);
@@ -592,7 +590,7 @@ where
                     round,
                     sent: self.sent,
                     undecided: self.undecided as u64,
-                    planes: &self.planes,
+                    ports: &self.ports,
                     states: &self.states,
                     rngs: &self.rngs,
                     witness: St::witness_slice(&self.witness),
@@ -606,7 +604,7 @@ where
     }
 }
 
-/// Phase 1 + 2a of one node against a frozen plane; returns the
+/// Phase 1 + 2a of one node against the frozen store; returns the
 /// undecided-counter delta. The single transcription of the per-node
 /// round semantics — every schedule (serial, parallel, churn) runs
 /// this, and with it the quiescent-node skip (module docs).
@@ -692,18 +690,17 @@ where
 }
 
 /// The serial round loop: one pass per round over all live nodes
-/// (phase 1 + 2a fused per node — every port read hits the frozen read
-/// plane and each node's RNG stream is private), then the buffered
-/// writes land on the write plane, the epoch flips, and the round ends
-/// ([`Lockstep::end_round`]). Returns the round the run finished in, or
-/// `None` when the budget ran out.
+/// (phase 1 + 2a fused per node — every port read hits the frozen store
+/// and each node's RNG stream is private), then the buffered writes land
+/// and the round ends ([`Lockstep::end_round`]). Returns the round the
+/// run finished in, or `None` when the budget ran out.
 fn run_serial<St, H, O>(run: &mut Lockstep<'_, St, H, O>, start: u64) -> Option<u64>
 where
     St: RoundStep,
     H: BoundaryHook,
     O: Observer<St::State>,
 {
-    let mut obs = ObsVec::zeroed(run.planes.sigma());
+    let mut obs = ObsVec::zeroed(run.ports.sigma());
     let mut sink = SerialWrites::default();
     for round in start + 1..=run.max_rounds {
         sink.begin_round();
@@ -712,7 +709,7 @@ where
             run.step,
             run.graph,
             &run.hook,
-            run.planes.read(),
+            &run.ports,
             round,
             0,
             &mut run.states,
@@ -722,7 +719,9 @@ where
             &mut run.witness,
         );
         run.sent += sink.sent;
-        run.planes.land_serial(&sink.writes);
+        for &(node, slot, letter) in &sink.writes {
+            run.ports.deliver(node as usize, slot as usize, letter);
+        }
         if run.end_round(round) {
             return Some(round);
         }
@@ -732,8 +731,8 @@ where
 
 /// The parallel round loop (module docs): one worker scope per round in
 /// which worker `w` runs phase 1 + 2a over its own [`ShardPlan`] shard,
-/// then the witness absorb in worker order, the policy's merge, the
-/// epoch flip and [`Lockstep::end_round`]. Bit-identical to
+/// then the witness absorb in worker order, the policy's merge and
+/// [`Lockstep::end_round`]. Bit-identical to
 /// [`run_serial`] for every seed, worker count and merge strategy.
 #[cfg(feature = "parallel")]
 fn run_parallel<St, H, O>(
@@ -758,11 +757,11 @@ where
     let mut buffers: Vec<DeliveryBuffer> =
         (0..workers).map(|_| DeliveryBuffer::new(workers)).collect();
     let mut obs: Vec<ObsVec> = (0..workers)
-        .map(|_| ObsVec::zeroed(run.planes.sigma()))
+        .map(|_| ObsVec::zeroed(run.ports.sigma()))
         .collect();
     let mut wits: Vec<St::Witness> = (0..workers).map(|_| St::Witness::default()).collect();
     for round in start + 1..=run.max_rounds {
-        let (step, hook, fctx, ports) = (run.step, &run.hook, run.faults.ctx, run.planes.read());
+        let (step, hook, fctx, ports) = (run.step, &run.hook, run.faults.ctx, &run.ports);
         let shards = (plan.chunks_mut(&mut run.states).into_iter())
             .zip(plan.chunks_mut(&mut run.rngs))
             .zip(plan.bounds());
@@ -794,8 +793,7 @@ where
             St::absorb(&mut run.witness, wit);
         }
         run.sent += buffers.iter().map(|b| b.sent).sum::<u64>();
-        parbuf::merge(policy.merge, run.planes.write(), graph, &plan, &buffers);
-        run.planes.advance();
+        parbuf::merge(policy.merge, &mut run.ports, graph, &plan, &buffers);
         if run.end_round(round) {
             return Some(round);
         }

@@ -24,25 +24,20 @@ use rand::SeedableRng;
 use stoneage_core::{BoundedCount, Letter, MultiFsm, ObsVec};
 use stoneage_graph::Graph;
 
-use crate::{splitmix64, ExecError, SyncConfig, SyncOutcome};
+use crate::sim::{Cost, Detail, Outcome};
+use crate::{splitmix64, ExecError};
 
-/// Runs `protocol` with all-zero inputs on the naive reference engine.
+/// Runs `protocol` on the naive reference engine with per-node `inputs`
+/// and a budget of `max_rounds` rounds. Node `v` draws from the same
+/// stream of `seed` as on the flat sync engine, so the two outcomes
+/// agree field for field.
 pub fn run_sync_reference<P: MultiFsm>(
     protocol: &P,
     graph: &Graph,
-    config: &SyncConfig,
-) -> Result<SyncOutcome, ExecError> {
-    let inputs = vec![0usize; graph.node_count()];
-    run_sync_reference_with_inputs(protocol, graph, &inputs, config)
-}
-
-/// Runs `protocol` on the naive reference engine with per-node inputs.
-pub fn run_sync_reference_with_inputs<P: MultiFsm>(
-    protocol: &P,
-    graph: &Graph,
     inputs: &[usize],
-    config: &SyncConfig,
-) -> Result<SyncOutcome, ExecError> {
+    seed: u64,
+    max_rounds: u64,
+) -> Result<Outcome<P>, ExecError> {
     let n = graph.node_count();
     if inputs.len() != n {
         return Err(ExecError::InputLengthMismatch {
@@ -60,7 +55,7 @@ pub fn run_sync_reference_with_inputs<P: MultiFsm>(
         .map(|v| vec![sigma0; graph.degree(v as u32)])
         .collect();
     let mut rngs: Vec<SmallRng> = (0..n as u64)
-        .map(|v| SmallRng::seed_from_u64(splitmix64(config.seed ^ splitmix64(v))))
+        .map(|v| SmallRng::seed_from_u64(splitmix64(seed ^ splitmix64(v))))
         .collect();
 
     let mut messages_sent = 0u64;
@@ -70,18 +65,10 @@ pub fn run_sync_reference_with_inputs<P: MultiFsm>(
     let finished = |states: &[P::State]| states.iter().all(|q| protocol.output(q).is_some());
 
     if finished(&states) {
-        let outputs = states
-            .iter()
-            .map(|q| protocol.output(q).expect("checked"))
-            .collect();
-        return Ok(SyncOutcome {
-            outputs,
-            rounds: 0,
-            messages_sent,
-        });
+        return Ok(outcome(protocol, states, 0, messages_sent));
     }
 
-    for round in 1..=config.max_rounds {
+    for round in 1..=max_rounds {
         // Phase 1: every node observes its ports and applies δ.
         for (v, port_row) in ports.iter().enumerate() {
             counts.iter_mut().for_each(|c| *c = 0);
@@ -112,15 +99,7 @@ pub fn run_sync_reference_with_inputs<P: MultiFsm>(
             }
         }
         if finished(&states) {
-            let outputs = states
-                .iter()
-                .map(|q| protocol.output(q).expect("checked"))
-                .collect();
-            return Ok(SyncOutcome {
-                outputs,
-                rounds: round,
-                messages_sent,
-            });
+            return Ok(outcome(protocol, states, round, messages_sent));
         }
     }
     let unfinished = states
@@ -128,7 +107,29 @@ pub fn run_sync_reference_with_inputs<P: MultiFsm>(
         .filter(|q| protocol.output(q).is_none())
         .count();
     Err(ExecError::RoundLimit {
-        limit: config.max_rounds,
+        limit: max_rounds,
         unfinished,
     })
+}
+
+/// The outcome of a run that reached an output configuration.
+fn outcome<P: MultiFsm>(
+    protocol: &P,
+    states: Vec<P::State>,
+    rounds: u64,
+    messages_sent: u64,
+) -> Outcome<P> {
+    Outcome {
+        outputs: (states.iter())
+            .map(|q| protocol.output(q).expect("checked"))
+            .collect(),
+        states,
+        cost: Cost::Rounds(rounds),
+        workers: 1,
+        detail: Detail::Sync {
+            messages_sent,
+            churn: None,
+            faults: None,
+        },
+    }
 }

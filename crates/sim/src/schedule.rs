@@ -78,10 +78,9 @@
 //! reschedules itself and fans out at most `deg(v)` deliveries — with the
 //! mean step length taken from [`crate::Adversary::time_scale_hint`]
 //! when the policy knows its own scale, or from a small deterministic
-//! sample of the policy otherwise, and targets ~4 events per tick
-//! ([`crate::AsyncConfig::bucket_width`] overrides the estimate). Getting
-//! this wrong is safe: both failure modes are graceful slowdowns back
-//! toward heap behavior.
+//! sample of the policy otherwise, and targets ~4 events per tick.
+//! Getting this wrong is safe: both failure modes are graceful slowdowns
+//! back toward heap behavior.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

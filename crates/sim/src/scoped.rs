@@ -15,8 +15,8 @@
 //! randomness.
 //!
 //! This module provides the extended protocol trait and its per-node
-//! step for the shared lockstep [`crate::pipeline`] (the
-//! [`crate::Backend::Scoped`] backend). The step also records every
+//! step for the shared lockstep [`crate::pipeline`] (the backend of
+//! [`crate::Simulation::scoped`]). The step also records every
 //! scoped delivery, which is how the matching runner extracts the
 //! matched pairs (a node's constant-size output cannot name its partner;
 //! the *edge* is the engine-level witness).
@@ -106,17 +106,6 @@ pub struct ScopedDelivery {
     pub to: NodeId,
     /// The letter delivered.
     pub letter: Letter,
-}
-
-/// Result of a scoped synchronous execution.
-#[derive(Clone, Debug)]
-pub struct ScopedOutcome {
-    /// Per-node outputs.
-    pub outputs: Vec<u64>,
-    /// Rounds until the first output configuration.
-    pub rounds: u64,
-    /// Every port-selected delivery, in round order.
-    pub scoped_deliveries: Vec<ScopedDelivery>,
 }
 
 /// Resolves a `ToOnePortHolding` emission of `v` against the frozen
@@ -253,29 +242,17 @@ impl<P: ScopedMultiFsm> RoundStep for ScopedStep<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExecError;
+    use crate::sim::{Outcome, Simulation};
     use stoneage_core::Alphabet;
     use stoneage_graph::generators;
 
-    // In-crate builder twin (testkit's harness links the other build of
-    // this crate; see the note in `sync_exec`'s tests).
-
-    /// Builder twin of the legacy `run_scoped`.
-    fn run_scoped<P>(
-        protocol: &P,
-        graph: &Graph,
-        seed: u64,
-        max_rounds: u64,
-    ) -> Result<ScopedOutcome, ExecError>
-    where
-        P: ScopedMultiFsm + Sync,
-        P::State: Send + Sync,
-    {
-        crate::Simulation::scoped(protocol, graph)
+    /// [`Poke`] on `graph`, with a 100-round budget.
+    fn run(graph: &Graph, seed: u64) -> Outcome<Poke> {
+        Simulation::scoped(&Poke::new(), graph)
             .seed(seed)
-            .budget(max_rounds)
+            .budget(100)
             .run()
-            .map(|o| o.into_scoped_outcome().expect("scoped backend"))
+            .unwrap()
     }
 
     /// Toy scoped protocol: node 0-behavior is id-free — every node beeps
@@ -355,14 +332,14 @@ mod tests {
 
     #[test]
     fn each_node_pokes_exactly_one_neighbor() {
-        let g = generators::complete(6);
-        let out = run_scoped(&Poke::new(), &g, 3, 100).unwrap();
+        let out = run(&generators::complete(6), 3);
+        let deliveries = out.scoped_deliveries().unwrap();
         // 6 nodes × 1 scoped send each.
-        assert_eq!(out.scoped_deliveries.len(), 6);
+        assert_eq!(deliveries.len(), 6);
         // Total pokes received equals pokes sent; counts are truncated at
         // b = 2 in outputs but deliveries are exact.
         let mut received = [0usize; 6];
-        for d in &out.scoped_deliveries {
+        for d in deliveries {
             assert_eq!(d.letter, Letter(2));
             assert_ne!(d.from, d.to);
             received[d.to as usize] += 1;
@@ -375,18 +352,16 @@ mod tests {
     #[test]
     fn scoping_with_no_qualifying_port_is_silent() {
         // Isolated nodes: no FREE port ever, no deliveries.
-        let g = stoneage_graph::Graph::empty(3);
-        let out = run_scoped(&Poke::new(), &g, 0, 100).unwrap();
-        assert!(out.scoped_deliveries.is_empty());
+        let out = run(&stoneage_graph::Graph::empty(3), 0);
+        assert_eq!(out.scoped_deliveries(), Some(&[][..]));
         assert_eq!(out.outputs, vec![0, 0, 0]);
     }
 
     #[test]
     fn scoped_runs_are_deterministic_per_seed() {
         let g = generators::gnp(20, 0.3, 1);
-        let a = run_scoped(&Poke::new(), &g, 7, 100).unwrap();
-        let b = run_scoped(&Poke::new(), &g, 7, 100).unwrap();
-        assert_eq!(a.scoped_deliveries, b.scoped_deliveries);
+        let (a, b) = (run(&g, 7), run(&g, 7));
+        assert_eq!(a.scoped_deliveries(), b.scoped_deliveries());
         assert_eq!(a.outputs, b.outputs);
     }
 
@@ -395,12 +370,9 @@ mod tests {
         let g = generators::star(5);
         let targets: std::collections::HashSet<NodeId> = (0..30)
             .map(|seed| {
-                let out = run_scoped(&Poke::new(), &g, seed, 100).unwrap();
-                out.scoped_deliveries
-                    .iter()
-                    .find(|d| d.from == 0)
-                    .unwrap()
-                    .to
+                let out = run(&g, seed);
+                let deliveries = out.scoped_deliveries().unwrap();
+                deliveries.iter().find(|d| d.from == 0).unwrap().to
             })
             .collect();
         assert!(targets.len() > 1, "center should poke varying leaves");

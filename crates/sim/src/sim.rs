@@ -2,14 +2,16 @@
 //! scoped, and asynchronous executors.
 //!
 //! * **One entry point.** [`Simulation`] owns the graph, protocol, seed,
-//!   inputs, budget, observer, parallel policy, churn and fault plans,
-//!   checkpoint cadence, and backend selection; [`Simulation::run`]
-//!   executes whichever [`Backend`] is selected.
-//! * **One executor per transition flavour.** Each constructor stores
-//!   the executor of its protocol's flavour: the lockstep
-//!   [`crate::pipeline`] with the sync or the scoped step, or the
-//!   asynchronous event loop. Selecting a backend the flavour cannot
-//!   drive is an [`ExecError::Config`] naming the constructor it needs.
+//!   inputs, budget, observer, parallel policy, churn and fault plans and
+//!   checkpoint cadence; [`Simulation::run`] executes it.
+//! * **The constructor fixes the backend.** A protocol's transition
+//!   flavour fixes its environment, so each constructor stores the
+//!   executor of its flavour: [`Simulation::sync`] ([`MultiFsm`], the
+//!   lockstep [`crate::pipeline`] with the sync step),
+//!   [`Simulation::scoped`] ([`ScopedMultiFsm`], the same pipeline with
+//!   the scoped step) and [`Simulation::asynchronous`] ([`Fsm`] under an
+//!   [`Adversary`], the asynchronous event loop). No setter changes the
+//!   backend, so a backend the protocol cannot drive is unrepresentable.
 //! * **One outcome.** [`Outcome`] carries the per-node outputs, the final
 //!   per-node states, a normalized [`Cost`], the worker count the run
 //!   actually used, and the backend-specific extras in [`Detail`].
@@ -31,7 +33,7 @@
 //! use stoneage_core::{AsMulti, Synchronized};
 //! use stoneage_graph::generators;
 //! use stoneage_sim::adversary::UniformRandom;
-//! use stoneage_sim::{AsyncOptions, Backend, Cost, Simulation};
+//! use stoneage_sim::{Cost, Detail, Simulation};
 //! use stoneage_testkit::count_neighbors_quiet;
 //!
 //! let graph = generators::gnp(40, 0.15, 7);
@@ -45,6 +47,7 @@
 //!     .expect("the synchronized protocol terminates");
 //! assert_eq!(outcome.outputs.len(), graph.node_count());
 //! assert!(matches!(outcome.cost, Cost::TimeUnits(t) if t > 0.0));
+//! assert!(matches!(outcome.detail, Detail::Async { total_steps, .. } if total_steps > 0));
 //!
 //! // The same protocol, lockstep synchronous (an Fsm runs the sync
 //! // backend through the AsMulti view), with explicit inputs.
@@ -56,11 +59,9 @@
 //!     .budget(10_000)
 //!     .run()
 //!     .unwrap();
-//! assert!(matches!(outcome.cost, Cost::Rounds(r) if r > 0));
+//! assert!(outcome.rounds().is_some_and(|r| r > 0));
 //! assert_eq!(outcome.states.len(), graph.node_count());
 //! ```
-
-use std::fmt;
 
 use stoneage_core::{Fsm, MultiFsm, Protocol};
 use stoneage_graph::{Graph, NodeId, TopologyEvent};
@@ -70,10 +71,10 @@ use crate::faults::{FaultPlan, FaultScope, FaultSummary, LinkFault};
 #[cfg(feature = "parallel")]
 use crate::parbuf::ParallelPolicy;
 use crate::pipeline::{self, RoundStep};
-use crate::scoped::{ScopedDelivery, ScopedMultiFsm, ScopedOutcome, ScopedStep};
+use crate::scoped::{ScopedDelivery, ScopedMultiFsm, ScopedStep};
 use crate::snapshot::{self, SnapArgs, SnapMeta, SnapState, Snapshot, SnapshotError, StateCodec};
-use crate::sync_exec::{SyncOutcome, SyncStep};
-use crate::{async_exec, Adversary, AsyncOutcome, ExecError, SchedulerKind};
+use crate::sync_exec::SyncStep;
+use crate::{async_exec, Adversary, ExecError, SchedulerKind};
 
 /// The normalized run-time of a completed simulation, in the unit native
 /// to the backend that produced it.
@@ -99,11 +100,11 @@ impl Cost {
     }
 }
 
-/// Backend-specific extras of an [`Outcome`] — everything the legacy
-/// outcome types carried beyond outputs and cost.
-#[derive(Clone, Debug)]
+/// Backend-specific extras of an [`Outcome`]: everything a run reports
+/// beyond outputs, states and cost.
+#[derive(Clone, Debug, PartialEq)]
 pub enum Detail {
-    /// Extras of a [`Backend::Sync`] run.
+    /// Extras of a [`Simulation::sync`] run.
     Sync {
         /// Total non-`ε` transmissions.
         messages_sent: u64,
@@ -115,7 +116,7 @@ pub enum Detail {
         /// channels. `None` on fault-free runs.
         faults: Option<FaultSummary>,
     },
-    /// Extras of a [`Backend::Async`] run.
+    /// Extras of a [`Simulation::asynchronous`] run.
     Async {
         /// Raw (unnormalized) completion time.
         completion_time: f64,
@@ -138,7 +139,7 @@ pub enum Detail {
         /// channels. `None` on fault-free runs.
         faults: Option<FaultSummary>,
     },
-    /// Extras of a [`Backend::Scoped`] run.
+    /// Extras of a [`Simulation::scoped`] run.
     Scoped {
         /// Every port-selected delivery, in round order — the engine-level
         /// witness the matching runner extracts matched edges from.
@@ -227,72 +228,12 @@ impl<P: Protocol> Outcome<P> {
         self.detail.faults()
     }
 
-    /// The scoped-delivery witness list of a [`Backend::Scoped`] run.
+    /// The scoped-delivery witness list of a [`Simulation::scoped`] run.
     pub fn scoped_deliveries(&self) -> Option<&[ScopedDelivery]> {
         match &self.detail {
             Detail::Scoped {
                 scoped_deliveries, ..
             } => Some(scoped_deliveries),
-            _ => None,
-        }
-    }
-
-    /// This outcome as the legacy [`SyncOutcome`], if it came from
-    /// [`Backend::Sync`].
-    pub fn into_sync_outcome(self) -> Option<SyncOutcome> {
-        match (self.cost, self.detail) {
-            (Cost::Rounds(rounds), Detail::Sync { messages_sent, .. }) => Some(SyncOutcome {
-                outputs: self.outputs,
-                rounds,
-                messages_sent,
-            }),
-            _ => None,
-        }
-    }
-
-    /// This outcome as the legacy [`AsyncOutcome`], if it came from
-    /// [`Backend::Async`].
-    pub fn into_async_outcome(self) -> Option<AsyncOutcome> {
-        match (self.cost, self.detail) {
-            (
-                Cost::TimeUnits(normalized_time),
-                Detail::Async {
-                    completion_time,
-                    time_unit,
-                    total_steps,
-                    messages_sent,
-                    deliveries,
-                    lost_overwrites,
-                    ..
-                },
-            ) => Some(AsyncOutcome {
-                outputs: self.outputs,
-                completion_time,
-                time_unit,
-                normalized_time,
-                total_steps,
-                messages_sent,
-                deliveries,
-                lost_overwrites,
-            }),
-            _ => None,
-        }
-    }
-
-    /// This outcome as the legacy [`ScopedOutcome`], if it came from
-    /// [`Backend::Scoped`].
-    pub fn into_scoped_outcome(self) -> Option<ScopedOutcome> {
-        match (self.cost, self.detail) {
-            (
-                Cost::Rounds(rounds),
-                Detail::Scoped {
-                    scoped_deliveries, ..
-                },
-            ) => Some(ScopedOutcome {
-                outputs: self.outputs,
-                rounds,
-                scoped_deliveries,
-            }),
             _ => None,
         }
     }
@@ -361,94 +302,6 @@ impl<S, O: Observer<S> + ?Sized> Observer<S> for Box<O> {
 /// The observer of a run nobody observes: every hook a no-op.
 impl<S> Observer<S> for () {}
 
-/// Options of the asynchronous backend: the oblivious adversary plus the
-/// scheduler knobs of the legacy [`crate::AsyncConfig`].
-#[derive(Clone, Copy)]
-pub struct AsyncOptions<'a> {
-    /// The oblivious scheduling policy choosing every step length
-    /// `L_{v,t}` and delivery delay `D_{v,t,u}`.
-    pub adversary: &'a dyn Adversary,
-    /// Event queue driving the run, churn and fault runs included.
-    /// Outcomes are bit-identical across kinds; only throughput differs.
-    pub scheduler: SchedulerKind,
-    /// Explicit calendar bucket width overriding the executor's estimate
-    /// (see [`crate::schedule`]). Performance-only: cannot affect
-    /// outcomes. Ignored by the heap scheduler.
-    pub bucket_width: Option<f64>,
-}
-
-impl<'a> AsyncOptions<'a> {
-    /// Options running `adversary` under the default scheduler
-    /// (calendar wheel, auto-chosen bucket width).
-    pub fn new(adversary: &'a dyn Adversary) -> Self {
-        AsyncOptions {
-            adversary,
-            scheduler: SchedulerKind::default(),
-            bucket_width: None,
-        }
-    }
-
-    /// These options with the given scheduler kind.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// These options with an explicit calendar bucket width.
-    pub fn with_bucket_width(mut self, width: f64) -> Self {
-        self.bucket_width = Some(width);
-        self
-    }
-}
-
-impl fmt::Debug for AsyncOptions<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AsyncOptions")
-            .field("adversary", &self.adversary.name())
-            .field("scheduler", &self.scheduler)
-            .field("bucket_width", &self.bucket_width)
-            .finish()
-    }
-}
-
-/// Which executor a [`Simulation`] runs on.
-///
-/// The constructor that matches the protocol's transition flavor presets
-/// this ([`Simulation::sync`] → `Sync`, [`Simulation::scoped`] →
-/// `Scoped`, [`Simulation::asynchronous`] → `Async`); selecting a
-/// backend the protocol cannot drive is reported as
-/// [`ExecError::Config`] at [`Simulation::run`] time.
-#[derive(Clone, Copy, Debug, Default)]
-pub enum Backend<'a> {
-    /// The lockstep synchronous round executor for
-    /// [`MultiFsm`] protocols (Theorems 3.1/3.4 make this the
-    /// environment protocol *descriptions* assume).
-    #[default]
-    Sync,
-    /// The lockstep executor for the port-select extension
-    /// ([`ScopedMultiFsm`] protocols).
-    Scoped,
-    /// The fully asynchronous adversarial executor for single-letter
-    /// [`Fsm`] protocols.
-    Async(AsyncOptions<'a>),
-}
-
-/// The configuration error of a backend the builder's protocol cannot
-/// drive, naming the constructor that backend needs.
-fn mismatch(backend: Backend<'_>) -> ExecError {
-    let (name, constructor) = match backend {
-        Backend::Sync => ("Sync", "sync"),
-        Backend::Scoped => ("Scoped", "scoped"),
-        Backend::Async(_) => ("Async", "asynchronous"),
-    };
-    ExecError::Config {
-        reason: format!(
-            "the {name} backend needs a protocol with the matching transition flavor: \
-             construct the builder with Simulation::{constructor}"
-        ),
-    }
-}
-
 /// The executor a constructor stores for its protocol's transition
 /// flavour: runs the simulation on the inputs [`Simulation::run`]
 /// validated.
@@ -475,7 +328,10 @@ pub struct Simulation<'g, P: Protocol> {
     pub(crate) seed: u64,
     inputs: Option<&'g [usize]>,
     pub(crate) budget: Option<u64>,
-    backend: Backend<'g>,
+    /// The oblivious adversary of an asynchronous run; `None` on the
+    /// lockstep backends.
+    adversary: Option<&'g dyn Adversary>,
+    pub(crate) scheduler: SchedulerKind,
     observer: Option<&'g mut (dyn Observer<P::State> + 'g)>,
     pub(crate) churn: Option<&'g ChurnPlan>,
     pub(crate) faults: Option<&'g FaultPlan>,
@@ -493,38 +349,46 @@ where
     P::State: Send + Sync,
 {
     /// A simulation of a multi-letter protocol on the lockstep
-    /// synchronous backend ([`Backend::Sync`] preset). Run single-letter
-    /// [`Fsm`] protocols here through [`stoneage_core::AsMulti`].
+    /// synchronous backend. Run single-letter [`Fsm`] protocols here
+    /// through [`stoneage_core::AsMulti`].
     pub fn sync(protocol: &'g P, graph: &'g Graph) -> Self {
-        Simulation::new(protocol, graph, Backend::Sync, |sim, inputs| {
+        Simulation::new(protocol, graph, None, |sim, inputs| {
             let step = SyncStep(sim.protocol);
-            match sim.backend {
-                Backend::Sync => sim.lockstep(&step, inputs),
-                other => Err(mismatch(other)),
-            }
+            sim.lockstep(&step, inputs)
         })
     }
 }
 
 impl<'g, P: Fsm> Simulation<'g, P> {
     /// A simulation of a single-letter protocol on the fully
-    /// asynchronous backend, scheduled by `adversary`
-    /// ([`Backend::Async`] preset with default [`AsyncOptions`]; replace
-    /// via [`backend`](Self::backend) to pick a scheduler or bucket
-    /// width).
+    /// asynchronous backend, scheduled by `adversary`, on the calendar
+    /// wheel unless [`scheduler`](Self::scheduler) picks the heap.
     pub fn asynchronous(protocol: &'g P, graph: &'g Graph, adversary: &'g dyn Adversary) -> Self {
-        let backend = Backend::Async(AsyncOptions::new(adversary));
-        Simulation::new(protocol, graph, backend, |mut sim, inputs| {
-            let Backend::Async(options) = sim.backend else {
-                return Err(mismatch(sim.backend));
-            };
-            let name = options.adversary.name();
-            let snap = sim.snap_args(snapshot::BACKEND_ASYNC, inputs, Some(name))?;
+        Simulation::new(protocol, graph, Some(adversary), |mut sim, inputs| {
+            #[cfg(feature = "parallel")]
+            if sim.policy.is_some() {
+                return Err(ExecError::Config {
+                    reason: "the Async backend has no parallel schedule: remove the \
+                             ParallelPolicy or construct a lockstep simulation"
+                        .into(),
+                });
+            }
+            let adversary = sim.adversary.expect("set by the constructor");
+            let snap = sim.snap_args(snapshot::BACKEND_ASYNC, inputs, Some(adversary.name()))?;
             match sim.observer.take() {
-                Some(o) => async_exec::exec(&sim, inputs, &options, &snap, o),
-                None => async_exec::exec(&sim, inputs, &options, &snap, &mut ()),
+                Some(o) => async_exec::exec(&sim, inputs, adversary, &snap, o),
+                None => async_exec::exec(&sim, inputs, adversary, &snap, &mut ()),
             }
         })
+    }
+
+    /// The event queue of this asynchronous run (default: the calendar
+    /// wheel). Outcomes are bit-identical on either queue; the binary
+    /// heap is the reference the wheel is tested and benchmarked
+    /// against.
+    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
+        self.scheduler = scheduler;
+        self
     }
 }
 
@@ -534,27 +398,30 @@ where
     P::State: Send + Sync,
 {
     /// A simulation of a port-select-extension protocol on the scoped
-    /// lockstep backend ([`Backend::Scoped`] preset).
+    /// lockstep backend.
     pub fn scoped(protocol: &'g P, graph: &'g Graph) -> Self {
-        Simulation::new(protocol, graph, Backend::Scoped, |sim, inputs| {
+        Simulation::new(protocol, graph, None, |sim, inputs| {
             let step = ScopedStep(sim.protocol);
-            match sim.backend {
-                Backend::Scoped => sim.lockstep(&step, inputs),
-                other => Err(mismatch(other)),
-            }
+            sim.lockstep(&step, inputs)
         })
     }
 }
 
 impl<'g, P: Protocol> Simulation<'g, P> {
-    fn new(protocol: &'g P, graph: &'g Graph, backend: Backend<'g>, exec: Exec<'g, P>) -> Self {
+    fn new(
+        protocol: &'g P,
+        graph: &'g Graph,
+        adversary: Option<&'g dyn Adversary>,
+        exec: Exec<'g, P>,
+    ) -> Self {
         Simulation {
             protocol,
             graph,
             seed: 0,
             inputs: None,
             budget: None,
-            backend,
+            adversary,
+            scheduler: SchedulerKind::default(),
             observer: None,
             churn: None,
             faults: None,
@@ -587,19 +454,9 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     /// Async. Exceeding it aborts with [`ExecError::RoundLimit`] /
     /// [`ExecError::EventLimit`]; zero is rejected as
     /// [`ExecError::Config`]. Defaults: 1 000 000 rounds / 200 000 000
-    /// events (the legacy config defaults).
+    /// events.
     pub fn budget(mut self, budget: u64) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Selects the backend explicitly, overriding the constructor's
-    /// preset — e.g. to pick the binary-heap scheduler through
-    /// [`AsyncOptions`]. Selecting a backend the protocol's transition
-    /// flavor cannot drive is reported as [`ExecError::Config`] by
-    /// [`run`](Self::run).
-    pub fn backend(mut self, backend: Backend<'g>) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -613,7 +470,7 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     /// Runs the simulation under a deterministic topology fault-injection
     /// schedule (see [`crate::churn`]). The plan's events — crashes,
     /// restarts, edge insertions and deletions — are applied only at
-    /// round/epoch boundaries, so lockstep outcomes stay bit-identical
+    /// round boundaries, so lockstep outcomes stay bit-identical
     /// across the serial and parallel schedules and every worker count;
     /// the empty plan is bit-identical to the churn-free engine. The effective event counts and final live-node set are
     /// reported through [`Outcome::churn`]. Nodes dead at termination
@@ -653,8 +510,8 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     /// the policy's small-instance threshold may still delegate to the
     /// serial engine (reported via [`Outcome::workers`]). Only exists on
     /// `parallel` builds, so a policy can never be configured on a build
-    /// that cannot honor it; combining it with [`Backend::Async`] is an
-    /// [`ExecError::Config`].
+    /// that cannot honor it; combining it with
+    /// [`Simulation::asynchronous`] is an [`ExecError::Config`].
     #[cfg(feature = "parallel")]
     pub fn parallel(mut self, policy: ParallelPolicy) -> Self {
         self.policy = Some(policy);
@@ -742,7 +599,7 @@ impl<'g, P: Protocol> Simulation<'g, P> {
         })
     }
 
-    /// Executes the selected backend and returns the unified outcome.
+    /// Executes the constructor's backend and returns the unified outcome.
     pub fn run(self) -> Result<Outcome<P>, ExecError> {
         let n = self.graph.node_count();
         if self.budget == Some(0) {
@@ -767,14 +624,6 @@ impl<'g, P: Protocol> Simulation<'g, P> {
                     inputs: inputs.len(),
                 });
             }
-        }
-        #[cfg(feature = "parallel")]
-        if self.policy.is_some() && matches!(self.backend, Backend::Async(_)) {
-            return Err(ExecError::Config {
-                reason: "the Async backend has no parallel schedule: remove the \
-                         ParallelPolicy or select a lockstep backend"
-                    .into(),
-            });
         }
         let zeros = if self.inputs.is_none() {
             vec![0usize; n]
@@ -808,8 +657,8 @@ impl<'g, P: Protocol> Simulation<'g, P> {
 /// backend. Resuming under a different value of any of these would
 /// silently diverge from the uninterrupted run, so a mismatch is
 /// rejected up front. Knobs that provably cannot affect outcomes —
-/// worker count, merge strategy, event-scheduler kind, bucket width,
-/// patch mode, budget — are deliberately *excluded*: resuming a serial
+/// worker count, merge strategy, event-scheduler kind, patch mode,
+/// budget — are deliberately *excluded*: resuming a serial
 /// run on the parallel schedule (or across worker counts, or heap →
 /// wheel) is a supported feature, not a configuration error.
 fn config_digest(

@@ -3,7 +3,7 @@
 //!
 //! A [`Snapshot`] captures everything a mid-run simulation owns at a
 //! round (lockstep) or step (asynchronous) boundary: the
-//! [`crate::engine::PortPlanes`] letter array and epoch, every per-node
+//! [`crate::engine::FlatPorts`] letter array, every per-node
 //! protocol state, the decided/undecided counters, the full internal
 //! state of every per-node RNG stream (via the compat `rand` shim's
 //! `SeedState` capture/restore API), the asynchronous event backlog with
@@ -17,13 +17,12 @@
 //! # Boundary-only guarantee
 //!
 //! Checkpoints are taken only at round boundaries (lockstep backends:
-//! after the round's deliveries have landed and the epoch has flipped) or
-//! step boundaries (async backend: after a node step and its rescheduling
-//! completed). At those points the engine state is closed — the frozen
-//! read plane, the write plane, and the epoch coincide in one backing
-//! array, all in-flight work is either landed or explicitly queued — so
-//! the PR-5 frozen-read-plane and PR-6 boundary-only-churn bit-identity
-//! arguments carry over to a resumed run unchanged. There is no
+//! after the round's deliveries have landed) or step boundaries (async
+//! backend: after a node step and its rescheduling completed). At those
+//! points the engine state is closed — every delivery of the round has
+//! landed on the one port store, all in-flight work is either landed or
+//! explicitly queued — so the frozen-store and boundary-only-churn
+//! bit-identity arguments carry over to a resumed run unchanged. There is no
 //! mid-round snapshot: [`crate::Simulation::checkpoint_every`] counts
 //! boundaries.
 //!
@@ -52,9 +51,14 @@
 //! builder and rejects mismatches with a typed
 //! [`crate::ExecError::Snapshot`] instead of resuming garbage.
 //! Deliberately *excluded* from the digests: worker count, merge
-//! strategy, scheduler kind, bucket width, and the budget — runs
-//! are bit-identical across all of those, so a snapshot taken under one
-//! may resume under another.
+//! strategy, scheduler kind, and the budget — runs are bit-identical
+//! across all of those, so a snapshot taken under one may resume under
+//! another.
+//!
+//! A lockstep body keeps an *epoch* word after its round, sent and
+//! undecided counters, so the layout of version 2 frames holds. The
+//! word repeats the round, and a frame whose epoch word differs from its
+//! round is rejected with [`SnapshotError::DigestMismatch`] (`"epoch"`).
 //!
 //! # Example
 //!
@@ -111,7 +115,7 @@ use rand::rngs::{SeedState, SmallRng};
 use stoneage_core::Letter;
 use stoneage_graph::Graph;
 
-use crate::engine::{FlatPorts, PortPlanes};
+use crate::engine::FlatPorts;
 use crate::faults::FaultSummary;
 use crate::scoped::ScopedDelivery;
 use crate::ExecError;
@@ -762,7 +766,7 @@ pub(crate) struct LockstepCapture<'a, S> {
     pub round: u64,
     pub sent: u64,
     pub undecided: u64,
-    pub planes: &'a PortPlanes,
+    pub ports: &'a FlatPorts,
     pub states: &'a [S],
     pub rngs: &'a [SmallRng],
     /// The scoped-delivery transcript so far (scoped backend only).
@@ -795,8 +799,9 @@ pub(crate) fn encode_lockstep<S>(
     w.u64(cap.round);
     w.u64(cap.sent);
     w.u64(cap.undecided);
-    w.u64(cap.planes.epoch());
-    let letters = cap.planes.read().letters();
+    // The epoch word, which the frame layout keeps: always the round.
+    w.u64(cap.round);
+    let letters = cap.ports.letters();
     w.u64(letters.len() as u64);
     for &l in letters {
         w.u16(l.0);
@@ -848,7 +853,6 @@ pub(crate) struct LockstepResume<S> {
     pub round: u64,
     pub sent: u64,
     pub undecided: u64,
-    pub epoch: u64,
     pub letters: Vec<Letter>,
     pub states: Vec<S>,
     pub rngs: Vec<SmallRng>,
@@ -884,7 +888,9 @@ fn decode_lockstep_inner<S>(
     let round = r.u64()?;
     let sent = r.u64()?;
     let undecided = r.u64()?;
-    let epoch = r.u64()?;
+    if r.u64()? != round {
+        return Err(SnapshotError::DigestMismatch { field: "epoch" });
+    }
     if r.u64()? != slots as u64 {
         return Err(SnapshotError::DigestMismatch {
             field: "port slot count",
@@ -935,7 +941,6 @@ fn decode_lockstep_inner<S>(
         round,
         sent,
         undecided,
-        epoch,
         letters,
         states,
         rngs,
@@ -946,11 +951,11 @@ fn decode_lockstep_inner<S>(
 }
 
 /// A decoded lockstep snapshot spliced into live engine parts: the
-/// restored planes (letters + canonically recomputed counts + epoch),
+/// restored port store (letters + canonically recomputed counts),
 /// states, RNG streams, optional witness transcript and churn cursor,
 /// and the loop counters as a [`ResumePoint`].
 pub(crate) struct LockstepSplice<S> {
-    pub planes: PortPlanes,
+    pub ports: FlatPorts,
     pub states: Vec<S>,
     pub rngs: Vec<SmallRng>,
     pub witness: Option<Vec<ScopedDelivery>>,
@@ -970,10 +975,7 @@ pub(crate) fn resume_lockstep<S>(
 ) -> Result<LockstepSplice<S>, ExecError> {
     let res = decode_lockstep(snap, codec, graph.node_count(), graph.port_slot_count())?;
     Ok(LockstepSplice {
-        planes: PortPlanes::from_parts(
-            FlatPorts::from_letters(graph, sigma, res.letters),
-            res.epoch,
-        ),
+        ports: FlatPorts::from_letters(graph, sigma, res.letters),
         states: res.states,
         rngs: res.rngs,
         witness: res.witness,

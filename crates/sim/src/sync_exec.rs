@@ -12,9 +12,8 @@
 //!
 //! [`SyncStep`] is the [`RoundStep`] of this backend; the round loops,
 //! the parallel schedule, churn, faults and checkpoints are the shared
-//! [`crate::pipeline`], over the epoch-split
-//! [`crate::engine::PortPlanes`] store. A round allocates nothing: ports
-//! live in a flat CSR-indexed store with incremental per-letter counts
+//! [`crate::pipeline`]. A round allocates nothing: ports live in a flat
+//! CSR-indexed store with incremental per-letter counts
 //! ([`crate::engine::FlatPorts`]), observations refill a scratch
 //! [`ObsVec`], deliveries resolve through the graph's precomputed
 //! reverse-port map into a reused write buffer, and termination is
@@ -40,46 +39,6 @@ use crate::pipeline::{DeliverySink, RoundStep};
 use crate::scoped::ScopedDelivery;
 use crate::sim::Detail;
 use crate::snapshot;
-
-/// Configuration of a synchronous execution.
-#[derive(Clone, Copy, Debug)]
-pub struct SyncConfig {
-    /// Master seed for the per-node protocol RNGs.
-    pub seed: u64,
-    /// Round budget: exceeding it aborts with [`crate::ExecError::RoundLimit`].
-    pub max_rounds: u64,
-}
-
-impl Default for SyncConfig {
-    fn default() -> Self {
-        SyncConfig {
-            seed: 0,
-            max_rounds: 1_000_000,
-        }
-    }
-}
-
-impl SyncConfig {
-    /// A config with the given seed and the default round budget.
-    pub fn seeded(seed: u64) -> Self {
-        SyncConfig {
-            seed,
-            ..Default::default()
-        }
-    }
-}
-
-/// Result of a synchronous execution that reached an output configuration.
-#[derive(Clone, Debug)]
-pub struct SyncOutcome {
-    /// Per-node outputs, decoded from the output states.
-    pub outputs: Vec<u64>,
-    /// Rounds until the first output configuration (the paper's run-time
-    /// measure in the synchronous setting).
-    pub rounds: u64,
-    /// Total non-`ε` transmissions.
-    pub messages_sent: u64,
-}
 
 /// The [`RoundStep`] of plain `MultiFsm` protocols: sample δ, then
 /// resolve any non-`ε` emission as a full broadcast (which consumes no
@@ -158,73 +117,10 @@ impl<P: MultiFsm> RoundStep for SyncStep<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{Observer, Simulation};
+    use crate::sim::{Observer, Outcome, Simulation};
     use crate::ExecError;
     use stoneage_core::{Alphabet, AsMulti, TableProtocol, TableProtocolBuilder, Transitions};
     use stoneage_graph::generators;
-
-    // These in-crate unit tests cannot use `stoneage_testkit::harness`
-    // (the dev-dependency cycle links testkit against the *other* build
-    // of this crate, so its types don't unify with `crate::` under
-    // cfg(test)) — so the builder-backed twins live here.
-
-    /// Builder twin of the legacy `run_sync`.
-    fn run_sync<P>(
-        protocol: &P,
-        graph: &Graph,
-        config: &SyncConfig,
-    ) -> Result<SyncOutcome, ExecError>
-    where
-        P: MultiFsm + Sync,
-        P::State: Send + Sync,
-    {
-        Simulation::sync(protocol, graph)
-            .seed(config.seed)
-            .budget(config.max_rounds)
-            .run()
-            .map(|o| o.into_sync_outcome().expect("sync backend"))
-    }
-
-    /// Builder twin of the legacy `run_sync_with_inputs`.
-    fn run_sync_with_inputs<P>(
-        protocol: &P,
-        graph: &Graph,
-        inputs: &[usize],
-        config: &SyncConfig,
-    ) -> Result<SyncOutcome, ExecError>
-    where
-        P: MultiFsm + Sync,
-        P::State: Send + Sync,
-    {
-        Simulation::sync(protocol, graph)
-            .seed(config.seed)
-            .budget(config.max_rounds)
-            .inputs(inputs)
-            .run()
-            .map(|o| o.into_sync_outcome().expect("sync backend"))
-    }
-
-    /// Builder twin of the legacy `run_sync_observed`.
-    fn run_sync_observed<P, O>(
-        protocol: &P,
-        graph: &Graph,
-        inputs: &[usize],
-        config: &SyncConfig,
-        observer: &mut O,
-    ) -> Result<SyncOutcome, ExecError>
-    where
-        P: MultiFsm + Sync,
-        P::State: Send + Sync,
-        O: Observer<P::State>,
-    {
-        Simulation::sync(protocol, graph)
-            .seed(config.seed)
-            .budget(config.max_rounds)
-            .inputs(inputs)
-            .observe(observer)
-            .run()
-            .map(|o| o.into_sync_outcome().expect("sync backend"))
-    }
 
     /// Single-letter protocol: round 1 every node beeps; from round 2 a
     /// node outputs 1 + f₂(#beeps heard).
@@ -243,19 +139,26 @@ mod tests {
         builder.build().unwrap()
     }
 
+    /// `protocol` on `graph`, lockstep, from all-zero inputs.
+    fn run(protocol: &TableProtocol, graph: &Graph, seed: u64) -> Outcome<AsMulti<TableProtocol>> {
+        Simulation::sync(&AsMulti(protocol.clone()), graph)
+            .seed(seed)
+            .run()
+            .unwrap()
+    }
+
     #[test]
     fn counting_protocol_observes_degrees() {
         // On a star with b = 3: center sees ≥3 beeps, leaves see 1.
         let g = generators::star(6);
-        let p = AsMulti(count_neighbors(3));
-        let out = run_sync(&p, &g, &SyncConfig::seeded(1)).unwrap();
-        assert_eq!(out.rounds, 2);
+        let out = run(&count_neighbors(3), &g, 1);
+        assert_eq!(out.rounds(), Some(2));
         assert_eq!(out.outputs[0], 1 + 3); // truncated: ≥3
         for v in 1..6 {
             assert_eq!(out.outputs[v], 1 + 1);
         }
         // Every node transmitted exactly once.
-        assert_eq!(out.messages_sent, 6);
+        assert_eq!(out.messages_sent(), Some(6));
     }
 
     #[test]
@@ -263,8 +166,7 @@ mod tests {
         // With b = 1 (the beeping bound) the center of a star cannot
         // distinguish its high degree from 1.
         let g = generators::star(6);
-        let p = AsMulti(count_neighbors(1));
-        let out = run_sync(&p, &g, &SyncConfig::seeded(1)).unwrap();
+        let out = run(&count_neighbors(1), &g, 1);
         assert_eq!(out.outputs[0], 2);
         assert_eq!(out.outputs[1], 2);
     }
@@ -272,8 +174,7 @@ mod tests {
     #[test]
     fn isolated_nodes_observe_zero() {
         let g = stoneage_graph::Graph::empty(3);
-        let p = AsMulti(count_neighbors(2));
-        let out = run_sync(&p, &g, &SyncConfig::seeded(0)).unwrap();
+        let out = run(&count_neighbors(2), &g, 0);
         assert_eq!(out.outputs, vec![1, 1, 1]);
     }
 
@@ -287,15 +188,7 @@ mod tests {
         b.set_transition_all(s, Transitions::det(s, None));
         let p = AsMulti(b.build().unwrap());
         let g = generators::path(3);
-        let err = run_sync(
-            &p,
-            &g,
-            &SyncConfig {
-                seed: 0,
-                max_rounds: 10,
-            },
-        )
-        .unwrap_err();
+        let err = Simulation::sync(&p, &g).budget(10).run().unwrap_err();
         assert_eq!(
             err,
             ExecError::RoundLimit {
@@ -309,7 +202,7 @@ mod tests {
     fn input_mismatch_is_reported() {
         let p = AsMulti(count_neighbors(1));
         let g = generators::path(3);
-        let err = run_sync_with_inputs(&p, &g, &[0, 0], &SyncConfig::default()).unwrap_err();
+        let err = Simulation::sync(&p, &g).inputs(&[0, 0]).run().unwrap_err();
         assert!(matches!(err, ExecError::InputLengthMismatch { .. }));
     }
 
@@ -330,7 +223,10 @@ mod tests {
         b.set_transition_all(o1, Transitions::det(o1, None));
         let p = AsMulti(b.build().unwrap());
         let g = generators::path(4);
-        let out = run_sync_with_inputs(&p, &g, &[0, 1, 1, 0], &SyncConfig::default()).unwrap();
+        let out = Simulation::sync(&p, &g)
+            .inputs(&[0, 1, 1, 0])
+            .run()
+            .unwrap();
         assert_eq!(out.outputs, vec![100, 200, 200, 100]);
     }
 
@@ -354,9 +250,7 @@ mod tests {
         b.set_transition(wait2, 1, Transitions::det(yes, None));
         b.set_transition_all(no, Transitions::det(no, None));
         b.set_transition_all(yes, Transitions::det(yes, None));
-        let p = AsMulti(b.build().unwrap());
-        let g = generators::path(2);
-        let out = run_sync(&p, &g, &SyncConfig::seeded(3)).unwrap();
+        let out = run(&b.build().unwrap(), &generators::path(2), 3);
         assert_eq!(out.outputs, vec![1, 1]);
     }
 
@@ -371,19 +265,17 @@ mod tests {
         let p = AsMulti(count_neighbors(1));
         let g = generators::cycle(5);
         let mut obs = Counter(0);
-        let inputs = vec![0; 5];
-        let out = run_sync_observed(&p, &g, &inputs, &SyncConfig::seeded(0), &mut obs).unwrap();
-        assert_eq!(obs.0, out.rounds);
+        let out = Simulation::sync(&p, &g).observe(&mut obs).run().unwrap();
+        assert_eq!(Some(obs.0), out.rounds());
     }
 
     #[test]
     fn determinism_per_seed() {
         let g = generators::gnp(30, 0.2, 5);
-        let p = AsMulti(count_neighbors(2));
-        let a = run_sync(&p, &g, &SyncConfig::seeded(7)).unwrap();
-        let b = run_sync(&p, &g, &SyncConfig::seeded(7)).unwrap();
+        let a = run(&count_neighbors(2), &g, 7);
+        let b = run(&count_neighbors(2), &g, 7);
         assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a.rounds(), b.rounds());
     }
 
     #[test]
@@ -394,10 +286,8 @@ mod tests {
         let d = b.add_output_state("d", Letter(0), 9);
         b.add_input_state(d);
         b.set_transition_all(d, Transitions::det(d, None));
-        let p = AsMulti(b.build().unwrap());
-        let g = generators::path(2);
-        let out = run_sync(&p, &g, &SyncConfig::default()).unwrap();
-        assert_eq!(out.rounds, 0);
+        let out = run(&b.build().unwrap(), &generators::path(2), 0);
+        assert_eq!(out.rounds(), Some(0));
         assert_eq!(out.outputs, vec![9, 9]);
     }
 }

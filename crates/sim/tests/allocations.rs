@@ -25,7 +25,7 @@ use stoneage_core::{SingleLetter, Synchronized};
 use stoneage_graph::{generators, TopologyEvent};
 use stoneage_protocols::MisProtocol;
 use stoneage_sim::adversary::UniformRandom;
-use stoneage_sim::{CalendarQueue, ChurnPlan, FaultPlan, Simulation};
+use stoneage_sim::{CalendarQueue, ChurnPlan, Detail, FaultPlan, Simulation};
 
 /// The system allocator, counting every allocation and reallocation
 /// made on the calling thread. The test harness runs tests on parallel
@@ -117,8 +117,15 @@ fn pipeline_allocations(plan: &str) -> (u64, u64) {
         "faults" => assert!(outcome.faults().expect("fault summary").duplicated > 0),
         _ => {}
     }
-    let out = outcome.into_async_outcome().expect("async backend");
-    (allocations, out.total_steps + out.deliveries)
+    let Detail::Async {
+        total_steps,
+        deliveries,
+        ..
+    } = outcome.detail
+    else {
+        unreachable!("an asynchronous run");
+    };
+    (allocations, total_steps + deliveries)
 }
 
 fn assert_pipeline_budget(plan: &str) {

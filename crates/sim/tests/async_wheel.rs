@@ -7,8 +7,8 @@
 //! batched delivery) produces outcomes **bit-identical per seed** to the
 //! preserved [`SchedulerKind::BinaryHeap`] path — across graph families,
 //! adversary policies (including latency schedules that collide many
-//! arrivals into one bucket), protocols, event budgets, and bucket
-//! widths. Pinned fingerprints on gnp/tree/grid additionally guard both
+//! arrivals into one bucket), protocols, and event budgets. Pinned
+//! fingerprints on gnp/tree/grid additionally guard both
 //! paths against silent drift, and so do pinned runs of the compiled MIS
 //! pipeline `Synchronized<SingleLetter<MisProtocol>>` that the `async-mis`
 //! benchmark workload runs.
@@ -23,14 +23,13 @@
 //! path.
 
 use proptest::prelude::*;
-use stoneage_core::{SingleLetter, Synchronized};
+use stoneage_core::{Fsm, SingleLetter, Synchronized};
 use stoneage_graph::{generators, validate, Graph, NodeId, TopologyEvent};
 use stoneage_protocols::{decode_mis, MisProtocol};
 use stoneage_sim::{
-    Adversary, AsyncConfig, AsyncOptions, AsyncOutcome, Backend, ChurnPlan, ExecError, FaultPlan,
-    LinkFault, SchedulerKind, Simulation,
+    Adversary, ChurnPlan, Detail, ExecError, FaultPlan, LinkFault, Outcome, Protocol,
+    SchedulerKind, Simulation,
 };
-use stoneage_testkit::harness::run_async;
 use stoneage_testkit::{
     async_fingerprint, async_run_fingerprint, count_neighbors_quiet as count_neighbors,
     random_beeper, run_async_pinned, ASYNC_PINNED_CASES,
@@ -90,39 +89,21 @@ impl Adversary for Constant {
     }
 }
 
-fn heap_cfg(seed: u64) -> AsyncConfig {
-    AsyncConfig::seeded(seed).with_scheduler(SchedulerKind::BinaryHeap)
+/// `p` on `g` under `adv` from `seed`, on the heap and on the wheel.
+fn heap_and_wheel<P: Fsm>(p: &P, g: &Graph, adv: &dyn Adversary, seed: u64) -> [Outcome<P>; 2] {
+    [SchedulerKind::BinaryHeap, SchedulerKind::CalendarWheel].map(|scheduler| {
+        let sim = Simulation::asynchronous(p, g, adv).seed(seed);
+        sim.scheduler(scheduler).run().unwrap()
+    })
 }
 
-fn wheel_cfg(seed: u64) -> AsyncConfig {
-    AsyncConfig::seeded(seed).with_scheduler(SchedulerKind::CalendarWheel)
-}
-
-/// Bit-exact equality over every outcome field.
-fn assert_same(ctx: &str, wheel: &AsyncOutcome, heap: &AsyncOutcome) {
+/// Equality over every outcome field (the time fields compare as
+/// finite floats, hence bit for bit).
+fn assert_same<P: Protocol>(ctx: &str, wheel: &Outcome<P>, heap: &Outcome<P>) {
     assert_eq!(wheel.outputs, heap.outputs, "{ctx}: outputs");
-    assert_eq!(
-        wheel.completion_time.to_bits(),
-        heap.completion_time.to_bits(),
-        "{ctx}: completion_time {} vs {}",
-        wheel.completion_time,
-        heap.completion_time
-    );
-    assert_eq!(
-        wheel.time_unit.to_bits(),
-        heap.time_unit.to_bits(),
-        "{ctx}: time_unit"
-    );
-    assert_eq!(wheel.total_steps, heap.total_steps, "{ctx}: total_steps");
-    assert_eq!(
-        wheel.messages_sent, heap.messages_sent,
-        "{ctx}: messages_sent"
-    );
-    assert_eq!(wheel.deliveries, heap.deliveries, "{ctx}: deliveries");
-    assert_eq!(
-        wheel.lost_overwrites, heap.lost_overwrites,
-        "{ctx}: lost_overwrites"
-    );
+    assert_eq!(wheel.states, heap.states, "{ctx}: states");
+    assert_eq!(wheel.cost, heap.cost, "{ctx}: cost");
+    assert_eq!(wheel.detail, heap.detail, "{ctx}: detail");
 }
 
 fn graph_family() -> Vec<(&'static str, Graph)> {
@@ -144,9 +125,7 @@ fn wheel_matches_heap_across_families_and_adversaries() {
             .iter()
             .enumerate()
         {
-            let seed = 900 + i as u64;
-            let heap = run_async(&p, &g, adv, &heap_cfg(seed)).unwrap();
-            let wheel = run_async(&p, &g, adv, &wheel_cfg(seed)).unwrap();
+            let [heap, wheel] = heap_and_wheel(&p, &g, adv, 900 + i as u64);
             assert_same(&format!("{name}/{}", adv.name()), &wheel, &heap);
         }
     }
@@ -158,8 +137,7 @@ fn wheel_matches_heap_on_randomized_protocol() {
     for (name, g) in graph_family() {
         for seed in 70..73 {
             let adv = stoneage_sim::adversary::Exponential { seed, mean: 0.4 };
-            let heap = run_async(&p, &g, &adv, &heap_cfg(seed)).unwrap();
-            let wheel = run_async(&p, &g, &adv, &wheel_cfg(seed)).unwrap();
+            let [heap, wheel] = heap_and_wheel(&p, &g, &adv, seed);
             assert_same(&format!("{name}/seed{seed}"), &wheel, &heap);
         }
     }
@@ -224,11 +202,12 @@ fn colliding_arrivals_agree_and_do_collide() {
             ("constant".into(), &constant),
         ];
         for ((label, adv), want) in advs.into_iter().zip(pinned) {
-            let heap = run_async(&p, &g, adv, &heap_cfg(6)).unwrap();
-            let wheel = run_async(&p, &g, adv, &wheel_cfg(6)).unwrap();
+            let [heap, wheel] = heap_and_wheel(&p, &g, adv, 6);
             assert_same(&format!("{name}/{label}"), &wheel, &heap);
             // Sanity: the collision workload actually delivers in bulk.
-            assert!(wheel.deliveries > 0, "{name}/{label}");
+            let delivered =
+                matches!(wheel.detail, Detail::Async { deliveries, .. } if deliveries > 0);
+            assert!(delivered, "{name}/{label}");
             let got = async_fingerprint(&heap);
             if got != want {
                 drift.push(format!("{name}/{label}: {got:#018x} != {want:#018x}"));
@@ -458,26 +437,20 @@ fn event_limit_is_identical_under_the_wheel() {
                 let mut sim = Simulation::asynchronous(&p, g, adv)
                     .seed(2)
                     .budget(budget)
-                    .backend(Backend::Async(
-                        AsyncOptions::new(adv).with_scheduler(scheduler),
-                    ));
+                    .scheduler(scheduler);
                 match plan {
                     "churn" => sim = sim.with_churn(&churn),
                     "dup" => sim = sim.with_faults(&dup),
                     _ => {}
                 }
-                sim.run().map(|o| {
-                    let summaries = (o.churn().cloned(), o.faults().copied());
-                    (o.into_async_outcome().expect("async backend"), summaries)
-                })
+                sim.run()
             };
             let heap = run(SchedulerKind::BinaryHeap);
             let wheel = run(SchedulerKind::CalendarWheel);
             let got = match (wheel, heap) {
-                (Ok((w, ws)), Ok((h, hs))) => {
+                (Ok(w), Ok(h)) => {
                     assert_same(&ctx, &w, &h);
-                    assert_eq!(ws, hs, "{ctx}: summaries");
-                    Budgeted::Done(async_run_fingerprint(&h, hs.0.as_ref(), hs.1.as_ref()))
+                    Budgeted::Done(async_run_fingerprint(&h))
                 }
                 (Err(w), Err(h)) => {
                     assert_eq!(w, h, "{ctx}");
@@ -488,7 +461,11 @@ fn event_limit_is_identical_under_the_wheel() {
                         other => panic!("{ctx}: unexpected error {other:?}"),
                     }
                 }
-                (w, h) => panic!("{ctx}: outcome kinds diverge: {w:?} vs {h:?}"),
+                (w, h) => panic!(
+                    "{ctx}: outcome kinds diverge: {:?} vs {:?}",
+                    w.err(),
+                    h.err()
+                ),
             };
             if got != want {
                 drift.push(format!("{ctx}: {got:?} != {want:?}"));
@@ -565,18 +542,14 @@ fn pinned_compiled_mis_fingerprints_on_both_schedulers() {
         for scheduler in [SchedulerKind::BinaryHeap, SchedulerKind::CalendarWheel] {
             let out = Simulation::asynchronous(&p, &g, &adv)
                 .seed(seed)
-                .backend(Backend::Async(
-                    AsyncOptions::new(&adv).with_scheduler(scheduler),
-                ))
+                .scheduler(scheduler)
                 .run()
-                .expect("the compiled MIS terminates")
-                .into_async_outcome()
-                .expect("async backend");
+                .expect("the compiled MIS terminates");
             assert!(
                 validate::is_maximal_independent_set(&g, &decode_mis(&out.outputs)),
                 "seed {seed} [{scheduler:?}]: not a maximal independent set"
             );
-            let got = async_run_fingerprint(&out, None, None);
+            let got = async_run_fingerprint(&out);
             if got != want {
                 drift.push(format!(
                     "({seed}, {got:#018x}) != {want:#018x} [{scheduler:?}]"
@@ -607,12 +580,10 @@ proptest! {
         let g = generators::gnp(n, pr, gseed);
         let p = Synchronized::new(random_beeper(3, 2));
         let adv = stoneage_sim::adversary::Exponential { seed, mean };
-        let heap = run_async(&p, &g, &adv, &heap_cfg(seed)).unwrap();
-        let wheel = run_async(&p, &g, &adv, &wheel_cfg(seed)).unwrap();
+        let [heap, wheel] = heap_and_wheel(&p, &g, &adv, seed);
         prop_assert_eq!(wheel.outputs, heap.outputs);
-        prop_assert_eq!(wheel.completion_time.to_bits(), heap.completion_time.to_bits());
-        prop_assert_eq!(wheel.total_steps, heap.total_steps);
-        prop_assert_eq!(wheel.deliveries, heap.deliveries);
-        prop_assert_eq!(wheel.lost_overwrites, heap.lost_overwrites);
+        prop_assert_eq!(wheel.states, heap.states);
+        prop_assert_eq!(wheel.cost, heap.cost);
+        prop_assert_eq!(wheel.detail, heap.detail);
     }
 }

@@ -10,17 +10,16 @@
 //! The scheduler-differential and parallel-vs-serial tests additionally
 //! pin the builder against its own independent engines, and the
 //! `ExecError::Config` tests pin the builder's invalid-state reporting
-//! (mismatched backend, zero budget, parallel policy on the Async
-//! backend) — errors, not panics.
+//! (zero budget, zero checkpoint cadence, parallel policy on an
+//! asynchronous simulation) — errors, not panics. A backend the
+//! protocol cannot drive needs no test: the constructor fixes the
+//! backend, so no builder can select another one.
 
 use proptest::prelude::*;
 use stoneage_core::{AsMulti, Synchronized};
-use stoneage_graph::{generators, Graph, TopologyEvent};
+use stoneage_graph::{generators, Graph};
 use stoneage_sim::adversary::{standard_panel, UniformRandom};
-use stoneage_sim::{
-    AsyncOptions, Backend, ChurnPlan, Cost, ExecError, Observer, ParallelPolicy, SchedulerKind,
-    Simulation,
-};
+use stoneage_sim::{Cost, ExecError, Observer, SchedulerKind, Simulation};
 use stoneage_testkit::{
     async_fingerprint, count_neighbors, count_neighbors_quiet, fnv1a, random_beeper,
     scoped_fingerprint, sync_fingerprint, Poke,
@@ -54,21 +53,11 @@ fn sync_builder_reproduces_legacy_pinned_fingerprints() {
         for (gname, g) in graph_family() {
             let inputs = vec![0usize; g.node_count()];
             for seed in 0..4 {
-                let built = Simulation::sync(&p, &g)
-                    .seed(seed)
-                    .run()
-                    .unwrap()
-                    .into_sync_outcome()
-                    .unwrap();
+                let built = Simulation::sync(&p, &g).seed(seed).run().unwrap();
                 // Explicit all-zero inputs are the documented default:
                 // the two call shapes must not diverge.
-                let built_inputs = Simulation::sync(&p, &g)
-                    .seed(seed)
-                    .inputs(&inputs)
-                    .run()
-                    .unwrap()
-                    .into_sync_outcome()
-                    .unwrap();
+                let sim = Simulation::sync(&p, &g).seed(seed).inputs(&inputs);
+                let built_inputs = sim.run().unwrap();
                 assert_eq!(
                     sync_fingerprint(&built),
                     sync_fingerprint(&built_inputs),
@@ -100,8 +89,6 @@ fn observed_runs_agree_and_fire_identically() {
         .seed(11)
         .inputs(&inputs)
         .run()
-        .unwrap()
-        .into_sync_outcome()
         .unwrap();
 
     let mut built_obs = LastRound(0);
@@ -110,8 +97,6 @@ fn observed_runs_agree_and_fire_identically() {
         .inputs(&inputs)
         .observe(&mut built_obs)
         .run()
-        .unwrap()
-        .into_sync_outcome()
         .unwrap();
 
     assert_eq!(
@@ -119,7 +104,11 @@ fn observed_runs_agree_and_fire_identically() {
         sync_fingerprint(&built),
         "attaching an observer must not perturb the run"
     );
-    assert_eq!(built_obs.0, built.rounds, "observer saw every round");
+    assert_eq!(
+        Some(built_obs.0),
+        built.rounds(),
+        "observer saw every round"
+    );
 }
 
 /// Combined fingerprint over (graph family × standard adversary panel)
@@ -136,15 +125,8 @@ fn async_builder_reproduces_legacy_pinned_on_both_schedulers() {
             let seed = 400 + i as u64;
             let mut by_scheduler = Vec::new();
             for scheduler in [SchedulerKind::CalendarWheel, SchedulerKind::BinaryHeap] {
-                let built = Simulation::asynchronous(&p, &g, adv)
-                    .seed(seed)
-                    .backend(Backend::Async(
-                        AsyncOptions::new(adv).with_scheduler(scheduler),
-                    ))
-                    .run()
-                    .unwrap()
-                    .into_async_outcome()
-                    .unwrap();
+                let sim = Simulation::asynchronous(&p, &g, adv).seed(seed);
+                let built = sim.scheduler(scheduler).run().unwrap();
                 by_scheduler.push(async_fingerprint(&built));
             }
             assert_eq!(
@@ -168,15 +150,11 @@ fn async_explicit_zero_inputs_match_the_default() {
     let defaulted = Simulation::asynchronous(&p, &g, &adv)
         .seed(3)
         .run()
-        .unwrap()
-        .into_async_outcome()
         .unwrap();
     let explicit = Simulation::asynchronous(&p, &g, &adv)
         .seed(3)
         .inputs(&inputs)
         .run()
-        .unwrap()
-        .into_async_outcome()
         .unwrap();
     assert_eq!(async_fingerprint(&defaulted), async_fingerprint(&explicit));
 }
@@ -195,18 +173,15 @@ fn scoped_builder_reproduces_legacy_pinned_including_the_witness() {
                 .seed(seed)
                 .budget(100)
                 .run()
-                .unwrap()
-                .into_scoped_outcome()
                 .unwrap();
             let again = Simulation::scoped(&Poke::new(), &g)
                 .seed(seed)
                 .budget(100)
                 .run()
-                .unwrap()
-                .into_scoped_outcome()
                 .unwrap();
             assert_eq!(
-                built.scoped_deliveries, again.scoped_deliveries,
+                built.scoped_deliveries(),
+                again.scoped_deliveries(),
                 "{name}/seed{seed}: witness transcript must be reproducible"
             );
             prints.push(scoped_fingerprint(&built));
@@ -275,115 +250,36 @@ fn builder_validates_inputs_for_every_backend() {
 fn invalid_builder_states_are_config_errors_not_panics() {
     let g = generators::path(4);
     let p = AsMulti(count_neighbors(1));
-
-    // Zero budget.
-    let err = Simulation::sync(&p, &g).budget(0).run().unwrap_err();
-    assert!(matches!(err, ExecError::Config { .. }), "{err}");
-
-    // Zero checkpoint cadence.
-    let err = Simulation::sync(&p, &g)
-        .checkpoint_every(0)
-        .run()
-        .unwrap_err();
-    assert!(matches!(err, ExecError::Config { .. }), "{err}");
-
-    // Backend the protocol's transition flavor cannot drive.
-    let err = Simulation::sync(&p, &g)
-        .backend(Backend::Scoped)
-        .run()
-        .unwrap_err();
-    assert!(matches!(err, ExecError::Config { .. }), "{err}");
-
     let pf = count_neighbors_quiet(1);
     let adv = UniformRandom { seed: 2 };
-    let err = Simulation::asynchronous(&pf, &g, &adv)
-        .backend(Backend::Sync)
-        .run()
-        .unwrap_err();
-    assert!(matches!(err, ExecError::Config { .. }), "{err}");
-
-    // Every constructor/backend mismatch, with and without a churn plan
-    // and (under `parallel`) a policy, names the constructor the
-    // selected backend needs. A policy on the Async backend is reported
-    // first, whichever constructor built the simulation.
     let poke = Poke::new();
-    let plan = ChurnPlan::new().at(1, TopologyEvent::Crash(0));
-    #[allow(unused_mut)]
-    let mut policies: Vec<Option<ParallelPolicy>> = vec![None];
-    #[cfg(feature = "parallel")]
-    policies.push(Some(ParallelPolicy::forced(2, Default::default())));
-    let backends = [
-        (Backend::Sync, "sync"),
-        (Backend::Scoped, "scoped"),
-        (Backend::Async(AsyncOptions::new(&adv)), "asynchronous"),
-    ];
-    let mut cases = 0;
-    for (backend, needs) in backends {
-        for churn in [None, Some(&plan)] {
-            for policy in &policies {
-                let errors = [
-                    (
-                        "sync",
-                        mismatch(Simulation::sync(&p, &g), backend, churn, policy),
-                    ),
-                    (
-                        "scoped",
-                        mismatch(Simulation::scoped(&poke, &g), backend, churn, policy),
-                    ),
-                    (
-                        "asynchronous",
-                        mismatch(
-                            Simulation::asynchronous(&pf, &g, &adv),
-                            backend,
-                            churn,
-                            policy,
-                        ),
-                    ),
-                ];
-                for (built_by, err) in errors {
-                    if built_by == needs {
-                        continue;
-                    }
-                    cases += 1;
-                    let cell = format!(
-                        "{built_by} built, {needs} backend, churn {}, policy {}",
-                        churn.is_some(),
-                        policy.is_some()
-                    );
-                    let Some(ExecError::Config { reason }) = err else {
-                        panic!("{cell}: {err:?}");
-                    };
-                    let named = if policy.is_some() && needs == "asynchronous" {
-                        "ParallelPolicy".to_string()
-                    } else {
-                        format!("Simulation::{needs}")
-                    };
-                    assert!(reason.contains(&named), "{cell}: {reason}");
-                }
-            }
-        }
-    }
-    assert_eq!(cases, 6 * 2 * policies.len());
-}
+    let config = |cell: &str, err: Option<ExecError>| {
+        assert!(
+            matches!(err, Some(ExecError::Config { .. })),
+            "{cell}: {err:?}"
+        );
+    };
 
-/// The error of one constructor/backend cell, or `None` if it ran.
-fn mismatch<'a, P: stoneage_core::Protocol>(
-    sim: Simulation<'a, P>,
-    backend: Backend<'a>,
-    churn: Option<&'a ChurnPlan>,
-    policy: &Option<ParallelPolicy>,
-) -> Option<ExecError> {
-    let mut sim = sim.backend(backend);
-    if let Some(plan) = churn {
-        sim = sim.with_churn(plan);
-    }
-    #[cfg(feature = "parallel")]
-    if let Some(policy) = policy {
-        sim = sim.parallel(*policy);
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = policy;
-    sim.run().err()
+    // A zero budget or checkpoint cadence, on every constructor. (The
+    // policy-on-Async check lives in the `parallel` module below.)
+    config(
+        "sync budget",
+        Simulation::sync(&p, &g).budget(0).run().err(),
+    );
+    let sim = Simulation::sync(&p, &g).checkpoint_every(0);
+    config("sync cadence", sim.run().err());
+    config(
+        "scoped budget",
+        Simulation::scoped(&poke, &g).budget(0).run().err(),
+    );
+    let sim = Simulation::scoped(&poke, &g).checkpoint_every(0);
+    config("scoped cadence", sim.run().err());
+    let asynchronous = || Simulation::asynchronous(&pf, &g, &adv);
+    config("async budget", asynchronous().budget(0).run().err());
+    config(
+        "async cadence",
+        asynchronous().checkpoint_every(0).run().err(),
+    );
 }
 
 proptest! {
@@ -424,10 +320,7 @@ proptest! {
         match (reference, permuted) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(&a.outputs, &b.outputs);
-                prop_assert_eq!(
-                    sync_fingerprint(&a.into_sync_outcome().unwrap()),
-                    sync_fingerprint(&b.into_sync_outcome().unwrap())
-                );
+                prop_assert_eq!(sync_fingerprint(&a), sync_fingerprint(&b));
             }
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
             (a, b) => prop_assert!(false, "outcome kinds diverge: {:?} vs {:?}", a, b),
@@ -438,25 +331,19 @@ proptest! {
 #[cfg(feature = "parallel")]
 mod parallel {
     use super::*;
-    use stoneage_sim::{MergeStrategy, ParallelPolicy};
+    use stoneage_graph::TopologyEvent;
+    use stoneage_sim::{ChurnPlan, MergeStrategy, ParallelPolicy};
     use stoneage_testkit::adversarial_worker_counts;
 
     #[test]
     fn parallel_builder_matches_the_serial_oracle_for_every_worker_count() {
         let p = AsMulti(random_beeper(5, 2));
         for (name, g) in graph_family() {
-            let serial = Simulation::sync(&p, &g)
-                .seed(7)
-                .run()
-                .unwrap()
-                .into_sync_outcome()
-                .unwrap();
+            let serial = Simulation::sync(&p, &g).seed(7).run().unwrap();
             let scoped_serial = Simulation::scoped(&Poke::new(), &g)
                 .seed(7)
                 .budget(100)
                 .run()
-                .unwrap()
-                .into_scoped_outcome()
                 .unwrap();
             for workers in adversarial_worker_counts() {
                 let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
@@ -473,7 +360,7 @@ mod parallel {
                 );
                 assert_eq!(
                     sync_fingerprint(&serial),
-                    sync_fingerprint(&built.into_sync_outcome().unwrap()),
+                    sync_fingerprint(&built),
                     "{name}/w{workers}"
                 );
 
@@ -490,7 +377,7 @@ mod parallel {
                 );
                 assert_eq!(
                     scoped_fingerprint(&scoped_serial),
-                    scoped_fingerprint(&built.into_scoped_outcome().unwrap()),
+                    scoped_fingerprint(&built),
                     "{name}/w{workers} (scoped)"
                 );
             }
@@ -519,10 +406,17 @@ mod parallel {
         let p = count_neighbors_quiet(1);
         let g = generators::path(4);
         let adv = UniformRandom { seed: 1 };
-        let err = Simulation::asynchronous(&p, &g, &adv)
-            .parallel(ParallelPolicy::default())
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, ExecError::Config { .. }), "{err}");
+        let plan = ChurnPlan::new().at(1, TopologyEvent::Crash(0));
+        for churn in [None, Some(&plan)] {
+            let mut sim =
+                Simulation::asynchronous(&p, &g, &adv).parallel(ParallelPolicy::default());
+            if let Some(plan) = churn {
+                sim = sim.with_churn(plan);
+            }
+            let Err(ExecError::Config { reason }) = sim.run() else {
+                panic!("churn {}: the policy must be rejected", churn.is_some());
+            };
+            assert!(reason.contains("ParallelPolicy"), "{reason}");
+        }
     }
 }

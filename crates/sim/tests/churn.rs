@@ -25,10 +25,7 @@ use proptest::prelude::*;
 use stoneage_core::{AsMulti, Synchronized};
 use stoneage_graph::{generators, Graph, NodeId, TopologyEvent};
 use stoneage_sim::adversary::UniformRandom;
-use stoneage_sim::{
-    AsyncOptions, Backend, ChurnPlan, ChurnSummary, Observer, PatchMode, SchedulerKind,
-    ScopedOutcome, Simulation, SyncOutcome,
-};
+use stoneage_sim::{ChurnPlan, Observer, Outcome, PatchMode, SchedulerKind, Simulation};
 use stoneage_testkit::{
     async_fingerprint, churn_fingerprint, count_neighbors, count_neighbors_quiet, random_beeper,
     run_churn_pinned, scoped_fingerprint, sync_fingerprint, Poke, CHURN_PINNED_CASES,
@@ -52,37 +49,16 @@ fn plan_for(g: &Graph, seed: u64) -> ChurnPlan {
     plan
 }
 
-fn run_sync_churn(
-    protocol: &AsMulti<stoneage_core::TableProtocol>,
-    g: &Graph,
-    seed: u64,
-    plan: &ChurnPlan,
-) -> (SyncOutcome, ChurnSummary) {
-    let outcome = Simulation::sync(protocol, g)
-        .seed(seed)
-        .with_churn(plan)
-        .run()
-        .expect("churn runs terminate");
-    let summary = outcome.churn().expect("plan was set").clone();
-    (outcome.into_sync_outcome().expect("sync backend"), summary)
+type SyncP = AsMulti<stoneage_core::TableProtocol>;
+
+fn run_sync_churn(protocol: &SyncP, g: &Graph, seed: u64, plan: &ChurnPlan) -> Outcome<SyncP> {
+    let sim = Simulation::sync(protocol, g).seed(seed).with_churn(plan);
+    sim.run().expect("churn runs terminate")
 }
 
-fn run_scoped_churn(
-    protocol: &Poke,
-    g: &Graph,
-    seed: u64,
-    plan: &ChurnPlan,
-) -> (ScopedOutcome, ChurnSummary) {
-    let outcome = Simulation::scoped(protocol, g)
-        .seed(seed)
-        .with_churn(plan)
-        .run()
-        .expect("churn runs terminate");
-    let summary = outcome.churn().expect("plan was set").clone();
-    (
-        outcome.into_scoped_outcome().expect("scoped backend"),
-        summary,
-    )
+fn run_scoped_churn(protocol: &Poke, g: &Graph, seed: u64, plan: &ChurnPlan) -> Outcome<Poke> {
+    let sim = Simulation::scoped(protocol, g).seed(seed).with_churn(plan);
+    sim.run().expect("churn runs terminate")
 }
 
 /// Contract 1 on the synchronous backend: incremental patching ≡ the
@@ -96,15 +72,13 @@ fn sync_incremental_patch_matches_oracle_rebuild() {
             let inc = plan.clone().with_mode(PatchMode::Incremental);
             let reb = plan.clone().with_mode(PatchMode::Rebuild);
             for protocol in [AsMulti(count_neighbors(3)), AsMulti(random_beeper(5, 2))] {
-                let (a, sa) = run_sync_churn(&protocol, &g, seed, &inc);
-                let (b, sb) = run_sync_churn(&protocol, &g, seed, &reb);
+                let a = run_sync_churn(&protocol, &g, seed, &inc);
+                let b = run_sync_churn(&protocol, &g, seed, &reb);
                 assert_eq!(a.outputs, b.outputs, "{name}/seed{seed}: outputs");
-                assert_eq!(a.rounds, b.rounds, "{name}/seed{seed}: rounds");
-                assert_eq!(
-                    a.messages_sent, b.messages_sent,
-                    "{name}/seed{seed}: messages"
-                );
-                assert_eq!(sa, sb, "{name}/seed{seed}: summaries");
+                assert_eq!(a.states, b.states, "{name}/seed{seed}: states");
+                assert_eq!(a.cost, b.cost, "{name}/seed{seed}: rounds");
+                // Messages and churn summaries.
+                assert_eq!(a.detail, b.detail, "{name}/seed{seed}: detail");
             }
         }
     }
@@ -118,20 +92,14 @@ fn scoped_incremental_patch_matches_oracle_rebuild() {
     for (name, g) in graph_family() {
         for seed in 0..3 {
             let plan = plan_for(&g, 300 + seed);
-            let (a, sa) = run_scoped_churn(
-                &p,
-                &g,
-                seed,
-                &plan.clone().with_mode(PatchMode::Incremental),
-            );
-            let (b, sb) =
-                run_scoped_churn(&p, &g, seed, &plan.clone().with_mode(PatchMode::Rebuild));
+            let [a, b] = [PatchMode::Incremental, PatchMode::Rebuild]
+                .map(|mode| run_scoped_churn(&p, &g, seed, &plan.clone().with_mode(mode)));
             assert_eq!(
                 scoped_fingerprint(&a),
                 scoped_fingerprint(&b),
                 "{name}/seed{seed}"
             );
-            assert_eq!(sa, sb, "{name}/seed{seed}: summaries");
+            assert_eq!(a.churn(), b.churn(), "{name}/seed{seed}: summaries");
         }
     }
 }
@@ -146,26 +114,17 @@ fn async_incremental_patch_matches_oracle_rebuild() {
         let adv = UniformRandom { seed: 13 };
         for seed in 0..3 {
             let plan = plan_for(&g, 500 + seed);
-            let run = |plan: &ChurnPlan| {
-                let outcome = Simulation::asynchronous(&p, &g, &adv)
-                    .seed(seed)
-                    .with_churn(plan)
-                    .run()
-                    .expect("churn runs terminate");
-                let summary = outcome.churn().expect("plan was set").clone();
-                (
-                    outcome.into_async_outcome().expect("async backend"),
-                    summary,
-                )
-            };
-            let (a, sa) = run(&plan.clone().with_mode(PatchMode::Incremental));
-            let (b, sb) = run(&plan.clone().with_mode(PatchMode::Rebuild));
+            let [a, b] = [PatchMode::Incremental, PatchMode::Rebuild].map(|mode| {
+                let plan = plan.clone().with_mode(mode);
+                let sim = Simulation::asynchronous(&p, &g, &adv).seed(seed);
+                sim.with_churn(&plan).run().expect("churn runs terminate")
+            });
             assert_eq!(
                 async_fingerprint(&a),
                 async_fingerprint(&b),
                 "{name}/seed{seed}"
             );
-            assert_eq!(sa, sb, "{name}/seed{seed}: summaries");
+            assert_eq!(a.churn(), b.churn(), "{name}/seed{seed}: summaries");
         }
     }
 }
@@ -177,13 +136,9 @@ fn empty_plan_is_bit_identical_to_churn_free_engine() {
     let empty = ChurnPlan::new();
     for (name, g) in graph_family() {
         let sync_p = AsMulti(random_beeper(4, 2));
-        let (with, summary) = run_sync_churn(&sync_p, &g, 7, &empty);
-        let without = Simulation::sync(&sync_p, &g)
-            .seed(7)
-            .run()
-            .unwrap()
-            .into_sync_outcome()
-            .unwrap();
+        let with = run_sync_churn(&sync_p, &g, 7, &empty);
+        let summary = with.churn().expect("a churn run");
+        let without = Simulation::sync(&sync_p, &g).seed(7).run().unwrap();
         assert_eq!(
             sync_fingerprint(&with),
             sync_fingerprint(&without),
@@ -197,13 +152,8 @@ fn empty_plan_is_bit_identical_to_churn_free_engine() {
         );
 
         let poke = Poke::new();
-        let (with, _) = run_scoped_churn(&poke, &g, 7, &empty);
-        let without = Simulation::scoped(&poke, &g)
-            .seed(7)
-            .run()
-            .unwrap()
-            .into_scoped_outcome()
-            .unwrap();
+        let with = run_scoped_churn(&poke, &g, 7, &empty);
+        let without = Simulation::scoped(&poke, &g).seed(7).run().unwrap();
         assert_eq!(
             scoped_fingerprint(&with),
             scoped_fingerprint(&without),
@@ -216,18 +166,11 @@ fn empty_plan_is_bit_identical_to_churn_free_engine() {
             .seed(7)
             .with_churn(&empty)
             .run()
-            .unwrap()
-            .into_async_outcome()
             .unwrap();
         let without = Simulation::asynchronous(&async_p, &g, &adv)
             .seed(7)
-            .backend(stoneage_sim::Backend::Async(
-                stoneage_sim::AsyncOptions::new(&adv)
-                    .with_scheduler(stoneage_sim::SchedulerKind::BinaryHeap),
-            ))
+            .scheduler(SchedulerKind::BinaryHeap)
             .run()
-            .unwrap()
-            .into_async_outcome()
             .unwrap();
         assert_eq!(
             async_fingerprint(&with),
@@ -268,9 +211,7 @@ fn async_churn_boundaries_apply_in_time_order() {
         Simulation::asynchronous(&p, g, &adv)
             .seed(seed)
             .with_churn(plan)
-            .backend(Backend::Async(
-                AsyncOptions::new(&adv).with_scheduler(queue),
-            ))
+            .scheduler(queue)
             .observe(observer)
             .run()
     };
@@ -290,17 +231,13 @@ fn async_churn_boundaries_apply_in_time_order() {
         ("restart-0", restart_one),
         ("crash-again", crash_again),
     ] {
-        let (sync, sync_summary) = run_sync_churn(&AsMulti(count_neighbors_quiet(2)), &g, 7, &plan);
+        let sync = run_sync_churn(&AsMulti(count_neighbors_quiet(2)), &g, 7, &plan);
         for queue in queues {
             let mut order = StepOrder::default();
             let async_outcome = run(&g, &plan, 7, queue, &mut order)
                 .unwrap_or_else(|e| panic!("{name}/{queue:?}: {e}"));
             assert_eq!(async_outcome.outputs, sync.outputs, "{name}/{queue:?}");
-            assert_eq!(
-                async_outcome.churn(),
-                Some(&sync_summary),
-                "{name}/{queue:?}"
-            );
+            assert_eq!(async_outcome.churn(), sync.churn(), "{name}/{queue:?}");
             assert_eq!(order.inversions, 0, "{name}/{queue:?}");
         }
     }
@@ -336,15 +273,16 @@ fn dead_node_outputs_and_live_set() {
     let p = AsMulti(count_neighbors(3));
     // Crash node 2 before it can decide (its decision lands at round 2).
     let plan = ChurnPlan::new().at(1, TopologyEvent::Crash(2));
-    let (out, summary) = run_sync_churn(&p, &g, 0, &plan);
+    let out = run_sync_churn(&p, &g, 0, &plan);
+    let summary = out.churn().expect("a churn run");
     assert_eq!(out.outputs[2], stoneage_sim::churn::DEAD_OUTPUT);
     assert!(!summary.live_nodes[2]);
     assert_eq!(summary.live_count(), 5);
     // Crash it after everyone decided: the decided output survives.
     let plan = ChurnPlan::new().at(4, TopologyEvent::Crash(2));
-    let (out, summary) = run_sync_churn(&p, &g, 0, &plan);
+    let out = run_sync_churn(&p, &g, 0, &plan);
     assert_eq!(out.outputs[2], 3, "cycle node heard both neighbors");
-    assert!(!summary.live_nodes[2]);
+    assert!(!out.churn().expect("a churn run").live_nodes[2]);
 }
 
 /// Contract 4: pinned churn fingerprints. Recorded when the subsystem
@@ -356,8 +294,7 @@ fn dead_node_outputs_and_live_set() {
 fn pinned_churn_fingerprints() {
     let mut drift = Vec::new();
     for (i, (name, seed)) in CHURN_PINNED_CASES.iter().enumerate() {
-        let (out, summary) = run_churn_pinned(name, *seed);
-        let got = churn_fingerprint(&out, &summary);
+        let got = churn_fingerprint(&run_churn_pinned(name, *seed));
         let want = PINNED_CHURN[i].2;
         if got != want {
             drift.push(format!("(\"{name}\", {seed}, {got:#018x}) != {want:#018x}"));
@@ -395,10 +332,11 @@ proptest! {
         let g = generators::gnp(n, pr, gseed);
         let plan = ChurnPlan::random(&g, pseed, events, 6);
         let protocol = AsMulti(random_beeper(4, 2));
-        let (a, sa) = run_sync_churn(&protocol, &g, seed, &plan.clone().with_mode(PatchMode::Incremental));
-        let (b, sb) = run_sync_churn(&protocol, &g, seed, &plan.clone().with_mode(PatchMode::Rebuild));
-        prop_assert_eq!(churn_fingerprint(&a, &sa), churn_fingerprint(&b, &sb));
+        let a = run_sync_churn(&protocol, &g, seed, &plan.clone().with_mode(PatchMode::Incremental));
+        let b = run_sync_churn(&protocol, &g, seed, &plan.clone().with_mode(PatchMode::Rebuild));
+        prop_assert_eq!(churn_fingerprint(&a), churn_fingerprint(&b));
         prop_assert_eq!(a.outputs, b.outputs);
+        prop_assert_eq!(a.states, b.states);
     }
 }
 
@@ -410,20 +348,14 @@ mod parallel {
     use stoneage_testkit::{adversarial_worker_counts as worker_counts, skewed_graph_family};
 
     fn run_sync_churn_par(
-        protocol: &AsMulti<stoneage_core::TableProtocol>,
+        protocol: &SyncP,
         g: &Graph,
         seed: u64,
         plan: &ChurnPlan,
-        policy: &ParallelPolicy,
-    ) -> (SyncOutcome, ChurnSummary) {
-        let outcome = Simulation::sync(protocol, g)
-            .seed(seed)
-            .with_churn(plan)
-            .parallel(*policy)
-            .run()
-            .expect("churn runs terminate");
-        let summary = outcome.churn().expect("plan was set").clone();
-        (outcome.into_sync_outcome().expect("sync backend"), summary)
+        policy: ParallelPolicy,
+    ) -> Outcome<SyncP> {
+        let sim = Simulation::sync(protocol, g).seed(seed).with_churn(plan);
+        sim.parallel(policy).run().expect("churn runs terminate")
     }
 
     fn run_scoped_churn_par(
@@ -431,19 +363,10 @@ mod parallel {
         g: &Graph,
         seed: u64,
         plan: &ChurnPlan,
-        policy: &ParallelPolicy,
-    ) -> (ScopedOutcome, ChurnSummary) {
-        let outcome = Simulation::scoped(protocol, g)
-            .seed(seed)
-            .with_churn(plan)
-            .parallel(*policy)
-            .run()
-            .expect("churn runs terminate");
-        let summary = outcome.churn().expect("plan was set").clone();
-        (
-            outcome.into_scoped_outcome().expect("scoped backend"),
-            summary,
-        )
+        policy: ParallelPolicy,
+    ) -> Outcome<Poke> {
+        let sim = Simulation::scoped(protocol, g).seed(seed).with_churn(plan);
+        sim.parallel(policy).run().expect("churn runs terminate")
     }
 
     /// Contract 2: the full adversarial matrix — worker counts × patch
@@ -456,28 +379,29 @@ mod parallel {
         for (name, g) in graph_family().into_iter().chain(skewed_graph_family()) {
             for seed in 0..2 {
                 let plan = plan_for(&g, 700 + seed);
-                let (serial_sync, serial_sync_sum) = run_sync_churn(&sync_p, &g, seed, &plan);
-                let (serial_scoped, serial_scoped_sum) = run_scoped_churn(&poke, &g, seed, &plan);
+                let serial_sync = run_sync_churn(&sync_p, &g, seed, &plan);
+                let serial_scoped = run_scoped_churn(&poke, &g, seed, &plan);
                 for workers in worker_counts() {
                     for mode in [PatchMode::Incremental, PatchMode::Rebuild] {
                         let cell = plan.clone().with_mode(mode);
                         let policy =
                             ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
                         let ctx = format!("{name}/seed{seed}/w{workers}/{mode:?}");
-                        let (p_out, p_sum) = run_sync_churn_par(&sync_p, &g, seed, &cell, &policy);
+                        let p_out = run_sync_churn_par(&sync_p, &g, seed, &cell, policy);
                         assert_eq!(
                             sync_fingerprint(&p_out),
                             sync_fingerprint(&serial_sync),
                             "{ctx}: sync"
                         );
-                        assert_eq!(p_sum, serial_sync_sum, "{ctx}: sync summary");
-                        let (s_out, s_sum) = run_scoped_churn_par(&poke, &g, seed, &cell, &policy);
+                        assert_eq!(p_out.churn(), serial_sync.churn(), "{ctx}: sync summary");
+                        let s_out = run_scoped_churn_par(&poke, &g, seed, &cell, policy);
                         assert_eq!(
                             scoped_fingerprint(&s_out),
                             scoped_fingerprint(&serial_scoped),
                             "{ctx}: scoped"
                         );
-                        assert_eq!(s_sum, serial_scoped_sum, "{ctx}: scoped summary");
+                        let summary = serial_scoped.churn();
+                        assert_eq!(s_out.churn(), summary, "{ctx}: scoped summary");
                     }
                 }
             }
@@ -493,9 +417,9 @@ mod parallel {
             let p = AsMulti(p);
             for workers in worker_counts() {
                 let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
-                let (out, summary) = run_sync_churn_par(&p, &g, *seed, &plan, &policy);
+                let out = run_sync_churn_par(&p, &g, *seed, &plan, policy);
                 assert_eq!(
-                    churn_fingerprint(&out, &summary),
+                    churn_fingerprint(&out),
                     PINNED_CHURN[i].2,
                     "{name}/seed{seed}/w{workers}"
                 );
@@ -558,9 +482,9 @@ mod parallel {
             let protocol = AsMulti(random_beeper(4, 2));
             let workers = worker_counts()[widx % worker_counts().len()];
             let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
-            let (a, sa) = run_sync_churn(&protocol, &g, seed, &plan);
-            let (b, sb) = run_sync_churn_par(&protocol, &g, seed, &plan, &policy);
-            prop_assert_eq!(churn_fingerprint(&a, &sa), churn_fingerprint(&b, &sb));
+            let a = run_sync_churn(&protocol, &g, seed, &plan);
+            let b = run_sync_churn_par(&protocol, &g, seed, &plan, policy);
+            prop_assert_eq!(churn_fingerprint(&a), churn_fingerprint(&b));
         }
     }
 }

@@ -28,8 +28,8 @@ use stoneage_core::{AsMulti, Letter, Synchronized};
 use stoneage_graph::{generators, Graph, TopologyEvent};
 use stoneage_sim::adversary::UniformRandom;
 use stoneage_sim::{
-    AsyncOptions, Backend, ChurnPlan, ExecError, FaultPlan, FaultSummary, LinkFault, Observer,
-    SchedulerKind, Simulation, Snapshot, SyncOutcome,
+    ChurnPlan, Detail, ExecError, FaultPlan, FaultSummary, LinkFault, Observer, Outcome,
+    SchedulerKind, Simulation, Snapshot,
 };
 use stoneage_testkit::{
     async_fingerprint, count_neighbors, count_neighbors_quiet, fault_fingerprint, random_beeper,
@@ -75,19 +75,16 @@ fn async_plan_for(g: &Graph, seed: u64) -> FaultPlan {
     plan
 }
 
-fn run_sync_faulted(
-    protocol: &AsMulti<stoneage_core::TableProtocol>,
-    g: &Graph,
-    seed: u64,
-    plan: &FaultPlan,
-) -> (SyncOutcome, FaultSummary) {
-    let outcome = Simulation::sync(protocol, g)
-        .seed(seed)
-        .with_faults(plan)
-        .run()
-        .expect("faulted runs terminate");
-    let summary = *outcome.faults().expect("plan was set");
-    (outcome.into_sync_outcome().expect("sync backend"), summary)
+type SyncP = AsMulti<stoneage_core::TableProtocol>;
+
+fn run_sync_faulted(protocol: &SyncP, g: &Graph, seed: u64, plan: &FaultPlan) -> Outcome<SyncP> {
+    let sim = Simulation::sync(protocol, g).seed(seed).with_faults(plan);
+    sim.run().expect("faulted runs terminate")
+}
+
+/// The fault tally of a run under a fault plan.
+fn tally<P: stoneage_sim::Protocol>(out: &Outcome<P>) -> FaultSummary {
+    *out.faults().expect("plan was set")
 }
 
 /// Contract 2: the rule-less plan is bit-identical to the fault-free
@@ -97,34 +94,26 @@ fn empty_plan_is_bit_identical_to_fault_free_engine() {
     let empty = FaultPlan::new(99);
     for (name, g) in graph_family() {
         let sync_p = AsMulti(random_beeper(4, 2));
-        let (with, summary) = run_sync_faulted(&sync_p, &g, 7, &empty);
-        let without = Simulation::sync(&sync_p, &g)
-            .seed(7)
-            .run()
-            .unwrap()
-            .into_sync_outcome()
-            .unwrap();
+        let with = run_sync_faulted(&sync_p, &g, 7, &empty);
+        let without = Simulation::sync(&sync_p, &g).seed(7).run().unwrap();
         assert_eq!(
             sync_fingerprint(&with),
             sync_fingerprint(&without),
             "{name}: sync"
         );
-        assert_eq!(summary, FaultSummary::default(), "{name}: zero summary");
+        assert_eq!(
+            tally(&with),
+            FaultSummary::default(),
+            "{name}: zero summary"
+        );
 
         let poke = Poke::new();
         let with = Simulation::scoped(&poke, &g)
             .seed(7)
             .with_faults(&empty)
             .run()
-            .unwrap()
-            .into_scoped_outcome()
             .unwrap();
-        let without = Simulation::scoped(&poke, &g)
-            .seed(7)
-            .run()
-            .unwrap()
-            .into_scoped_outcome()
-            .unwrap();
+        let without = Simulation::scoped(&poke, &g).seed(7).run().unwrap();
         assert_eq!(
             scoped_fingerprint(&with),
             scoped_fingerprint(&without),
@@ -141,17 +130,11 @@ fn empty_plan_is_bit_identical_to_fault_free_engine() {
             .seed(7)
             .with_faults(&empty)
             .run()
-            .unwrap()
-            .into_async_outcome()
             .unwrap();
         let without = Simulation::asynchronous(&async_p, &g, &adv)
             .seed(7)
-            .backend(Backend::Async(
-                AsyncOptions::new(&adv).with_scheduler(SchedulerKind::BinaryHeap),
-            ))
+            .scheduler(SchedulerKind::BinaryHeap)
             .run()
-            .unwrap()
-            .into_async_outcome()
             .unwrap();
         assert_eq!(
             async_fingerprint(&with),
@@ -169,56 +152,43 @@ fn faulted_runs_are_deterministic_on_all_backends() {
     for (name, g) in graph_family() {
         let plan = plan_for(&g, 1000);
         let sync_p = AsMulti(random_beeper(4, 2));
-        let (a, sa) = run_sync_faulted(&sync_p, &g, 3, &plan);
-        let (b, sb) = run_sync_faulted(&sync_p, &g, 3, &plan);
-        assert_eq!(
-            fault_fingerprint(&a, &sa),
-            fault_fingerprint(&b, &sb),
-            "{name}: sync"
-        );
+        let a = run_sync_faulted(&sync_p, &g, 3, &plan);
+        let b = run_sync_faulted(&sync_p, &g, 3, &plan);
+        assert_eq!(fault_fingerprint(&a), fault_fingerprint(&b), "{name}: sync");
+        let sa = tally(&a);
         assert!(sa.injected() > 0, "{name}: plan never fired");
         assert!(sa.evaluated >= sa.injected(), "{name}: tally sanity");
 
         let poke = Poke::new();
         let run_scoped = || {
-            let outcome = Simulation::scoped(&poke, &g)
-                .seed(3)
-                .with_faults(&plan)
-                .run()
-                .expect("faulted runs terminate");
-            let summary = *outcome.faults().expect("plan was set");
-            (outcome.into_scoped_outcome().unwrap(), summary)
+            let sim = Simulation::scoped(&poke, &g).seed(3).with_faults(&plan);
+            sim.run().expect("faulted runs terminate")
         };
-        let (a, sa) = run_scoped();
-        let (b, sb) = run_scoped();
+        let (a, b) = (run_scoped(), run_scoped());
         assert_eq!(
             scoped_fingerprint(&a),
             scoped_fingerprint(&b),
             "{name}: scoped"
         );
-        assert_eq!(sa, sb, "{name}: scoped summaries");
+        assert_eq!(tally(&a), tally(&b), "{name}: scoped summaries");
 
         let async_p = Synchronized::new(count_neighbors_quiet(2));
         let adv = UniformRandom { seed: 13 };
         let aplan = async_plan_for(&g, 1000);
         let run_async = || {
-            let outcome = Simulation::asynchronous(&async_p, &g, &adv)
-                .seed(3)
-                .with_faults(&aplan)
+            let sim = Simulation::asynchronous(&async_p, &g, &adv).seed(3);
+            sim.with_faults(&aplan)
                 .run()
-                .expect("faulted runs terminate");
-            let summary = *outcome.faults().expect("plan was set");
-            (outcome.into_async_outcome().unwrap(), summary)
+                .expect("faulted runs terminate")
         };
-        let (a, sa) = run_async();
-        let (b, sb) = run_async();
+        let (a, b) = (run_async(), run_async());
         assert_eq!(
             async_fingerprint(&a),
             async_fingerprint(&b),
             "{name}: async"
         );
-        assert_eq!(sa, sb, "{name}: async summaries");
-        assert!(sa.injected() > 0, "{name}: async plan never fired");
+        assert_eq!(tally(&a), tally(&b), "{name}: async summaries");
+        assert!(tally(&a).injected() > 0, "{name}: async plan never fired");
     }
 }
 
@@ -233,43 +203,37 @@ fn faults_compose_with_churn_deterministically() {
         let fplan = plan_for(&g, 2000);
         let sync_p = AsMulti(random_beeper(4, 2));
         let run = || {
-            let outcome = Simulation::sync(&sync_p, &g)
+            Simulation::sync(&sync_p, &g)
                 .seed(5)
                 .with_churn(&churn)
                 .with_faults(&fplan)
                 .run()
-                .expect("terminates");
-            let cs = outcome.churn().expect("churn set").clone();
-            let fs = *outcome.faults().expect("faults set");
-            (outcome.into_sync_outcome().unwrap(), cs, fs)
+                .expect("terminates")
         };
-        let (a, ca, fa) = run();
-        let (b, cb, fb) = run();
+        let (a, b) = (run(), run());
         assert_eq!(sync_fingerprint(&a), sync_fingerprint(&b), "{name}: sync");
-        assert_eq!(ca, cb, "{name}: churn summaries");
-        assert_eq!(fa, fb, "{name}: fault summaries");
+        assert!(a.churn().is_some(), "{name}: churn summary");
+        assert_eq!(a.churn(), b.churn(), "{name}: churn summaries");
+        assert_eq!(tally(&a), tally(&b), "{name}: fault summaries");
 
         let async_p = Synchronized::new(count_neighbors_quiet(2));
         let adv = UniformRandom { seed: 17 };
         let aplan = async_plan_for(&g, 2000);
         let run = || {
-            let outcome = Simulation::asynchronous(&async_p, &g, &adv)
+            Simulation::asynchronous(&async_p, &g, &adv)
                 .seed(5)
                 .with_churn(&churn)
                 .with_faults(&aplan)
                 .run()
-                .expect("terminates");
-            let fs = *outcome.faults().expect("faults set");
-            (outcome.into_async_outcome().unwrap(), fs)
+                .expect("terminates")
         };
-        let (a, fa) = run();
-        let (b, fb) = run();
+        let (a, b) = (run(), run());
         assert_eq!(
             async_fingerprint(&a),
             async_fingerprint(&b),
             "{name}: async"
         );
-        assert_eq!(fa, fb, "{name}: async fault summaries");
+        assert_eq!(tally(&a), tally(&b), "{name}: async fault summaries");
     }
 }
 
@@ -284,8 +248,9 @@ fn total_drop_silences_every_channel() {
     let g = generators::cycle(8);
     let p = AsMulti(count_neighbors_quiet(3));
     let plan = FaultPlan::new(7).drop_rate(1.0);
-    let (out, summary) = run_sync_faulted(&p, &g, 0, &plan);
+    let out = run_sync_faulted(&p, &g, 0, &plan);
     assert!(out.outputs.iter().all(|&o| o == 1), "{:?}", out.outputs);
+    let summary = tally(&out);
     assert_eq!(summary.dropped, summary.evaluated);
     assert_eq!(summary.dropped, 16, "one beep per directed cycle edge");
 }
@@ -298,15 +263,10 @@ fn total_corrupt_to_same_letter_is_observably_identity() {
     let g = generators::cycle(8);
     let p = AsMulti(count_neighbors(3));
     let plan = FaultPlan::new(7).corrupt_rate(1.0, Letter(0));
-    let (out, summary) = run_sync_faulted(&p, &g, 0, &plan);
-    let clean = Simulation::sync(&p, &g)
-        .seed(0)
-        .run()
-        .unwrap()
-        .into_sync_outcome()
-        .unwrap();
+    let out = run_sync_faulted(&p, &g, 0, &plan);
+    let clean = Simulation::sync(&p, &g).seed(0).run().unwrap();
     assert_eq!(out.outputs, clean.outputs);
-    assert_eq!(summary.corrupted, summary.evaluated);
+    assert_eq!(tally(&out).corrupted, tally(&out).evaluated);
 }
 
 /// Contract 3, corrupt under a two-letter alphabet: rewriting every
@@ -317,9 +277,9 @@ fn total_corrupt_to_quiet_silences_the_counts() {
     let g = generators::cycle(8);
     let p = AsMulti(count_neighbors_quiet(3));
     let plan = FaultPlan::new(7).corrupt_rate(1.0, Letter(1));
-    let (out, summary) = run_sync_faulted(&p, &g, 0, &plan);
+    let out = run_sync_faulted(&p, &g, 0, &plan);
     assert!(out.outputs.iter().all(|&o| o == 1), "{:?}", out.outputs);
-    assert_eq!(summary.corrupted, summary.evaluated);
+    assert_eq!(tally(&out).corrupted, tally(&out).evaluated);
 }
 
 /// Contract 3, duplicate: ports hold the *last* letter, so same-letter
@@ -331,13 +291,9 @@ fn total_duplication_is_idempotent_on_lockstep_ports() {
     let g = generators::cycle(8);
     let p = AsMulti(count_neighbors_quiet(3));
     let plan = FaultPlan::new(7).duplicate_rate(1.0, 2);
-    let (out, summary) = run_sync_faulted(&p, &g, 0, &plan);
-    let clean = Simulation::sync(&p, &g)
-        .seed(0)
-        .run()
-        .unwrap()
-        .into_sync_outcome()
-        .unwrap();
+    let out = run_sync_faulted(&p, &g, 0, &plan);
+    let summary = tally(&out);
+    let clean = Simulation::sync(&p, &g).seed(0).run().unwrap();
     assert_eq!(sync_fingerprint(&out), sync_fingerprint(&clean));
     assert_eq!(summary.duplicated, summary.evaluated);
     assert!(summary.duplicated > 0);
@@ -364,29 +320,27 @@ fn async_fault_kinds_have_model_level_effects() {
     assert!(matches!(err, ExecError::EventLimit { .. }), "{err}");
 
     let dup_all = FaultPlan::new(7).duplicate_rate(1.0, 2);
-    let outcome = Simulation::asynchronous(&p, &g, &adv)
+    let dup = Simulation::asynchronous(&p, &g, &adv)
         .seed(0)
         .with_faults(&dup_all)
         .run()
         .unwrap();
-    let summary = *outcome.faults().unwrap();
-    let dup = outcome.into_async_outcome().unwrap();
+    let summary = tally(&dup);
     let clean = Simulation::asynchronous(&p, &g, &adv)
         .seed(0)
-        .backend(Backend::Async(
-            AsyncOptions::new(&adv).with_scheduler(SchedulerKind::BinaryHeap),
-        ))
+        .scheduler(SchedulerKind::BinaryHeap)
         .run()
-        .unwrap()
-        .into_async_outcome()
         .unwrap();
     assert_eq!(summary.duplicated, summary.evaluated);
     assert!(summary.duplicated > 0);
+    let deliveries = |o: &Outcome<_>| match o.detail {
+        Detail::Async { deliveries, .. } => deliveries,
+        _ => unreachable!("an asynchronous run"),
+    };
+    let (dup, clean) = (deliveries(&dup), deliveries(&clean));
     assert!(
-        dup.deliveries > clean.deliveries,
-        "duplicates must surface as extra deliveries ({} vs {})",
-        dup.deliveries,
-        clean.deliveries
+        dup > clean,
+        "duplicates must surface as extra deliveries ({dup} vs {clean})"
     );
 }
 
@@ -426,8 +380,7 @@ fn invalid_plans_are_typed_config_errors() {
 fn pinned_fault_fingerprints() {
     let mut drift = Vec::new();
     for (i, (name, seed)) in FAULT_PINNED_CASES.iter().enumerate() {
-        let (out, summary) = run_fault_pinned(name, *seed);
-        let got = fault_fingerprint(&out, &summary);
+        let got = fault_fingerprint(&run_fault_pinned(name, *seed));
         let want = PINNED_FAULTS[i].2;
         if got != want {
             drift.push(format!("(\"{name}\", {seed}, {got:#018x}) != {want:#018x}"));
@@ -568,10 +521,12 @@ fn async_resume_mid_fault_plan_is_bit_identical() {
     for churn in [None, Some(&churn)] {
         let full = mk_async_faulted(&p, &g, &adv, &fplan, churn).run().unwrap();
         let want = format!("{:?} | {:?} | {:?}", full.outputs, full.faults(), full.cost);
-        let steps = full.clone().into_async_outcome().unwrap().total_steps;
+        let Detail::Async { total_steps, .. } = full.detail else {
+            unreachable!("an asynchronous run");
+        };
         let mut obs = Collect::default();
         mk_async_faulted(&p, &g, &adv, &fplan, churn)
-            .checkpoint_every((steps / 4).max(1))
+            .checkpoint_every((total_steps / 4).max(1))
             .observe(&mut obs)
             .run()
             .unwrap();
@@ -671,10 +626,10 @@ proptest! {
             .duplicate_rate(dup, 1)
             .corrupt_rate(0.05, Letter(0));
         let protocol = AsMulti(random_beeper(4, 2));
-        let (a, sa) = run_sync_faulted(&protocol, &g, seed, &plan);
-        let (b, sb) = run_sync_faulted(&protocol, &g, seed, &plan);
-        prop_assert_eq!(fault_fingerprint(&a, &sa), fault_fingerprint(&b, &sb));
-        prop_assert!(sa.injected() <= sa.evaluated);
+        let a = run_sync_faulted(&protocol, &g, seed, &plan);
+        let b = run_sync_faulted(&protocol, &g, seed, &plan);
+        prop_assert_eq!(fault_fingerprint(&a), fault_fingerprint(&b));
+        prop_assert!(tally(&a).injected() <= tally(&a).evaluated);
     }
 }
 
@@ -685,20 +640,14 @@ mod parallel {
     use stoneage_testkit::{adversarial_worker_counts as worker_counts, skewed_graph_family};
 
     fn run_sync_faulted_par(
-        protocol: &AsMulti<stoneage_core::TableProtocol>,
+        protocol: &SyncP,
         g: &Graph,
         seed: u64,
         plan: &FaultPlan,
-        policy: &ParallelPolicy,
-    ) -> (SyncOutcome, FaultSummary) {
-        let outcome = Simulation::sync(protocol, g)
-            .seed(seed)
-            .with_faults(plan)
-            .parallel(*policy)
-            .run()
-            .expect("faulted runs terminate");
-        let summary = *outcome.faults().expect("plan was set");
-        (outcome.into_sync_outcome().expect("sync backend"), summary)
+        policy: ParallelPolicy,
+    ) -> Outcome<SyncP> {
+        let sim = Simulation::sync(protocol, g).seed(seed).with_faults(plan);
+        sim.parallel(policy).run().expect("faulted runs terminate")
     }
 
     /// Contract 1 (strong form): the full adversarial matrix — worker
@@ -712,38 +661,35 @@ mod parallel {
         for (name, g) in graph_family().into_iter().chain(skewed_graph_family()) {
             for seed in 0..2 {
                 let plan = plan_for(&g, 5000 + seed);
-                let (serial_sync, serial_sync_sum) = run_sync_faulted(&sync_p, &g, seed, &plan);
+                let serial_sync = run_sync_faulted(&sync_p, &g, seed, &plan);
                 let serial_scoped = Simulation::scoped(&poke, &g)
                     .seed(seed)
                     .with_faults(&plan)
                     .run()
                     .unwrap();
-                let serial_scoped_sum = *serial_scoped.faults().unwrap();
-                let serial_scoped = serial_scoped.into_scoped_outcome().unwrap();
                 for workers in worker_counts() {
                     let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
                     let ctx = format!("{name}/seed{seed}/w{workers}");
-                    let (p_out, p_sum) = run_sync_faulted_par(&sync_p, &g, seed, &plan, &policy);
+                    let p_out = run_sync_faulted_par(&sync_p, &g, seed, &plan, policy);
                     assert_eq!(
                         sync_fingerprint(&p_out),
                         sync_fingerprint(&serial_sync),
                         "{ctx}: sync"
                     );
-                    assert_eq!(p_sum, serial_sync_sum, "{ctx}: sync summary");
+                    assert_eq!(tally(&p_out), tally(&serial_sync), "{ctx}: sync summary");
                     let s_out = Simulation::scoped(&poke, &g)
                         .seed(seed)
                         .with_faults(&plan)
                         .parallel(policy)
                         .run()
                         .unwrap();
-                    let s_sum = *s_out.faults().unwrap();
-                    let s_out = s_out.into_scoped_outcome().unwrap();
                     assert_eq!(
                         scoped_fingerprint(&s_out),
                         scoped_fingerprint(&serial_scoped),
                         "{ctx}: scoped"
                     );
-                    assert_eq!(s_sum, serial_scoped_sum, "{ctx}: scoped summary");
+                    let summary = tally(&serial_scoped);
+                    assert_eq!(tally(&s_out), summary, "{ctx}: scoped summary");
                 }
             }
         }
@@ -767,19 +713,16 @@ mod parallel {
                 if let Some(pol) = policy {
                     b = b.parallel(pol);
                 }
-                let outcome = b.run().expect("terminates");
-                let cs = outcome.churn().unwrap().clone();
-                let fs = *outcome.faults().unwrap();
-                (outcome.into_sync_outcome().unwrap(), cs, fs)
+                b.run().expect("terminates")
             };
-            let (want, want_cs, want_fs) = run(None);
+            let want = run(None);
             for workers in worker_counts() {
                 let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
-                let (got, cs, fs) = run(Some(policy));
+                let got = run(Some(policy));
                 let ctx = format!("{name}/w{workers}");
                 assert_eq!(sync_fingerprint(&got), sync_fingerprint(&want), "{ctx}");
-                assert_eq!(cs, want_cs, "{ctx}: churn summary");
-                assert_eq!(fs, want_fs, "{ctx}: fault summary");
+                assert_eq!(got.churn(), want.churn(), "{ctx}: churn summary");
+                assert_eq!(tally(&got), tally(&want), "{ctx}: fault summary");
             }
         }
     }
@@ -793,9 +736,9 @@ mod parallel {
             let p = AsMulti(p);
             for workers in worker_counts() {
                 let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
-                let (out, summary) = run_sync_faulted_par(&p, &g, *seed, &plan, &policy);
+                let out = run_sync_faulted_par(&p, &g, *seed, &plan, policy);
                 assert_eq!(
-                    fault_fingerprint(&out, &summary),
+                    fault_fingerprint(&out),
                     super::PINNED_FAULTS[i].2,
                     "{name}/seed{seed}/w{workers}"
                 );
@@ -825,9 +768,9 @@ mod parallel {
             let protocol = AsMulti(random_beeper(4, 2));
             let workers = worker_counts()[widx % worker_counts().len()];
             let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
-            let (a, sa) = run_sync_faulted(&protocol, &g, seed, &plan);
-            let (b, sb) = run_sync_faulted_par(&protocol, &g, seed, &plan, &policy);
-            prop_assert_eq!(fault_fingerprint(&a, &sa), fault_fingerprint(&b, &sb));
+            let a = run_sync_faulted(&protocol, &g, seed, &plan);
+            let b = run_sync_faulted_par(&protocol, &g, seed, &plan, policy);
+            prop_assert_eq!(fault_fingerprint(&a), fault_fingerprint(&b));
         }
     }
 }

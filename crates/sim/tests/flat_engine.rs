@@ -6,7 +6,8 @@
 //! undecided-node termination counter) produces outcomes **bit-identical
 //! per seed** to the naive pre-flat executor preserved in
 //! [`stoneage_sim::reference`] — across graph families, protocols
-//! (deterministic and randomized), and failure modes (round-limit).
+//! (deterministic and randomized), and failure modes (round-limit):
+//! outputs, final states, rounds and message counts all agree.
 //! A pinned snapshot additionally guards against silent drift in future
 //! engine changes, and the `parallel` feature path — chunked phase 1
 //! *and* the sharded-write-buffer phase 2 of `stoneage_sim::parbuf` —
@@ -19,12 +20,11 @@
 //! here so this suite fails on its own recorded numbers.
 
 use proptest::prelude::*;
-use stoneage_core::{Alphabet, AsMulti, Letter, TableProtocol, TableProtocolBuilder, Transitions};
-use stoneage_graph::{generators, Graph};
-use stoneage_sim::{
-    run_sync_reference, run_sync_reference_with_inputs, ExecError, SyncConfig, SyncOutcome,
+use stoneage_core::{
+    Alphabet, AsMulti, Letter, MultiFsm, TableProtocol, TableProtocolBuilder, Transitions,
 };
-use stoneage_testkit::harness::{run_sync, run_sync_with_inputs};
+use stoneage_graph::{generators, Graph};
+use stoneage_sim::{run_sync_reference, ExecError, Outcome, Protocol, Simulation};
 use stoneage_testkit::{count_neighbors, random_beeper, run_sync_pinned, sync_fingerprint};
 
 /// Protocol that never reaches an output state (round-limit path).
@@ -37,23 +37,39 @@ fn spinner() -> TableProtocol {
     b.build().unwrap()
 }
 
-fn assert_same_outcome(
+/// Both runs reached the same outputs, final states, rounds and message
+/// count, or failed with the same error.
+fn assert_same_outcome<P: Protocol>(
     ctx: &str,
-    flat: Result<SyncOutcome, ExecError>,
-    reference: Result<SyncOutcome, ExecError>,
+    flat: Result<Outcome<P>, ExecError>,
+    reference: Result<Outcome<P>, ExecError>,
 ) {
     match (flat, reference) {
         (Ok(f), Ok(r)) => {
             assert_eq!(f.outputs, r.outputs, "{ctx}: outputs diverge");
-            assert_eq!(f.rounds, r.rounds, "{ctx}: rounds diverge");
-            assert_eq!(
-                f.messages_sent, r.messages_sent,
-                "{ctx}: message counts diverge"
-            );
+            assert_eq!(f.states, r.states, "{ctx}: final states diverge");
+            assert_eq!(f.rounds(), r.rounds(), "{ctx}: rounds diverge");
+            assert_eq!(f.detail, r.detail, "{ctx}: message counts diverge");
         }
         (Err(f), Err(r)) => assert_eq!(f, r, "{ctx}: errors diverge"),
-        (f, r) => panic!("{ctx}: outcome kinds diverge: flat {f:?} vs reference {r:?}"),
+        (f, r) => panic!(
+            "{ctx}: outcome kinds diverge: flat {:?} vs reference {:?}",
+            f.map(|o| o.outputs),
+            r.map(|o| o.outputs)
+        ),
     }
+}
+
+/// `p` on `g` from `seed` within `budget` rounds: the flat engine and
+/// the reference executor.
+fn both<P>(p: &P, g: &Graph, seed: u64, budget: u64) -> [Result<Outcome<P>, ExecError>; 2]
+where
+    P: MultiFsm + Sync,
+    P::State: Send + Sync,
+{
+    let inputs = vec![0usize; g.node_count()];
+    let flat = Simulation::sync(p, g).seed(seed).budget(budget).run();
+    [flat, run_sync_reference(p, g, &inputs, seed, budget)]
 }
 
 fn graph_family() -> Vec<(&'static str, Graph)> {
@@ -72,12 +88,8 @@ fn flat_engine_matches_reference_on_deterministic_protocol() {
     let p = AsMulti(count_neighbors(3));
     for (name, g) in graph_family() {
         for seed in 0..5 {
-            let config = SyncConfig::seeded(seed);
-            assert_same_outcome(
-                &format!("{name}/seed{seed}"),
-                run_sync(&p, &g, &config),
-                run_sync_reference(&p, &g, &config),
-            );
+            let [flat, reference] = both(&p, &g, seed, 1_000_000);
+            assert_same_outcome(&format!("{name}/seed{seed}"), flat, reference);
         }
     }
 }
@@ -87,12 +99,8 @@ fn flat_engine_matches_reference_on_randomized_protocol() {
     let p = AsMulti(random_beeper(6, 2));
     for (name, g) in graph_family() {
         for seed in 40..46 {
-            let config = SyncConfig::seeded(seed);
-            assert_same_outcome(
-                &format!("{name}/seed{seed}"),
-                run_sync(&p, &g, &config),
-                run_sync_reference(&p, &g, &config),
-            );
+            let [flat, reference] = both(&p, &g, seed, 1_000_000);
+            assert_same_outcome(&format!("{name}/seed{seed}"), flat, reference);
         }
     }
 }
@@ -101,15 +109,8 @@ fn flat_engine_matches_reference_on_randomized_protocol() {
 fn flat_engine_matches_reference_on_round_limit() {
     let p = AsMulti(spinner());
     let g = generators::gnp(30, 0.2, 1);
-    let config = SyncConfig {
-        seed: 5,
-        max_rounds: 20,
-    };
-    assert_same_outcome(
-        "spinner",
-        run_sync(&p, &g, &config),
-        run_sync_reference(&p, &g, &config),
-    );
+    let [flat, reference] = both(&p, &g, 5, 20);
+    assert_same_outcome("spinner", flat, reference);
 }
 
 #[test]
@@ -134,12 +135,8 @@ fn sparse_count_layout_matches_reference_executor() {
     let p = AsMulti(builder.build().unwrap());
     for (name, g) in graph_family() {
         for seed in 20..23 {
-            let config = SyncConfig::seeded(seed);
-            assert_same_outcome(
-                &format!("sparse/{name}/seed{seed}"),
-                run_sync(&p, &g, &config),
-                run_sync_reference(&p, &g, &config),
-            );
+            let [flat, reference] = both(&p, &g, seed, 1_000_000);
+            assert_same_outcome(&format!("sparse/{name}/seed{seed}"), flat, reference);
         }
     }
 }
@@ -149,11 +146,10 @@ fn flat_engine_matches_reference_with_inputs() {
     let p = AsMulti(count_neighbors(2));
     let g = generators::random_tree(80, 4);
     let inputs = vec![0usize; 80];
-    let config = SyncConfig::seeded(9);
     assert_same_outcome(
         "with-inputs",
-        run_sync_with_inputs(&p, &g, &inputs, &config),
-        run_sync_reference_with_inputs(&p, &g, &inputs, &config),
+        Simulation::sync(&p, &g).seed(9).inputs(&inputs).run(),
+        run_sync_reference(&p, &g, &inputs, 9, 1_000_000),
     );
 }
 
@@ -206,16 +202,14 @@ proptest! {
     ) {
         let g = generators::gnp(n, p, gseed);
         let protocol = AsMulti(random_beeper(4, 2));
-        let config = SyncConfig::seeded(seed);
-        let flat = run_sync(&protocol, &g, &config);
-        let reference = run_sync_reference(&protocol, &g, &config);
-        match (flat, reference) {
-            (Ok(f), Ok(r)) => {
+        match both(&protocol, &g, seed, 1_000_000) {
+            [Ok(f), Ok(r)] => {
                 prop_assert_eq!(f.outputs, r.outputs);
-                prop_assert_eq!(f.rounds, r.rounds);
-                prop_assert_eq!(f.messages_sent, r.messages_sent);
+                prop_assert_eq!(f.states, r.states);
+                prop_assert_eq!(f.cost, r.cost);
+                prop_assert_eq!(f.detail, r.detail);
             }
-            (f, r) => prop_assert!(false, "outcome kinds diverge: {:?} vs {:?}", f, r),
+            [f, r] => prop_assert!(false, "outcome kinds diverge: {:?} vs {:?}", f.err(), r.err()),
         }
     }
 }
@@ -223,47 +217,25 @@ proptest! {
 #[cfg(feature = "parallel")]
 mod parallel {
     use super::*;
-    use stoneage_core::MultiFsm;
-    use stoneage_sim::{MergeStrategy, ParallelPolicy, Simulation};
+    use stoneage_sim::{MergeStrategy, ParallelPolicy};
     use stoneage_testkit::{adversarial_worker_counts as worker_counts, skewed_graph_family};
 
-    /// Builder twin of the legacy `run_sync_parallel` (default policy).
-    fn run_sync_parallel<P>(
-        protocol: &P,
-        graph: &Graph,
-        config: &SyncConfig,
-    ) -> Result<SyncOutcome, ExecError>
+    /// `p` on `g` from `seed`, serial and under `policy`.
+    fn serial_and_parallel<P>(
+        p: &P,
+        g: &Graph,
+        seed: u64,
+        policy: ParallelPolicy,
+    ) -> [Result<Outcome<P>, ExecError>; 2]
     where
         P: MultiFsm + Sync,
         P::State: Send + Sync,
     {
-        Simulation::sync(protocol, graph)
-            .seed(config.seed)
-            .budget(config.max_rounds)
-            .parallel(ParallelPolicy::default())
-            .run()
-            .map(|o| o.into_sync_outcome().expect("sync backend"))
-    }
-
-    /// Builder twin of the legacy `run_sync_parallel_with_policy`.
-    fn run_sync_parallel_with_policy<P>(
-        protocol: &P,
-        graph: &Graph,
-        inputs: &[usize],
-        config: &SyncConfig,
-        policy: &ParallelPolicy,
-    ) -> Result<SyncOutcome, ExecError>
-    where
-        P: MultiFsm + Sync,
-        P::State: Send + Sync,
-    {
-        Simulation::sync(protocol, graph)
-            .seed(config.seed)
-            .budget(config.max_rounds)
-            .inputs(inputs)
-            .parallel(*policy)
-            .run()
-            .map(|o| o.into_sync_outcome().expect("sync backend"))
+        let serial = Simulation::sync(p, g).seed(seed).run();
+        [
+            serial,
+            Simulation::sync(p, g).seed(seed).parallel(policy).run(),
+        ]
     }
 
     /// Seed determinism of the auto `rayon`/`parallel` path: chunked
@@ -271,21 +243,15 @@ mod parallel {
     /// from the serial engine for every seed.
     #[test]
     fn parallel_matches_serial_exactly() {
+        let policy = ParallelPolicy::default();
         for (name, g) in graph_family() {
             for seed in 100..104 {
-                let config = SyncConfig::seeded(seed);
                 let det = AsMulti(count_neighbors(2));
-                assert_same_outcome(
-                    &format!("par-det/{name}/seed{seed}"),
-                    run_sync_parallel(&det, &g, &config),
-                    run_sync(&det, &g, &config),
-                );
+                let [serial, par] = serial_and_parallel(&det, &g, seed, policy);
+                assert_same_outcome(&format!("par-det/{name}/seed{seed}"), par, serial);
                 let rnd = AsMulti(random_beeper(5, 2));
-                assert_same_outcome(
-                    &format!("par-rnd/{name}/seed{seed}"),
-                    run_sync_parallel(&rnd, &g, &config),
-                    run_sync(&rnd, &g, &config),
-                );
+                let [serial, par] = serial_and_parallel(&rnd, &g, seed, policy);
+                assert_same_outcome(&format!("par-rnd/{name}/seed{seed}"), par, serial);
             }
         }
     }
@@ -301,21 +267,16 @@ mod parallel {
     fn forced_worker_matrix_matches_serial() {
         let p = AsMulti(random_beeper(5, 2));
         for (name, g) in graph_family().into_iter().chain(skewed_graph_family()) {
-            let inputs = vec![0usize; g.node_count()];
             for seed in 200..203 {
-                let config = SyncConfig::seeded(seed);
-                let serial = run_sync(&p, &g, &config);
                 for workers in worker_counts() {
                     for merge in [
                         MergeStrategy::DestinationSharded,
                         MergeStrategy::BufferReplay,
                     ] {
                         let policy = ParallelPolicy::forced(workers, merge);
-                        assert_same_outcome(
-                            &format!("matrix/{name}/seed{seed}/w{workers}/{merge:?}"),
-                            run_sync_parallel_with_policy(&p, &g, &inputs, &config, &policy),
-                            serial.clone(),
-                        );
+                        let [serial, par] = serial_and_parallel(&p, &g, seed, policy);
+                        let ctx = format!("matrix/{name}/seed{seed}/w{workers}/{merge:?}");
+                        assert_same_outcome(&ctx, par, serial);
                     }
                 }
             }
@@ -327,16 +288,16 @@ mod parallel {
     /// phase 2.
     #[test]
     fn parallel_reproduces_pinned_fingerprints() {
-        use stoneage_graph::generators;
         let g = generators::gnp(120, 0.06, 9);
         let p = AsMulti(count_neighbors(3));
-        let inputs = vec![0usize; g.node_count()];
         for workers in worker_counts() {
             let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
-            let out =
-                run_sync_parallel_with_policy(&p, &g, &inputs, &SyncConfig::seeded(1), &policy)
-                    .unwrap();
-            assert_eq!(sync_fingerprint(&out), PINNED[0].2, "workers {workers}");
+            let out = Simulation::sync(&p, &g).seed(1).parallel(policy).run();
+            assert_eq!(
+                sync_fingerprint(&out.unwrap()),
+                PINNED[0].2,
+                "workers {workers}"
+            );
         }
     }
 
@@ -347,13 +308,9 @@ mod parallel {
     fn parallel_chunked_path_matches_serial() {
         let g = generators::gnp(6000, 8.0 / 6000.0, 5);
         for seed in 0..3 {
-            let config = SyncConfig::seeded(seed);
             let rnd = AsMulti(random_beeper(5, 2));
-            assert_same_outcome(
-                &format!("par-chunked/seed{seed}"),
-                run_sync_parallel(&rnd, &g, &config),
-                run_sync(&rnd, &g, &config),
-            );
+            let [serial, par] = serial_and_parallel(&rnd, &g, seed, ParallelPolicy::default());
+            assert_same_outcome(&format!("par-chunked/seed{seed}"), par, serial);
         }
     }
 
@@ -375,7 +332,6 @@ mod parallel {
         ) {
             let g = generators::gnp(n, pr, gseed);
             let protocol = AsMulti(random_beeper(4, 2));
-            let config = SyncConfig::seeded(seed);
             let workers = worker_counts()[widx % worker_counts().len()];
             let merge = if sharded == 1 {
                 MergeStrategy::DestinationSharded
@@ -383,15 +339,12 @@ mod parallel {
                 MergeStrategy::BufferReplay
             };
             let policy = ParallelPolicy::forced(workers, merge);
-            let inputs = vec![0usize; n];
-            let par = run_sync_parallel_with_policy(&protocol, &g, &inputs, &config, &policy);
-            let serial = run_sync(&protocol, &g, &config);
-            match (par, serial) {
-                (Ok(p), Ok(s)) => {
+            match serial_and_parallel(&protocol, &g, seed, policy) {
+                [Ok(s), Ok(p)] => {
                     prop_assert_eq!(sync_fingerprint(&p), sync_fingerprint(&s));
                     prop_assert_eq!(p.outputs, s.outputs);
                 }
-                (p, s) => prop_assert!(false, "outcome kinds diverge: {:?} vs {:?}", p, s),
+                [s, p] => prop_assert!(false, "outcome kinds diverge: {:?} vs {:?}", s.err(), p.err()),
             }
         }
     }

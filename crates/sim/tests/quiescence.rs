@@ -6,8 +6,8 @@
 //! compares the skipping engine with an oracle that steps every node
 //! every round:
 //!
-//! * the naive reference executor (`run_sync_reference*`), for plain
-//!   runs;
+//! * the naive reference executor (`run_sync_reference`), for plain
+//!   runs, compared on the whole outcome (final states included);
 //! * a **never-quiet twin** of a deterministic table protocol, whose only
 //!   difference is that each wait loop is `uniform([(q, ε), (q, ε)])`
 //!   instead of `det(q, ε)` — a silent self-loop that still draws, which
@@ -26,8 +26,8 @@ use stoneage_core::{MultiFsm, Transitions};
 use stoneage_graph::{generators, Graph, GraphBuilder, TopologyEvent};
 use stoneage_protocols::SelfStabMis;
 use stoneage_sim::{
-    run_sync_reference, run_sync_reference_with_inputs, ChurnPlan, ExecError, FaultPlan, LinkFault,
-    Observer, Outcome, ParallelPolicy, PatchMode, Simulation, Snapshot, SyncConfig,
+    run_sync_reference, ChurnPlan, ExecError, FaultPlan, LinkFault, Observer, Outcome,
+    ParallelPolicy, PatchMode, Simulation, Snapshot,
 };
 use stoneage_testkit::count_neighbors;
 
@@ -134,25 +134,16 @@ fn random_silent_self_loop_is_never_skipped() {
     for (name, g) in connected_family() {
         let inputs = starter_inputs(&g);
         for seed in 1..4u64 {
-            let reference =
-                run_sync_reference_with_inputs(&p, &g, &inputs, &SyncConfig::seeded(seed))
-                    .expect("relay terminates on a connected graph");
+            let reference = run_sync_reference(&p, &g, &inputs, seed, 1_000_000);
+            let outputs = &reference.as_ref().expect("relay terminates").outputs;
             assert!(
-                reference.outputs.iter().filter(|&&o| o == 0).count() > 5,
+                outputs.iter().filter(|&&o| o == 0).count() > 5,
                 "{name}: the coin must decide something"
             );
             for (cell, policy) in cells() {
-                let out = on(Simulation::sync(&p, &g).seed(seed).inputs(&inputs), &policy)
-                    .run()
-                    .expect("relay terminates on a connected graph");
+                let out = on(Simulation::sync(&p, &g).seed(seed).inputs(&inputs), &policy).run();
                 let tag = format!("{name}/seed{seed}/{cell}");
-                assert_eq!(out.outputs, reference.outputs, "{tag}: outputs");
-                assert_eq!(out.rounds(), Some(reference.rounds), "{tag}: rounds");
-                assert_eq!(
-                    out.messages_sent(),
-                    Some(reference.messages_sent),
-                    "{tag}: messages"
-                );
+                assert_eq!(transcript(&out), transcript(&reference), "{tag}");
             }
         }
     }
@@ -174,8 +165,9 @@ fn selfstab_mis_output_states_are_not_absorbing() {
     let mut recovered = 0;
     for (name, g) in &family {
         for seed in 1..3u64 {
-            let reference =
-                run_sync_reference(&p, g, &SyncConfig::seeded(seed)).expect("MIS terminates");
+            let inputs = vec![0; g.node_count()];
+            let reference = run_sync_reference(&p, g, &inputs, seed, 1_000_000);
+            assert!(reference.is_ok(), "{name}: MIS terminates");
             let plan = ChurnPlan::random(g, 40 + seed, 8, 6)
                 .at(2, TopologyEvent::Crash(1))
                 .at(9, TopologyEvent::Restart(1));
@@ -187,16 +179,8 @@ fn selfstab_mis_output_states_are_not_absorbing() {
             recovered += usize::from(rebuilt.is_ok());
             for (cell, policy) in cells() {
                 let tag = format!("{name}/seed{seed}/{cell}");
-                let out = on(Simulation::sync(&p, g).seed(seed), &policy)
-                    .run()
-                    .expect("MIS terminates");
-                assert_eq!(out.outputs, reference.outputs, "{tag}: outputs");
-                assert_eq!(out.rounds(), Some(reference.rounds), "{tag}: rounds");
-                assert_eq!(
-                    out.messages_sent(),
-                    Some(reference.messages_sent),
-                    "{tag}: messages"
-                );
+                let out = on(Simulation::sync(&p, g).seed(seed), &policy).run();
+                assert_eq!(transcript(&out), transcript(&reference), "{tag}: plain");
                 let churned = on(
                     Simulation::sync(&p, g)
                         .seed(seed)

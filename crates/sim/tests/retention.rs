@@ -13,8 +13,7 @@ use stoneage_core::{
 };
 use stoneage_graph::generators;
 use stoneage_sim::adversary::{standard_panel, Lockstep};
-use stoneage_sim::{AsyncConfig, SyncConfig};
-use stoneage_testkit::harness::{run_async, run_sync};
+use stoneage_sim::Simulation;
 
 /// Every node beeps exactly once (at step 1) and then stays silent; after
 /// `delay` further silent steps it outputs `10 + f₁(#BEEP)`. Only port
@@ -46,7 +45,8 @@ fn beep_then_look(delay: usize) -> TableProtocol {
 #[test]
 fn sync_engine_retains_stale_letters() {
     let g = generators::cycle(8);
-    let out = run_sync(&AsMulti(beep_then_look(6)), &g, &SyncConfig::seeded(0)).unwrap();
+    let p = AsMulti(beep_then_look(6));
+    let out = Simulation::sync(&p, &g).run().unwrap();
     assert!(out.outputs.iter().all(|&o| o == 11), "{:?}", out.outputs);
 }
 
@@ -54,7 +54,10 @@ fn sync_engine_retains_stale_letters() {
 fn synchronizer_preserves_retention_under_lockstep() {
     let g = generators::cycle(8);
     let p = Synchronized::new(beep_then_look(6));
-    let out = run_async(&p, &g, &Lockstep, &AsyncConfig::seeded(1)).unwrap();
+    let out = Simulation::asynchronous(&p, &g, &Lockstep)
+        .seed(1)
+        .run()
+        .unwrap();
     assert!(
         out.outputs.iter().all(|&o| o == 11),
         "a 6-round-stale beep must still be counted: {:?}",
@@ -67,7 +70,10 @@ fn synchronizer_preserves_retention_under_every_adversary() {
     let g = generators::path(6);
     let p = Synchronized::new(beep_then_look(9));
     for adv in standard_panel(23) {
-        let out = run_async(&p, &g, &adv, &AsyncConfig::seeded(2)).unwrap();
+        let out = Simulation::asynchronous(&p, &g, &adv)
+            .seed(2)
+            .run()
+            .unwrap();
         assert!(
             out.outputs.iter().all(|&o| o == 11),
             "adversary {}: {:?}",
@@ -81,6 +87,6 @@ fn synchronizer_preserves_retention_under_every_adversary() {
 fn isolated_nodes_see_nothing_even_with_retention() {
     let g = stoneage_graph::Graph::empty(3);
     let p = Synchronized::new(beep_then_look(4));
-    let out = run_async(&p, &g, &Lockstep, &AsyncConfig::seeded(0)).unwrap();
+    let out = Simulation::asynchronous(&p, &g, &Lockstep).run().unwrap();
     assert!(out.outputs.iter().all(|&o| o == 10));
 }

@@ -1,10 +1,10 @@
 //! Differential tests for the parallel scoped (port-select) executor.
 //!
-//! The contract under test: `run_scoped_parallel` — phase 1 + 2a of
-//! each shard on its own `std::thread::scope` worker, sharded-write-buffer
-//! merge per `stoneage_sim::parbuf` — produces outcomes **bit-identical
-//! per seed** to the serial `run_scoped`, including the full
-//! scoped-delivery witness transcript (order and all), across graph
+//! The contract under test: the parallel scoped executor — phase 1 +
+//! 2a of each shard on its own `std::thread::scope` worker,
+//! sharded-write-buffer merge per `stoneage_sim::parbuf` — produces
+//! outcomes **bit-identical per seed** to the serial one, including the
+//! full scoped-delivery witness transcript (order and all), across graph
 //! families (the hub-heavy skewed ones included), adversarial worker
 //! counts, and both merge strategies. Compiled only with the `parallel`
 //! feature.
@@ -13,66 +13,33 @@
 
 use proptest::prelude::*;
 use stoneage_graph::{generators, Graph};
-use stoneage_sim::{
-    ExecError, MergeStrategy, ParallelPolicy, ScopedMultiFsm, ScopedOutcome, Simulation,
-};
-use stoneage_testkit::harness::run_scoped;
+use stoneage_sim::{ExecError, MergeStrategy, Outcome, ParallelPolicy, Simulation};
 use stoneage_testkit::{
     adversarial_worker_counts as worker_counts, scoped_fingerprint, skewed_graph_family, Poke,
 };
 
-/// Builder-backed twin of the legacy `run_scoped_parallel` (default
-/// policy).
-fn run_scoped_parallel<P>(
-    protocol: &P,
-    graph: &Graph,
+/// [`Poke`] on `g` from `seed` within `budget` rounds: serially and
+/// under `policy`.
+fn serial_and_parallel(
+    g: &Graph,
     seed: u64,
-    max_rounds: u64,
-) -> Result<ScopedOutcome, ExecError>
-where
-    P: ScopedMultiFsm + Sync,
-    P::State: Send + Sync,
-{
-    run_scoped_parallel_with_policy(
-        protocol,
-        graph,
-        seed,
-        max_rounds,
-        &ParallelPolicy::default(),
-    )
+    budget: u64,
+    policy: ParallelPolicy,
+) -> [Result<Outcome<Poke>, ExecError>; 2] {
+    let p = Poke::new();
+    let sim = || Simulation::scoped(&p, g).seed(seed).budget(budget);
+    [sim().run(), sim().parallel(policy).run()]
 }
 
-/// Builder-backed twin of the legacy `run_scoped_parallel_with_policy`.
-fn run_scoped_parallel_with_policy<P>(
-    protocol: &P,
-    graph: &Graph,
-    seed: u64,
-    max_rounds: u64,
-    policy: &ParallelPolicy,
-) -> Result<ScopedOutcome, ExecError>
-where
-    P: ScopedMultiFsm + Sync,
-    P::State: Send + Sync,
-{
-    Simulation::scoped(protocol, graph)
-        .seed(seed)
-        .budget(max_rounds)
-        .parallel(*policy)
-        .run()
-        .map(|o| o.into_scoped_outcome().expect("scoped backend"))
-}
-
-fn assert_same_outcome(
-    ctx: &str,
-    par: Result<ScopedOutcome, ExecError>,
-    serial: Result<ScopedOutcome, ExecError>,
-) {
+fn assert_same_outcome(ctx: &str, [serial, par]: [Result<Outcome<Poke>, ExecError>; 2]) {
     match (par, serial) {
         (Ok(p), Ok(s)) => {
             assert_eq!(p.outputs, s.outputs, "{ctx}: outputs diverge");
-            assert_eq!(p.rounds, s.rounds, "{ctx}: rounds diverge");
+            assert_eq!(p.states, s.states, "{ctx}: states diverge");
+            assert_eq!(p.rounds(), s.rounds(), "{ctx}: rounds diverge");
             assert_eq!(
-                p.scoped_deliveries, s.scoped_deliveries,
+                p.scoped_deliveries(),
+                s.scoped_deliveries(),
                 "{ctx}: delivery transcripts diverge"
             );
             assert_eq!(
@@ -82,7 +49,11 @@ fn assert_same_outcome(
             );
         }
         (Err(p), Err(s)) => assert_eq!(p, s, "{ctx}: errors diverge"),
-        (p, s) => panic!("{ctx}: outcome kinds diverge: parallel {p:?} vs serial {s:?}"),
+        (p, s) => panic!(
+            "{ctx}: outcome kinds diverge: parallel {:?} vs serial {:?}",
+            p.err(),
+            s.err()
+        ),
     }
 }
 
@@ -113,11 +84,8 @@ fn parallel_family() -> Vec<(&'static str, Graph)> {
 fn auto_parallel_matches_serial() {
     for (name, g) in graph_family() {
         for seed in 0..4 {
-            assert_same_outcome(
-                &format!("auto/{name}/seed{seed}"),
-                run_scoped_parallel(&Poke::new(), &g, seed, 100),
-                run_scoped(&Poke::new(), &g, seed, 100),
-            );
+            let runs = serial_and_parallel(&g, seed, 100, ParallelPolicy::default());
+            assert_same_outcome(&format!("auto/{name}/seed{seed}"), runs);
         }
     }
 }
@@ -130,18 +98,15 @@ fn auto_parallel_matches_serial() {
 fn forced_worker_matrix_matches_serial() {
     for (name, g) in parallel_family() {
         for seed in 10..13 {
-            let serial = run_scoped(&Poke::new(), &g, seed, 100);
             for workers in worker_counts() {
                 for merge in [
                     MergeStrategy::DestinationSharded,
                     MergeStrategy::BufferReplay,
                 ] {
                     let policy = ParallelPolicy::forced(workers, merge);
-                    assert_same_outcome(
-                        &format!("matrix/{name}/seed{seed}/w{workers}/{merge:?}"),
-                        run_scoped_parallel_with_policy(&Poke::new(), &g, seed, 100, &policy),
-                        serial.clone(),
-                    );
+                    let runs = serial_and_parallel(&g, seed, 100, policy);
+                    let ctx = format!("matrix/{name}/seed{seed}/w{workers}/{merge:?}");
+                    assert_same_outcome(&ctx, runs);
                 }
             }
         }
@@ -154,11 +119,8 @@ fn forced_worker_matrix_matches_serial() {
 fn chunked_path_matches_serial_on_large_graph() {
     let g = generators::gnp(6000, 8.0 / 6000.0, 5);
     for seed in 0..2 {
-        assert_same_outcome(
-            &format!("large/seed{seed}"),
-            run_scoped_parallel(&Poke::new(), &g, seed, 100),
-            run_scoped(&Poke::new(), &g, seed, 100),
-        );
+        let runs = serial_and_parallel(&g, seed, 100, ParallelPolicy::default());
+        assert_same_outcome(&format!("large/seed{seed}"), runs);
     }
 }
 
@@ -170,11 +132,8 @@ fn round_limit_is_identical() {
     for max_rounds in [1u64, 2] {
         for workers in worker_counts() {
             let policy = ParallelPolicy::forced(workers, MergeStrategy::DestinationSharded);
-            assert_same_outcome(
-                &format!("limit{max_rounds}/w{workers}"),
-                run_scoped_parallel_with_policy(&Poke::new(), &g, 1, max_rounds, &policy),
-                run_scoped(&Poke::new(), &g, 1, max_rounds),
-            );
+            let runs = serial_and_parallel(&g, 1, max_rounds, policy);
+            assert_same_outcome(&format!("limit{max_rounds}/w{workers}"), runs);
         }
     }
 }
@@ -203,15 +162,13 @@ proptest! {
             MergeStrategy::BufferReplay
         };
         let policy = ParallelPolicy::forced(workers, merge);
-        let par = run_scoped_parallel_with_policy(&Poke::new(), &g, seed, 100, &policy);
-        let serial = run_scoped(&Poke::new(), &g, seed, 100);
-        match (par, serial) {
-            (Ok(p), Ok(s)) => {
+        match serial_and_parallel(&g, seed, 100, policy) {
+            [Ok(s), Ok(p)] => {
                 prop_assert_eq!(scoped_fingerprint(&p), scoped_fingerprint(&s));
-                prop_assert_eq!(p.outputs, s.outputs);
-                prop_assert_eq!(p.scoped_deliveries, s.scoped_deliveries);
+                prop_assert_eq!(&p.outputs, &s.outputs);
+                prop_assert_eq!(p.scoped_deliveries(), s.scoped_deliveries());
             }
-            (p, s) => prop_assert!(false, "outcome kinds diverge: {:?} vs {:?}", p, s),
+            [s, p] => prop_assert!(false, "outcome kinds diverge: {:?} vs {:?}", s.err(), p.err()),
         }
     }
 
@@ -228,15 +185,13 @@ proptest! {
         let g = generators::power_law(n, m.min(n - 1), 0.9, gseed);
         let workers = worker_counts()[widx % worker_counts().len()];
         let policy = ParallelPolicy::forced(workers, MergeStrategy::BufferReplay);
-        let par = run_scoped_parallel_with_policy(&Poke::new(), &g, seed, 100, &policy);
-        let serial = run_scoped(&Poke::new(), &g, seed, 100);
-        match (par, serial) {
-            (Ok(p), Ok(s)) => {
+        match serial_and_parallel(&g, seed, 100, policy) {
+            [Ok(s), Ok(p)] => {
                 prop_assert_eq!(scoped_fingerprint(&p), scoped_fingerprint(&s));
-                prop_assert_eq!(p.outputs, s.outputs);
-                prop_assert_eq!(p.scoped_deliveries, s.scoped_deliveries);
+                prop_assert_eq!(&p.outputs, &s.outputs);
+                prop_assert_eq!(p.scoped_deliveries(), s.scoped_deliveries());
             }
-            (p, s) => prop_assert!(false, "outcome kinds diverge: {:?} vs {:?}", p, s),
+            [s, p] => prop_assert!(false, "outcome kinds diverge: {:?} vs {:?}", s.err(), p.err()),
         }
     }
 }

@@ -22,8 +22,8 @@ use stoneage_core::{AsMulti, Protocol, Synchronized, TableProtocol};
 use stoneage_graph::{generators, Graph, TopologyEvent};
 use stoneage_sim::adversary::UniformRandom;
 use stoneage_sim::{
-    AsyncOptions, Backend, ChurnPlan, ExecError, Observer, Outcome, SchedulerKind, Simulation,
-    Snapshot, SnapshotError,
+    ChurnPlan, Detail, ExecError, Observer, Outcome, SchedulerKind, Simulation, Snapshot,
+    SnapshotError,
 };
 #[cfg(feature = "parallel")]
 use stoneage_sim::{MergeStrategy, ParallelPolicy};
@@ -45,6 +45,14 @@ fn transcript<P: Protocol>(out: &Outcome<P>) -> String {
         "{:?} | {:?} | {:?} | {:?}",
         out.outputs, out.states, out.cost, out.detail
     )
+}
+
+/// The node steps an asynchronous run took.
+fn total_steps<P: Protocol>(out: &Outcome<P>) -> u64 {
+    match out.detail {
+        Detail::Async { total_steps, .. } => total_steps,
+        _ => unreachable!("an asynchronous run"),
+    }
 }
 
 /// Collects every checkpoint frame the run hands out.
@@ -152,9 +160,7 @@ fn mk_async<'a>(
 ) -> Simulation<'a, AsyncP> {
     let mut b = Simulation::asynchronous(p, g, adv)
         .seed(seed)
-        .backend(Backend::Async(
-            AsyncOptions::new(adv).with_scheduler(scheduler),
-        ));
+        .scheduler(scheduler);
     if let Some(plan) = churn {
         b = b.with_churn(plan);
     }
@@ -273,14 +279,7 @@ fn async_resume_is_bit_identical_on_both_schedulers() {
             check_cell!(
                 &name,
                 mk_async(&p, &g, &adv, 5, scheduler, churn),
-                |full: &Outcome<AsyncP>| {
-                    let steps = full
-                        .clone()
-                        .into_async_outcome()
-                        .expect("async backend")
-                        .total_steps;
-                    (steps / 3).max(1)
-                }
+                |full: &Outcome<AsyncP>| (total_steps(full) / 3).max(1)
             );
         }
     }
@@ -415,6 +414,34 @@ fn resume_header_mismatches_are_typed_errors() {
             .run()
             .unwrap_err(),
         "config digest",
+    );
+}
+
+/// A lockstep frame repeats its round in the epoch word of its body. A
+/// frame whose epoch word says otherwise is rejected on resume, even
+/// when its checksum is valid.
+#[test]
+fn lockstep_epoch_word_must_equal_the_round() {
+    let (p, g, snap) = captured_sync_snapshot();
+    let mut bytes = snap.to_bytes();
+    // Header: magic, version, backend, boundary, three digests, length.
+    let body = 4 + 4 + 1 + 8 * 5;
+    // Body: flags, node count, round, sent, undecided, epoch.
+    let (round, epoch) = (body + 1 + 8, body + 1 + 8 * 4);
+    assert_eq!(bytes[round..round + 8], snap.boundary().to_le_bytes());
+    assert_eq!(bytes[epoch..epoch + 8], bytes[round..round + 8]);
+    bytes[epoch] ^= 1;
+    // Re-seal the frame: FNV-1a over every byte before the checksum.
+    let end = bytes.len() - 8;
+    let sum = (bytes[..end].iter()).fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    bytes[end..].copy_from_slice(&sum.to_le_bytes());
+    let crafted = Snapshot::from_bytes(&bytes).expect("a well-formed frame");
+    let err = Simulation::sync(&p, &g).seed(7).resume_from(&crafted).run();
+    assert_eq!(
+        err.unwrap_err(),
+        ExecError::Snapshot(SnapshotError::DigestMismatch { field: "epoch" })
     );
 }
 
@@ -556,8 +583,7 @@ proptest! {
             .run()
             .expect("terminates");
         let want = transcript(&full);
-        let steps = full.clone().into_async_outcome().expect("async").total_steps;
-        let every = (steps / 5).max(1);
+        let every = (total_steps(&full) / 5).max(1);
         let snaps = {
             let mut obs = Collect::default();
             mk_async(&p, &g, &adv, seed, scheduler, churn)

@@ -11,6 +11,11 @@
 //! constants themselves stay in the test files: a test still fails on its
 //! own recorded numbers, not on values this crate could silently move.
 //!
+//! Tests drive runs through [`Simulation`] directly; every fingerprint
+//! here hashes the [`Outcome`] a run returns, reading the words its
+//! backend reports (rounds and messages, the asynchronous counters of
+//! [`Detail::Async`], or the scoped witness).
+//!
 //! Nothing here is randomized at fixture level: every builder is a pure
 //! function of its arguments, and every case table is a fixed instance,
 //! so two processes running the same case always hash identical outcomes
@@ -25,145 +30,9 @@ use stoneage_core::{
 };
 use stoneage_graph::{generators, Graph, NodeId, TopologyEvent};
 use stoneage_sim::{
-    AsyncOptions, AsyncOutcome, Backend, ChurnPlan, ChurnSummary, FaultPlan, FaultSummary,
-    LinkFault, Observer, SchedulerKind, ScopedEmission, ScopedMultiFsm, ScopedTransitions,
-    Simulation, SnapState, SnapWriter, Snapshot, SyncOutcome,
+    ChurnPlan, Detail, FaultPlan, LinkFault, Observer, Outcome, SchedulerKind, ScopedEmission,
+    ScopedMultiFsm, ScopedTransitions, Simulation, SnapState, SnapWriter, Snapshot,
 };
-
-/// Builder-backed twins of the retired legacy `run_*` free functions,
-/// with the legacy call shapes.
-///
-/// The `run_*` shims were deleted from `stoneage_sim` (the builder is
-/// the only entry point now), but many test suites and the experiment
-/// harness are written against the legacy shapes; these wrappers route
-/// those call sites through the unified [`Simulation`] builder from
-/// **one** place, so a builder signature change doesn't ripple through
-/// a dozen local copies. (The
-/// `parallel`-schedule twins stay local to the few `--features
-/// parallel` suites that need them: this crate cannot observe which
-/// features its `stoneage-sim` was built with.)
-pub mod harness {
-    use stoneage_core::{Fsm, MultiFsm};
-    use stoneage_graph::Graph;
-    use stoneage_sim::{
-        Adversary, AsyncConfig, AsyncOptions, AsyncOutcome, Backend, ExecError, Observer,
-        ScopedMultiFsm, ScopedOutcome, Simulation, SyncConfig, SyncOutcome,
-    };
-
-    /// Builder twin of the legacy `run_sync`.
-    pub fn run_sync<P>(
-        protocol: &P,
-        graph: &Graph,
-        config: &SyncConfig,
-    ) -> Result<SyncOutcome, ExecError>
-    where
-        P: MultiFsm + Sync,
-        P::State: Send + Sync,
-    {
-        Simulation::sync(protocol, graph)
-            .seed(config.seed)
-            .budget(config.max_rounds)
-            .run()
-            .map(|o| o.into_sync_outcome().expect("sync backend"))
-    }
-
-    /// Builder twin of the legacy `run_sync_with_inputs`.
-    pub fn run_sync_with_inputs<P>(
-        protocol: &P,
-        graph: &Graph,
-        inputs: &[usize],
-        config: &SyncConfig,
-    ) -> Result<SyncOutcome, ExecError>
-    where
-        P: MultiFsm + Sync,
-        P::State: Send + Sync,
-    {
-        Simulation::sync(protocol, graph)
-            .seed(config.seed)
-            .budget(config.max_rounds)
-            .inputs(inputs)
-            .run()
-            .map(|o| o.into_sync_outcome().expect("sync backend"))
-    }
-
-    /// Builder twin of the legacy `run_sync_observed`.
-    pub fn run_sync_observed<P, O>(
-        protocol: &P,
-        graph: &Graph,
-        inputs: &[usize],
-        config: &SyncConfig,
-        observer: &mut O,
-    ) -> Result<SyncOutcome, ExecError>
-    where
-        P: MultiFsm + Sync,
-        P::State: Send + Sync,
-        O: Observer<P::State>,
-    {
-        Simulation::sync(protocol, graph)
-            .seed(config.seed)
-            .budget(config.max_rounds)
-            .inputs(inputs)
-            .observe(observer)
-            .run()
-            .map(|o| o.into_sync_outcome().expect("sync backend"))
-    }
-
-    /// Builder twin of the legacy `run_async`. Forwards every
-    /// [`AsyncConfig`] field, scheduler and bucket width included.
-    pub fn run_async<P: Fsm, A: Adversary + ?Sized>(
-        protocol: &P,
-        graph: &Graph,
-        adversary: &A,
-        config: &AsyncConfig,
-    ) -> Result<AsyncOutcome, ExecError> {
-        let mut options = AsyncOptions::new(&adversary).with_scheduler(config.scheduler);
-        options.bucket_width = config.bucket_width;
-        Simulation::asynchronous(protocol, graph, &adversary)
-            .seed(config.seed)
-            .budget(config.max_events)
-            .backend(Backend::Async(options))
-            .run()
-            .map(|o| o.into_async_outcome().expect("async backend"))
-    }
-
-    /// Builder twin of the legacy `run_async_with_inputs`. Forwards
-    /// every [`AsyncConfig`] field.
-    pub fn run_async_with_inputs<P: Fsm, A: Adversary + ?Sized>(
-        protocol: &P,
-        graph: &Graph,
-        inputs: &[usize],
-        adversary: &A,
-        config: &AsyncConfig,
-    ) -> Result<AsyncOutcome, ExecError> {
-        let mut options = AsyncOptions::new(&adversary).with_scheduler(config.scheduler);
-        options.bucket_width = config.bucket_width;
-        Simulation::asynchronous(protocol, graph, &adversary)
-            .seed(config.seed)
-            .budget(config.max_events)
-            .backend(Backend::Async(options))
-            .inputs(inputs)
-            .run()
-            .map(|o| o.into_async_outcome().expect("async backend"))
-    }
-
-    /// Builder twin of the legacy `run_scoped`.
-    pub fn run_scoped<P>(
-        protocol: &P,
-        graph: &Graph,
-        seed: u64,
-        max_rounds: u64,
-    ) -> Result<ScopedOutcome, ExecError>
-    where
-        P: ScopedMultiFsm + Sync,
-        P::State: Send + Sync,
-    {
-        Simulation::scoped(protocol, graph)
-            .seed(seed)
-            .budget(max_rounds)
-            .run()
-            .map(|o| o.into_scoped_outcome().expect("scoped backend"))
-    }
-}
 
 /// Deterministic single-letter protocol over `["beep"]`: every node beeps
 /// in round 1, then outputs `1 + f_b(#beeps heard)`. The synchronous
@@ -295,24 +164,40 @@ pub fn fnv1a(seed: u64, words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
+/// The rounds and message count of a synchronous outcome.
+fn sync_costs<P: Protocol>(out: &Outcome<P>) -> (u64, u64) {
+    let rounds = out.rounds().expect("a lockstep outcome");
+    (rounds, out.messages_sent().expect("a sync outcome"))
+}
+
 /// Fingerprint of a synchronous outcome: rounds, message count, and the
 /// full output vector.
-pub fn sync_fingerprint(out: &SyncOutcome) -> u64 {
-    fnv1a(
-        out.rounds ^ (out.messages_sent << 20),
-        out.outputs.iter().copied(),
-    )
+pub fn sync_fingerprint<P: Protocol>(out: &Outcome<P>) -> u64 {
+    let (rounds, messages_sent) = sync_costs(out);
+    fnv1a(rounds ^ (messages_sent << 20), out.outputs.iter().copied())
 }
 
 /// Fingerprint of an asynchronous outcome: every counter plus the exact
 /// bits of the completion time and time unit.
-pub fn async_fingerprint(out: &AsyncOutcome) -> u64 {
+pub fn async_fingerprint<P: Protocol>(out: &Outcome<P>) -> u64 {
+    let Detail::Async {
+        completion_time,
+        time_unit,
+        total_steps,
+        messages_sent,
+        deliveries,
+        lost_overwrites,
+        ..
+    } = out.detail
+    else {
+        panic!("not an asynchronous outcome");
+    };
     fnv1a(
-        out.total_steps ^ (out.messages_sent << 16) ^ (out.deliveries << 32),
-        out.outputs.iter().copied().chain([
-            out.completion_time.to_bits(),
-            out.time_unit.to_bits(),
-            out.lost_overwrites,
+        total_steps ^ (messages_sent << 16) ^ (deliveries << 32),
+        (out.outputs.iter().copied()).chain([
+            completion_time.to_bits(),
+            time_unit.to_bits(),
+            lost_overwrites,
         ]),
     )
 }
@@ -320,13 +205,14 @@ pub fn async_fingerprint(out: &AsyncOutcome) -> u64 {
 /// Fingerprint of a scoped outcome: rounds, outputs, and the full scoped
 /// delivery transcript (round, endpoints, letter of every port-selected
 /// send) — any reordering or drift in the witness list changes the hash.
-pub fn scoped_fingerprint(out: &stoneage_sim::ScopedOutcome) -> u64 {
+pub fn scoped_fingerprint<P: Protocol>(out: &Outcome<P>) -> u64 {
+    let witness = out.scoped_deliveries().expect("a scoped outcome");
     fnv1a(
-        out.rounds ^ ((out.scoped_deliveries.len() as u64) << 24),
+        out.rounds().expect("a lockstep outcome") ^ ((witness.len() as u64) << 24),
         out.outputs
             .iter()
             .copied()
-            .chain(out.scoped_deliveries.iter().flat_map(|d| {
+            .chain(witness.iter().flat_map(|d| {
                 [
                     d.round,
                     ((d.from as u64) << 32) | d.to as u64,
@@ -346,40 +232,35 @@ pub const SYNC_PINNED_CASES: [(&str, u64); 6] = [
     ("grid-rbeep", 8),
 ];
 
-/// Runs a protocol synchronously through the unified builder, returning
-/// the legacy outcome shape the fingerprint helpers hash.
-fn sync_via_builder(protocol: TableProtocol, graph: &Graph, seed: u64) -> SyncOutcome {
-    Simulation::sync(&AsMulti(protocol), graph)
-        .seed(seed)
-        .run()
-        .expect("pinned cases terminate")
-        .into_sync_outcome()
-        .expect("sync backend")
-}
+/// The outcome of a pinned synchronous, churn or fault case.
+pub type SyncRun = Outcome<AsMulti<TableProtocol>>;
 
 /// Runs one case of the pinned synchronous panel. Panics on an unknown
 /// case name; the instances must never change (the recorded hashes in
 /// `crates/sim/tests/flat_engine.rs` pin their outcomes).
-pub fn run_sync_pinned(name: &str, seed: u64) -> SyncOutcome {
-    match name {
-        "gnp-count" => sync_via_builder(count_neighbors(3), &generators::gnp(120, 0.06, 9), seed),
-        "gnp-count2" => sync_via_builder(count_neighbors(2), &generators::gnp(90, 0.1, 23), seed),
-        "tree-rbeep" => {
-            sync_via_builder(random_beeper(5, 2), &generators::random_tree(150, 21), seed)
-        }
-        "grid-rbeep" => sync_via_builder(random_beeper(4, 3), &generators::grid(10, 14), seed),
+pub fn run_sync_pinned(name: &str, seed: u64) -> SyncRun {
+    let (p, g) = match name {
+        "gnp-count" => (count_neighbors(3), generators::gnp(120, 0.06, 9)),
+        "gnp-count2" => (count_neighbors(2), generators::gnp(90, 0.1, 23)),
+        "tree-rbeep" => (random_beeper(5, 2), generators::random_tree(150, 21)),
+        "grid-rbeep" => (random_beeper(4, 3), generators::grid(10, 14)),
         other => panic!("unknown pinned sync case {other}"),
-    }
+    };
+    let p = AsMulti(p);
+    let sim = Simulation::sync(&p, &g).seed(seed);
+    sim.run().expect("pinned cases terminate")
 }
 
-/// Fingerprint of a synchronous outcome *plus* its churn summary: the
-/// sync fingerprint words followed by the effective event counts and the
+/// Fingerprint of a synchronous churn outcome: the sync fingerprint
+/// words followed by the churn summary's effective event counts and
 /// final live-node set. Any drift in outputs, cost, applied events, or
 /// liveness changes the hash.
-pub fn churn_fingerprint(out: &SyncOutcome, summary: &ChurnSummary) -> u64 {
+pub fn churn_fingerprint<P: Protocol>(out: &Outcome<P>) -> u64 {
+    let (rounds, messages_sent) = sync_costs(out);
+    let summary = out.churn().expect("a churn outcome");
     fnv1a(
-        out.rounds
-            ^ (out.messages_sent << 18)
+        rounds
+            ^ (messages_sent << 18)
             ^ (summary.crashes << 40)
             ^ (summary.restarts << 44)
             ^ (summary.edge_inserts << 48)
@@ -425,27 +306,23 @@ pub fn churn_pinned_case(name: &str) -> (Graph, TableProtocol, ChurnPlan) {
 }
 
 /// Runs one case of the pinned churn panel through the unified builder
-/// on the serial synchronous backend, returning the legacy outcome and
-/// the churn summary the fingerprint hashes.
-pub fn run_churn_pinned(name: &str, seed: u64) -> (SyncOutcome, ChurnSummary) {
+/// on the serial synchronous backend.
+pub fn run_churn_pinned(name: &str, seed: u64) -> SyncRun {
     let (g, p, plan) = churn_pinned_case(name);
-    let outcome = Simulation::sync(&AsMulti(p), &g)
-        .seed(seed)
-        .with_churn(&plan)
-        .run()
-        .expect("pinned churn cases terminate");
-    let summary = outcome.churn().expect("churn plan was set").clone();
-    let out = outcome.into_sync_outcome().expect("sync backend");
-    (out, summary)
+    let p = AsMulti(p);
+    let sim = Simulation::sync(&p, &g).seed(seed).with_churn(&plan);
+    sim.run().expect("pinned churn cases terminate")
 }
 
-/// Fingerprint of a synchronous outcome *plus* its fault summary: the
-/// sync fingerprint words followed by the exact decision and injection
+/// Fingerprint of a synchronous faulted outcome: the sync fingerprint
+/// words followed by the fault summary's exact decision and injection
 /// tallies. Any drift in outputs, cost, or the per-rule fault decisions
 /// changes the hash.
-pub fn fault_fingerprint(out: &SyncOutcome, summary: &FaultSummary) -> u64 {
+pub fn fault_fingerprint<P: Protocol>(out: &Outcome<P>) -> u64 {
+    let (rounds, messages_sent) = sync_costs(out);
+    let summary = out.faults().expect("a faulted outcome");
     fnv1a(
-        out.rounds ^ (out.messages_sent << 18),
+        rounds ^ (messages_sent << 18),
         out.outputs.iter().copied().chain([
             summary.evaluated,
             summary.dropped,
@@ -500,18 +377,12 @@ pub fn fault_pinned_case(name: &str) -> (Graph, TableProtocol, FaultPlan) {
 }
 
 /// Runs one case of the pinned fault panel through the unified builder
-/// on the serial synchronous backend, returning the legacy outcome and
-/// the fault summary the fingerprint hashes.
-pub fn run_fault_pinned(name: &str, seed: u64) -> (SyncOutcome, FaultSummary) {
+/// on the serial synchronous backend.
+pub fn run_fault_pinned(name: &str, seed: u64) -> SyncRun {
     let (g, p, plan) = fault_pinned_case(name);
-    let outcome = Simulation::sync(&AsMulti(p), &g)
-        .seed(seed)
-        .with_faults(&plan)
-        .run()
-        .expect("pinned fault cases terminate");
-    let summary = *outcome.faults().expect("fault plan was set");
-    let out = outcome.into_sync_outcome().expect("sync backend");
-    (out, summary)
+    let p = AsMulti(p);
+    let sim = Simulation::sync(&p, &g).seed(seed).with_faults(&plan);
+    sim.run().expect("pinned fault cases terminate")
 }
 
 /// The `(case name, seed)` pairs of the pinned asynchronous panel.
@@ -546,28 +417,24 @@ pub fn async_pinned_case(name: &str) -> (Graph, Synchronized<TableProtocol>, u64
 
 /// Runs one case of the pinned asynchronous panel under the given
 /// scheduler (the heap and wheel paths must reproduce the same hash).
-pub fn run_async_pinned(name: &str, seed: u64, scheduler: SchedulerKind) -> AsyncOutcome {
+pub fn run_async_pinned(
+    name: &str,
+    seed: u64,
+    scheduler: SchedulerKind,
+) -> Outcome<Synchronized<TableProtocol>> {
     let (g, p, adv_seed) = async_pinned_case(name);
     let adv = stoneage_sim::adversary::UniformRandom { seed: adv_seed };
-    Simulation::asynchronous(&p, &g, &adv)
-        .seed(seed)
-        .backend(Backend::Async(
-            AsyncOptions::new(&adv).with_scheduler(scheduler),
-        ))
+    let sim = Simulation::asynchronous(&p, &g, &adv).seed(seed);
+    sim.scheduler(scheduler)
         .run()
         .expect("pinned cases terminate")
-        .into_async_outcome()
-        .expect("async backend")
 }
 
 /// Fingerprint of an asynchronous run: the [`async_fingerprint`] words,
 /// then the churn summary (effective event counts and final live set)
 /// and the fault tallies, each when present.
-pub fn async_run_fingerprint(
-    out: &AsyncOutcome,
-    churn: Option<&ChurnSummary>,
-    faults: Option<&FaultSummary>,
-) -> u64 {
+pub fn async_run_fingerprint<P: Protocol>(out: &Outcome<P>) -> u64 {
+    let (churn, faults) = (out.churn(), out.faults());
     let present = (churn.is_some() as u64) | (faults.is_some() as u64) << 1;
     let churn = churn.into_iter().flat_map(|c| {
         [c.crashes, c.restarts, c.edge_inserts, c.edge_deletes]
@@ -670,9 +537,7 @@ pub fn async_transcript(plan: &str, scheduler: SchedulerKind) -> u64 {
         .seed(8)
         .budget(2_000_000)
         .checkpoint_every(40)
-        .backend(Backend::Async(
-            AsyncOptions::new(&adv).with_scheduler(scheduler),
-        ));
+        .scheduler(scheduler);
     if plan.starts_with("churn") {
         sim = sim.with_churn(&churn);
     }
@@ -696,9 +561,7 @@ pub fn async_transcript(plan: &str, scheduler: SchedulerKind) -> u64 {
             "{plan}"
         );
     }
-    let (churn, faults) = (outcome.churn().cloned(), outcome.faults().copied());
-    let out = outcome.into_async_outcome().expect("async backend");
-    let fp = async_run_fingerprint(&out, churn.as_ref(), faults.as_ref());
+    let fp = async_run_fingerprint(&outcome);
     observer.fold(4, 0, &fp.to_le_bytes());
     observer.hash
 }
@@ -840,7 +703,8 @@ mod tests {
             let _ = run_sync_pinned(name, seed);
         }
         for (name, seed) in CHURN_PINNED_CASES {
-            let (_, summary) = run_churn_pinned(name, seed);
+            let out = run_churn_pinned(name, seed);
+            let summary = out.churn().expect("a churn outcome");
             // The random plans must actually inject faults — a plan that
             // degenerated to a no-op would pin a meaningless hash.
             assert!(
@@ -850,7 +714,8 @@ mod tests {
             );
         }
         for (name, seed) in FAULT_PINNED_CASES {
-            let (_, summary) = run_fault_pinned(name, seed);
+            let out = run_fault_pinned(name, seed);
+            let summary = out.faults().expect("a faulted outcome");
             // The plans must actually fire — an all-miss schedule would
             // pin a hash indistinguishable from the fault-free run.
             assert!(summary.injected() > 0, "{name} plan never fired");

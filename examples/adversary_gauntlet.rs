@@ -14,7 +14,7 @@ use stoneage::core::{SingleLetter, Synchronized};
 use stoneage::graph::{generators, validate};
 use stoneage::protocols::{decode_mis, MisProtocol};
 use stoneage::sim::adversary::standard_panel;
-use stoneage::sim::Simulation;
+use stoneage::sim::{Detail, Simulation};
 
 fn main() {
     let n = 32;
@@ -46,18 +46,25 @@ fn main() {
         let out = Simulation::asynchronous(&pipeline, &g, &adv)
             .seed(9)
             .run()
-            .expect("Theorem 3.1: terminates under every policy")
-            .into_async_outcome()
-            .expect("async backend");
+            .expect("Theorem 3.1: terminates under every policy");
+        let Detail::Async {
+            total_steps,
+            deliveries,
+            lost_overwrites,
+            ..
+        } = out.detail
+        else {
+            unreachable!("an asynchronous run");
+        };
         let mis = decode_mis(&out.outputs);
         let ok = validate::is_maximal_independent_set(&g, &mis);
         println!(
             "{:<14} {:>12.1} {:>10} {:>12} {:>10}  {}",
             adv.name(),
-            out.normalized_time,
-            out.total_steps,
-            out.deliveries,
-            out.lost_overwrites,
+            out.cost.value(),
+            total_steps,
+            deliveries,
+            lost_overwrites,
             if ok { "valid MIS ✓" } else { "INVALID ✗" }
         );
         assert!(ok);
