@@ -7,10 +7,9 @@
 //!   gnp / tree / grid instances under a uniform-random adversary, also
 //!   under the churn sweep's dense plan and the fault sweep's mixed plan
 //!   (wheel and heap each);
-//! * **parallel sweep** (`--features parallel` builds) — rounds/sec of
-//!   the serial flat engine vs the fully parallel engine (chunked
-//!   phase 1 + sharded-write-buffer phase 2) at several worker counts on
-//!   the same gnp instance;
+//! * **parallel sweep** — rounds/sec of the serial flat engine vs the
+//!   fully parallel engine (chunked phase 1 + sharded-write-buffer
+//!   phase 2) at several worker counts on the same gnp instance;
 //! * **churn sweep** — rounds/sec of the incrementally patched engine vs
 //!   the `ChurnOracle` full-rebuild reference under a dense fault
 //!   schedule, plus per-event re-stabilization rounds of MIS / coloring
@@ -104,7 +103,7 @@ fn measure<P: Protocol>(
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let start = Instant::now();
-        let err = run().err().expect("workload never terminates");
+        let err = run().expect_err("workload never terminates");
         assert!(matches!(err, ExecError::RoundLimit { .. }));
         best = best.min(start.elapsed().as_secs_f64());
     }
@@ -155,7 +154,6 @@ fn measure_async(
 }
 
 /// One serial-vs-parallel measurement of the sync engine.
-#[cfg(feature = "parallel")]
 struct ParEntry {
     workers: usize,
     /// The worker count the engine actually ran with, surfaced by
@@ -172,7 +170,6 @@ struct ParEntry {
 /// the host's CPUs are still measured (the OS time-slices them) so the
 /// recorded sweep is comparable across hosts, but the gate in `main`
 /// only enforces counts the hardware can actually run.
-#[cfg(feature = "parallel")]
 fn parallel_sweep(g: &Graph, rounds: u64, reps: usize, serial_rps: f64) -> (Vec<ParEntry>, usize) {
     use stoneage_sim::{MergeStrategy, ParallelPolicy};
     let hw = std::thread::available_parallelism()
@@ -984,13 +981,6 @@ fn main() {
                     .expect("--min-parallel-speedup needs a ratio")
                     .parse::<f64>()
                     .expect("--min-parallel-speedup needs a number");
-                if cfg!(not(feature = "parallel")) {
-                    eprintln!(
-                        "--min-parallel-speedup requires a `--features parallel` build \
-                         of stoneage-bench"
-                    );
-                    std::process::exit(2);
-                }
                 min_parallel_speedup = Some(v);
             }
             "--min-churn-patch-speedup" => {
@@ -1065,7 +1055,6 @@ fn main() {
     let speedup = flat / reference;
     eprintln!("  speedup:   {speedup:.2}x");
 
-    #[cfg(feature = "parallel")]
     let (par_entries, workers_available) = {
         eprintln!("engine_bench[parallel]: serial vs parallel flat engine, same instance");
         parallel_sweep(&g, rounds, reps, flat)
@@ -1119,7 +1108,6 @@ fn main() {
         ),
     ]);
 
-    #[cfg(feature = "parallel")]
     let parallel_json = Value::Object(vec![
         (
             "workload".to_owned(),
@@ -1149,14 +1137,6 @@ fn main() {
                     })
                     .collect(),
             ),
-        ),
-    ]);
-    #[cfg(not(feature = "parallel"))]
-    let parallel_json = Value::Object(vec![
-        ("enabled".to_owned(), Value::Bool(false)),
-        (
-            "note".to_owned(),
-            "build stoneage-bench with --features parallel to record the sweep".into(),
         ),
     ]);
 
@@ -1370,7 +1350,6 @@ fn main() {
     // hardware can genuinely run in parallel (>= 4 workers, like the
     // acceptance target): on a narrower host the sweep is still recorded
     // but gating time-sliced threads would only measure the OS scheduler.
-    #[cfg(feature = "parallel")]
     if let Some(min) = min_parallel_speedup {
         let gated: Vec<&ParEntry> = par_entries
             .iter()
@@ -1492,6 +1471,4 @@ fn main() {
             server_entry.overhead
         );
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = min_parallel_speedup;
 }

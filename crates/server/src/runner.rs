@@ -260,8 +260,8 @@ where
 }
 
 /// Runs one seed as a chain of checkpoint-bounded segments, on the
-/// parallel schedule with `workers` workers when that is more than one
-/// (`parallel` builds). `Ok(None)` = cancelled between segments.
+/// parallel schedule with `workers` workers when that is more than one.
+/// `Ok(None)` = cancelled between segments.
 #[allow(clippy::too_many_arguments)] // internal plumbing fn, one call site
 fn run_one_seed<P>(
     protocol: &P,
@@ -330,15 +330,12 @@ where
         if let Some(plan) = spec.faults.as_ref() {
             sim = sim.with_faults(plan);
         }
-        #[cfg(feature = "parallel")]
         if workers > 1 {
             sim = sim.parallel(stoneage_sim::ParallelPolicy::forced(
                 workers,
                 stoneage_sim::MergeStrategy::default(),
             ));
         }
-        #[cfg(not(feature = "parallel"))]
-        let _ = workers;
         let run = sim.run();
         let captured = observer.latest.take();
         match run {

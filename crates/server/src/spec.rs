@@ -305,9 +305,8 @@ pub struct JobSpec {
     /// Emit a `round` stream event every this many rounds (`0` = none).
     pub events_every: u64,
     /// Worker cores this job asks for. The scheduler charges it
-    /// `min(workers, cores)` of the server's cores, and on `parallel`
-    /// builds a job charged more than one core runs its rounds on that
-    /// many workers.
+    /// `min(workers, cores)` of the server's cores, and a job charged
+    /// more than one core runs its rounds on that many workers.
     pub workers: usize,
     /// Artificial per-round delay, for demos and deterministic
     /// mid-run cancellation in tests.

@@ -290,10 +290,9 @@ fn cancel_while_queued_never_runs() {
 fn panicking_job_fails_and_frees_its_core() {
     // `selfstab_coloring` panics on coloring's |C(v)| invariant when the
     // hub crashes before it is colored. Two such jobs take both cores
-    // (the second on two workers: a worker-thread panic under the
-    // `parallel` feature); each must end `failed` with the panic message
-    // and hand its cores back, so a later job still runs and shutdown
-    // still returns.
+    // (the second on two workers: a worker-thread panic); each must end
+    // `failed` with the panic message and hand its cores back, so a
+    // later job still runs and shutdown still returns.
     let (server, addr, _scratch) = start("panic");
     let spec = r#"{"graph": {"family": "hub_and_spoke", "hubs": 1, "spokes": 12},
                    "protocol": "selfstab_coloring", "seeds": [1], "budget": 2000,
@@ -346,7 +345,6 @@ fn panicking_job_fails_and_frees_its_core() {
 /// A job asking for more workers than the server has cores is charged
 /// `min(workers, cores)` cores — and runs on exactly that many, as the
 /// engine's worker count in its `seed_done` event shows.
-#[cfg(feature = "parallel")]
 #[test]
 fn parallel_job_runs_on_the_cores_it_is_charged() {
     let (server, addr, _scratch) = start("charged");

@@ -355,7 +355,6 @@ impl FaultSummary {
 
     /// Folds another tally into this one (worker-tally merge; addition,
     /// so any merge order produces the same sums).
-    #[cfg_attr(not(any(test, feature = "parallel")), allow(dead_code))]
     pub(crate) fn merge(&mut self, other: &FaultSummary) {
         self.evaluated += other.evaluated;
         self.dropped += other.dropped;
@@ -485,30 +484,10 @@ impl<'f> FaultLayer<'f> {
         FaultLayer { ctx, tally }
     }
 
-    /// Wraps a round's delivery sink in the fault filter.
-    pub(crate) fn sink<'a, Sk: DeliverySink>(
-        &'a mut self,
-        inner: &'a mut Sk,
-        round: u64,
-    ) -> FaultSink<'a, Sk> {
-        FaultSink {
-            inner,
-            ctx: self.ctx,
-            tindex: round,
-            tally: &mut self.tally,
-        }
-    }
-
     /// The tally as captured into boundary snapshots: present exactly
     /// when a plan is wired in.
     pub(crate) fn capture(&self) -> Option<FaultSummary> {
         self.ctx.map(|_| self.tally)
-    }
-
-    /// Folds a worker's round tally into the run tally.
-    #[cfg(feature = "parallel")]
-    pub(crate) fn absorb(&mut self, worker: &FaultSummary) {
-        self.tally.merge(worker);
     }
 }
 
@@ -524,10 +503,10 @@ pub(crate) struct FaultSink<'a, Sk> {
 }
 
 impl<'a, Sk: DeliverySink> FaultSink<'a, Sk> {
-    /// Wraps one worker's sink for one round (the parallel schedules
-    /// hold per-worker tallies and absorb them after the join).
-    #[cfg(feature = "parallel")]
-    pub(crate) fn wrap(
+    /// Wraps a delivery sink for the deliveries of time index `tindex`
+    /// (the round), counting into `tally`: the run's tally on the serial
+    /// loop, a worker's own on the parallel loop (merged after the join).
+    pub(crate) fn new(
         inner: &'a mut Sk,
         ctx: Option<&'a FaultCtx>,
         tindex: u64,

@@ -71,10 +71,8 @@
 //! delivery of round *r* is buffered while phase 1 reads the store, and
 //! lands only after the round's last read (see the [`engine`] docs).
 //!
-//! With the `parallel` cargo feature (alias: `rayon`; implemented with
-//! `std::thread` because this build environment vendors no external
-//! crates), `.parallel(ParallelPolicy)` chunks **both** round phases
-//! across worker threads: each round, one worker per slot-balanced node
+//! `.parallel(ParallelPolicy)` chunks **both** round phases across
+//! `std::thread` workers: each round, one worker per slot-balanced node
 //! shard runs phase 1 (observation + transition) into its own sharded
 //! write buffer of the [`parbuf`] module, and phase 2 (delivery) merges
 //! the buffers destination-sharded, so workers never contend on a

@@ -1,12 +1,8 @@
 //! Deterministic parallel phase-2 delivery: sharded per-worker write
-//! buffers for the lockstep executors (`parallel` feature).
-//!
-//! PR 1 parallelized only phase 1 (observation + transition) of the
-//! synchronous round loop; phase 2 — delivering every emission into
-//! [`FlatPorts`] — stayed a single-threaded write pass, and on multi-core
-//! hardware the round loop was bottlenecked on it. This module makes
-//! phase 2 data-parallel while keeping the executors **bit-identical** to
-//! their serial twins:
+//! buffers for the parallel round schedule of the lockstep executors.
+//! Phase 2 — delivering every emission into [`FlatPorts`] — runs
+//! data-parallel, and the schedule stays **bit-identical** to the serial
+//! one:
 //!
 //! 1. **Partition.** [`ShardPlan`] cuts the node range into one
 //!    contiguous chunk per worker, balanced by port-slot count (degree

@@ -109,10 +109,7 @@ use stoneage_graph::{Graph, NodeId};
 
 use crate::churn::{self, ChurnCtl, ChurnSummary, DEAD_OUTPUT};
 use crate::engine::FlatPorts;
-#[cfg(feature = "parallel")]
-use crate::faults::FaultSink;
-use crate::faults::{self, FaultCtx, FaultLayer, FaultSummary};
-#[cfg(feature = "parallel")]
+use crate::faults::{self, FaultCtx, FaultLayer, FaultSink, FaultSummary};
 use crate::parbuf::{self, DeliveryBuffer, ParallelPolicy, ShardPlan};
 use crate::scoped::ScopedDelivery;
 use crate::sim::{Cost, Detail, Observer, Outcome, Simulation};
@@ -178,13 +175,11 @@ impl DeliverySink for SerialWrites {
 
 /// The parallel delivery strategy: a worker-private [`DeliveryBuffer`]
 /// bucketed by destination shard.
-#[cfg(feature = "parallel")]
 struct ShardedSink<'a> {
     buffer: &'a mut DeliveryBuffer,
     plan: &'a ShardPlan,
 }
 
-#[cfg(feature = "parallel")]
 impl DeliverySink for ShardedSink<'_> {
     #[inline]
     fn broadcast(&mut self, graph: &Graph, v: NodeId, letter: Letter) {
@@ -263,7 +258,6 @@ pub(crate) trait RoundStep {
     /// serial witness order. (Only the parallel loop splits the witness
     /// per worker; the serial loop writes into the run-level witness
     /// directly.)
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
     fn absorb(into: &mut Self::Witness, from: &mut Self::Witness);
     /// The scoped-delivery transcript inside `witness`, if this flavour
     /// records one — serialized into boundary snapshots.
@@ -492,20 +486,15 @@ where
             0
         }
     };
-    let (done, workers) = 'run: {
-        if resume.is_none() && run.undecided == 0 && run.hook.exhausted() {
-            break 'run (Some(0), 1);
-        }
-        #[cfg(feature = "parallel")]
-        {
-            let n = sim.graph.node_count();
-            if let Some(policy) = sim.policy.filter(|p| !p.use_serial(n)) {
-                let done = run_parallel(&mut run, &policy, start);
-                // The shard plan clamps to the node count — report what
-                // actually runs, not the raw policy value.
-                break 'run (done, policy.resolve_workers().min(n.max(1)));
-            }
-        }
+    let n = sim.graph.node_count();
+    let (done, workers) = if resume.is_none() && run.undecided == 0 && run.hook.exhausted() {
+        (Some(0), 1)
+    } else if let Some(policy) = sim.policy.filter(|p| !p.use_serial(n)) {
+        // The shard plan clamps to the node count — report what actually
+        // runs, not the raw policy value.
+        let done = run_parallel(&mut run, &policy, start);
+        (done, policy.resolve_workers().min(n.max(1)))
+    } else {
         (run_serial(&mut run, start), 1)
     };
     let Some(rounds) = done else {
@@ -704,7 +693,7 @@ where
     let mut sink = SerialWrites::default();
     for round in start + 1..=run.max_rounds {
         sink.begin_round();
-        let mut fsink = run.faults.sink(&mut sink, round);
+        let mut fsink = FaultSink::new(&mut sink, run.faults.ctx, round, &mut run.faults.tally);
         run.undecided += run_nodes(
             run.step,
             run.graph,
@@ -734,7 +723,6 @@ where
 /// then the witness absorb in worker order, the policy's merge and
 /// [`Lockstep::end_round`]. Bit-identical to
 /// [`run_serial`] for every seed, worker count and merge strategy.
-#[cfg(feature = "parallel")]
 fn run_parallel<St, H, O>(
     run: &mut Lockstep<'_, St, H, O>,
     policy: &ParallelPolicy,
@@ -773,7 +761,7 @@ where
                         buffer.clear();
                         let mut sink = ShardedSink { buffer, plan };
                         let mut tally = FaultSummary::default();
-                        let mut fsink = FaultSink::wrap(&mut sink, fctx, round, &mut tally);
+                        let mut fsink = FaultSink::new(&mut sink, fctx, round, &mut tally);
                         let delta = run_nodes(
                             step, graph, hook, ports, round, base, states, rngs, obs, &mut fsink,
                             wit,
@@ -789,7 +777,7 @@ where
         });
         for ((delta, tally), wit) in results.into_iter().zip(&mut wits) {
             run.undecided += delta;
-            run.faults.absorb(&tally);
+            run.faults.tally.merge(&tally);
             St::absorb(&mut run.witness, wit);
         }
         run.sent += buffers.iter().map(|b| b.sent).sum::<u64>();

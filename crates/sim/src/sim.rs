@@ -68,7 +68,6 @@ use stoneage_graph::{Graph, NodeId, TopologyEvent};
 
 use crate::churn::{ChurnPlan, ChurnSummary};
 use crate::faults::{FaultPlan, FaultScope, FaultSummary, LinkFault};
-#[cfg(feature = "parallel")]
 use crate::parbuf::ParallelPolicy;
 use crate::pipeline::{self, RoundStep};
 use crate::scoped::{ScopedDelivery, ScopedMultiFsm, ScopedStep};
@@ -176,7 +175,6 @@ impl Detail {
 }
 
 /// Result of a [`Simulation`] that reached an output configuration.
-#[derive(Clone, Debug)]
 pub struct Outcome<P: Protocol> {
     /// Per-node outputs, decoded from the output states.
     pub outputs: Vec<u64>,
@@ -194,6 +192,32 @@ pub struct Outcome<P: Protocol> {
     pub workers: usize,
     /// Backend-specific extras.
     pub detail: Detail,
+}
+
+// By hand rather than derived: a derive would bound `Clone` and `Debug`
+// on the protocol type `P`, although only `P::State` is stored.
+impl<P: Protocol> Clone for Outcome<P> {
+    fn clone(&self) -> Self {
+        Outcome {
+            outputs: self.outputs.clone(),
+            states: self.states.clone(),
+            cost: self.cost,
+            workers: self.workers,
+            detail: self.detail.clone(),
+        }
+    }
+}
+
+impl<P: Protocol> std::fmt::Debug for Outcome<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Outcome")
+            .field("outputs", &self.outputs)
+            .field("states", &self.states)
+            .field("cost", &self.cost)
+            .field("workers", &self.workers)
+            .field("detail", &self.detail)
+            .finish()
+    }
 }
 
 impl<P: Protocol> Outcome<P> {
@@ -319,7 +343,7 @@ type Exec<'g, P> = fn(Simulation<'g, P>, &[usize]) -> Result<Outcome<P>, ExecErr
 ///
 /// The `sync` and `scoped` constructors require the protocol and its
 /// states to be thread-shareable (`Sync`/`Send`) so one construction
-/// serves both the serial and the `parallel`-feature schedules; every
+/// serves both the serial and the parallel schedules; every
 /// protocol in the workspace qualifies (they are plain data shared by
 /// reference across all nodes, per model requirement (M2)).
 pub struct Simulation<'g, P: Protocol> {
@@ -335,7 +359,6 @@ pub struct Simulation<'g, P: Protocol> {
     observer: Option<&'g mut (dyn Observer<P::State> + 'g)>,
     pub(crate) churn: Option<&'g ChurnPlan>,
     pub(crate) faults: Option<&'g FaultPlan>,
-    #[cfg(feature = "parallel")]
     pub(crate) policy: Option<ParallelPolicy>,
     checkpoint: Option<u64>,
     resume: Option<&'g Snapshot>,
@@ -365,7 +388,6 @@ impl<'g, P: Fsm> Simulation<'g, P> {
     /// wheel unless [`scheduler`](Self::scheduler) picks the heap.
     pub fn asynchronous(protocol: &'g P, graph: &'g Graph, adversary: &'g dyn Adversary) -> Self {
         Simulation::new(protocol, graph, Some(adversary), |mut sim, inputs| {
-            #[cfg(feature = "parallel")]
             if sim.policy.is_some() {
                 return Err(ExecError::Config {
                     reason: "the Async backend has no parallel schedule: remove the \
@@ -425,7 +447,6 @@ impl<'g, P: Protocol> Simulation<'g, P> {
             observer: None,
             churn: None,
             faults: None,
-            #[cfg(feature = "parallel")]
             policy: None,
             checkpoint: None,
             resume: None,
@@ -508,11 +529,8 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     /// [`crate::pipeline`] and [`crate::parbuf`]). Bit-identical to the
     /// serial schedule for every seed, worker count, and merge strategy;
     /// the policy's small-instance threshold may still delegate to the
-    /// serial engine (reported via [`Outcome::workers`]). Only exists on
-    /// `parallel` builds, so a policy can never be configured on a build
-    /// that cannot honor it; combining it with
-    /// [`Simulation::asynchronous`] is an [`ExecError::Config`].
-    #[cfg(feature = "parallel")]
+    /// serial engine (reported via [`Outcome::workers`]). Combining it
+    /// with [`Simulation::asynchronous`] is an [`ExecError::Config`].
     pub fn parallel(mut self, policy: ParallelPolicy) -> Self {
         self.policy = Some(policy);
         self

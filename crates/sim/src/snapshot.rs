@@ -118,7 +118,6 @@ use stoneage_graph::Graph;
 use crate::engine::FlatPorts;
 use crate::faults::FaultSummary;
 use crate::scoped::ScopedDelivery;
-use crate::ExecError;
 
 /// The current snapshot format version; bumped on any layout change.
 /// Version 2 added the fault-layer tally (the accumulated
@@ -848,36 +847,45 @@ fn decode_fault_tally(r: &mut SnapReader<'_>) -> Result<FaultSummary, SnapshotEr
     })
 }
 
-/// A decoded lockstep boundary, ready to splice into a fresh engine.
-pub(crate) struct LockstepResume<S> {
-    pub round: u64,
-    pub sent: u64,
-    pub undecided: u64,
-    pub letters: Vec<Letter>,
+/// Reads `n` per-node RNG streams back (both body layouts share this
+/// shape).
+fn decode_rngs(r: &mut SnapReader<'_>, n: usize) -> Result<Vec<SmallRng>, SnapshotError> {
+    (0..n)
+        .map(|_| {
+            let mut words = [0u64; 4];
+            for word in &mut words {
+                *word = r.u64()?;
+            }
+            Ok(SmallRng::from_state(SeedState { words }))
+        })
+        .collect()
+}
+
+/// A decoded lockstep snapshot spliced into live engine parts: the
+/// restored port store (letters + canonically recomputed counts),
+/// states, RNG streams, optional witness transcript and churn cursor,
+/// and the loop counters as a [`ResumePoint`].
+pub(crate) struct LockstepSplice<S> {
+    pub ports: FlatPorts,
     pub states: Vec<S>,
     pub rngs: Vec<SmallRng>,
     pub witness: Option<Vec<ScopedDelivery>>,
     pub churn_next: Option<u64>,
     pub faults: Option<FaultSummary>,
+    pub point: ResumePoint,
 }
 
-/// Decodes a lockstep snapshot body, validating the node and port-slot
-/// counts against the run's graph.
-pub(crate) fn decode_lockstep<S>(
+/// Decodes and splices a lockstep snapshot body against the run's graph
+/// — the shared restore path of the sync and scoped executors (churn
+/// runs pass the churn universe as `graph`) — validating the node and
+/// port-slot counts against it.
+pub(crate) fn resume_lockstep<S>(
     snap: &Snapshot,
     codec: &StateCodec<S>,
-    n: usize,
-    slots: usize,
-) -> Result<LockstepResume<S>, ExecError> {
-    decode_lockstep_inner(snap, codec, n, slots).map_err(ExecError::Snapshot)
-}
-
-fn decode_lockstep_inner<S>(
-    snap: &Snapshot,
-    codec: &StateCodec<S>,
-    n: usize,
-    slots: usize,
-) -> Result<LockstepResume<S>, SnapshotError> {
+    graph: &Graph,
+    sigma: usize,
+) -> Result<LockstepSplice<S>, SnapshotError> {
+    let (n, slots) = (graph.node_count(), graph.port_slot_count());
     let mut r = SnapReader::new(snap.body(), "lockstep snapshot body");
     let flags = r.u8()?;
     if r.u64()? != n as u64 {
@@ -900,15 +908,7 @@ fn decode_lockstep_inner<S>(
         .map(|_| Ok(Letter(r.u16()?)))
         .collect::<Result<Vec<_>, SnapshotError>>()?;
     let states = codec.decode_states(&mut r, n)?;
-    let rngs = (0..n)
-        .map(|_| {
-            let mut words = [0u64; 4];
-            for word in &mut words {
-                *word = r.u64()?;
-            }
-            Ok(SmallRng::from_state(SeedState { words }))
-        })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
+    let rngs = decode_rngs(&mut r, n)?;
     let witness = if flags & 1 != 0 {
         let len = r.u64()? as usize;
         Some(
@@ -937,54 +937,17 @@ fn decode_lockstep_inner<S>(
             field: "trailing bytes",
         });
     }
-    Ok(LockstepResume {
-        round,
-        sent,
-        undecided,
-        letters,
+    Ok(LockstepSplice {
+        ports: FlatPorts::from_letters(graph, sigma, letters),
         states,
         rngs,
         witness,
         churn_next,
         faults,
-    })
-}
-
-/// A decoded lockstep snapshot spliced into live engine parts: the
-/// restored port store (letters + canonically recomputed counts),
-/// states, RNG streams, optional witness transcript and churn cursor,
-/// and the loop counters as a [`ResumePoint`].
-pub(crate) struct LockstepSplice<S> {
-    pub ports: FlatPorts,
-    pub states: Vec<S>,
-    pub rngs: Vec<SmallRng>,
-    pub witness: Option<Vec<ScopedDelivery>>,
-    pub churn_next: Option<u64>,
-    pub faults: Option<FaultSummary>,
-    pub point: ResumePoint,
-}
-
-/// Decodes and splices a lockstep snapshot against the run's graph — the
-/// shared restore path of the sync and scoped executors (churn runs pass
-/// the churn universe as `graph`).
-pub(crate) fn resume_lockstep<S>(
-    snap: &Snapshot,
-    codec: &StateCodec<S>,
-    graph: &Graph,
-    sigma: usize,
-) -> Result<LockstepSplice<S>, ExecError> {
-    let res = decode_lockstep(snap, codec, graph.node_count(), graph.port_slot_count())?;
-    Ok(LockstepSplice {
-        ports: FlatPorts::from_letters(graph, sigma, res.letters),
-        states: res.states,
-        rngs: res.rngs,
-        witness: res.witness,
-        churn_next: res.churn_next,
-        faults: res.faults,
         point: ResumePoint {
-            round: res.round,
-            sent: res.sent,
-            undecided: res.undecided,
+            round,
+            sent,
+            undecided,
         },
     })
 }
@@ -1151,15 +1114,6 @@ pub(crate) fn decode_async<S>(
     codec: &StateCodec<S>,
     n: usize,
     slots: usize,
-) -> Result<AsyncResume<S>, ExecError> {
-    decode_async_inner(snap, codec, n, slots).map_err(ExecError::Snapshot)
-}
-
-fn decode_async_inner<S>(
-    snap: &Snapshot,
-    codec: &StateCodec<S>,
-    n: usize,
-    slots: usize,
 ) -> Result<AsyncResume<S>, SnapshotError> {
     let mut r = SnapReader::new(snap.body(), "async snapshot body");
     let flags = r.u8()?;
@@ -1194,15 +1148,7 @@ fn decode_async_inner<S>(
     let step_counts = (0..n)
         .map(|_| r.u64())
         .collect::<Result<Vec<_>, SnapshotError>>()?;
-    let rngs = (0..n)
-        .map(|_| {
-            let mut words = [0u64; 4];
-            for word in &mut words {
-                *word = r.u64()?;
-            }
-            Ok(SmallRng::from_state(SeedState { words }))
-        })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
+    let rngs = decode_rngs(&mut r, n)?;
     let churn = if flags & 1 != 0 {
         let incarnation = (0..n)
             .map(|_| r.u32())

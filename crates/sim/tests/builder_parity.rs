@@ -16,10 +16,10 @@
 //! backend, so no builder can select another one.
 
 use proptest::prelude::*;
-use stoneage_core::{AsMulti, Synchronized};
+use stoneage_core::{AsMulti, Protocol, Synchronized};
 use stoneage_graph::{generators, Graph};
 use stoneage_sim::adversary::{standard_panel, UniformRandom};
-use stoneage_sim::{Cost, ExecError, Observer, SchedulerKind, Simulation};
+use stoneage_sim::{Cost, ExecError, Observer, Outcome, SchedulerKind, Simulation};
 use stoneage_testkit::{
     async_fingerprint, count_neighbors, count_neighbors_quiet, fnv1a, random_beeper,
     scoped_fingerprint, sync_fingerprint, Poke,
@@ -198,10 +198,31 @@ fn unified_outcome_carries_states_cost_and_workers() {
     assert_eq!(out.states.len(), g.node_count());
     assert_eq!(out.workers, 1, "serial path reports one worker");
     // Final states decode to exactly the reported outputs.
-    use stoneage_core::Protocol;
     let decoded: Vec<u64> = out.states.iter().map(|s| p.output(s).unwrap()).collect();
     assert_eq!(decoded, out.outputs);
     assert!(matches!(out.cost, Cost::Rounds(r) if r == out.rounds().unwrap()));
+}
+
+/// Bounded by `Protocol` alone: `Outcome` stores `P::State`, never `P`,
+/// so cloning an outcome or unwrapping an expected error must ask no
+/// `Clone` or `Debug` of the protocol type itself.
+fn clone_and_expect_err<P: Protocol>(
+    done: &Outcome<P>,
+    failed: Result<Outcome<P>, ExecError>,
+) -> (Outcome<P>, ExecError) {
+    (done.clone(), failed.expect_err("the run fails"))
+}
+
+#[test]
+fn outcome_clone_and_debug_ask_nothing_of_the_protocol_type() {
+    let p = AsMulti(count_neighbors(2));
+    let g = generators::gnp(40, 0.15, 2);
+    let out = Simulation::sync(&p, &g).seed(1).run().unwrap();
+    assert!(out.rounds().unwrap() > 1);
+    let failed = Simulation::sync(&p, &g).seed(1).budget(1).run();
+    let (copy, err) = clone_and_expect_err(&out, failed);
+    assert_eq!(format!("{copy:?}"), format!("{out:?}"));
+    assert!(matches!(err, ExecError::RoundLimit { limit: 1, .. }));
 }
 
 #[test]
@@ -328,7 +349,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "parallel")]
 mod parallel {
     use super::*;
     use stoneage_graph::TopologyEvent;

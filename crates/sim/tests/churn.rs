@@ -9,9 +9,9 @@
 //!    path (`PatchMode::Rebuild` — `ChurnOracle::rebuild` reconstructs
 //!    the port store from the overlay after every boundary), across
 //!    graph families, protocols, seeds, and backends.
-//! 2. **Serial ≡ parallel.** Under the `parallel` feature the same plan
-//!    reproduces the serial outcome for every adversarial worker count,
-//!    on the skewed families too (epoch-boundary event application keeps
+//! 2. **Serial ≡ parallel.** The same plan reproduces the serial
+//!    outcome for every adversarial worker count, on the skewed
+//!    families too (epoch-boundary event application keeps
 //!    the frozen-read-plane argument intact — see the `churn` module
 //!    docs), and the shard plan built once over the universe stays valid
 //!    across every boundary.
@@ -340,7 +340,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "parallel")]
 mod parallel {
     use super::*;
     use stoneage_sim::parbuf::ShardPlan;

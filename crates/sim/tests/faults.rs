@@ -6,9 +6,8 @@
 //! 1. **Decisions are positional, not sequential.** A fault decision is
 //!    a pure hash of `(plan stream, receiver slot, time index, rule
 //!    index)`, so the same plan reproduces the same injections under any
-//!    evaluation order: serial ≡ every worker count (`parallel`
-//!    feature, skewed families included), and a double run is
-//!    bit-identical.
+//!    evaluation order: serial ≡ every worker count (skewed families
+//!    included), and a double run is bit-identical.
 //! 2. **Empty plan ≡ fault-free engine.** Wiring in a rule-less plan is
 //!    bit-identical to not calling `with_faults` at all on all three
 //!    backends, and reports an all-zero summary.
@@ -633,7 +632,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "parallel")]
 mod parallel {
     use super::*;
     use stoneage_sim::{MergeStrategy, ParallelPolicy};

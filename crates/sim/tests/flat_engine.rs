@@ -9,7 +9,7 @@
 //! (deterministic and randomized), and failure modes (round-limit):
 //! outputs, final states, rounds and message counts all agree.
 //! A pinned snapshot additionally guards against silent drift in future
-//! engine changes, and the `parallel` feature path — chunked phase 1
+//! engine changes, and the parallel schedule — chunked phase 1
 //! *and* the sharded-write-buffer phase 2 of `stoneage_sim::parbuf` —
 //! must match the serial engine exactly for every worker count and merge
 //! strategy.
@@ -214,7 +214,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "parallel")]
 mod parallel {
     use super::*;
     use stoneage_sim::{MergeStrategy, ParallelPolicy};
@@ -238,7 +237,7 @@ mod parallel {
         ]
     }
 
-    /// Seed determinism of the auto `rayon`/`parallel` path: chunked
+    /// Seed determinism of the auto parallel path: chunked
     /// phase 1 plus the sharded-buffer phase 2 must be indistinguishable
     /// from the serial engine for every seed.
     #[test]

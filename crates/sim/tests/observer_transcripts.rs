@@ -22,9 +22,8 @@
 //! on `Simulation::sync`, `Poke` on `Simulation::scoped`) under four
 //! plans: none, churn, message faults, and churn with faults. The
 //! serial transcript must equal a constant recorded before the churn
-//! loops were folded into the round pipeline, and under the `parallel`
-//! feature every cell of the testkit's lockstep matrix must reproduce
-//! the serial transcript.
+//! loops were folded into the round pipeline, and every cell of the
+//! testkit's lockstep matrix must reproduce the serial transcript.
 //!
 //! The async flavour runs the testkit's `async_transcript` instance
 //! under the same four plans, and each transcript also folds the
@@ -63,17 +62,14 @@ fn graph() -> Graph {
     generators::gnp(90, 0.06, 4)
 }
 
-/// The serial engine plus, under the `parallel` feature, every cell of
-/// the testkit's lockstep matrix.
+/// The serial engine plus every cell of the testkit's lockstep matrix.
 fn cells() -> Vec<(String, Option<ParallelPolicy>)> {
-    let serial = std::iter::once(("serial".to_string(), None));
-    #[cfg(feature = "parallel")]
     let parallel = stoneage_testkit::lockstep_policies()
         .into_iter()
         .map(|(name, policy)| (name, Some(policy)));
-    #[cfg(not(feature = "parallel"))]
-    let parallel = std::iter::empty();
-    serial.chain(parallel).collect()
+    std::iter::once(("serial".to_string(), None))
+        .chain(parallel)
+        .collect()
 }
 
 /// Configures `sim` with `plan` (one of [`PLANS`]) and `policy`.
@@ -90,12 +86,9 @@ fn configure<'a, P: Protocol>(
     if plan.ends_with("faults") {
         sim = sim.with_faults(faults);
     }
-    #[cfg(feature = "parallel")]
     if let Some(policy) = policy {
         sim = sim.parallel(*policy);
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = policy;
     sim
 }
 

@@ -17,9 +17,8 @@
 //! * the uninterrupted run, for a resumed run (whose marks start
 //!   cleared).
 //!
-//! Each case runs on the serial engine and, under the `parallel`
-//! feature, across the testkit's lockstep matrix: worker counts × merge
-//! strategies.
+//! Each case runs on the serial engine and across the testkit's
+//! lockstep matrix: worker counts × merge strategies.
 
 use stoneage_core::{Alphabet, AsMulti, Letter, Protocol, TableProtocol, TableProtocolBuilder};
 use stoneage_core::{MultiFsm, Transitions};
@@ -84,17 +83,14 @@ fn connected_family() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-/// The serial engine plus, under the `parallel` feature, every cell of
-/// the testkit's lockstep matrix.
+/// The serial engine plus every cell of the testkit's lockstep matrix.
 fn cells() -> Vec<(String, Option<ParallelPolicy>)> {
-    let serial = std::iter::once(("serial".to_string(), None));
-    #[cfg(feature = "parallel")]
     let parallel = stoneage_testkit::lockstep_policies()
         .into_iter()
         .map(|(name, policy)| (name, Some(policy)));
-    #[cfg(not(feature = "parallel"))]
-    let parallel = std::iter::empty();
-    serial.chain(parallel).collect()
+    std::iter::once(("serial".to_string(), None))
+        .chain(parallel)
+        .collect()
 }
 
 /// Applies a matrix cell's policy to a builder.
@@ -103,13 +99,10 @@ where
     P: MultiFsm + Sync,
     P::State: Send + Sync,
 {
-    #[cfg(feature = "parallel")]
-    if let Some(policy) = policy {
-        return b.parallel(*policy);
+    match policy {
+        Some(policy) => b.parallel(*policy),
+        None => b,
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = policy;
-    b
 }
 
 /// Everything an outcome carries except the worker count — or the

@@ -6,10 +6,7 @@
 //! outcomes **bit-identical per seed** to the serial one, including the
 //! full scoped-delivery witness transcript (order and all), across graph
 //! families (the hub-heavy skewed ones included), adversarial worker
-//! counts, and both merge strategies. Compiled only with the `parallel`
-//! feature.
-
-#![cfg(feature = "parallel")]
+//! counts, and both merge strategies.
 
 use proptest::prelude::*;
 use stoneage_graph::{generators, Graph};

@@ -22,20 +22,13 @@ use stoneage_core::{AsMulti, Protocol, Synchronized, TableProtocol};
 use stoneage_graph::{generators, Graph, TopologyEvent};
 use stoneage_sim::adversary::UniformRandom;
 use stoneage_sim::{
-    ChurnPlan, Detail, ExecError, Observer, Outcome, SchedulerKind, Simulation, Snapshot,
-    SnapshotError,
+    ChurnPlan, Detail, ExecError, MergeStrategy, Observer, Outcome, ParallelPolicy, SchedulerKind,
+    Simulation, Snapshot, SnapshotError,
 };
-#[cfg(feature = "parallel")]
-use stoneage_sim::{MergeStrategy, ParallelPolicy};
 use stoneage_testkit::{count_neighbors, count_neighbors_quiet, Poke};
 
 type SyncP = AsMulti<TableProtocol>;
 type AsyncP = Synchronized<TableProtocol>;
-
-#[cfg(feature = "parallel")]
-type PolicyOpt = Option<ParallelPolicy>;
-#[cfg(not(feature = "parallel"))]
-type PolicyOpt = Option<()>;
 
 /// A canonical rendering of everything an [`Outcome`] carries except
 /// the worker count — resuming under a different parallel policy is a
@@ -76,9 +69,8 @@ fn plan_for(g: &Graph, seed: u64) -> ChurnPlan {
 }
 
 /// The execution-policy axis of the acceptance matrix: the serial path
-/// always, plus workers {1, 2, hw} under the `parallel` feature.
-#[cfg(feature = "parallel")]
-fn policies() -> Vec<(String, PolicyOpt)> {
+/// plus workers {1, 2, hw}.
+fn policies() -> Vec<(String, Option<ParallelPolicy>)> {
     let hw = std::thread::available_parallelism()
         .map(|t| t.get())
         .unwrap_or(1);
@@ -90,18 +82,10 @@ fn policies() -> Vec<(String, PolicyOpt)> {
     out
 }
 
-#[cfg(not(feature = "parallel"))]
-fn policies() -> Vec<(String, PolicyOpt)> {
-    vec![("serial".to_string(), None)]
-}
-
-/// The lockstep instance graphs: gnp(60), plus under the `parallel`
-/// feature the skewed families, which the slot-balanced shard plan cuts
-/// very unevenly by node count.
+/// The lockstep instance graphs: gnp(60), plus the skewed families,
+/// which the slot-balanced shard plan cuts very unevenly by node count.
 fn graphs() -> Vec<(&'static str, Graph)> {
-    #[allow(unused_mut)]
     let mut graphs = vec![("gnp", generators::gnp(60, 0.08, 5))];
-    #[cfg(feature = "parallel")]
     graphs.extend(stoneage_testkit::skewed_graph_family());
     graphs
 }
@@ -113,18 +97,15 @@ fn mk_sync<'a>(
     g: &'a Graph,
     seed: u64,
     churn: Option<&'a ChurnPlan>,
-    policy: &PolicyOpt,
+    policy: &Option<ParallelPolicy>,
 ) -> Simulation<'a, SyncP> {
     let mut b = Simulation::sync(p, g).seed(seed);
     if let Some(plan) = churn {
         b = b.with_churn(plan);
     }
-    #[cfg(feature = "parallel")]
     if let Some(pol) = policy {
         b = b.parallel(*pol);
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = policy;
     b
 }
 
@@ -134,18 +115,15 @@ fn mk_scoped<'a>(
     g: &'a Graph,
     seed: u64,
     churn: Option<&'a ChurnPlan>,
-    policy: &PolicyOpt,
+    policy: &Option<ParallelPolicy>,
 ) -> Simulation<'a, Poke> {
     let mut b = Simulation::scoped(p, g).seed(seed).budget(100);
     if let Some(plan) = churn {
         b = b.with_churn(plan);
     }
-    #[cfg(feature = "parallel")]
     if let Some(pol) = policy {
         b = b.parallel(*pol);
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = policy;
     b
 }
 
@@ -289,7 +267,6 @@ fn async_resume_is_bit_identical_on_both_schedulers() {
 /// frame captured on one execution policy resumes under any other —
 /// serial → parallel, parallel → serial, across worker counts — and
 /// still lands on the same transcript, on the skewed families too.
-#[cfg(feature = "parallel")]
 #[test]
 fn snapshots_resume_across_worker_counts() {
     let p = AsMulti(count_neighbors(3));
@@ -510,7 +487,7 @@ proptest! {
         let g = generators::gnp(n, pr, gseed);
         let plan = plan_for(&g, seed ^ 0x55);
         let churn = (churn_sel == 1).then_some(&plan);
-        let none: PolicyOpt = None;
+        let none = None;
 
         // Sync backend.
         let p = AsMulti(count_neighbors(2));

@@ -120,8 +120,8 @@ pub fn adversarial_worker_counts() -> Vec<usize> {
 
 /// Every parallel cell of the lockstep differential matrices, named for
 /// failure messages: each [`adversarial_worker_counts`] entry × both
-/// merge strategies. (Running a cell needs `stoneage-sim`'s `parallel`
-/// feature; callers pair this with the serial run themselves.)
+/// merge strategies. (Callers pair this with the serial run
+/// themselves.)
 pub fn lockstep_policies() -> Vec<(String, stoneage_sim::ParallelPolicy)> {
     use stoneage_sim::{MergeStrategy, ParallelPolicy};
     let mut cells = Vec::new();
