@@ -4,7 +4,7 @@
 //! The workload is a "blinker" protocol that alternates two letters every
 //! round, so every delivery overwrites a port with a *different* letter —
 //! the worst case for the incremental count maintenance and a full-fan-out
-//! stress of the reverse-port-map delivery path. The protocol never
+//! stress of the reverse-slot delivery path. The protocol never
 //! terminates; each measured run executes exactly `ROUNDS` rounds and
 //! ends in the expected round-limit error.
 

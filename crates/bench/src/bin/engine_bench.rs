@@ -61,9 +61,12 @@
 //!                                       # that factor on any family
 //! ```
 //!
+//! Every gate given is evaluated and prints its verdict; the run exits 1
+//! once, after the last gate, if any of them failed.
+//!
 //! The sync workload is the same blinker protocol as `benches/engine.rs`:
 //! every round every node broadcasts, every delivery flips its port's
-//! letter, so both the reverse-port-map write path and the incremental
+//! letter, so both the reverse-slot write path and the incremental
 //! count maintenance run at full tilt. The async workload runs the same
 //! blinker under `UniformRandom` to a fixed event budget, so heap and
 //! wheel execute the *identical* event sequence (they are bit-identical
@@ -1329,6 +1332,9 @@ fn main() {
     writeln!(f, "{}", json.to_string_pretty()).unwrap();
     eprintln!("wrote {out_path}");
 
+    // Every gate is evaluated and reports its verdict before the run
+    // exits, so one failing gate cannot hide the others.
+    let mut any_failed = false;
     if let Some(min) = min_async_speedup {
         let mut failed = false;
         for e in &async_entries {
@@ -1340,10 +1346,10 @@ fn main() {
                 failed = true;
             }
         }
-        if failed {
-            std::process::exit(1);
+        if !failed {
+            eprintln!("async wheel within budget: all families >= {min:.2}x of heap");
         }
-        eprintln!("async wheel within budget: all families >= {min:.2}x of heap");
+        any_failed |= failed;
     }
 
     // The parallel gate enforces the speedup only at worker counts the
@@ -1372,12 +1378,12 @@ fn main() {
                     failed = true;
                 }
             }
-            if failed {
-                std::process::exit(1);
+            if !failed {
+                eprintln!(
+                    "parallel engine within budget: all gated worker counts >= {min:.2}x of serial"
+                );
             }
-            eprintln!(
-                "parallel engine within budget: all gated worker counts >= {min:.2}x of serial"
-            );
+            any_failed |= failed;
         }
     }
     // The churn gate self-skips on tiny instances: below ~20k nodes the
@@ -1402,10 +1408,10 @@ fn main() {
                     failed = true;
                 }
             }
-            if failed {
-                std::process::exit(1);
+            if !failed {
+                eprintln!("churn patching within budget: all families >= {min:.2}x of rebuild");
             }
-            eprintln!("churn patching within budget: all families >= {min:.2}x of rebuild");
+            any_failed |= failed;
         }
     }
     // The snapshot gate bounds the worst-case capture cost: an
@@ -1425,10 +1431,10 @@ fn main() {
                 failed = true;
             }
         }
-        if failed {
-            std::process::exit(1);
+        if !failed {
+            eprintln!("snapshot capture within budget: all families <= {max:.2}x overhead");
         }
-        eprintln!("snapshot capture within budget: all families <= {max:.2}x overhead");
+        any_failed |= failed;
     }
     // The fault gate bounds the per-delivery decision cost: an active
     // mixed plan may not slow the sync engine past the given factor on
@@ -1447,10 +1453,10 @@ fn main() {
                 failed = true;
             }
         }
-        if failed {
-            std::process::exit(1);
+        if !failed {
+            eprintln!("fault layer within budget: all families <= {max:.2}x overhead");
         }
-        eprintln!("fault layer within budget: all families <= {max:.2}x overhead");
+        any_failed |= failed;
     }
     // The server gate bounds the end-to-end orchestration tax: HTTP,
     // validation, store, scheduler, and polling together may not slow a
@@ -1464,11 +1470,15 @@ fn main() {
                  (required <= {max:.2}x)",
                 server_entry.overhead
             );
-            std::process::exit(1);
+            any_failed = true;
+        } else {
+            eprintln!(
+                "server orchestration within budget: {:.2}x <= {max:.2}x overhead",
+                server_entry.overhead
+            );
         }
-        eprintln!(
-            "server orchestration within budget: {:.2}x <= {max:.2}x overhead",
-            server_entry.overhead
-        );
+    }
+    if any_failed {
+        std::process::exit(1);
     }
 }

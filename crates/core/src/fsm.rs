@@ -185,14 +185,16 @@ impl ObsVec {
     /// This is the zero-allocation companion of [`ObsVec::from_counts`]
     /// for engines that maintain incremental per-node letter counts: the
     /// whole phase-1 observation of a node becomes one O(|Σ|) refill of a
-    /// shared scratch buffer.
+    /// shared scratch buffer. At a fixed length (the engines' case: one
+    /// alphabet per run) it writes the counts in place and never the
+    /// vector's own length.
     pub fn refill_from_counts(&mut self, exact: &[u32], b: u8) {
-        self.counts.clear();
-        self.counts.extend(
-            exact
-                .iter()
-                .map(|&x| BoundedCount::from_count(x as usize, b)),
-        );
+        if self.counts.len() != exact.len() {
+            self.counts.resize(exact.len(), BoundedCount::zero());
+        }
+        for (c, &x) in self.counts.iter_mut().zip(exact) {
+            *c = BoundedCount::from_count(x as usize, b);
+        }
     }
 
     /// Overwrites this vector in place from a *sparse* count map: the

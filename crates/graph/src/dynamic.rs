@@ -1,7 +1,7 @@
 //! Dynamic-topology overlay for churn fault injection.
 //!
 //! The CSR [`Graph`] stays immutable — its offsets, neighbor lists, and
-//! reverse-port maps are the *universe* of nodes and edges a run may ever
+//! reverse-slot maps are the *universe* of nodes and edges a run may ever
 //! touch. [`DynamicGraph`] overlays per-node and per-directed-slot
 //! liveness on that universe: a crash marks a node dead, a restart
 //! revives it, and edge events toggle individual (symmetric) port slots.
@@ -229,7 +229,7 @@ impl DynamicGraph {
         for (k, (&u, &rev)) in graph
             .neighbors(v)
             .iter()
-            .zip(graph.reverse_ports(v))
+            .zip(graph.reverse_slots(v))
             .enumerate()
         {
             if self.node_live[u as usize] && self.edge_on[base + k] {
@@ -240,7 +240,7 @@ impl DynamicGraph {
                 });
                 patches.push(SlotPatch {
                     node: u,
-                    slot: (graph.csr_offset(u) + rev as usize) as u32,
+                    slot: rev,
                     op,
                 });
             }

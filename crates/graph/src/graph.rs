@@ -15,41 +15,42 @@ pub type NodeId = u32;
 /// important because the simulators assign *ports* (one per neighbor) by
 /// neighbor-list position.
 ///
-/// # The reverse-port map
+/// # The reverse-slot map
 ///
-/// Alongside the CSR arrays, every graph precomputes its **reverse-port
+/// Alongside the CSR arrays, every graph precomputes its **reverse-slot
 /// map** at build time: for the `k`-th neighbor `u` of `v` (the directed
-/// slot `v → u`), [`Graph::reverse_ports`]`(v)[k]` is the port number
-/// `ψ_u(v)` — the position of `v` inside `u`'s neighbor list. Delivery
-/// engines use it to turn "write `v`'s letter into `u`'s port for `v`"
-/// into a single indexed store, where previously every delivery paid a
-/// `O(log deg(u))` binary search ([`Graph::port_of`]). Combined with
-/// [`Graph::csr_offset`], the pair `(u, ψ_u(v))` addresses a *flat* port
-/// store (`Vec` indexed by CSR slot) with no per-node indirection.
+/// edge `v → u`), [`Graph::reverse_slots`]`(v)[k]` is the absolute
+/// receiving slot `csr_offset(u) + ψ_u(v)`, where the port number
+/// `ψ_u(v)` is the position of `v` inside `u`'s neighbor list. It
+/// addresses a *flat* port store (`Vec` indexed by CSR slot) directly, so
+/// delivery engines turn "write `v`'s letter into `u`'s port for `v`"
+/// into one sequential `u32` read and one indexed store: no
+/// `O(log deg(u))` binary search ([`Graph::port_of`]) and no random
+/// `csr_offset(u)` load.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` indexes `neighbors` for node `v`.
     offsets: Vec<usize>,
     /// Concatenated sorted neighbor lists.
     neighbors: Vec<NodeId>,
-    /// `rev_ports[offsets[v] + k] = ψ_u(v)` where `u = neighbors(v)[k]`:
-    /// the position of `v` in `u`'s neighbor list. Same layout as
-    /// `neighbors`; computed once in `from_csr`.
-    rev_ports: Vec<u32>,
+    /// `rev_slots[offsets[v] + k] = offsets[u] + ψ_u(v)` where
+    /// `u = neighbors(v)[k]`: the slot of `u`'s port for `v`. Same layout
+    /// as `neighbors`; computed once in `from_csr`.
+    rev_slots: Vec<u32>,
 }
 
 impl Graph {
     pub(crate) fn from_csr(offsets: Vec<usize>, neighbors: Vec<NodeId>) -> Self {
         debug_assert!(!offsets.is_empty());
         debug_assert_eq!(*offsets.last().unwrap(), neighbors.len());
-        let rev_ports = compute_reverse_ports(&offsets, &neighbors);
+        let rev_slots = compute_reverse_slots(&offsets, &neighbors);
         let g = Graph {
             offsets,
             neighbors,
-            rev_ports,
+            rev_slots,
         };
         #[cfg(debug_assertions)]
-        g.debug_check_reverse_ports();
+        g.debug_check_reverse_slots();
         g
     }
 
@@ -58,18 +59,18 @@ impl Graph {
         Graph {
             offsets: vec![0; n + 1],
             neighbors: Vec::new(),
-            rev_ports: Vec::new(),
+            rev_slots: Vec::new(),
         }
     }
 
     #[cfg(debug_assertions)]
-    fn debug_check_reverse_ports(&self) {
+    fn debug_check_reverse_slots(&self) {
         for v in 0..self.node_count() as NodeId {
             for (k, &u) in self.neighbors(v).iter().enumerate() {
                 debug_assert_eq!(
-                    self.port_of(u, v),
-                    Some(self.reverse_ports(v)[k] as usize),
-                    "reverse-port map disagrees with port_of for edge {v}→{u}"
+                    self.port_of(u, v).map(|p| self.csr_offset(u) + p),
+                    Some(self.reverse_slots(v)[k] as usize),
+                    "reverse-slot map disagrees with port_of for edge {v}→{u}"
                 );
             }
         }
@@ -124,21 +125,22 @@ impl Graph {
     ///
     /// This is the *port number* under which `v` stores messages from `u`
     /// (the paper's `ψ_v(u)`). Costs a binary search; delivery loops
-    /// should use the precomputed [`Graph::reverse_ports`] instead.
+    /// should use the precomputed [`Graph::reverse_slots`] instead.
     pub fn port_of(&self, v: NodeId, u: NodeId) -> Option<usize> {
         self.neighbors(v).binary_search(&u).ok()
     }
 
-    /// The reverse-port map row for `v`, parallel to
-    /// [`Graph::neighbors`]`(v)`: entry `k` is `ψ_u(v)`, the port under
-    /// which `u = neighbors(v)[k]` stores messages from `v`. Precomputed
-    /// at build time in O(|E|).
+    /// The reverse-slot map row for `v`, parallel to
+    /// [`Graph::neighbors`]`(v)`: entry `k` is `csr_offset(u) + ψ_u(v)`,
+    /// the absolute flat slot of the port under which
+    /// `u = neighbors(v)[k]` stores messages from `v`. Precomputed at
+    /// build time in O(|E|).
     ///
     /// # Panics
     /// Panics if `v` is out of range.
-    pub fn reverse_ports(&self, v: NodeId) -> &[u32] {
+    pub fn reverse_slots(&self, v: NodeId) -> &[u32] {
         let v = v as usize;
-        &self.rev_ports[self.offsets[v]..self.offsets[v + 1]]
+        &self.rev_slots[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// The base index of `v`'s ports in a flat CSR-indexed store:
@@ -211,18 +213,25 @@ impl Graph {
     }
 }
 
-/// Computes the reverse-port map in one O(|E|) pass.
+/// Computes the reverse-slot map in one O(|E|) pass.
 ///
 /// Scanning all directed slots `(v → u)` with `v` ascending and each
 /// neighbor list itself sorted, the sources `v` of edges into any fixed
 /// `u` appear in ascending order — so the `j`-th time `u` shows up as a
 /// target, the source is exactly `u`'s `j`-th smallest neighbor, i.e. the
-/// source sits at port `j` of `u`. A per-node cursor therefore yields
-/// `ψ_u(v)` without any searching.
-fn compute_reverse_ports(offsets: &[usize], neighbors: &[NodeId]) -> Vec<u32> {
+/// source sits at slot `offsets[u] + j`. A per-node cursor starting at
+/// `offsets[u]` therefore yields every receiving slot without searching.
+///
+/// # Panics
+/// Panics if the graph has more than `u32::MAX` port slots.
+fn compute_reverse_slots(offsets: &[usize], neighbors: &[NodeId]) -> Vec<u32> {
     let n = offsets.len() - 1;
+    assert!(
+        u32::try_from(neighbors.len()).is_ok(),
+        "port slots must fit in u32"
+    );
     let mut rev = vec![0u32; neighbors.len()];
-    let mut cursor = vec![0u32; n];
+    let mut cursor: Vec<u32> = offsets[..n].iter().map(|&o| o as u32).collect();
     for v in 0..n {
         for slot in offsets[v]..offsets[v + 1] {
             let u = neighbors[slot] as usize;
@@ -321,17 +330,20 @@ mod tests {
     }
 
     #[test]
-    fn reverse_ports_agree_with_port_of() {
+    fn reverse_slots_agree_with_port_of() {
         let mut b = GraphBuilder::new(7);
         for (u, v) in [(0, 1), (0, 2), (1, 2), (2, 5), (5, 6), (3, 5), (1, 6)] {
             b.add_edge(u, v);
         }
         let g = b.build();
         for v in g.nodes() {
-            let rev = g.reverse_ports(v);
+            let rev = g.reverse_slots(v);
             assert_eq!(rev.len(), g.degree(v));
             for (k, &u) in g.neighbors(v).iter().enumerate() {
-                assert_eq!(g.port_of(u, v), Some(rev[k] as usize));
+                let slot = g.csr_offset(u) + g.port_of(u, v).unwrap();
+                assert_eq!(rev[k] as usize, slot);
+                // The slot is u's, and u's port there points back at v.
+                assert_eq!(g.neighbors(u)[slot - g.csr_offset(u)], v);
             }
         }
     }
@@ -352,12 +364,15 @@ mod tests {
     }
 
     #[test]
-    fn reverse_ports_on_induced_subgraph() {
+    fn reverse_slots_agree_with_port_of_on_induced_subgraph() {
         let g = triangle_plus_isolated();
         let (sub, _) = g.induced_subgraph(&[true, true, true, false]);
         for v in sub.nodes() {
             for (k, &u) in sub.neighbors(v).iter().enumerate() {
-                assert_eq!(sub.port_of(u, v), Some(sub.reverse_ports(v)[k] as usize));
+                assert_eq!(
+                    Some(sub.reverse_slots(v)[k] as usize),
+                    sub.port_of(u, v).map(|p| sub.csr_offset(u) + p)
+                );
             }
         }
     }

@@ -71,7 +71,7 @@
 //!
 //! Delivery runs on the flat engine ([`crate::engine`]): each transmission
 //! resolves its receiver-side port slot through the graph's precomputed
-//! reverse-port map at *enqueue* time, and a step's observation reads the
+//! reverse-slot map at *enqueue* time, and a step's observation reads the
 //! incrementally maintained letter count in O(1) instead of scanning the
 //! node's ports.
 
@@ -115,8 +115,8 @@ enum Kind {
     /// `Step(node, inc)`: the node applies its next transition.
     Step(NodeId, u32),
     /// `Deliver(node, slot, letter, inc)`: a letter lands in `slot` of
-    /// `node`, the receiver-side CSR slot precomputed from the
-    /// reverse-port map at transmission time.
+    /// `node`, the receiver-side CSR slot read from the reverse-slot map
+    /// at transmission time.
     Deliver(NodeId, u32, Letter, u32),
     /// `Run(v, from, len, letter)`: deliveries to neighbors
     /// `from..from + len` of `v` (sender-side port indices), all
@@ -126,13 +126,11 @@ enum Kind {
 }
 
 /// The receivers of `v`'s ports `from..from + len` with their
-/// receiver-side flat slots, via the precomputed reverse-port map.
+/// receiver-side flat slots, via the precomputed reverse-slot map.
 fn targets(g: &Graph, v: NodeId, from: u32, len: u32) -> impl Iterator<Item = (NodeId, u32)> + '_ {
-    let (nbrs, rev) = (g.neighbors(v), g.reverse_ports(v));
-    (from as usize..(from + len) as usize).map(move |k| {
-        let u = nbrs[k];
-        (u, (g.csr_offset(u) + rev[k] as usize) as u32)
-    })
+    let range = from as usize..(from + len) as usize;
+    let (nbrs, rev) = (&g.neighbors(v)[range.clone()], &g.reverse_slots(v)[range]);
+    nbrs.iter().copied().zip(rev.iter().copied())
 }
 
 /// The churn hook of the event loop, on top of the lockstep pipeline's
@@ -781,7 +779,7 @@ where
         // (bitwise-equal f64s — the adversary's latency schedule lands
         // directly in shared buckets). A churn run sends every letter
         // alone, each stamped with its receiver's incarnation.
-        let (nbrs, rev) = (graph.neighbors(v), graph.reverse_ports(v));
+        let (nbrs, rev) = (graph.neighbors(v), graph.reverse_slots(v));
         let mut k = 0;
         while k < nbrs.len() {
             let mut end = k + 1;
@@ -789,8 +787,7 @@ where
                 end += 1;
             }
             let kind = if end - k == 1 {
-                let (u, slot) = (nbrs[k], graph.csr_offset(nbrs[k]) + rev[k] as usize);
-                Kind::Deliver(u, slot as u32, l, self.stamp(u))
+                Kind::Deliver(nbrs[k], rev[k], l, self.stamp(nbrs[k]))
             } else {
                 Kind::Run(v, k as u32, (end - k) as u32, l)
             };

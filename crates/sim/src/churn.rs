@@ -106,7 +106,7 @@ use stoneage_graph::{
 
 use crate::async_exec::AsyncHook;
 use crate::engine::FlatPorts;
-use crate::pipeline::{BoundaryHook, RoundStep};
+use crate::pipeline::{BoundaryHook, Frontier, RoundStep};
 use crate::sim::Observer;
 use crate::snapshot::{SnapshotError, BODY_KIND};
 use crate::{splitmix64, ExecError};
@@ -476,21 +476,27 @@ impl<'p> ChurnCtl<'p> {
 
     /// Brings `ports` up to date after an effective [`ChurnCtl::apply_next`],
     /// per the plan's [`PatchMode`]: incremental retire/revive of the
-    /// event's own slots, or a full [`ChurnOracle`] rebuild.
-    pub(crate) fn patch_ports(&self, ports: &mut FlatPorts) {
+    /// event's own slots, or a full [`ChurnOracle`] rebuild. Calls
+    /// `changed` on the node of every patch that changed its counts.
+    pub(crate) fn patch_ports(&self, ports: &mut FlatPorts, mut changed: impl FnMut(usize)) {
         match self.plan.mode {
             PatchMode::Incremental => {
                 for p in &self.patches {
-                    match p.op {
-                        SlotOp::Retire => ports.retire_slot(p.node as usize, p.slot as usize),
-                        SlotOp::Revive => {
-                            ports.revive_slot(p.node as usize, p.slot as usize, self.oracle.sigma0)
-                        }
+                    let (node, slot) = (p.node as usize, p.slot as usize);
+                    let counts_moved = match p.op {
+                        SlotOp::Retire => ports.retire_slot(node, slot),
+                        SlotOp::Revive => ports.revive_slot(node, slot, self.oracle.sigma0),
+                    };
+                    if counts_moved {
+                        changed(node);
                     }
                 }
             }
             PatchMode::Rebuild => {
                 *ports = self.oracle.rebuild(self.universe, &self.overlay, ports);
+                // Every patch flips its slot's effective liveness, so it
+                // changed its node's counts, as `Incremental` reports.
+                self.patches.iter().for_each(|p| changed(p.node as usize));
             }
         }
     }
@@ -555,7 +561,9 @@ impl BoundaryHook for ChurnCtl<'_> {
     /// bit-for-bit between the modes), resets restarted nodes to their
     /// protocol's `restart_state`, and maintains the undecided counter.
     /// Crashed nodes leave the counter (they are exempt from
-    /// termination); restarted ones re-enter it.
+    /// termination); restarted ones re-enter it. Restarted nodes and
+    /// every node whose counts a patch changed join next round's
+    /// `frontier`, in either mode.
     fn apply<St: RoundStep>(
         &mut self,
         round: u64,
@@ -563,6 +571,7 @@ impl BoundaryHook for ChurnCtl<'_> {
         states: &mut [St::State],
         undecided: &mut isize,
         ports: &mut FlatPorts,
+        frontier: &mut Frontier,
     ) {
         while self.due(round) {
             let (ev, effective) = self.apply_next();
@@ -580,14 +589,14 @@ impl BoundaryHook for ChurnCtl<'_> {
                     states[v] = step.protocol().restart_state(self.inputs[v]);
                     // A state write δ did not make: the node must step
                     // next round even if no delivery changes its counts.
-                    ports.wake(v);
+                    frontier.insert(v);
                     if !step.decided(&states[v]) {
                         *undecided += 1;
                     }
                 }
                 TopologyEvent::EdgeInsert(..) | TopologyEvent::EdgeDelete(..) => {}
             }
-            self.patch_ports(ports);
+            self.patch_ports(ports, |v| frontier.insert(v));
         }
     }
 
@@ -647,7 +656,8 @@ impl AsyncHook for ChurnCtl<'_> {
         for p in self.patches() {
             pending[p.slot as usize] = false;
         }
-        self.patch_ports(ports);
+        // An async run steps every node it schedules: no frontier.
+        self.patch_ports(ports, |_| {});
         Some(ev)
     }
 }
@@ -845,12 +855,15 @@ mod tests {
             if overlay.apply(&g, ev, &mut patches).unwrap() {
                 let rebuilt = oracle.rebuild(&g, &overlay, &inc);
                 for p in &patches {
-                    match p.op {
+                    // Every effective patch changes its node's counts, so
+                    // a rebuild may put every patched node in the frontier.
+                    let changed = match p.op {
                         SlotOp::Retire => inc.retire_slot(p.node as usize, p.slot as usize),
                         SlotOp::Revive => {
                             inc.revive_slot(p.node as usize, p.slot as usize, Letter(1))
                         }
-                    }
+                    };
+                    assert!(changed, "{p:?} after {ev:?}");
                 }
                 assert_eq!(inc.dense_counts(&g), rebuilt.dense_counts(&g), "{ev:?}");
                 for s in 0..g.port_slot_count() {

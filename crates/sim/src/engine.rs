@@ -9,11 +9,12 @@
 //!    ([`stoneage_graph::Graph::csr_offset`]): node `v`'s `k`-th port is
 //!    slot `csr_offset(v) + k`. No `Vec<Vec<_>>`, no per-node pointer
 //!    chase, no per-run nested allocations.
-//! 2. **Precomputed reverse-port maps.** Delivering `v`'s letter to every
-//!    neighbor `u` writes slot `csr_offset(u) + ψ_u(v)` where `ψ_u(v)`
-//!    comes from [`stoneage_graph::Graph::reverse_ports`], computed once
-//!    at graph build time — replacing the former per-delivery
-//!    `O(log deg(u))` `port_of` binary search.
+//! 2. **Precomputed reverse-slot maps.** Delivering `v`'s letter to every
+//!    neighbor `u` writes slot `csr_offset(u) + ψ_u(v)`, which
+//!    [`stoneage_graph::Graph::reverse_slots`] stores per directed edge,
+//!    computed once at graph build time: a delivery reads one `u32` next
+//!    to the neighbor list, with no `O(log deg(u))` `port_of` binary
+//!    search and no random `csr_offset(u)` load.
 //! 3. **Incremental observation counts.** [`FlatPorts`] maintains, per
 //!    node, the exact number of ports holding each letter; every port
 //!    overwrite decrements the old letter's count and increments the new
@@ -41,34 +42,17 @@
 //! on state transitions) so termination detection is O(1) per round
 //! rather than an O(|V|) output scan.
 //!
-//! # Skip marks
+//! # Count changes
 //!
-//! Next to the counts, the store keeps one mark byte per node for the
-//! lockstep pipeline's quiescent-node skip (see [`crate::pipeline`]):
-//!
-//! * **changed** — set by *every* count-row mutation of a quiet node:
-//!   [`FlatPorts::deliver`], [`FlatPorts::deliver_run`],
-//!   [`PortShard::deliver`] (hence the sharded merge),
-//!   [`FlatPorts::retire_slot`] and [`FlatPorts::revive_slot`].
-//!   A write that leaves the counts as they were (the same letter again,
-//!   or a write bouncing off a tombstone) sets nothing, and neither does
-//!   a mutation of a node that is not quiet — it steps next round
-//!   regardless, so the bit would be moot.
-//! * **quiet** — set by the pipeline when the node's executed step was a
-//!   single silent self-loop, and cleared by any state write δ did not
-//!   make (`FlatPorts::wake`, called by a churn restart).
-//!
-//! Executing a step clears *changed*: the step observed the counts as
-//! they are. The marks are not part of the store's value — every
-//! constructor (fresh, restored from a snapshot, rebuilt by the churn
-//! oracle) starts them cleared, and snapshots never carry them, so a
-//! resumed run simply steps every node once before skipping again. They
-//! are atomics only so phase-1 workers sharing the frozen store can
-//! update their own nodes' bytes. Each byte has one writer at a time
-//! (its node's phase-1 step, or the merge landing on its shard), and the
-//! byte passes between those writers only across a scope join, which
-//! orders the accesses; the marks publish no other data, so relaxed
-//! loads and stores suffice.
+//! Every count-row mutation reports whether it changed its node's
+//! counts: [`FlatPorts::deliver`], [`PortShard::deliver`] (hence the
+//! sharded merge), [`FlatPorts::retire_slot`] and
+//! [`FlatPorts::revive_slot`] return `true` exactly then. A write that
+//! leaves the counts as they were (the same letter again, or a write
+//! bouncing off a tombstone) returns `false`. The lockstep pipeline puts
+//! a node whose counts changed into next round's frontier (see
+//! [`crate::pipeline`]); the store itself keeps no per-node bookkeeping
+//! beyond letters and counts.
 //!
 //! # Shard views
 //!
@@ -92,13 +76,11 @@
 //! needed, because every round's writes are buffered while phase 1 reads
 //! the store and land only after its last read: serially, or after the
 //! parallel round's scope join. Every flat slot is written at most once
-//! per round (a sender emits at most once, and slot
+//! per round (a sender emits at most once, and the reverse slot
 //! `csr_offset(u) + ψ_u(v)` belongs to the edge `v → u` alone), and the
 //! per-letter count updates are commutative integer sums over a
 //! canonical representation, so the landing order cannot change the
 //! result.
-
-use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
 use stoneage_core::{Letter, ObsVec};
 use stoneage_graph::{Graph, NodeId};
@@ -138,46 +120,6 @@ enum Counts {
     Sparse(Vec<Vec<(u16, u32)>>),
 }
 
-/// Skip-mark bit: a count of the node changed since its last executed
-/// step (module docs, "Skip marks").
-const CHANGED: u8 = 1;
-/// Skip-mark bit: the node's last executed step was a single silent
-/// self-loop.
-const QUIET: u8 = 2;
-
-/// One skip-mark byte per node (module docs, "Skip marks").
-#[derive(Debug)]
-struct Marks(Vec<AtomicU8>);
-
-impl Marks {
-    fn cleared(n: usize) -> Self {
-        Marks((0..n).map(|_| AtomicU8::new(0)).collect())
-    }
-}
-
-impl Clone for Marks {
-    fn clone(&self) -> Self {
-        Marks(
-            self.0
-                .iter()
-                .map(|m| AtomicU8::new(m.load(Relaxed)))
-                .collect(),
-        )
-    }
-}
-
-/// Records a count-row mutation in a node's skip-mark byte. Only a
-/// quiet node needs the *changed* bit: any other node steps next round
-/// anyway, and its step rewrites the byte. On a busy round, where few
-/// receivers are quiet, a delivery therefore costs a load here, not a
-/// store.
-#[inline]
-fn note_change(mark: &mut u8) {
-    if *mark == QUIET {
-        *mark = QUIET | CHANGED;
-    }
-}
-
 /// The flat port store plus incrementally maintained per-node letter
 /// counts. See the module docs for the layout.
 #[derive(Clone, Debug)]
@@ -189,8 +131,6 @@ pub struct FlatPorts {
     /// Per-node per-letter counts, dense or sparse. Always consistent
     /// with `letters`.
     counts: Counts,
-    /// Per-node skip marks; not part of the store's value.
-    marks: Marks,
 }
 
 impl FlatPorts {
@@ -236,7 +176,6 @@ impl FlatPorts {
             sigma,
             letters: vec![sigma0; graph.port_slot_count()],
             counts,
-            marks: Marks::cleared(n),
         }
     }
 
@@ -296,7 +235,6 @@ impl FlatPorts {
             sigma,
             letters,
             counts,
-            marks: Marks::cleared(n),
         }
     }
 
@@ -374,15 +312,16 @@ impl FlatPorts {
 
     /// Overwrites the port at flat `slot` (belonging to node `node`) with
     /// `letter`, maintaining the incremental counts. Writes to a
-    /// [`TOMBSTONE`]d (dead) slot are dropped.
+    /// [`TOMBSTONE`]d (dead) slot are dropped. Returns whether `node`'s
+    /// counts changed: not for a dropped write or the same letter again.
     #[inline]
-    pub fn deliver(&mut self, node: usize, slot: usize, letter: Letter) {
+    pub fn deliver(&mut self, node: usize, slot: usize, letter: Letter) -> bool {
         if self.letters[slot] == TOMBSTONE {
-            return;
+            return false;
         }
         let old = std::mem::replace(&mut self.letters[slot], letter);
         if old == letter {
-            return;
+            return false;
         }
         match &mut self.counts {
             Counts::Dense(counts) => {
@@ -392,7 +331,7 @@ impl FlatPorts {
             }
             Counts::Sparse(maps) => sparse_swap(&mut maps[node], old, letter),
         }
-        note_change(self.marks.0[node].get_mut());
+        true
     }
 
     /// Applies several port overwrites of **one node** with a single
@@ -451,72 +390,47 @@ impl FlatPorts {
                 }
             }
         }
-        if deltas.iter().any(|&(_, d)| d != 0) {
-            note_change(self.marks.0[node].get_mut());
-        }
     }
 
     /// Broadcasts `letter` from `v` to all of its neighbors' reverse
-    /// ports — the flat-engine delivery of one non-`ε` emission.
+    /// slots — the flat-engine delivery of one non-`ε` emission.
     #[inline]
     pub fn broadcast(&mut self, graph: &Graph, v: NodeId, letter: Letter) {
-        let nbrs = graph.neighbors(v);
-        let rev = graph.reverse_ports(v);
-        for (&u, &rp) in nbrs.iter().zip(rev) {
-            self.deliver(u as usize, graph.csr_offset(u) + rp as usize, letter);
+        for (&u, &slot) in graph.neighbors(v).iter().zip(graph.reverse_slots(v)) {
+            self.deliver(u as usize, slot as usize, letter);
         }
     }
 
     /// Kills the port at flat `slot` (belonging to node `node`): the
     /// letter it held is dropped, its count decremented, and the slot
     /// left holding [`TOMBSTONE`] so subsequent deliveries bounce off.
-    /// Idempotent. Only the churn layer calls this, at round boundaries.
-    pub fn retire_slot(&mut self, node: usize, slot: usize) {
+    /// Idempotent: returns whether `node`'s counts changed, which is
+    /// whether the slot was live. Only the churn layer calls this, at
+    /// round boundaries.
+    pub fn retire_slot(&mut self, node: usize, slot: usize) -> bool {
         let old = std::mem::replace(&mut self.letters[slot], TOMBSTONE);
         if old == TOMBSTONE {
-            return;
+            return false;
         }
         match &mut self.counts {
             Counts::Dense(counts) => counts[node * self.sigma + old.index()] -= 1,
             Counts::Sparse(maps) => sparse_apply_delta(&mut maps[node], old.0, -1),
         }
-        note_change(self.marks.0[node].get_mut());
+        true
     }
 
     /// Revives a [`TOMBSTONE`]d port at flat `slot` (belonging to node
     /// `node`) to the initial letter `σ₀` — the re-registration half of a
-    /// churn restart/edge-insert. The slot must currently be dead.
-    pub fn revive_slot(&mut self, node: usize, slot: usize, sigma0: Letter) {
+    /// churn restart/edge-insert. The slot must currently be dead, so the
+    /// revived `σ₀` always changes `node`'s counts: returns `true`.
+    pub fn revive_slot(&mut self, node: usize, slot: usize, sigma0: Letter) -> bool {
         let old = std::mem::replace(&mut self.letters[slot], sigma0);
         debug_assert_eq!(old, TOMBSTONE, "revive_slot requires a retired slot");
         match &mut self.counts {
             Counts::Dense(counts) => counts[node * self.sigma + sigma0.index()] += 1,
             Counts::Sparse(maps) => sparse_apply_delta(&mut maps[node], sigma0.0, 1),
         }
-        note_change(self.marks.0[node].get_mut());
-    }
-
-    /// Whether node `v` may skip its next lockstep step: its last
-    /// executed step was a single silent self-loop, no count of its has
-    /// changed since, and nothing but δ has written its state since.
-    #[inline]
-    pub(crate) fn is_quiescent(&self, v: usize) -> bool {
-        self.marks.0[v].load(Relaxed) == QUIET
-    }
-
-    /// Records that node `v` just executed a step against the current
-    /// counts (clearing its *changed* mark), and whether that step was a
-    /// single silent self-loop.
-    #[inline]
-    pub(crate) fn note_step(&self, v: usize, quiet: bool) {
-        self.marks.0[v].store(if quiet { QUIET } else { 0 }, Relaxed);
-    }
-
-    /// Clears node `v`'s *quiet* mark: something other than δ wrote its
-    /// state (a churn restart), so its next step must run even if none
-    /// of its counts changes.
-    pub(crate) fn wake(&mut self, v: usize) {
-        *self.marks.0[v].get_mut() &= !QUIET;
+        true
     }
 
     /// The full-rebuild reference of the churn differential oracle: a
@@ -585,7 +499,6 @@ impl FlatPorts {
             sigma: self.sigma,
             letters,
             counts,
-            marks: Marks::cleared(n),
         }
     }
 
@@ -653,7 +566,6 @@ impl FlatPorts {
             Sparse(&'a mut [Vec<(u16, u32)>]),
         }
         let mut letters_rest = &mut self.letters[..];
-        let mut marks_rest = &mut self.marks.0[..];
         let mut counts_rest = match &mut self.counts {
             Counts::Dense(c) => Rest::Dense(&mut c[..]),
             Counts::Sparse(m) => Rest::Sparse(&mut m[..]),
@@ -667,8 +579,6 @@ impl FlatPorts {
             let slot_hi = graph.csr_offset(hi as NodeId);
             let (letters, tail) = letters_rest.split_at_mut(slot_hi - slot_base);
             letters_rest = tail;
-            let (marks, tail) = marks_rest.split_at_mut(hi - node_base);
-            marks_rest = tail;
             let counts = match counts_rest {
                 Rest::Dense(c) => {
                     let (head, tail) = c.split_at_mut((hi - node_base) * sigma);
@@ -687,7 +597,6 @@ impl FlatPorts {
                 slot_base,
                 letters,
                 counts,
-                marks,
             });
             node_base = hi;
             slot_base = slot_hi;
@@ -751,7 +660,6 @@ pub struct PortShard<'a> {
     slot_base: usize,
     letters: &'a mut [Letter],
     counts: ShardCounts<'a>,
-    marks: &'a mut [AtomicU8],
 }
 
 impl PortShard<'_> {
@@ -763,15 +671,15 @@ impl PortShard<'_> {
     /// Overwrites the port at absolute flat `slot` (belonging to `node`,
     /// which must fall in this shard's receiver range), maintaining the
     /// incremental counts — the shard-local twin of
-    /// [`FlatPorts::deliver`].
+    /// [`FlatPorts::deliver`], with the same return value.
     #[inline]
-    pub fn deliver(&mut self, node: usize, slot: usize, letter: Letter) {
+    pub fn deliver(&mut self, node: usize, slot: usize, letter: Letter) -> bool {
         if self.letters[slot - self.slot_base] == TOMBSTONE {
-            return;
+            return false;
         }
         let old = std::mem::replace(&mut self.letters[slot - self.slot_base], letter);
         if old == letter {
-            return;
+            return false;
         }
         match &mut self.counts {
             ShardCounts::Dense(counts) => {
@@ -781,7 +689,7 @@ impl PortShard<'_> {
             }
             ShardCounts::Sparse(maps) => sparse_swap(&mut maps[node - self.node_base], old, letter),
         }
-        note_change(self.marks[node - self.node_base].get_mut());
+        true
     }
 }
 
@@ -953,74 +861,35 @@ mod tests {
     }
 
     #[test]
-    fn skip_marks_start_cleared_and_every_count_mutation_wakes() {
+    fn every_count_mutation_reports_a_change() {
         let g = generators::star(4);
         for layout in [CountLayout::Dense, CountLayout::Sparse] {
             let mut ports = FlatPorts::with_layout(&g, 3, Letter(0), layout);
-            let quiet_all = |p: &FlatPorts| (0..4).for_each(|v| p.note_step(v, true));
-            assert!((0..4).all(|v| !ports.is_quiescent(v)), "fresh: {layout:?}");
-            quiet_all(&ports);
-            assert!((0..4).all(|v| ports.is_quiescent(v)));
-            // A non-quiet step clears the quiet mark.
-            ports.note_step(2, false);
-            assert!(!ports.is_quiescent(2));
-            ports.note_step(2, true);
-
-            // A write that leaves the counts as they were wakes nobody.
+            // A write that leaves the counts as they were reports nothing.
             let slot = g.csr_offset(1); // leaf 1's port toward the hub
-            ports.deliver(1, slot, Letter(0));
-            assert!(ports.is_quiescent(1), "{layout:?}");
-            // A count change wakes exactly the receiver.
-            ports.deliver(1, slot, Letter(2));
-            assert!(!ports.is_quiescent(1), "{layout:?}");
-            assert!((2..4).all(|v| ports.is_quiescent(v)) && ports.is_quiescent(0));
-            // Executing the step consumes the changed mark.
-            ports.note_step(1, true);
-            assert!(ports.is_quiescent(1));
-
-            // The coalesced async delivery path.
-            let hub = g.csr_offset(0) as u32;
-            let mut scratch = Vec::new();
-            ports.deliver_run(0, &[(hub, Letter(0)), (hub + 1, Letter(0))], &mut scratch);
-            assert!(ports.is_quiescent(0), "no-op run: {layout:?}");
-            ports.deliver_run(0, &[(hub, Letter(1))], &mut scratch);
-            assert!(!ports.is_quiescent(0), "{layout:?}");
-            quiet_all(&ports);
+            assert!(
+                !ports.deliver(1, slot, Letter(0)),
+                "same letter: {layout:?}"
+            );
+            // A count change reports one.
+            assert!(ports.deliver(1, slot, Letter(2)), "{layout:?}");
+            assert!(!ports.deliver(1, slot, Letter(2)), "again: {layout:?}");
 
             // Churn retire/revive, and a write bouncing off a tombstone.
-            ports.retire_slot(1, slot);
-            assert!(!ports.is_quiescent(1), "retire: {layout:?}");
-            ports.note_step(1, true);
-            ports.deliver(1, slot, Letter(1));
-            assert!(ports.is_quiescent(1), "tombstoned write: {layout:?}");
-            ports.revive_slot(1, slot, Letter(0));
-            assert!(!ports.is_quiescent(1), "revive: {layout:?}");
-            quiet_all(&ports);
+            assert!(ports.retire_slot(1, slot), "retire: {layout:?}");
+            assert!(!ports.retire_slot(1, slot), "retire twice: {layout:?}");
+            assert!(!ports.deliver(1, slot, Letter(1)), "tombstone: {layout:?}");
+            assert!(ports.revive_slot(1, slot, Letter(0)), "revive: {layout:?}");
+            assert_eq!(ports.dense_counts(&g), ports.recount(&g), "{layout:?}");
 
-            // A state write δ did not make clears only that node's mark.
-            ports.wake(3);
-            assert!(!ports.is_quiescent(3));
-            assert!((0..3).all(|v| ports.is_quiescent(v)));
-            quiet_all(&ports);
-
-            // The sharded merge marks the receiver through its shard
-            // view, and only the receiver.
-            {
-                let mut shards = ports.shards_mut(&g, &[0, 2, 4]);
-                shards[1].deliver(3, g.csr_offset(3), Letter(2));
-            }
-            assert!(!ports.is_quiescent(3), "shard delivery: {layout:?}");
-            assert!((0..3).all(|v| ports.is_quiescent(v)));
-            quiet_all(&ports);
-
-            // Marks are not part of the store's value: every rebuilt or
-            // restored store starts them cleared.
-            let restored = FlatPorts::from_letters(&g, 3, ports.letters().to_vec());
-            let rebuilt = ports.rebuilt_for_churn(&g, Letter(0), |_, _| true);
-            for v in 0..4 {
-                assert!(!restored.is_quiescent(v) && !rebuilt.is_quiescent(v));
-                assert!(ports.clone().is_quiescent(v), "clones copy the marks");
-            }
+            // The sharded merge's view reports like the whole store.
+            let mut shards = ports.shards_mut(&g, &[0, 2, 4]);
+            let hub_side = g.csr_offset(3); // leaf 3's port toward the hub
+            assert!(!shards[1].deliver(3, hub_side, Letter(0)), "{layout:?}");
+            assert!(shards[1].deliver(3, hub_side, Letter(2)), "{layout:?}");
+            drop(shards);
+            assert_eq!(ports.count(3, Letter(2)), 1, "{layout:?}");
+            assert_eq!(ports.dense_counts(&g), ports.recount(&g), "{layout:?}");
         }
     }
 
@@ -1052,7 +921,7 @@ mod tests {
                     continue;
                 }
                 if next() % 3 == 0 {
-                    // Whole-node broadcast through the reverse-port map.
+                    // Whole-node broadcast through the reverse-slot map.
                     let letter = Letter((next() % sigma as u64) as u16);
                     ports.broadcast(&g, v as u32, letter);
                 } else {

@@ -556,10 +556,8 @@ impl<Sk: DeliverySink> DeliverySink for FaultSink<'_, Sk> {
         }
         // The transmission happened; the faults are on the channels.
         self.inner.note_sent();
-        let nbrs = graph.neighbors(v);
-        let rev = graph.reverse_ports(v);
-        for (&u, &rp) in nbrs.iter().zip(rev) {
-            self.apply(ctx, u, graph.csr_offset(u) + rp as usize, letter);
+        for (&u, &slot) in graph.neighbors(v).iter().zip(graph.reverse_slots(v)) {
+            self.apply(ctx, u, slot as usize, letter);
         }
     }
 
@@ -604,10 +602,8 @@ pub(crate) fn faulted_sends(
 ) {
     out.clear();
     let nbrs = graph.neighbors(v);
-    let rev = graph.reverse_ports(v);
     let base = graph.csr_offset(v);
-    for (k, (&u, &rp)) in nbrs.iter().zip(rev).enumerate() {
-        let slot = (graph.csr_offset(u) + rp as usize) as u32;
+    for (k, (&u, &slot)) in nbrs.iter().zip(graph.reverse_slots(v)).enumerate() {
         tally.evaluated += 1;
         match ctx.decide(slot, t) {
             None => out.push((u, slot, arrivals[k], letter)),

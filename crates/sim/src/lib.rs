@@ -39,10 +39,11 @@
 //!   `Vec<Letter>` indexed by the graph's CSR offsets; node `v`'s `k`-th
 //!   port is slot `csr_offset(v) + k`. The round/event loops perform no
 //!   heap allocation.
-//! * **Precomputed reverse-port maps** — the port number `ψ_u(v)` for
-//!   every directed edge `v → u` is computed once at graph build time
-//!   ([`stoneage_graph::Graph::reverse_ports`]), so a delivery is a single
-//!   indexed store instead of a binary search.
+//! * **Precomputed reverse-slot maps** — the absolute receiving slot
+//!   `csr_offset(u) + ψ_u(v)` of every directed edge `v → u` is computed
+//!   once at graph build time ([`stoneage_graph::Graph::reverse_slots`]),
+//!   so a delivery is one sequential read and a single indexed store
+//!   instead of a binary search.
 //! * **Incremental observation counts** — per-node per-letter port counts
 //!   are maintained on every overwrite; a phase-1 observation is an
 //!   O(|Σ|) refill of a reusable [`stoneage_core::ObsVec`] scratch buffer
@@ -69,7 +70,11 @@
 //! Both lockstep backends execute on the shared round pipeline of the
 //! [`pipeline`] module over one [`FlatPorts`] store: every phase-2
 //! delivery of round *r* is buffered while phase 1 reads the store, and
-//! lands only after the round's last read (see the [`engine`] docs).
+//! lands only after the round's last read (see the [`engine`] docs). A
+//! round steps only its **frontier**: a bitset of the nodes whose last
+//! step was not a single silent self-loop, or whose counts or state
+//! changed since. The skip is exact, so every run is bit-identical to
+//! stepping every node.
 //!
 //! `.parallel(ParallelPolicy)` chunks **both** round phases across
 //! `std::thread` workers: each round, one worker per slot-balanced node

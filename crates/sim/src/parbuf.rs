@@ -14,14 +14,16 @@
 //!    private [`DeliveryBuffer`]: flat `(receiver, slot, letter)` triples
 //!    pre-bucketed by destination shard, plus the worker's non-`ε`
 //!    transmission count. No shared state is touched — phase 2a reads
-//!    only the frozen previous-round ports and the graph's reverse-port
+//!    only the frozen previous-round ports and the graph's reverse-slot
 //!    map.
-//! 3. **Merge.** [`merge_sharded`] (the default) hands each worker one
-//!    disjoint [`crate::engine::PortShard`] view and replays, in fixed
-//!    worker order, every buffer's bucket for that shard.
-//!    [`merge_replay`] applies the same buffers serially in the same
-//!    fixed order — the differential oracle the property tests pit the
-//!    sharded merge against.
+//! 3. **Merge.** The destination-sharded merge (the default) hands each
+//!    worker one disjoint [`crate::engine::PortShard`] view and replays,
+//!    in fixed worker order, every buffer's bucket for that shard. Buffer
+//!    replay applies the same buffers serially in the same fixed order —
+//!    the differential oracle the property tests pit the sharded merge
+//!    against. Either way, a receiver whose counts changed joins next
+//!    round's frontier (see [`crate::pipeline`]): the sharded merge sets
+//!    bits only in its own shard's words of it.
 //!
 //! # Why this is bit-identical to the serial engine
 //!
@@ -31,8 +33,8 @@
 //!   previous-round port store, which nothing mutates until every worker
 //!   has joined — so the resolved write set (and any scoped target draws,
 //!   which use per-node RNGs) is exactly the serial engine's.
-//! * **Slot uniqueness.** A delivery from `v` to `u` writes slot
-//!   `csr_offset(u) + ψ_u(v)`, and a sender emits at most once per round
+//! * **Slot uniqueness.** A delivery from `v` to `u` writes the reverse
+//!   slot `csr_offset(u) + ψ_u(v)`, and a sender emits at most once per round
 //!   — so every flat slot is written at most once per round, by exactly
 //!   one sender. The final letter of each slot is therefore independent
 //!   of write order.
@@ -56,6 +58,7 @@ use stoneage_core::Letter;
 use stoneage_graph::{Graph, NodeId};
 
 use crate::engine::FlatPorts;
+use crate::pipeline::Frontier;
 
 /// Below this node count the per-round thread spawn+join overhead of the
 /// chunked phases outweighs the parallel speedup, so the parallel
@@ -206,13 +209,21 @@ pub struct Write {
     pub letter: Letter,
 }
 
+/// One destination bucket of a [`DeliveryBuffer`], on cache lines of its
+/// own: a worker pushes to its buckets' headers while another worker
+/// pushes to its own, and the headers of two workers' bucket arrays may
+/// sit next to each other on the heap.
+#[derive(Clone, Debug, Default)]
+#[repr(align(128))]
+struct Bucket(Vec<Write>);
+
 /// A worker-private phase-2a write buffer: the deliveries of one sender
 /// chunk, pre-bucketed by destination shard, plus the chunk's non-`ε`
 /// transmission count. Reused across rounds ([`DeliveryBuffer::clear`]
 /// keeps the bucket capacities).
 #[derive(Clone, Debug, Default)]
 pub struct DeliveryBuffer {
-    buckets: Vec<Vec<Write>>,
+    buckets: Vec<Bucket>,
     /// Non-`ε` transmissions resolved into this buffer since the last
     /// [`DeliveryBuffer::clear`].
     pub sent: u64,
@@ -222,7 +233,7 @@ impl DeliveryBuffer {
     /// An empty buffer with one bucket per destination shard.
     pub fn new(shards: usize) -> Self {
         DeliveryBuffer {
-            buckets: (0..shards).map(|_| Vec::new()).collect(),
+            buckets: vec![Bucket::default(); shards],
             sent: 0,
         }
     }
@@ -230,20 +241,20 @@ impl DeliveryBuffer {
     /// Empties every bucket and the sent counter, keeping capacities.
     pub fn clear(&mut self) {
         for b in &mut self.buckets {
-            b.clear();
+            b.0.clear();
         }
         self.sent = 0;
     }
 
     /// The bucket destined to shard `s`, in push (= sender) order.
     pub fn bucket(&self, s: usize) -> &[Write] {
-        &self.buckets[s]
+        &self.buckets[s].0
     }
 
     /// Buffers one delivery.
     #[inline]
     pub fn push(&mut self, plan: &ShardPlan, node: NodeId, slot: usize, letter: Letter) {
-        self.buckets[plan.shard_of(node)].push(Write {
+        self.buckets[plan.shard_of(node)].0.push(Write {
             node,
             slot: slot as u32,
             letter,
@@ -251,37 +262,46 @@ impl DeliveryBuffer {
     }
 
     /// Buffers the full broadcast of `letter` from `v` through the
-    /// reverse-port map — the buffered twin of [`FlatPorts::broadcast`].
+    /// reverse-slot map — the buffered twin of [`FlatPorts::broadcast`].
     /// Counts the transmission.
     #[inline]
     pub fn broadcast(&mut self, graph: &Graph, plan: &ShardPlan, v: NodeId, letter: Letter) {
         self.sent += 1;
-        let nbrs = graph.neighbors(v);
-        let rev = graph.reverse_ports(v);
-        for (&u, &rp) in nbrs.iter().zip(rev) {
-            self.push(plan, u, graph.csr_offset(u) + rp as usize, letter);
+        for (&u, &slot) in graph.neighbors(v).iter().zip(graph.reverse_slots(v)) {
+            self.push(plan, u, slot as usize, letter);
         }
     }
 }
 
 /// Phase 2b, destination-sharded: one scoped worker per shard applies —
 /// in fixed worker order — every buffer's bucket for its shard, through
-/// a disjoint [`crate::engine::PortShard`] view. Workers never touch the
-/// same CSR slot or count row, and within a shard the writes land in
-/// ascending sender order (buffer order × push order).
-pub fn merge_sharded(
+/// a disjoint [`crate::engine::PortShard`] view, and puts each receiver
+/// whose counts changed into its shard's words of next round's
+/// `frontier`. Workers never touch the same CSR slot, count row or
+/// frontier word, and within a shard the writes land in ascending sender
+/// order (buffer order × push order). `frontier` must be laid out over
+/// `plan`'s shards.
+pub(crate) fn merge_sharded(
     ports: &mut FlatPorts,
     graph: &Graph,
     plan: &ShardPlan,
-    buffers: &[DeliveryBuffer],
+    buffers: &[&DeliveryBuffer],
+    frontier: &mut Frontier,
 ) {
     let shards = ports.shards_mut(graph, plan.bounds());
     std::thread::scope(|scope| {
-        for (s, mut shard) in shards.into_iter().enumerate() {
+        for (s, (mut shard, mut next)) in shards.into_iter().zip(frontier.shards()).enumerate() {
+            debug_assert_eq!(
+                shard.node_base(),
+                next.base(),
+                "frontier laid out over the plan"
+            );
             scope.spawn(move || {
                 for buffer in buffers {
                     for w in buffer.bucket(s) {
-                        shard.deliver(w.node as usize, w.slot as usize, w.letter);
+                        if shard.deliver(w.node as usize, w.slot as usize, w.letter) {
+                            next.insert(w.node as usize);
+                        }
                     }
                 }
             });
@@ -291,35 +311,44 @@ pub fn merge_sharded(
 
 /// Phase 2b, serial replay: applies every buffer in fixed worker order
 /// (and bucket order within a buffer) through the ordinary
-/// [`FlatPorts::deliver`]. The differential oracle for
-/// [`merge_sharded`]; both produce byte-identical stores.
-pub fn merge_replay(ports: &mut FlatPorts, buffers: &[DeliveryBuffer]) {
+/// [`FlatPorts::deliver`], putting each receiver whose counts changed
+/// into next round's `frontier`. The differential oracle for
+/// [`merge_sharded`]; both produce byte-identical stores and frontiers.
+pub(crate) fn merge_replay(
+    ports: &mut FlatPorts,
+    buffers: &[&DeliveryBuffer],
+    frontier: &mut Frontier,
+) {
     for buffer in buffers {
         for s in 0..buffer.buckets.len() {
             for w in buffer.bucket(s) {
-                ports.deliver(w.node as usize, w.slot as usize, w.letter);
+                if ports.deliver(w.node as usize, w.slot as usize, w.letter) {
+                    frontier.insert(w.node as usize);
+                }
             }
         }
     }
 }
 
 /// Applies the configured merge strategy.
-pub fn merge(
+pub(crate) fn merge(
     strategy: MergeStrategy,
     ports: &mut FlatPorts,
     graph: &Graph,
     plan: &ShardPlan,
-    buffers: &[DeliveryBuffer],
+    buffers: &[&DeliveryBuffer],
+    frontier: &mut Frontier,
 ) {
     match strategy {
-        MergeStrategy::DestinationSharded => merge_sharded(ports, graph, plan, buffers),
-        MergeStrategy::BufferReplay => merge_replay(ports, buffers),
+        MergeStrategy::DestinationSharded => merge_sharded(ports, graph, plan, buffers, frontier),
+        MergeStrategy::BufferReplay => merge_replay(ports, buffers, frontier),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::take_round;
     use stoneage_graph::generators;
 
     #[test]
@@ -374,10 +403,25 @@ mod tests {
                 let chunk = plan.shard_of(v); // sender chunks reuse the plan
                 buffers[chunk].broadcast(&g, &plan, v, letter);
             }
+            let buffers: Vec<&DeliveryBuffer> = buffers.iter().collect();
+            // Both merges start from an empty next round.
+            let mut sharded_next = Frontier::full(plan.bounds());
+            let mut replayed_next = Frontier::full(plan.bounds());
+            take_round(&mut sharded_next);
+            take_round(&mut replayed_next);
             let mut sharded = FlatPorts::new(&g, 4, Letter(0));
-            merge_sharded(&mut sharded, &g, &plan, &buffers);
+            merge_sharded(&mut sharded, &g, &plan, &buffers, &mut sharded_next);
             let mut replayed = FlatPorts::new(&g, 4, Letter(0));
-            merge_replay(&mut replayed, &buffers);
+            merge_replay(&mut replayed, &buffers, &mut replayed_next);
+            // Next round steps exactly the receivers whose counts changed.
+            let woken = take_round(&mut sharded_next);
+            assert_eq!(woken, take_round(&mut replayed_next), "w{workers}");
+            // Every write moves a port off letter 0, so a receiver's
+            // counts changed exactly when its letter-0 count fell.
+            let changed: Vec<usize> = (0..60)
+                .filter(|&v| sharded.count(v, Letter(0)) < g.degree(v as u32) as u32)
+                .collect();
+            assert_eq!(woken, changed, "w{workers}");
             assert_eq!(
                 serial.dense_counts(&g),
                 sharded.dense_counts(&g),

@@ -41,10 +41,11 @@
 //! # The parallel round
 //!
 //! The parallel loop runs phase 1 + 2a of each round in one worker
-//! scope. Worker `w` steps the live nodes of its own
+//! scope. Worker `w` steps the live frontier nodes of its own
 //! [`crate::parbuf::ShardPlan`] shard — its window of the state and RNG
 //! arrays — against the frozen store, into its own
-//! [`crate::parbuf::DeliveryBuffer`] and its own witness. After the join
+//! [`crate::parbuf::DeliveryBuffer`] and its own witness, and writes
+//! only its own shard's words of next round's frontier. After the join
 //! the witnesses are absorbed in worker order, the policy's
 //! [`crate::parbuf::MergeStrategy`] lands the buffers on the store (the
 //! destination-sharded merge in a scope of its own), and the round ends
@@ -65,46 +66,59 @@
 //! worker counts, merge strategies, graph families (the hub-heavy
 //! skewed ones included) and plans, observer calls included.
 //!
-//! # Quiescent nodes are not stepped
+//! # Only the frontier is stepped
 //!
 //! The paper's protocols end in silent sinks, and long stretches of a
 //! run leave most nodes parked in a silent self-loop (a delayed MIS
-//! node, a colored tree node). `node_round` therefore skips a node
-//! when
+//! node, a colored tree node). A round therefore steps only the live
+//! nodes of its **frontier**, in ascending order, and skips the rest. A
+//! node is in round *r + 1*'s frontier when
 //!
-//! * its last executed step drew from a **single-choice** set (no RNG
-//!   draw), emitted `ε`, and left its state unchanged — the *quiet*
-//!   mark; and
-//! * none of its port counts has changed since — the *changed* mark,
-//!   set by the engine on every count-row mutation of a quiet node
-//!   (landing, the sharded merge, fault writes, churn retire/revive;
-//!   see the [`crate::engine`] docs) — and nothing but δ has written
-//!   its state since (a churn restart clears *quiet*).
+//! * its step in round *r* was not a single silent self-loop: it drew
+//!   from more than one choice (an RNG draw), emitted, or changed its
+//!   state; or
+//! * a count of its changed after that: a landed write (serial landing,
+//!   either merge, fault writes) or a churn retire/revive that reported
+//!   a change (see the [`crate::engine`] docs); or
+//! * something other than δ wrote its state: a churn restart.
 //!
-//! The skip is exact. δ reads only `(q, f_b(counts))` and is a pure
-//! function of them (the contract on `MultiFsm::delta` and
+//! A node that stays out of the frontier is one whose last step was a
+//! single silent self-loop against the counts it still has. The skip is
+//! exact. δ reads only `(q, f_b(counts))` and is a pure function of
+//! them (the contract on `MultiFsm::delta` and
 //! [`crate::scoped::ScopedMultiFsm::delta`]), so re-running the step
 //! would return the same single choice: no RNG draw, no emission (hence
 //! no delivery, no fault decision, no scoped witness, no message), the
 //! same state (hence no undecided-counter change). Skipping it changes
 //! no byte of the run, which is why the skip has no switch: the pinned
 //! fingerprints, the reference-engine differential tests and the
-//! serial ≡ parallel matrices all run through it. Because it lives in
-//! `node_round`, every schedule — serial, parallel, churn, scoped —
-//! inherits it. The marks start cleared on fresh and
-//! resumed runs alike, so the first round of any run steps every node.
+//! serial ≡ parallel matrices all run through it. `node_round` reports
+//! whether its step was a silent self-loop, and every schedule —
+//! serial, parallel, churn, scoped — builds the next frontier from that
+//! and from the landing, so a round costs O(stepped + deliveries + |V|/64)
+//! rather than a pass over every node.
+//!
+//! The frontier is two bitsets, this round's and next round's, one bit
+//! per node (a `Frontier`, after Ligra's vertexSubset: Shun and
+//! Blelloch, PPoPP '13). Each [`crate::parbuf::ShardPlan`] shard's bits
+//! start at a word boundary, so no word is shared by two shards and a
+//! parallel worker or merge shard writes only its own words, with no
+//! atomics. Fresh and resumed runs alike start with every bit set, so
+//! the first round of any run steps every live node; snapshots carry no
+//! frontier.
 //!
 //! # Scratch reuse
 //!
 //! Per-round scratch lives for the whole run and is cleared, not
-//! reallocated: the serial write buffer, the per-worker
-//! [`crate::parbuf::DeliveryBuffer`]s, the per-worker [`ObsVec`]s, and
-//! the per-worker witnesses (drained into the run-level witness each
-//! round).
+//! reallocated: the serial write buffer, and one `WorkerScratch` per
+//! parallel worker holding its [`crate::parbuf::DeliveryBuffer`], its
+//! [`ObsVec`] and its witness (drained into the run-level witness each
+//! round). Each `WorkerScratch` sits on cache lines of its own, so two
+//! workers never write the same line.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use stoneage_core::{Letter, ObsVec, Protocol};
+use stoneage_core::{BoundedCount, Letter, ObsVec, Protocol};
 use stoneage_graph::{Graph, NodeId};
 
 use crate::churn::{self, ChurnCtl, ChurnSummary, DEAD_OUTPUT};
@@ -125,7 +139,7 @@ const MAX_ROUNDS: u64 = 1_000_000;
 /// frozen store.
 pub(crate) trait DeliverySink {
     /// Buffers the full broadcast of `letter` from `v` through the
-    /// reverse-port map, counting one non-`ε` transmission.
+    /// reverse-slot map, counting one non-`ε` transmission.
     fn broadcast(&mut self, graph: &Graph, v: NodeId, letter: Letter);
     /// Buffers a single delivery to `u` at absolute flat `slot`.
     fn send_one(&mut self, u: NodeId, slot: usize, letter: Letter);
@@ -156,11 +170,8 @@ impl DeliverySink for SerialWrites {
     #[inline]
     fn broadcast(&mut self, graph: &Graph, v: NodeId, letter: Letter) {
         self.sent += 1;
-        let nbrs = graph.neighbors(v);
-        let rev = graph.reverse_ports(v);
-        for (&u, &rp) in nbrs.iter().zip(rev) {
-            self.writes
-                .push((u, (graph.csr_offset(u) + rp as usize) as u32, letter));
+        for (&u, &slot) in graph.neighbors(v).iter().zip(graph.reverse_slots(v)) {
+            self.writes.push((u, slot, letter));
         }
     }
     #[inline]
@@ -283,7 +294,9 @@ pub(crate) trait BoundaryHook {
     /// Whether a boundary is due after `round`.
     fn due(&self, round: u64) -> bool;
     /// Applies the boundary after `round` (0: before the first round)
-    /// to the store, the states and the undecided counter.
+    /// to the store, the states and the undecided counter, putting every
+    /// node it restarts or whose counts it changes into next round's
+    /// `frontier`.
     fn apply<St: RoundStep>(
         &mut self,
         round: u64,
@@ -291,6 +304,7 @@ pub(crate) trait BoundaryHook {
         states: &mut [St::State],
         undecided: &mut isize,
         ports: &mut FlatPorts,
+        frontier: &mut Frontier,
     );
     /// Whether every scheduled boundary has been applied: the run may
     /// end only then.
@@ -323,6 +337,7 @@ impl BoundaryHook for () {
         _states: &mut [St::State],
         _undecided: &mut isize,
         _ports: &mut FlatPorts,
+        _frontier: &mut Frontier,
     ) {
     }
     fn exhausted(&self) -> bool {
@@ -455,6 +470,14 @@ where
             )
         }
     };
+    let n = sim.graph.node_count();
+    let parallel = sim.policy.filter(|p| !p.use_serial(n));
+    // Planned once per run. Under churn the graph is the closed
+    // universe: churn patches rewrite slots inside the fixed CSR layout,
+    // never the slot map, so the slot-balanced bounds stay valid across
+    // every boundary (`tests/churn.rs` pins this). A serial run is one
+    // shard.
+    let plan = ShardPlan::new(graph, parallel.map_or(1, |p| p.resolve_workers()));
     let mut run = Lockstep {
         step,
         graph,
@@ -466,6 +489,7 @@ where
         observer,
         faults: FaultLayer::new(fctx, tally),
         snap,
+        frontier: Frontier::full(plan.bounds()),
         sent: 0,
         undecided: 0,
         max_rounds: sim.budget.unwrap_or(MAX_ROUNDS),
@@ -481,18 +505,23 @@ where
             // Round-0 events apply before the first observation. A
             // resumed run skips this: its store already includes every
             // boundary up to its round.
-            run.hook
-                .apply(0, step, &mut run.states, &mut run.undecided, &mut run.ports);
+            run.hook.apply(
+                0,
+                step,
+                &mut run.states,
+                &mut run.undecided,
+                &mut run.ports,
+                &mut run.frontier,
+            );
             0
         }
     };
-    let n = sim.graph.node_count();
     let (done, workers) = if resume.is_none() && run.undecided == 0 && run.hook.exhausted() {
         (Some(0), 1)
-    } else if let Some(policy) = sim.policy.filter(|p| !p.use_serial(n)) {
+    } else if let Some(policy) = parallel {
         // The shard plan clamps to the node count — report what actually
         // runs, not the raw policy value.
-        let done = run_parallel(&mut run, &policy, start);
+        let done = run_parallel(&mut run, &policy, &plan, start);
         (done, policy.resolve_workers().min(n.max(1)))
     } else {
         (run_serial(&mut run, start), 1)
@@ -540,6 +569,8 @@ struct Lockstep<'a, St: RoundStep, H, O> {
     observer: O,
     faults: FaultLayer<'a>,
     snap: SnapArgs<'a, St::State>,
+    /// The nodes the next round steps (module docs).
+    frontier: Frontier,
     /// Non-`ε` transmissions so far.
     sent: u64,
     /// Live nodes not in an output state.
@@ -565,6 +596,7 @@ where
                 &mut self.states,
                 &mut self.undecided,
                 &mut self.ports,
+                &mut self.frontier,
             );
         }
         self.observer.on_round_end(round, &self.states);
@@ -593,10 +625,11 @@ where
     }
 }
 
-/// Phase 1 + 2a of one node against the frozen store; returns the
-/// undecided-counter delta. The single transcription of the per-node
-/// round semantics — every schedule (serial, parallel, churn) runs
-/// this, and with it the quiescent-node skip (module docs).
+/// Phase 1 + 2a of one node against the frozen store. Returns the
+/// undecided-counter delta and whether the node must step next round:
+/// `false` exactly for a single silent self-loop (module docs). The
+/// single transcription of the per-node round semantics — every
+/// schedule (serial, parallel, churn) runs this.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn node_round<St: RoundStep, Sk: DeliverySink>(
@@ -610,13 +643,10 @@ fn node_round<St: RoundStep, Sk: DeliverySink>(
     obs: &mut ObsVec,
     sink: &mut Sk,
     witness: &mut St::Witness,
-) -> isize {
-    if ports.is_quiescent(v) {
-        return 0;
-    }
+) -> (isize, bool) {
     ports.refill_obs(v, obs, step.protocol().bound());
     let (next, emission, single) = step.transition(state, obs, rng);
-    ports.note_step(v, single && St::silent(&emission) && next == *state);
+    let busy = !(single && St::silent(&emission) && next == *state);
     let delta = match (step.decided(state), step.decided(&next)) {
         (false, true) => -1,
         (true, false) => 1,
@@ -633,11 +663,13 @@ fn node_round<St: RoundStep, Sk: DeliverySink>(
         sink,
         witness,
     );
-    delta
+    (delta, busy)
 }
 
-/// [`node_round`] over the live nodes among `base..base + states.len()`;
-/// returns the summed undecided-counter delta.
+/// [`node_round`] over the live nodes of this round's `frontier` shard,
+/// in ascending order, keeping each busy one in next round's; returns
+/// the summed undecided-counter delta. `states` and `rngs` are the
+/// shard's windows.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn run_nodes<St, H, Sk>(
@@ -646,7 +678,7 @@ fn run_nodes<St, H, Sk>(
     hook: &H,
     ports: &FlatPorts,
     round: u64,
-    base: usize,
+    frontier: &mut FrontierShard<'_>,
     states: &mut [St::State],
     rngs: &mut [SmallRng],
     obs: &mut ObsVec,
@@ -658,31 +690,36 @@ where
     H: BoundaryHook,
     Sk: DeliverySink,
 {
+    let base = frontier.base();
     let mut delta = 0;
-    for (i, (state, rng)) in states.iter_mut().zip(rngs).enumerate() {
-        if hook.live(base + i) {
-            delta += node_round(
-                step,
-                graph,
-                ports,
-                round,
-                base + i,
-                state,
-                rng,
-                obs,
-                sink,
-                witness,
-            );
+    frontier.step_each(|v| {
+        if !hook.live(v) {
+            // A crashed node drops out; its restart puts it back.
+            return false;
         }
-    }
+        let (d, busy) = node_round(
+            step,
+            graph,
+            ports,
+            round,
+            v,
+            &mut states[v - base],
+            &mut rngs[v - base],
+            obs,
+            sink,
+            witness,
+        );
+        delta += d;
+        busy
+    });
     delta
 }
 
-/// The serial round loop: one pass per round over all live nodes
-/// (phase 1 + 2a fused per node — every port read hits the frozen store
-/// and each node's RNG stream is private), then the buffered writes land
-/// and the round ends ([`Lockstep::end_round`]). Returns the round the
-/// run finished in, or `None` when the budget ran out.
+/// The serial round loop: one pass per round over the live frontier
+/// nodes (phase 1 + 2a fused per node — every port read hits the frozen
+/// store and each node's RNG stream is private), then the buffered
+/// writes land and the round ends ([`Lockstep::end_round`]). Returns
+/// the round the run finished in, or `None` when the budget ran out.
 fn run_serial<St, H, O>(run: &mut Lockstep<'_, St, H, O>, start: u64) -> Option<u64>
 where
     St: RoundStep,
@@ -693,6 +730,12 @@ where
     let mut sink = SerialWrites::default();
     for round in start + 1..=run.max_rounds {
         sink.begin_round();
+        run.frontier.advance();
+        let mut frontier = run
+            .frontier
+            .shards()
+            .next()
+            .expect("a serial run is one shard");
         let mut fsink = FaultSink::new(&mut sink, run.faults.ctx, round, &mut run.faults.tally);
         run.undecided += run_nodes(
             run.step,
@@ -700,7 +743,7 @@ where
             &run.hook,
             &run.ports,
             round,
-            0,
+            &mut frontier,
             &mut run.states,
             &mut run.rngs,
             &mut obs,
@@ -709,7 +752,9 @@ where
         );
         run.sent += sink.sent;
         for &(node, slot, letter) in &sink.writes {
-            run.ports.deliver(node as usize, slot as usize, letter);
+            if run.ports.deliver(node as usize, slot as usize, letter) {
+                frontier.insert(node as usize);
+            }
         }
         if run.end_round(round) {
             return Some(round);
@@ -718,14 +763,44 @@ where
     None
 }
 
+/// One parallel worker's round scratch, built once per run. Aligned to
+/// 128 bytes (a cache-line pair, which adjacent-line prefetch moves
+/// together) so that no two workers' scratch shares a line: each worker
+/// writes its buffer's counters and bucket headers, its observation and
+/// its witness on every step.
+#[repr(align(128))]
+struct WorkerScratch<W> {
+    obs: ObsVec,
+    buffer: DeliveryBuffer,
+    witness: W,
+}
+
+impl<W: Default> WorkerScratch<W> {
+    /// Bytes of spare capacity behind a worker's observation counts, so
+    /// that the counts it rewrites on every step sit at least two line
+    /// pairs away from any other worker's.
+    const OBS_PAD: usize = 256;
+
+    fn new(sigma: usize, shards: usize) -> Self {
+        let mut counts = Vec::with_capacity(sigma + Self::OBS_PAD);
+        counts.resize(sigma, BoundedCount::zero());
+        WorkerScratch {
+            obs: ObsVec::new(counts),
+            buffer: DeliveryBuffer::new(shards),
+            witness: W::default(),
+        }
+    }
+}
+
 /// The parallel round loop (module docs): one worker scope per round in
-/// which worker `w` runs phase 1 + 2a over its own [`ShardPlan`] shard,
-/// then the witness absorb in worker order, the policy's merge and
-/// [`Lockstep::end_round`]. Bit-identical to
+/// which worker `w` runs phase 1 + 2a over the frontier of its own
+/// [`ShardPlan`] shard, then the witness absorb in worker order, the
+/// policy's merge and [`Lockstep::end_round`]. Bit-identical to
 /// [`run_serial`] for every seed, worker count and merge strategy.
 fn run_parallel<St, H, O>(
     run: &mut Lockstep<'_, St, H, O>,
     policy: &ParallelPolicy,
+    plan: &ShardPlan,
     start: u64,
 ) -> Option<u64>
 where
@@ -736,35 +811,37 @@ where
     O: Observer<St::State>,
 {
     let graph = run.graph;
-    // Planned once per run. Under churn the graph is the closed
-    // universe: churn patches rewrite slots inside the fixed CSR layout,
-    // never the slot map, so the slot-balanced bounds stay valid across
-    // every boundary (`tests/churn.rs` pins this).
-    let plan = ShardPlan::new(graph, policy.resolve_workers());
     let workers = plan.workers();
-    let mut buffers: Vec<DeliveryBuffer> =
-        (0..workers).map(|_| DeliveryBuffer::new(workers)).collect();
-    let mut obs: Vec<ObsVec> = (0..workers)
-        .map(|_| ObsVec::zeroed(run.ports.sigma()))
+    let mut scratch: Vec<WorkerScratch<St::Witness>> = (0..workers)
+        .map(|_| WorkerScratch::new(run.ports.sigma(), workers))
         .collect();
-    let mut wits: Vec<St::Witness> = (0..workers).map(|_| St::Witness::default()).collect();
     for round in start + 1..=run.max_rounds {
+        run.frontier.advance();
         let (step, hook, fctx, ports) = (run.step, &run.hook, run.faults.ctx, &run.ports);
         let shards = (plan.chunks_mut(&mut run.states).into_iter())
             .zip(plan.chunks_mut(&mut run.rngs))
-            .zip(plan.bounds());
+            .zip(run.frontier.shards());
         let results: Vec<(isize, FaultSummary)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (buffers.iter_mut().zip(&mut obs).zip(&mut wits).zip(shards))
-                .map(|(((buffer, obs), wit), ((states, rngs), &base))| {
-                    let plan = &plan;
+            let handles: Vec<_> = (scratch.iter_mut().zip(shards))
+                .map(|(scratch, ((states, rngs), mut frontier))| {
                     scope.spawn(move || {
-                        buffer.clear();
+                        scratch.buffer.clear();
+                        let buffer = &mut scratch.buffer;
                         let mut sink = ShardedSink { buffer, plan };
                         let mut tally = FaultSummary::default();
                         let mut fsink = FaultSink::new(&mut sink, fctx, round, &mut tally);
                         let delta = run_nodes(
-                            step, graph, hook, ports, round, base, states, rngs, obs, &mut fsink,
-                            wit,
+                            step,
+                            graph,
+                            hook,
+                            ports,
+                            round,
+                            &mut frontier,
+                            states,
+                            rngs,
+                            &mut scratch.obs,
+                            &mut fsink,
+                            &mut scratch.witness,
                         );
                         (delta, tally)
                     })
@@ -775,16 +852,220 @@ where
                 .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
-        for ((delta, tally), wit) in results.into_iter().zip(&mut wits) {
+        for ((delta, tally), scratch) in results.into_iter().zip(&mut scratch) {
             run.undecided += delta;
             run.faults.tally.merge(&tally);
-            St::absorb(&mut run.witness, wit);
+            St::absorb(&mut run.witness, &mut scratch.witness);
         }
+        let buffers: Vec<&DeliveryBuffer> = scratch.iter().map(|s| &s.buffer).collect();
         run.sent += buffers.iter().map(|b| b.sent).sum::<u64>();
-        parbuf::merge(policy.merge, &mut run.ports, graph, &plan, &buffers);
+        parbuf::merge(
+            policy.merge,
+            &mut run.ports,
+            graph,
+            plan,
+            &buffers,
+            &mut run.frontier,
+        );
         if run.end_round(round) {
             return Some(round);
         }
     }
     None
+}
+
+/// The lockstep step set (module docs, "Only the frontier is stepped"):
+/// this round's nodes and next round's, one bit per node. Shard `s` of
+/// the plan it is laid out over owns a run of whole words in each set,
+/// so two shards never share a word.
+pub(crate) struct Frontier {
+    /// Shard `s` is the node range `nodes[s]..nodes[s + 1]`.
+    nodes: Vec<usize>,
+    /// Shard `s`'s bits are words `words[s]..words[s + 1]` of each set;
+    /// bit `i` of them is node `nodes[s] + i`.
+    words: Vec<usize>,
+    /// This round's nodes.
+    cur: Vec<u64>,
+    /// Next round's nodes.
+    next: Vec<u64>,
+}
+
+impl Frontier {
+    /// A frontier over the shards of the ascending node `bounds` (a
+    /// [`ShardPlan`]'s) whose next round is every node: how every fresh
+    /// and every resumed run starts.
+    pub(crate) fn full(bounds: &[usize]) -> Self {
+        let (mut words, mut next) = (vec![0], Vec::new());
+        for b in bounds.windows(2) {
+            let len = b[1] - b[0];
+            next.extend((0..len / 64).map(|_| u64::MAX));
+            if len % 64 != 0 {
+                next.push((1 << (len % 64)) - 1);
+            }
+            words.push(next.len());
+        }
+        Frontier {
+            nodes: bounds.to_vec(),
+            words,
+            cur: vec![0; next.len()],
+            next,
+        }
+    }
+
+    /// Starts a round: next round's nodes become this round's, and next
+    /// round's set starts empty.
+    pub(crate) fn advance(&mut self) {
+        std::mem::swap(&mut self.cur, &mut self.next);
+        self.next.fill(0);
+    }
+
+    /// Puts node `v` into next round's set.
+    pub(crate) fn insert(&mut self, v: usize) {
+        let s = self.nodes[1..].partition_point(|&b| b <= v);
+        let i = v - self.nodes[s];
+        self.next[self.words[s] + i / 64] |= 1 << (i % 64);
+    }
+
+    /// One view per shard, in shard order: the shard's words of this
+    /// round's set to read and of next round's set to write.
+    pub(crate) fn shards(&mut self) -> impl Iterator<Item = FrontierShard<'_>> {
+        let cur = &self.cur;
+        let mut next = &mut self.next[..];
+        (self.nodes.windows(2).zip(self.words.windows(2))).map(move |(b, w)| {
+            let (head, tail) = std::mem::take(&mut next).split_at_mut(w[1] - w[0]);
+            next = tail;
+            FrontierShard {
+                base: b[0],
+                len: b[1] - b[0],
+                cur: &cur[w[0]..w[1]],
+                next: head,
+            }
+        })
+    }
+}
+
+/// One shard's view of a [`Frontier`] ([`Frontier::shards`]).
+pub(crate) struct FrontierShard<'a> {
+    base: usize,
+    len: usize,
+    cur: &'a [u64],
+    next: &'a mut [u64],
+}
+
+impl FrontierShard<'_> {
+    /// The shard's first node.
+    pub(crate) fn base(&self) -> usize {
+        self.base
+    }
+
+    /// Calls `f` on this round's nodes of the shard in ascending order,
+    /// putting each node for which it returns `true` into next round's
+    /// set.
+    #[inline]
+    pub(crate) fn step_each(&mut self, mut f: impl FnMut(usize) -> bool) {
+        for (w, (&word, next)) in self.cur.iter().zip(self.next.iter_mut()).enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                if f(self.base + w * 64 + b as usize) {
+                    *next |= 1 << b;
+                }
+            }
+        }
+    }
+
+    /// Puts node `v`, which must be the shard's, into next round's set.
+    #[inline]
+    pub(crate) fn insert(&mut self, v: usize) {
+        let i = v - self.base;
+        debug_assert!(i < self.len, "node {v} is outside the shard");
+        self.next[i / 64] |= 1 << (i % 64);
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// Starts a round of `f` and lists its nodes, shard by shard, keeping
+    /// none for the next round.
+    pub(crate) fn take_round(f: &mut Frontier) -> Vec<usize> {
+        f.advance();
+        let mut nodes = Vec::new();
+        for mut shard in f.shards() {
+            shard.step_each(|v| {
+                nodes.push(v);
+                false
+            });
+        }
+        nodes
+    }
+
+    #[test]
+    fn a_run_starts_with_every_bit_set() {
+        for bounds in [vec![0, 300], vec![0, 64], vec![0, 0, 5, 5, 130]] {
+            let mut f = Frontier::full(&bounds);
+            let n = *bounds.last().unwrap();
+            assert_eq!(take_round(&mut f), (0..n).collect::<Vec<_>>(), "{bounds:?}");
+            // Nothing was kept, so the next round is empty.
+            assert!(take_round(&mut f).is_empty(), "{bounds:?}");
+        }
+    }
+
+    #[test]
+    fn iteration_is_ascending_and_keeps_what_the_step_asks_for() {
+        let mut f = Frontier::full(&[0, 300]);
+        f.advance();
+        let mut shard = f.shards().next().unwrap();
+        // Keep the multiples of 7; land writes on a scattered few.
+        shard.step_each(|v| v % 7 == 0);
+        for v in [299, 3, 64, 63, 128, 3, 70] {
+            shard.insert(v);
+        }
+        let mut want: Vec<usize> = (0..300).filter(|v| v % 7 == 0).collect();
+        want.extend([299, 3, 64, 63, 128]);
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(take_round(&mut f), want);
+    }
+
+    #[test]
+    fn shard_bounds_may_cut_a_word_but_shards_never_share_one() {
+        // 7 shards over 300 nodes: every interior bound cuts a word.
+        let bounds = [0, 43, 86, 129, 172, 215, 258, 300];
+        let mut f = Frontier::full(&bounds);
+        for (s, b) in bounds.windows(2).enumerate() {
+            assert_eq!(f.words[s + 1] - f.words[s], (b[1] - b[0]).div_ceil(64));
+        }
+        assert_eq!(take_round(&mut f), (0..300).collect::<Vec<_>>());
+        for s in 0..7 {
+            let (lo, hi) = (bounds[s], bounds[s + 1]);
+            // A bit set through one (merge) shard's view lands only in
+            // that shard's words, where `Frontier::insert` puts it too.
+            let (mut viewed, mut direct) = (Frontier::full(&bounds), Frontier::full(&bounds));
+            take_round(&mut viewed);
+            take_round(&mut direct);
+            for v in lo..hi {
+                viewed.shards().nth(s).unwrap().insert(v);
+                direct.insert(v);
+            }
+            assert_eq!(viewed.next, direct.next, "shard {s}");
+            for (w, &word) in viewed.next.iter().enumerate() {
+                let own = (f.words[s]..f.words[s + 1]).contains(&w);
+                assert_eq!(word != 0, own, "shard {s}, word {w}");
+            }
+            // Its shard's view steps it, and no other view does.
+            viewed.advance();
+            for (t, mut shard) in viewed.shards().enumerate() {
+                let mut mine = Vec::new();
+                shard.step_each(|v| {
+                    mine.push(v);
+                    false
+                });
+                let want: Vec<usize> = if t == s { (lo..hi).collect() } else { vec![] };
+                assert_eq!(mine, want, "shard {s}, view {t}");
+            }
+        }
+    }
 }

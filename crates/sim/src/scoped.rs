@@ -148,7 +148,7 @@ fn select_scoped_port<R: Rng>(
 
 /// The [`RoundStep`] of the port-select extension: draw the transition
 /// uniformly, then resolve the emission — broadcasts through the
-/// reverse-port map, port-selected sends via the early-exit count-draw
+/// reverse-slot map, port-selected sends via the early-exit count-draw
 /// of [`select_scoped_port`] (consuming the sender's own RNG stream) —
 /// and record every scoped delivery in the witness transcript.
 pub(crate) struct ScopedStep<'p, P>(pub(crate) &'p P);
@@ -200,8 +200,7 @@ impl<P: ScopedMultiFsm> RoundStep for ScopedStep<'_, P> {
             ScopedEmission::ToOnePortHolding { send, holding } => {
                 if let Some(k) = select_scoped_port(graph, ports, v, holding, rng) {
                     let u = graph.neighbors(v)[k];
-                    let rp = graph.reverse_ports(v)[k] as usize;
-                    sink.send_one(u, graph.csr_offset(u) + rp, send);
+                    sink.send_one(u, graph.reverse_slots(v)[k] as usize, send);
                     witness.push(ScopedDelivery {
                         round,
                         from: v,

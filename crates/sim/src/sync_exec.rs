@@ -16,7 +16,7 @@
 //! CSR-indexed store with incremental per-letter counts
 //! ([`crate::engine::FlatPorts`]), observations refill a scratch
 //! [`ObsVec`], deliveries resolve through the graph's precomputed
-//! reverse-port map into a reused write buffer, and termination is
+//! reverse-slot map into a reused write buffer, and termination is
 //! detected by an undecided-node counter updated on state transitions.
 //! Outputs are bit-identical per seed to the naive reference executor
 //! ([`crate::reference::run_sync_reference`]), which is kept as a

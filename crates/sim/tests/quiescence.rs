@@ -1,10 +1,9 @@
 //! Edge cases of the lockstep pipeline's quiescent-node skip.
 //!
-//! `node_round` skips a node whose last executed step drew a single
-//! silent self-loop while none of its port counts changed (see the
-//! `pipeline` module docs). The skip has no switch, so every case here
-//! compares the skipping engine with an oracle that steps every node
-//! every round:
+//! A round steps only its frontier, so a node whose last executed step
+//! drew a single silent self-loop while none of its port counts changed
+//! is skipped (see the `pipeline` module docs). The skip has no switch,
+//! so every case here compares the skipping engine with an oracle:
 //!
 //! * the naive reference executor (`run_sync_reference`), for plain
 //!   runs, compared on the whole outcome (final states included);
@@ -13,9 +12,11 @@
 //!   instead of `det(q, ε)` — a silent self-loop that still draws, which
 //!   the engine must step every round. The extra draws feed no other
 //!   choice, so the twin's run is the same run with every node stepped;
-//! * the `ChurnOracle` full rebuild, whose fresh store carries no marks;
-//! * the uninterrupted run, for a resumed run (whose marks start
-//!   cleared).
+//! * the `ChurnOracle` full rebuild, which puts the same nodes into the
+//!   frontier as incremental patching from the event's patches rather
+//!   than from the store's reports;
+//! * the uninterrupted run, for a resumed run (whose frontier starts
+//!   full).
 //!
 //! Each case runs on the serial engine and across the testkit's
 //! lockstep matrix: worker counts × merge strategies.
@@ -363,7 +364,7 @@ impl Observer<u16> for Frames {
 }
 
 /// A run split at a boundary where most nodes sit in a quiet loop and
-/// resumed — with every mark cleared, so the first resumed round steps
+/// resumed — with a full frontier, so the first resumed round steps
 /// every node — is bit-identical to the uninterrupted run, on every
 /// matrix cell for the resumed leg.
 #[test]
